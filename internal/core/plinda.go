@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"freepdm/internal/plinda"
@@ -113,38 +111,38 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 	}
 }
 
-// pledEvent is one committed master step: a result tuple taken from
-// the space. Everything else the master knows (which patterns are
-// good, which tasks were sent) is a deterministic function of the
-// event sequence, so the sequence IS the master's continuation.
-type pledEvent struct {
-	Key   string
-	Score float64
-}
-
-// pledCont is the PLED master's continuation tuple payload.
+// pledCont is the PLED master's continuation: the log of result tuples
+// it has taken, as parallel key and score slices. Everything else the
+// master knows (which patterns are good, which tasks were sent) is a
+// deterministic function of that sequence, so the sequence IS the
+// continuation. It is committed as three wire-native tuple fields passed
+// by slice header — Xcommit(keys, scores, poisoned) — so a commit costs
+// the same at any log length. The log is append-only: the committed
+// prefix, which the process table aliases and Xrecover and Checkpoint
+// read, is never written again.
 type pledCont struct {
-	Events   []pledEvent
-	Poisoned bool
+	keys     []string
+	scores   []float64
+	poisoned bool
 }
 
-func encodePLEDCont(c *pledCont) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+func (c *pledCont) commit(p *plinda.Proc) error {
+	return p.Xcommit(c.keys, c.scores, c.poisoned)
 }
 
 func decodePLEDCont(t tuplespace.Tuple, c *pledCont) error {
-	if len(t) != 1 {
+	if len(t) != 3 {
 		return fmt.Errorf("core: malformed master continuation (%d fields)", len(t))
 	}
-	blob, ok := t[0].([]byte)
-	if !ok {
-		return fmt.Errorf("core: malformed master continuation field %T", t[0])
+	keys, kok := t[0].([]string)
+	scores, sok := t[1].([]float64)
+	poisoned, pok := t[2].(bool)
+	if !kok || !sok || !pok || len(keys) != len(scores) {
+		return fmt.Errorf("core: malformed master continuation (%T of %d, %T of %d, %T)",
+			t[0], len(keys), t[1], len(scores), t[2])
 	}
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(c)
+	*c = pledCont{keys, scores, poisoned}
+	return nil
 }
 
 // pledMaster is the E-dag scheduling state of figure 3.4, factored so
@@ -239,32 +237,32 @@ func (m *pledMaster) seed() []string {
 // worker crashes between the follower and coordinator phases — leaves
 // the state (including the done counter) untouched: counting it would
 // let done outrun sent and terminate the master with takes missing.
-func (m *pledMaster) apply(ev pledEvent) ([]string, bool, error) {
-	if m.good[ev.Key] || m.bad[ev.Key] {
+func (m *pledMaster) apply(key string, score float64) ([]string, bool, error) {
+	if m.good[key] || m.bad[key] {
 		return nil, false, nil
 	}
 	m.done++
-	pat, err := m.dec.Decode(ev.Key)
+	pat, err := m.dec.Decode(key)
 	if err != nil {
 		return nil, false, err
 	}
 	var newKeys []string
-	if m.pr.Good(pat, ev.Score) {
-		m.good[ev.Key] = true
-		m.results = append(m.results, Result{pat, ev.Score})
+	if m.pr.Good(pat, score) {
+		m.good[key] = true
+		m.results = append(m.results, Result{pat, score})
 		newKeys = m.childPatterns(pat, newKeys)
 		// Release deferred children that were waiting on this key.
-		for _, d := range m.pendingBy[ev.Key] {
-			delete(d.waiting, ev.Key)
+		for _, d := range m.pendingBy[key] {
+			delete(d.waiting, key)
 			if len(d.waiting) == 0 {
 				newKeys = m.send(d.pat, newKeys)
 			}
 		}
-		delete(m.pendingBy, ev.Key)
+		delete(m.pendingBy, key)
 	} else {
-		m.bad[ev.Key] = true
+		m.bad[key] = true
 		// Deferred children waiting on a bad subpattern are dead.
-		delete(m.pendingBy, ev.Key)
+		delete(m.pendingBy, key)
 	}
 	return newKeys, true, nil
 }
@@ -285,10 +283,10 @@ func taskTuples(keys []string) []tuplespace.Tuple {
 // tuples are ("result", key, score).
 //
 // The master is restart-safe: each transaction commits the result
-// take, the child-task outs, and a continuation carrying the full
-// event log atomically, so a killed master incarnation replays the
-// log and resumes exactly where the last commit left off — no task is
-// re-sent and no result double-counted.
+// take, the child-task outs, and a continuation carrying the event log
+// (by slice header, see pledCont) atomically, so a killed master
+// incarnation replays the log and resumes exactly where the last
+// commit left off — no task is re-sent and no result double-counted.
 func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -310,8 +308,8 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 				return err
 			}
 			m.seed()
-			for _, ev := range cont.Events {
-				if _, _, err := m.apply(ev); err != nil {
+			for i, key := range cont.keys {
+				if _, _, err := m.apply(key, cont.scores[i]); err != nil {
 					return err
 				}
 			}
@@ -326,11 +324,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if o != nil {
 				o.tasks.Add(int64(len(newKeys)))
 			}
-			blob, err := encodePLEDCont(&cont)
-			if err != nil {
-				return err
-			}
-			if err := p.Xcommit(blob); err != nil {
+			if err := cont.commit(p); err != nil {
 				return err
 			}
 		}
@@ -343,8 +337,8 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if err != nil {
 				return err
 			}
-			ev := pledEvent{Key: tu[1].(string), Score: tu[2].(float64)}
-			newKeys, fresh, err := m.apply(ev)
+			key, score := tu[1].(string), tu[2].(float64)
+			newKeys, fresh, err := m.apply(key, score)
 			if err != nil {
 				return err
 			}
@@ -362,20 +356,16 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if o != nil {
 				o.results.Inc()
 				o.tasks.Add(int64(len(newKeys)))
-				if m.good[ev.Key] {
+				if m.good[key] {
 					o.good.Inc()
 				}
 			}
-			cont.Events = append(cont.Events, ev)
-			blob, err := encodePLEDCont(&cont)
-			if err != nil {
-				return err
-			}
-			if err := p.Xcommit(blob); err != nil {
+			cont.keys, cont.scores = append(cont.keys, key), append(cont.scores, score)
+			if err := cont.commit(p); err != nil {
 				return err
 			}
 		}
-		if !cont.Poisoned {
+		if !cont.poisoned {
 			// Poison tasks terminate the workers.
 			if err := p.Xstart(); err != nil {
 				return err
@@ -390,12 +380,8 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if o != nil && o.tracer != nil {
 				o.tracer.Record("master", "poison", 0, "program", "pled", "workers", workers, "tasks", m.sent, "results", m.done)
 			}
-			cont.Poisoned = true
-			blob, err := encodePLEDCont(&cont)
-			if err != nil {
-				return err
-			}
-			if err := p.Xcommit(blob); err != nil {
+			cont.poisoned = true
+			if err := cont.commit(p); err != nil {
 				return err
 			}
 		}

@@ -119,7 +119,7 @@ func newAnalysis(pkg *Package) *analysis {
 
 // collectFormalVars records local and package-level variables whose
 // initializer is a formal expression, so aliases like
-// "formalCurve := tuplespace.Formal(classify.FoldCurve{})" resolve as
+// "formalTree := tuplespace.Formal((*classify.Tree)(nil))" resolve as
 // formals at use sites. One level of aliasing is enough for every
 // idiom in this repository.
 func (a *analysis) collectFormalVars() {

@@ -31,9 +31,8 @@ import (
 
 // Formal templates for the typed payloads crossing the tuple space.
 var (
-	formalInts  = tuplespace.FormalInts
-	formalCurve = tuplespace.Formal(classify.FoldCurve{})
-	formalTree  = tuplespace.Formal((*classify.Tree)(nil))
+	formalInts = tuplespace.FormalInts
+	formalTree = tuplespace.Formal((*classify.Tree)(nil))
 )
 
 // NyuMinerCV runs Parallel NyuMiner-CV on a PLinda server: V auxiliary
@@ -65,7 +64,9 @@ func NyuMinerCV(srv *plinda.Server, d *dataset.Dataset, idx []int, v, workers in
 			learn := dataset.WithoutFold(idx, fold)
 			aux := nyuminer.Grow(d, learn, cfg)
 			curve := classify.NewFoldCurve(classify.CCPSequence(aux), d, fold)
-			if err := p.Out("alpha-list", i, curve); err != nil {
+			// The curve crosses as its two wire-native slices, so the
+			// program runs on a dialed store as well as a local one.
+			if err := p.Out("alpha-list", i, curve.Alphas, curve.Errs); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
@@ -96,11 +97,11 @@ func NyuMinerCV(srv *plinda.Server, d *dataset.Dataset, idx []int, v, workers in
 			return err
 		}
 		for range folds {
-			tu, err := p.In("alpha-list", tuplespace.FormalInt, formalCurve)
+			tu, err := p.In("alpha-list", tuplespace.FormalInt, tuplespace.FormalFloats, formalInts)
 			if err != nil {
 				return err
 			}
-			curves[tu[1].(int)] = tu[2].(classify.FoldCurve)
+			curves[tu[1].(int)] = classify.FoldCurve{Alphas: tu[2].([]float64), Errs: tu[3].([]int)}
 		}
 		for w := 0; w < workers; w++ {
 			if err := p.Out("learning-set", -1, []int(nil)); err != nil {

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 
 	"freepdm/internal/classify"
@@ -9,6 +10,7 @@ import (
 	"freepdm/internal/classify/nyuminer"
 	"freepdm/internal/dataset"
 	"freepdm/internal/plinda"
+	"freepdm/internal/tuplespace"
 )
 
 func testData(t *testing.T, name string, seed int64) (*dataset.Dataset, []int, []int) {
@@ -32,7 +34,10 @@ func samePredictions(t *testing.T, d *dataset.Dataset, test []int,
 	}
 }
 
-func TestParallelNyuMinerCVMatchesSequential(t *testing.T) {
+// nyuMinerCVMatchesSequential runs Parallel NyuMiner-CV on srv and
+// holds it to the sequential CVPrune result for the same folds.
+func nyuMinerCVMatchesSequential(t *testing.T, srv *plinda.Server) {
+	t.Helper()
 	d, train, test := testData(t, "diabetes", 31)
 	cfg := nyuminer.Config{}
 	grow := func(dd *dataset.Dataset, ii []int) *classify.Tree {
@@ -40,8 +45,6 @@ func TestParallelNyuMinerCVMatchesSequential(t *testing.T) {
 	}
 	seqPT, _ := classify.CVPrune(d, train, 4, grow, rand.New(rand.NewSource(99)))
 
-	srv := plinda.NewServer()
-	defer srv.Close()
 	parPT, err := NyuMinerCV(srv, d, train, 4, 3, cfg, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +54,32 @@ func TestParallelNyuMinerCVMatchesSequential(t *testing.T) {
 			parPT.LeafCount, parPT.Resub, seqPT.LeafCount, seqPT.Resub)
 	}
 	samePredictions(t, d, test, parPT.Classify, seqPT.Classify, "parallel", "sequential")
+}
+
+func TestParallelNyuMinerCVMatchesSequential(t *testing.T) {
+	srv := plinda.NewServer()
+	defer srv.Close()
+	nyuMinerCVMatchesSequential(t, srv)
+}
+
+// The same program with every process on its own dialed session to a
+// served space: each tuple field crosses the wire codec, which carries
+// no custom types — the fold curve must travel as plain slices.
+func TestParallelNyuMinerCVOverDial(t *testing.T) {
+	space := tuplespace.New()
+	defer space.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go tuplespace.Serve(ln, space) //nolint:errcheck
+
+	srv := plinda.NewServerRemote(func() (tuplespace.TxnStore, error) {
+		return tuplespace.Dial(ln.Addr().String())
+	})
+	defer srv.Close()
+	nyuMinerCVMatchesSequential(t, srv)
 }
 
 func TestParallelC45MatchesSequential(t *testing.T) {

@@ -43,6 +43,34 @@ func TestOutInpAllocs(t *testing.T) {
 	}
 }
 
+// The same cycle over a resident bag: the head take advances the
+// partition's window and the out extends it, so the backing array is
+// renewed once per several hundred cycles — amortized to nothing, and
+// the cycle stays at Out's one allocation.
+func TestBagCycleAllocs(t *testing.T) {
+	s := New()
+	defer s.Close()
+	for i := 0; i < 1024; i++ {
+		if err := s.Out(context.Background(), "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(2000, func() {
+		if _, ok, _ := s.Inp(context.Background(), "k", FormalInt); !ok {
+			t.Fatal("Inp missed")
+		}
+		if err := s.Out(context.Background(), "k", 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("Inp+Out cycle over a 1024-tuple bag = %v allocs/op, want ≤ 1", n)
+	}
+	if got := slen(s); got != 1024 {
+		t.Errorf("resident tuples = %d, want 1024", got)
+	}
+}
+
 func TestInpMissAllocs(t *testing.T) {
 	s := New()
 	defer s.Close()

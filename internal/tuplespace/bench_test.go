@@ -26,6 +26,32 @@ func BenchmarkTuplespaceOutInp(b *testing.B) {
 	}
 }
 
+// BenchmarkTuplespaceBagDrain is the task bag's steady state: take the
+// head of one partition, out at its tail, with the given number of
+// tuples resident. The take is the partition's FIFO head take, so ns/op
+// must not grow with the resident count.
+func BenchmarkTuplespaceBagDrain(b *testing.B) {
+	for _, r := range []struct {
+		name     string
+		resident int
+	}{{"1", 1}, {"1k", 1 << 10}, {"64k", 1 << 16}} {
+		b.Run("resident="+r.name, func(b *testing.B) {
+			s := New()
+			for i := 0; i < r.resident; i++ {
+				s.Out(context.Background(), "bag", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, _ := s.Inp(context.Background(), "bag", FormalInt); !ok {
+					b.Fatal("lost tuple")
+				}
+				s.Out(context.Background(), "bag", i)
+			}
+		})
+	}
+}
+
 // benchMixed runs g goroutines, each cycling Out/Inp (with a Rdp every
 // fourth round) on its own tag — distinct signatures, so a sharded
 // space should let them proceed without contending.

@@ -497,11 +497,17 @@ type waiter struct {
 	removed bool // guarded by the lock of the list holding the waiter
 }
 
-// partition is the tuple list of one signature. Partitions are held by
-// pointer so the hot paths can mutate the list through a no-allocation
-// map lookup (parts[string(sigBytes)]) without re-assigning the entry.
+// partition is the tuple list of one signature: a FIFO whose head take
+// is O(1). tuples is a window onto a backing array that Out extends at
+// the tail and a take of the first tuple advances at the head; base is
+// the empty slice at that array's start, which the window falls back to
+// when it empties so the array's full capacity is reused. Partitions
+// are held by pointer so the hot paths can mutate the list through a
+// no-allocation map lookup (parts[string(sigBytes)]) without
+// re-assigning the entry.
 type partition struct {
 	tuples []stored
+	base   []stored
 }
 
 // shard is one lock stripe of the space: the partitions whose signature
@@ -670,7 +676,11 @@ func (s *Space) out(t Tuple, org obs.SpanContext) error {
 		} else if len(p.tuples) == 0 {
 			sh.empties-- // refilling a retained empty partition
 		}
+		grown := len(p.tuples) == cap(p.tuples) // append moves to a new array
 		p.tuples = append(p.tuples, stored{t: t, org: org})
+		if grown {
+			p.base = p.tuples[:0]
+		}
 		sh.count++
 		s.tupleCnt.Add(1)
 		if o != nil {
@@ -800,7 +810,16 @@ func (s *Space) scanPartitionLocked(sh *shard, p *partition, ct *compiledTemplat
 			continue
 		}
 		if take {
-			p.tuples = append(p.tuples[:i], p.tuples[i+1:]...)
+			if i > 0 {
+				p.tuples = append(p.tuples[:i], p.tuples[i+1:]...)
+			} else {
+				// The FIFO take advances the head instead of shifting
+				// the rest of the bag down.
+				p.tuples[0] = stored{}
+				if p.tuples = p.tuples[1:]; len(p.tuples) == 0 {
+					p.tuples = p.base
+				}
+			}
 			sh.count--
 			s.tupleCnt.Add(-1)
 			if o := s.obs.Load(); o != nil {

@@ -3,6 +3,8 @@ package tuplespace
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -438,12 +440,108 @@ func TestPropertySnapshotLossless(t *testing.T) {
 	}
 }
 
-func BenchmarkOutInp(b *testing.B) {
-	s := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Out(context.Background(), "bench", i)
-		s.Inp(context.Background(), "bench", FormalInt)
+// Property: one partition driven by random interleavings of Out, head
+// take, actual-valued mid-partition take, transactional takes ending in
+// Abort or Commit, and Snapshot behaves as a plain slice does — same
+// contents, same order, so the same first match for every template —
+// through growth, head advances, drains to empty and refills.
+func TestPropertyPartitionMatchesSliceModel(t *testing.T) {
+	ctx := context.Background()
+	type item struct{ v, id int }
+	for seed := int64(1); seed <= 8; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		s := New()
+		var model []item
+		nextID := 0
+		out := func() Tuple {
+			it := item{rnd.Intn(6), nextID}
+			nextID++
+			model = append(model, it)
+			return Tuple{"q", it.v, it.id}
+		}
+		// take removes the model's first match of a random template,
+		// head (all formals) or mid-partition (actual v), and checks the
+		// space's take against it.
+		take := func(step int, inp func(...any) (Tuple, bool, error)) (item, bool) {
+			v, at := any(FormalInt), 0
+			if rnd.Intn(2) == 0 {
+				want := rnd.Intn(6)
+				v, at = want, slices.IndexFunc(model, func(it item) bool { return it.v == want })
+			}
+			got, ok, err := inp("q", v, FormalInt)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if at < 0 || at >= len(model) {
+				if ok {
+					t.Fatalf("seed %d step %d: took %v, model has no match for %v", seed, step, got, v)
+				}
+				return item{}, false
+			}
+			it := model[at]
+			if !ok || got[1] != it.v || got[2] != it.id {
+				t.Fatalf("seed %d step %d: template %v took %v (ok=%v), model's first match is %v at %d", seed, step, v, got, ok, it, at)
+			}
+			model = slices.Delete(model, at, at+1)
+			return it, true
+		}
+		spaceInp := func(f ...any) (Tuple, bool, error) { return s.Inp(ctx, f...) }
+		// grow biases the walk: the bag swells, then drains, by turns.
+		for step, grow := 0, true; step < 4000; step++ {
+			if step%500 == 0 {
+				grow = !grow
+			}
+			switch op := rnd.Intn(10); {
+			case op < 3 || (grow && op < 6):
+				if err := s.Out(ctx, out()...); err != nil {
+					t.Fatal(err)
+				}
+			case op < 8:
+				take(step, spaceInp)
+			case op == 8:
+				tx, err := s.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var taken []item
+				for k := rnd.Intn(4); k >= 0; k-- {
+					if it, ok := take(step, func(f ...any) (Tuple, bool, error) { return tx.Inp(ctx, f...) }); ok {
+						taken = append(taken, it)
+					}
+				}
+				if rnd.Intn(2) == 0 {
+					// Abort republishes the takes at the tail, in take order.
+					model = append(model, taken...)
+					if err := tx.Abort(); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := tx.Commit(ctx, []Tuple{out(), out()}); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				snap := s.Snapshot()
+				if len(snap) != len(model) {
+					t.Fatalf("seed %d step %d: snapshot holds %d tuples, model %d", seed, step, len(snap), len(model))
+				}
+				for i, it := range model {
+					if snap[i][1] != it.v || snap[i][2] != it.id {
+						t.Fatalf("seed %d step %d: snapshot[%d] = %v, model %v", seed, step, i, snap[i], it)
+					}
+				}
+			}
+			if slen(s) != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, model %d", seed, step, slen(s), len(model))
+			}
+		}
+		for step := 0; len(model) > 0; step++ { // drain in FIFO order
+			if got, ok, _ := s.Inp(ctx, "q", FormalInt, FormalInt); !ok || got[2] != model[0].id {
+				t.Fatalf("seed %d drain %d: took %v (ok=%v), model head %v", seed, step, got, ok, model[0])
+			}
+			model = model[1:]
+		}
+		if slen(s) != 0 {
+			t.Fatalf("seed %d: %d tuples left after the drain", seed, slen(s))
+		}
 	}
 }
 
