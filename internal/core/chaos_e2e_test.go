@@ -47,12 +47,10 @@ type chaosScenario struct {
 // faults firing and asserts the global invariant the cluster claims:
 // the run's results equal SolveSequential's — work may be duplicated
 // by retries and recoveries, it is never lost.
-func runChaosScenario(t *testing.T, sc chaosScenario) {
-	base := newToyProblem(6, 120, 0.15, sc.seed)
+func runChaosScenario(t *testing.T, g faultGrain, sc chaosScenario) {
+	base, prob := g.problem(t, sc.seed)
 	seqRes, _ := SolveSequential(base)
-	h := &chaosHarness{
-		prob: &countingProblem{slowProblem: &slowProblem{toyProblem: base, delay: 2 * time.Millisecond}},
-	}
+	h := &chaosHarness{prob: prob}
 
 	defer faultnet.Reset() // a failed scenario must not leak chaos into the next
 
@@ -114,18 +112,29 @@ func runChaosScenario(t *testing.T, sc chaosScenario) {
 // missing (the floating-subtree walk), and hanging forever because the
 // master's terminal failure left the workers blocked on a task tuple
 // that would never come (Server.Stop exists for that).
-func TestChaosLocalStoreErrRate(t *testing.T) {
-	base := newToyProblem(6, 120, 0.15, 81)
+//
+// The rate falls as the run grows, because a re-spawned PLET master
+// re-seeds the tree and every stale control tuple it has to read on the
+// way lengthens the next incarnation's stream: a master has to live
+// through ~70 store operations on the budget-1 tree (0.985^70, one
+// chance in three) and ~135 on the default grain's (0.996^135, a little
+// over one in two). Much above that the large run only ever exercises
+// the fail-loudly arm, after half a minute of respawns. The coin is
+// seeded, so which operations fail is fixed — the 24th at any rate
+// here — and only who is running them varies.
+func TestChaosLocalStoreErrRate(t *testing.T) { testChaosLocalStoreErrRate(t, grainDefault, 0.004) }
+
+func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
+	base, prob := g.problem(t, 81)
 	seqRes, _ := SolveSequential(base)
 
 	store := faultnet.WrapStore(tuplespace.NewSpace(tuplespace.Options{}), faultnet.StoreOptions{
-		ErrRate: 0.015,
+		ErrRate: errRate,
 		Seed:    7,
 	})
 	srv := plinda.NewServerOnStore(store)
 	defer srv.Close()
 
-	prob := &countingProblem{slowProblem: &slowProblem{toyProblem: base, delay: time.Millisecond}}
 	res, err := RunPLET(srv, prob, 4)
 	if srv.Respawns() == 0 {
 		t.Error("the error rate never killed an incarnation: the run asserted nothing")
@@ -149,11 +158,18 @@ func TestChaosLocalStoreErrRate(t *testing.T) {
 // forever in the prune walk; it must instead complete with exactly
 // SolveSequential's results.
 func TestChaosMasterRespawnStaleCtl(t *testing.T) {
+	testChaosMasterRespawnStaleCtl(t, grainDefault)
+}
+
+// staleCtlBudget1 is a wider, deeper tree than the budget-1 scenario
+// suite's: floating needs a node expanded mid-stream whose parent's
+// report died with the previous master incarnation, and the kill
+// trigger needs a control stream longer than 25 tuples.
+var staleCtlBudget1 = faultGrain{1, func(seed uint64) *toyProblem { return newToyProblem(10, 120, 0.06, seed) }, time.Millisecond}
+
+func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	defer faultnet.Reset()
-	// A wider, deeper tree than the scenario suite's: floating needs a
-	// node expanded mid-stream whose parent's report died with the
-	// previous master incarnation.
-	base := newToyProblem(10, 120, 0.06, 82)
+	base, prob := g.problem(t, 82)
 	seqRes, _ := SolveSequential(base)
 
 	store := faultnet.WrapStore(tuplespace.NewSpace(tuplespace.Options{}), faultnet.StoreOptions{})
@@ -180,7 +196,7 @@ func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 	})
 	defer disarm()
 
-	res, err := RunPLET(srv, &countingProblem{slowProblem: &slowProblem{toyProblem: base, delay: time.Millisecond}}, 4)
+	res, err := RunPLET(srv, prob, 4)
 	if err != nil {
 		t.Fatalf("RunPLET with a repeatedly-killed master: %v", err)
 	}
@@ -195,7 +211,17 @@ func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 // layer exists for: each entry scripts one failure mode the paper's
 // "free" idle-workstation fleet produces, at a protocol point a sleep
 // could never hit reliably.
-func TestChaosScenarios(t *testing.T) {
+func TestChaosScenarios(t *testing.T) { testChaosScenarios(t, grainDefault) }
+
+// TestPLETBudget1Chaos re-runs the chaos suites at budget 1, the
+// one-transaction-per-pattern protocol they were written against.
+func TestPLETBudget1Chaos(t *testing.T) {
+	t.Run("Scenarios", func(t *testing.T) { testChaosScenarios(t, grainBudget1) })
+	t.Run("LocalStoreErrRate", func(t *testing.T) { testChaosLocalStoreErrRate(t, grainBudget1, 0.015) })
+	t.Run("MasterRespawnStaleCtl", func(t *testing.T) { testChaosMasterRespawnStaleCtl(t, staleCtlBudget1) })
+}
+
+func testChaosScenarios(t *testing.T, g faultGrain) {
 	scenarios := []chaosScenario{
 		{
 			// The coordinator drops off the network exactly in the 2PC
@@ -379,6 +405,6 @@ func TestChaosScenarios(t *testing.T) {
 		},
 	}
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) { runChaosScenario(t, sc) })
+		t.Run(sc.name, func(t *testing.T) { runChaosScenario(t, g, sc) })
 	}
 }

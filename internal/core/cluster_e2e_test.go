@@ -82,9 +82,12 @@ func (n *clusterNode) restart() {
 // the masters' idempotent accounting — the results must still equal
 // SolveSequential's.
 func TestPLETClusterKillNodeRestart(t *testing.T) {
-	base := newToyProblem(6, 120, 0.15, 77)
+	testPLETClusterKillNodeRestart(t, grainDefault)
+}
+
+func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
+	base, p := g.problem(t, 77)
 	seqRes, _ := SolveSequential(base)
-	p := &countingProblem{slowProblem: &slowProblem{toyProblem: base, delay: 2 * time.Millisecond}}
 
 	nodes := make([]*clusterNode, 3)
 	addrs := make([]string, len(nodes))

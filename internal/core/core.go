@@ -46,7 +46,10 @@ type Problem interface {
 	Root() Pattern
 	// Children returns the child patterns of p under the unique-parent
 	// generation relation. Every non-root pattern is generated exactly
-	// once, by its parent.
+	// once, by its parent. The order must be deterministic — the same
+	// for the same p in every process and on every call — because a
+	// PLET task's report is required to be a function of its key
+	// (see pletBudget).
 	Children(p Pattern) []Pattern
 	// Subpatterns returns all immediate subpatterns of p (those of
 	// length Len(p)-1). The E-dag traversal evaluates p only when all

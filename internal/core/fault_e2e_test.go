@@ -205,10 +205,19 @@ func TestPLEDFaultInjectionRemoteWALRestart(t *testing.T) {
 // TestPLETRemoteWorkerKill runs PLET with every process remote and a
 // worker killed mid-run; the lease abort must restore the worker's
 // task so the traversal still matches the sequential solver.
-func TestPLETRemoteWorkerKill(t *testing.T) {
-	base := newToyProblem(6, 120, 0.15, 91)
+func TestPLETRemoteWorkerKill(t *testing.T) { testPLETRemoteWorkerKill(t, grainDefault) }
+
+// TestPLETBudget1Faults re-runs the worker-kill and node-kill suites at
+// budget 1, the one-transaction-per-pattern protocol they were written
+// against.
+func TestPLETBudget1Faults(t *testing.T) {
+	t.Run("RemoteWorkerKill", func(t *testing.T) { testPLETRemoteWorkerKill(t, grainBudget1) })
+	t.Run("ClusterKillNodeRestart", func(t *testing.T) { testPLETClusterKillNodeRestart(t, grainBudget1) })
+}
+
+func testPLETRemoteWorkerKill(t *testing.T, g faultGrain) {
+	base, p := g.problem(t, 91)
 	seqRes, _ := SolveSequential(base)
-	p := &slowProblem{toyProblem: base, delay: 2 * time.Millisecond}
 
 	space := tuplespace.New()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

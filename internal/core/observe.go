@@ -17,8 +17,8 @@ type coreObs struct {
 	evaluated *obs.Counter   // patterns whose goodness was computed
 	good      *obs.Counter   // patterns that passed the predicate
 	pruned    *obs.Counter   // patterns skipped by subpattern pruning
-	tasks     *obs.Counter   // task tuples sent by PLED/PLET programs
-	results   *obs.Counter   // result/good tuples collected by masters
+	tasks     *obs.Counter   // task tuples sent: PLED dispatches; PLET seeds and spilled frontiers (not patterns)
+	results   *obs.Counter   // results collected by masters (PLET: good patterns, not good tuples)
 	goodness  *obs.Histogram // per-pattern evaluation latency
 }
 

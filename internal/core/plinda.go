@@ -45,12 +45,51 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 	}
 }
 
-// PLETWorker returns the PLET worker body (figure 3.10): take a task,
-// evaluate it, and — when good — expand its children in place,
-// reporting the expansion (or prune) through a control tuple the
-// master uses for termination detection. Exported for the same
-// remote-worker deployment as PLEDWorker.
+// pletBudget is the PLET task grain: how many patterns one worker
+// transaction evaluates before it commits. It is a node count, not a
+// time, on purpose: with Children's deterministic order a task's report
+// (goods, scores, spilled keys) is then a pure function of its key, so
+// a task run twice — a cluster 2PC re-run, a re-seeding master —
+// reports the same frontier the duplicate-tolerant tracker and drain
+// already saw. A wall-clock budget would let the re-run spill keys
+// other than those whose ctl already landed, and the master would wait
+// forever on task tuples that never committed. Budget 1 is the
+// one-pattern-per-transaction protocol of figure 3.10. The default is
+// measured (DESIGN.md "PLET task grain"); tests in this package set it.
+var pletBudget = 512
+
+// expandTask explores the subtree under task depth-first until budget
+// patterns are evaluated, returning the good patterns found and the
+// keys of the unexplored DFS stack.
+func expandTask(o *coreObs, pr Problem, task Pattern, budget int) (goods []string, scores []float64, spilled []string) {
+	stack := []Pattern{task}
+	for n := 0; n < budget && len(stack) > 0; n++ {
+		pat := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		score := timeGoodness(o, pr, pat)
+		if pr.Good(pat, score) {
+			goods, scores = append(goods, pat.Key()), append(scores, score)
+			stack = append(stack, pr.Children(pat)...)
+		}
+	}
+	for _, pat := range stack {
+		spilled = append(spilled, pat.Key())
+	}
+	return goods, scores, spilled
+}
+
+// PLETWorker returns the PLET worker body (figure 3.10 at the task
+// grain of section 4.3): one transaction takes a task, expands its
+// subtree locally under pletBudget, and commits the batch — the
+// unexplored frontier as task tuples, the good patterns in one good
+// tuple, and one control tuple that reports the frontier as the task's
+// child list (or a prune when nothing is left), which is all the
+// master's termination detection needs to know. A killed worker's
+// transaction aborts: its task tuple reappears and at most one budget
+// of evaluations is redone. Exported for the same remote-worker
+// deployment as PLEDWorker.
 func PLETWorker(pr Problem) plinda.ProcFunc {
+	budget := pletBudget
 	return func(p *plinda.Proc) error {
 		dec, ok := pr.(Decoder)
 		if !ok {
@@ -73,35 +112,24 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 			if err != nil {
 				return err
 			}
-			score := timeGoodness(o, pr, pat)
-			if pr.Good(pat, score) {
-				if o != nil {
-					o.good.Inc()
-				}
-				if err := p.Out(TagGood, key, score); err != nil {
+			goods, scores, spilled := expandTask(o, pr, pat, budget)
+			if o != nil {
+				o.good.Add(int64(len(goods)))
+				o.tasks.Add(int64(len(spilled)))
+			}
+			if len(goods) > 0 {
+				if err := p.Out(TagGood, goods, scores); err != nil {
 					return err
 				}
-				children := pr.Children(pat)
-				keys := make([]string, len(children))
-				if o != nil {
-					o.tasks.Add(int64(len(children)))
-				}
-				fanout := make([]tuplespace.Tuple, len(children))
-				for i, c := range children {
-					keys[i] = c.Key()
-					fanout[i] = tuplespace.Tuple{TagTask, c.Key()}
-				}
-				if err := p.OutN(fanout); err != nil {
-					return err
-				}
-				kind := CtlExpanded
-				if len(children) == 0 {
-					kind = CtlPruned
-				}
-				if err := p.Out(TagCtl, kind, key, keys); err != nil {
-					return err
-				}
-			} else if err := p.Out(TagCtl, CtlPruned, key, []string(nil)); err != nil {
+			}
+			if err := p.OutN(taskTuples(spilled)); err != nil {
+				return err
+			}
+			kind := CtlExpanded
+			if len(spilled) == 0 {
+				kind = CtlPruned
+			}
+			if err := p.Out(TagCtl, kind, key, spilled); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
@@ -409,8 +437,10 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 // parallel E-tree traversal program (PLET): workers expand good nodes
 // in place (figure 3.10, load-balanced variant of figure 4.7) and the
 // master of figure 3.9 performs termination detection by pruned-
-// subtree propagation. Good patterns are reported through
-// ("good", key, score) tuples the master drains at the end.
+// subtree propagation. A worker transaction covers a budgeted subtree
+// (see PLETWorker), so the tracker's nodes are task keys and a task's
+// children are the frontier it spilled. Good patterns are reported
+// through ("good", keys, scores) batches the master drains at the end.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -432,18 +462,16 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			return err
 		}
 		keys := make([]string, len(top))
+		for i, c := range top {
+			keys[i] = c.Key()
+		}
 		if o != nil {
 			o.tasks.Add(int64(len(top)))
 			if o.tracer != nil {
 				o.tracer.Record("master", "seed", 0, "program", "plet", "tasks", len(top))
 			}
 		}
-		seed := make([]tuplespace.Tuple, len(top))
-		for i, c := range top {
-			keys[i] = c.Key()
-			seed[i] = tuplespace.Tuple{TagTask, c.Key()}
-		}
-		if err := p.OutN(seed); err != nil {
+		if err := p.OutN(taskTuples(keys)); err != nil {
 			return err
 		}
 		track.Expanded(rootKey, keys)
@@ -485,30 +513,33 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		if o != nil && o.tracer != nil {
 			o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers)
 		}
-		// Drain the good-pattern report tuples. A key can appear twice
-		// when the cluster's two-phase commit re-ran a worker whose
-		// report had already landed on a follower node; the first
-		// report wins and duplicates are dropped, so the result set
-		// still equals SolveSequential's.
+		// Drain the good-pattern batches, one tuple per worker
+		// transaction that found any. A key can appear twice when the
+		// cluster's two-phase commit re-ran a worker whose report had
+		// already landed on a follower node; the first report wins and
+		// duplicates are dropped, so the result set still equals
+		// SolveSequential's.
 		seen := make(map[string]bool)
 		for {
-			tu, ok, err := p.Inp(TagGood, tuplespace.FormalString, tuplespace.FormalFloat)
+			tu, ok, err := p.Inp(TagGood, tuplespace.FormalStrings, tuplespace.FormalFloats)
 			if err != nil {
 				return err
 			}
 			if !ok {
 				break
 			}
-			key := tu[1].(string)
-			if seen[key] {
-				continue
+			scores := tu[2].([]float64)
+			for i, key := range tu[1].([]string) {
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				pat, err := dec.Decode(key)
+				if err != nil {
+					return err
+				}
+				results = append(results, Result{pat, scores[i]})
 			}
-			seen[key] = true
-			pat, err := dec.Decode(key)
-			if err != nil {
-				return err
-			}
-			results = append(results, Result{pat, tu[2].(float64)})
 		}
 		if o != nil {
 			o.results.Add(int64(len(results)))

@@ -8,9 +8,10 @@ package core
 //
 //	(TagTask, key string)                        work unit; key PoisonKey terminates a worker
 //	(TagResult, key string, score float64)       PLED goodness report
-//	(TagGood, key string, score float64)         PLET good-pattern report
+//	(TagGood, keys []string, scores []float64)   PLET good-pattern batch: the good patterns
+//	                                             of one worker transaction, parallel slices
 //	(TagCtl, kind string, key string, []string)  PLET termination control:
-//	                                             kind CtlExpanded carries the child keys,
+//	                                             kind CtlExpanded carries the spilled task keys,
 //	                                             kind CtlPruned carries nil
 const (
 	TagTask   = "task"
@@ -20,7 +21,8 @@ const (
 
 	// CtlExpanded and CtlPruned are the control-tuple kinds: every
 	// task produces exactly one TagCtl tuple, an expansion listing
-	// its children or a prune.
+	// the task keys it spilled (its children, to the tracker) or a
+	// prune when its whole subtree was explored.
 	CtlExpanded = "expanded"
 	CtlPruned   = "pruned"
 

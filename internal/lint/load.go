@@ -235,17 +235,54 @@ func (l *Loader) Load(dir string) ([]*Package, error) {
 	})
 	var pkgs []*Package
 	for _, name := range names {
-		ppath := path
+		ppath, loader := path, l
 		if strings.HasSuffix(name, "_test") {
 			ppath += "_test"
+			if len(pkgs) > 0 {
+				loader = l.testLoader(path, pkgs[0].Types)
+			}
 		}
-		pkg, err := l.check(ppath, abs, byName[name])
+		pkg, err := loader.check(ppath, abs, byName[name])
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// testLoader returns the loader an external test package of path is
+// checked with. As in go's test build, that package — and every
+// package it imports — sees the primary package with its in-package
+// test files (the export_test.go idiom): the loader has a dep cache of
+// its own in which path is that variant, and the cached packages that
+// import path are left out, to be checked again against it. The rest of
+// the cache is shared, so the types the variant was built on stay
+// identical.
+func (l *Loader) testLoader(path string, variant *types.Package) *Loader {
+	deps := map[string]*depResult{path: {pkg: variant}}
+	for p, r := range l.deps {
+		if p != path && r.pkg != nil && !imports(r.pkg, path, map[*types.Package]bool{}) {
+			deps[p] = r
+		}
+	}
+	return &Loader{Fset: l.Fset, ModPath: l.ModPath, ModRoot: l.ModRoot, std: l.std, deps: deps}
+}
+
+// imports reports whether pkg imports path, directly or not.
+func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path {
+			return true
+		}
+		if !seen[imp] {
+			seen[imp] = true
+			if imports(imp, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // check type-checks one group of files as a package with full

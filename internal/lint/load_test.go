@@ -193,3 +193,37 @@ func TestLoadImportCycleGuard(t *testing.T) {
 		t.Fatalf("Load of a cyclic package = %v, want an import cycle error", err)
 	}
 }
+
+// TestLoadExternalTestSeesExportTest loads a directory whose external
+// test package relies on the export_test.go idiom and, in the same
+// file, on a second package that imports the primary one and on a
+// third that the primary imports. As in go's test build, all of them
+// must agree on one copy of every package: the external test sees the
+// primary's test-only export, the importer is checked against that
+// variant, and the shared dependency keeps its identity.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":           "module m\n",
+		"base/base.go":     "package base\n\ntype Opt struct{ N int }\n",
+		"a/a.go":           "package a\n\nimport \"m/base\"\n\ntype T struct{ O base.Opt }\n\nfunc hidden(o base.Opt) T { return T{o} }\n",
+		"a/export_test.go": "package a\n\nvar Hidden = hidden\n",
+		"user/user.go":     "package user\n\nimport \"m/a\"\n\nfunc Use(t a.T) int { return t.O.N }\n",
+		"a/x_test.go":      "package a_test\n\nimport (\n\t\"m/a\"\n\t\"m/base\"\n\t\"m/user\"\n)\n\nvar N = user.Use(a.Hidden(base.Opt{N: 1}))\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// user is in the dep cache, checked against a without its tests,
+	// before a's directory is loaded: the stale copy must not be reused.
+	if _, err := l.Load(filepath.Join(root, "user")); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(filepath.Join(root, "a"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != "m/a_test" {
+		t.Fatalf("Load returned %d packages, want m/a and m/a_test", len(pkgs))
+	}
+}
