@@ -141,9 +141,11 @@ func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
 
 // TestPLEDClusterThreeNodes runs PLED over a healthy three-node
 // cluster: the continuation-logged master must work unchanged against
-// the router (its commits ride the coordinator's CommitCont).
+// the router (its commits ride the coordinator's CommitCont). Twelve
+// root patterns over 2·4 chunks: task and result tuples of several keys
+// cross the two-phase commit.
 func TestPLEDClusterThreeNodes(t *testing.T) {
-	base := newToyProblem(6, 150, 0.15, 21)
+	base := newToyProblem(12, 200, 0.04, 21)
 	seqRes, _ := SolveSequential(base)
 
 	nodes := make([]*clusterNode, 3)

@@ -30,9 +30,13 @@ func (p *slowProblem) Goodness(pat Pattern) float64 {
 // is killed mid-transaction (SIGKILL semantics: its session drops and
 // the server's lease machinery restores its task tuple), and then the
 // server itself is crashed and restarted from the WAL. The run must
-// still produce results identical to SolveSequential.
+// still produce results identical to SolveSequential. The tree is
+// sized for the chunk grain (88 evaluations in about 30 commits with 3
+// workers): the chunks the killed worker and the crashed server hold
+// carry several keys each, and both faults land with most of the run
+// ahead.
 func TestPLEDFaultInjectionRemoteWALRestart(t *testing.T) {
-	base := newToyProblem(6, 120, 0.15, 77)
+	base := newToyProblem(12, 200, 0.04, 77)
 	seqRes, _ := SolveSequential(base)
 	p := &slowProblem{toyProblem: base, delay: 3 * time.Millisecond}
 

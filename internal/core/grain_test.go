@@ -119,20 +119,15 @@ func TestPLETGrainGuard(t *testing.T) {
 	}
 }
 
-// TestPLETWorkerKilledMidBatch kills the only worker while it is inside
-// the local expansion of its first batch, on a local Space and over
-// per-incarnation dialed sessions. The batch must vanish whole: when the
-// re-spawned incarnation starts evaluating, the space holds no good, ctl
-// or spilled task tuple of the aborted batch — only the seeded tasks,
-// the aborted one among them again — and the run still returns exactly
-// SolveSequential's results, having redone at most one budget of work.
-func TestPLETWorkerKilledMidBatch(t *testing.T) {
-	const budget, killAt = 16, 5
-	local := func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
+// killBackends are the stores the killed-mid-transaction tests run on: a
+// local Space, and one dialed session per incarnation to a served Space,
+// where a kill drops the session and the server's side aborts.
+var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Space){
+	"space": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()
 		return plinda.NewServerOn(space), space
-	}
-	remote := func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
+	},
+	"remote-dial": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -147,10 +142,19 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 				Lease:       2 * time.Second,
 			})
 		}), space
-	}
-	for name, backend := range map[string]func(*testing.T) (*plinda.Server, *tuplespace.Space){
-		"space": local, "remote-dial": remote,
-	} {
+	},
+}
+
+// TestPLETWorkerKilledMidBatch kills the only worker while it is inside
+// the local expansion of its first batch, on a local Space and over
+// per-incarnation dialed sessions. The batch must vanish whole: when the
+// re-spawned incarnation starts evaluating, the space holds no good, ctl
+// or spilled task tuple of the aborted batch — only the seeded tasks,
+// the aborted one among them again — and the run still returns exactly
+// SolveSequential's results, having redone at most one budget of work.
+func TestPLETWorkerKilledMidBatch(t *testing.T) {
+	const budget, killAt = 16, 5
+	for name, backend := range killBackends {
 		t.Run(name, func(t *testing.T) {
 			withPLETBudget(t, budget)
 			base := newToyProblem(8, 120, 0.06, 82)

@@ -17,8 +17,8 @@ type coreObs struct {
 	evaluated *obs.Counter   // patterns whose goodness was computed
 	good      *obs.Counter   // patterns that passed the predicate
 	pruned    *obs.Counter   // patterns skipped by subpattern pruning
-	tasks     *obs.Counter   // task tuples sent: PLED dispatches; PLET seeds and spilled frontiers (not patterns)
-	results   *obs.Counter   // results collected by masters (PLET: good patterns, not good tuples)
+	tasks     *obs.Counter   // task tuples sent, not patterns: PLED chunks; PLET seeds and spilled frontiers
+	results   *obs.Counter   // results collected by masters, in keys (PLED: fresh result keys, not result tuples; PLET: good patterns, not good tuples)
 	goodness  *obs.Histogram // per-pattern evaluation latency
 }
 

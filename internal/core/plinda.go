@@ -2,16 +2,20 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
 
-// PLEDWorker returns the PLED worker body (figure 3.5): repeatedly
-// take a task tuple inside a transaction, evaluate the pattern's
-// goodness, and commit the result tuple. The body is exported so a
-// remote workstation can run it standalone against a dialed session
-// (cmd/plinda -worker); the problem must implement Decoder.
+// PLEDWorker returns the PLED worker body (figure 3.5 at the chunk
+// grain): one transaction takes a chunk of task keys, evaluates every
+// pattern's goodness, and commits one result tuple of parallel keys and
+// scores. A killed worker's transaction aborts: the chunk reappears
+// whole and at most one chunk of evaluations is redone. The body is
+// exported so a remote workstation can run it standalone against a
+// dialed session (cmd/plinda -worker); the problem must implement
+// Decoder.
 func PLEDWorker(pr Problem) plinda.ProcFunc {
 	return func(p *plinda.Proc) error {
 		dec, ok := pr.(Decoder)
@@ -23,19 +27,23 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tu, err := p.In(TagTask, tuplespace.FormalString)
+			tu, err := p.In(TagTask, tuplespace.FormalStrings)
 			if err != nil {
 				return err
 			}
-			key := tu[1].(string)
-			if key == PoisonKey {
+			keys := tu[1].([]string)
+			if len(keys) == 1 && keys[0] == PoisonKey {
 				return p.Xcommit()
 			}
-			pat, err := dec.Decode(key)
-			if err != nil {
-				return err
+			scores := make([]float64, len(keys))
+			for i, key := range keys {
+				pat, err := dec.Decode(key)
+				if err != nil {
+					return err
+				}
+				scores[i] = timeGoodness(o, pr, pat)
 			}
-			if err := p.Out(TagResult, key, timeGoodness(o, pr, pat)); err != nil {
+			if err := p.Out(TagResult, keys, scores); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
@@ -139,15 +147,17 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 	}
 }
 
-// pledCont is the PLED master's continuation: the log of result tuples
-// it has taken, as parallel key and score slices. Everything else the
+// pledCont is the PLED master's continuation: the log of result events
+// it has applied, as parallel key and score slices — one event per key,
+// whatever result tuples the keys arrived in. Everything else the
 // master knows (which patterns are good, which tasks were sent) is a
 // deterministic function of that sequence, so the sequence IS the
 // continuation. It is committed as three wire-native tuple fields passed
 // by slice header — Xcommit(keys, scores, poisoned) — so a commit costs
-// the same at any log length. The log is append-only: the committed
-// prefix, which the process table aliases and Xrecover and Checkpoint
-// read, is never written again.
+// the same at any log length. The log is append-only: a transaction
+// appends all its events past the committed prefix, which the process
+// table aliases and Xrecover and Checkpoint read and which is never
+// written again.
 type pledCont struct {
 	keys     []string
 	scores   []float64
@@ -175,72 +185,87 @@ func decodePLEDCont(t tuplespace.Tuple, c *pledCont) error {
 
 // pledMaster is the E-dag scheduling state of figure 3.4, factored so
 // it can be rebuilt by replaying the committed event sequence after a
-// master failure. seed and apply return the newly queued task keys;
-// the live master outs them inside the same transaction that takes
-// the result and commits the extended event log, while a replaying
-// master discards them (the tasks are already in the space, or their
-// results already consumed).
+// master failure. seed and apply append the newly queued task keys to
+// newKeys; the live master outs them inside the same transaction that
+// takes the results and commits the extended event log, while a
+// replaying master discards them (the tasks are already in the space,
+// or their results already consumed).
 type pledMaster struct {
 	pr  Problem
 	dec Decoder
 
-	good, bad map[string]bool
-	queued    map[string]bool
+	// Every pattern sent or classified, by key. Absent means not yet
+	// releasable: unseen, or deferred in pendingBy.
+	nodes map[string]pledNode
 	// Children whose subpattern goodness is not yet known, indexed
 	// by the subpattern keys they wait on.
 	pendingBy  map[string][]*pledDeferred
+	waiting    []string // consider's scratch
 	sent, done int
 	results    []Result
 }
 
+type pledNode struct {
+	state pledState
+	pat   Pattern // as queued, so its result needs no Decode
+}
+
+type pledState uint8
+
+const (
+	pledQueued pledState = iota + 1
+	pledGood
+	pledBad
+)
+
 type pledDeferred struct {
 	pat     Pattern
-	waiting map[string]bool
+	key     string
+	waiting int // distinct subpattern keys not yet known good
 }
 
 func newPLEDMaster(pr Problem, dec Decoder) *pledMaster {
 	return &pledMaster{
 		pr:        pr,
 		dec:       dec,
-		good:      map[string]bool{pr.Root().Key(): true},
-		bad:       map[string]bool{},
-		queued:    map[string]bool{},
+		nodes:     map[string]pledNode{pr.Root().Key(): {state: pledGood}},
 		pendingBy: map[string][]*pledDeferred{},
 	}
 }
 
-// send marks a pattern queued and returns its key for dispatch.
-func (m *pledMaster) send(pat Pattern, newKeys []string) []string {
-	if m.queued[pat.Key()] {
+// send marks a pattern queued and appends its key for dispatch.
+func (m *pledMaster) send(pat Pattern, key string, newKeys []string) []string {
+	if _, known := m.nodes[key]; known {
 		return newKeys
 	}
-	m.queued[pat.Key()] = true
+	m.nodes[key] = pledNode{pledQueued, pat}
 	m.sent++
-	return append(newKeys, pat.Key())
+	return append(newKeys, key)
 }
 
 // consider queues a pattern whose subpatterns are all known good,
 // defers it when some are still unknown, and drops it when any is bad
 // (the apriori prune of theorem 2).
 func (m *pledMaster) consider(pat Pattern, newKeys []string) []string {
-	if m.queued[pat.Key()] {
-		return newKeys
-	}
-	waiting := map[string]bool{}
+	waiting := m.waiting[:0]
 	for _, s := range m.pr.Subpatterns(pat) {
 		k := s.Key()
-		if m.bad[k] {
+		switch m.nodes[k].state {
+		case pledBad:
 			return newKeys // some subpattern is not good: prune
-		}
-		if !m.good[k] {
-			waiting[k] = true
+		case pledGood:
+		default:
+			if !slices.Contains(waiting, k) {
+				waiting = append(waiting, k)
+			}
 		}
 	}
+	m.waiting = waiting
 	if len(waiting) == 0 {
-		return m.send(pat, newKeys)
+		return m.send(pat, pat.Key(), newKeys)
 	}
-	d := &pledDeferred{pat: pat, waiting: waiting}
-	for k := range waiting {
+	d := &pledDeferred{pat, pat.Key(), len(waiting)}
+	for _, k := range waiting {
 		m.pendingBy[k] = append(m.pendingBy[k], d)
 	}
 	return newKeys
@@ -258,40 +283,42 @@ func (m *pledMaster) seed() []string {
 	return m.childPatterns(m.pr.Root(), nil)
 }
 
-// apply advances the scheduling state by one result event and returns
-// the task keys it newly queued, plus whether the event was fresh. A
-// duplicate event — a second result for a key already classified good
-// or bad, which the cluster's two-phase commit can produce when a
-// worker crashes between the follower and coordinator phases — leaves
-// the state (including the done counter) untouched: counting it would
-// let done outrun sent and terminate the master with takes missing.
-func (m *pledMaster) apply(key string, score float64) ([]string, bool, error) {
-	if m.good[key] || m.bad[key] {
-		return nil, false, nil
+// apply advances the scheduling state by one result event, appending
+// the task keys it newly queued to newKeys, and reports whether the
+// event was fresh. A duplicate event — a second result for a key already
+// classified good or bad, which the cluster's two-phase commit produces
+// a chunk at a time when a worker crashes between the follower and
+// coordinator phases — leaves the state (including the done counter)
+// untouched: counting it would let done outrun sent and terminate the
+// master with takes missing.
+func (m *pledMaster) apply(key string, score float64, newKeys []string) ([]string, bool, error) {
+	n := m.nodes[key]
+	if n.state == pledGood || n.state == pledBad {
+		return newKeys, false, nil
+	}
+	if n.pat == nil { // a key this master never queued
+		pat, err := m.dec.Decode(key)
+		if err != nil {
+			return newKeys, false, err
+		}
+		n.pat = pat
 	}
 	m.done++
-	pat, err := m.dec.Decode(key)
-	if err != nil {
-		return nil, false, err
-	}
-	var newKeys []string
-	if m.pr.Good(pat, score) {
-		m.good[key] = true
-		m.results = append(m.results, Result{pat, score})
-		newKeys = m.childPatterns(pat, newKeys)
+	if !m.pr.Good(n.pat, score) {
+		m.nodes[key] = pledNode{pledBad, n.pat}
+	} else {
+		m.nodes[key] = pledNode{pledGood, n.pat}
+		m.results = append(m.results, Result{n.pat, score})
+		newKeys = m.childPatterns(n.pat, newKeys)
 		// Release deferred children that were waiting on this key.
 		for _, d := range m.pendingBy[key] {
-			delete(d.waiting, key)
-			if len(d.waiting) == 0 {
-				newKeys = m.send(d.pat, newKeys)
+			if d.waiting--; d.waiting == 0 {
+				newKeys = m.send(d.pat, d.key, newKeys)
 			}
 		}
-		delete(m.pendingBy, key)
-	} else {
-		m.bad[key] = true
-		// Deferred children waiting on a bad subpattern are dead.
-		delete(m.pendingBy, key)
 	}
+	// Its waiters are released by now, or dead with a bad subpattern.
+	delete(m.pendingBy, key)
 	return newKeys, true, nil
 }
 
@@ -303,16 +330,63 @@ func taskTuples(keys []string) []tuplespace.Tuple {
 	return ts
 }
 
+// chunkTasks splits keys into at most n even PLED task tuples.
+func chunkTasks(keys []string, n int) []tuplespace.Tuple {
+	n = min(n, len(keys))
+	ts := make([]tuplespace.Tuple, n)
+	for i := range ts {
+		ts[i] = tuplespace.Tuple{TagTask, keys[i*len(keys)/n : (i+1)*len(keys)/n]}
+	}
+	return ts
+}
+
+// runProgram spawns a program's workers and master and waits for them.
+// The workers' exit depends on the master: only its poison pills
+// release their blocking In("task"). If the master fails permanently
+// (respawn budget exhausted, or a program bug), no poison will ever be
+// published, so its terminal error must stop the workers too —
+// otherwise the wait would hang forever instead of reporting the
+// failure.
+func runProgram(srv *plinda.Server, program string, workers int, worker, master plinda.ProcFunc) error {
+	names := make([]string, workers)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s-worker-%d", program, i)
+		if err := srv.Spawn(names[i], worker); err != nil {
+			return err
+		}
+	}
+	if err := srv.Spawn(program+"-master", master); err != nil {
+		return err
+	}
+	if err := srv.Wait(program + "-master"); err != nil {
+		for _, name := range names {
+			srv.Stop(name) //nolint:errcheck
+		}
+		for _, name := range names {
+			srv.Wait(name) //nolint:errcheck
+		}
+		return fmt.Errorf("process %s-master: %w", program, err)
+	}
+	return srv.WaitAll()
+}
+
 // RunPLED executes a data mining application as a Persistent Linda
 // parallel E-dag traversal program (PLED): the master of figure 3.4
-// and workers of figure 3.5. The problem must implement Decoder so
-// pattern keys can cross the tuple space. The returned results equal
-// SolveSequential's (theorem 2). Work tuples are ("task", key); result
-// tuples are ("result", key, score).
+// and workers of figure 3.5, at the chunk grain. The problem must
+// implement Decoder so pattern keys can cross the tuple space. The
+// returned results equal SolveSequential's (theorem 2). Work tuples are
+// ("task", keys); result tuples are ("result", keys, scores).
+//
+// A master transaction takes every result tuple that is waiting,
+// applies their keys one by one, and outs the patterns they released
+// as 2·workers even chunks: a second chunk for every worker while the
+// master handles the first one back, and a commit on either side pays
+// for a chunk of evaluations. The divisor is a constant because the
+// measured sweep is flat (DESIGN.md "PLED task grain").
 //
 // The master is restart-safe: each transaction commits the result
-// take, the child-task outs, and a continuation carrying the event log
-// (by slice header, see pledCont) atomically, so a killed master
+// takes, the task outs, and a continuation carrying the event log (by
+// slice header, see pledCont) atomically, so a killed master
 // incarnation replays the log and resumes exactly where the last
 // commit left off — no task is re-sent and no result double-counted.
 func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
@@ -337,7 +411,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 			m.seed()
 			for i, key := range cont.keys {
-				if _, _, err := m.apply(key, cont.scores[i]); err != nil {
+				if _, _, err := m.apply(key, cont.scores[i], nil); err != nil {
 					return err
 				}
 			}
@@ -345,12 +419,12 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			newKeys := m.seed()
-			if err := p.OutN(taskTuples(newKeys)); err != nil {
+			tasks := chunkTasks(m.seed(), 2*workers)
+			if err := p.OutN(tasks); err != nil {
 				return err
 			}
 			if o != nil {
-				o.tasks.Add(int64(len(newKeys)))
+				o.tasks.Add(int64(len(tasks)))
 			}
 			if err := cont.commit(p); err != nil {
 				return err
@@ -361,34 +435,41 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tu, err := p.In(TagResult, tuplespace.FormalString, tuplespace.FormalFloat)
+			tu, err := p.In(TagResult, tuplespace.FormalStrings, tuplespace.FormalFloats)
 			if err != nil {
 				return err
 			}
-			key, score := tu[1].(string), tu[2].(float64)
-			newKeys, fresh, err := m.apply(key, score)
-			if err != nil {
-				return err
-			}
-			if !fresh {
-				// Duplicate result: consume the tuple (the commit below
-				// finalizes the take) but log and count nothing.
-				if err := p.Xcommit(); err != nil {
+			logged, goods := len(cont.keys), len(m.results)
+			var newKeys []string
+			for more := true; more; {
+				keys, scores := tu[1].([]string), tu[2].([]float64)
+				if len(keys) != len(scores) {
+					return fmt.Errorf("core: malformed result tuple (%d keys, %d scores)", len(keys), len(scores))
+				}
+				for i, key := range keys {
+					// A duplicate result is consumed (the commit below
+					// finalizes the take) but logged and counted nowhere.
+					var fresh bool
+					if newKeys, fresh, err = m.apply(key, scores[i], newKeys); err != nil {
+						return err
+					}
+					if fresh {
+						cont.keys, cont.scores = append(cont.keys, key), append(cont.scores, scores[i])
+					}
+				}
+				if tu, more, err = p.Inp(TagResult, tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil {
 					return err
 				}
-				continue
 			}
-			if err := p.OutN(taskTuples(newKeys)); err != nil {
+			tasks := chunkTasks(newKeys, 2*workers)
+			if err := p.OutN(tasks); err != nil {
 				return err
 			}
 			if o != nil {
-				o.results.Inc()
-				o.tasks.Add(int64(len(newKeys)))
-				if m.good[key] {
-					o.good.Inc()
-				}
+				o.results.Add(int64(len(cont.keys) - logged))
+				o.tasks.Add(int64(len(tasks)))
+				o.good.Add(int64(len(m.results) - goods))
 			}
-			cont.keys, cont.scores = append(cont.keys, key), append(cont.scores, score)
 			if err := cont.commit(p); err != nil {
 				return err
 			}
@@ -400,7 +481,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 			poison := make([]tuplespace.Tuple, workers)
 			for i := range poison {
-				poison[i] = tuplespace.Tuple{TagTask, PoisonKey}
+				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
 			}
 			if err := p.OutN(poison); err != nil {
 				return err
@@ -417,16 +498,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		return nil
 	}
 
-	worker := PLEDWorker(pr)
-	for i := 0; i < workers; i++ {
-		if err := srv.Spawn(fmt.Sprintf("pled-worker-%d", i), worker); err != nil {
-			return nil, err
-		}
-	}
-	if err := srv.Spawn("pled-master", master); err != nil {
-		return nil, err
-	}
-	if err := srv.WaitAll(); err != nil {
+	if err := runProgram(srv, "pled", workers, PLEDWorker(pr), master); err != nil {
 		return nil, err
 	}
 	SortResults(results)
@@ -550,31 +622,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		return p.Xcommit()
 	}
 
-	worker := PLETWorker(pr)
-	for i := 0; i < workers; i++ {
-		if err := srv.Spawn(fmt.Sprintf("plet-worker-%d", i), worker); err != nil {
-			return nil, err
-		}
-	}
-	if err := srv.Spawn("plet-master", master); err != nil {
-		return nil, err
-	}
-	// The workers' exit depends on the master: only its poison pills
-	// release their blocking In("task"). If the master fails
-	// permanently (respawn budget exhausted, or a program bug), no
-	// poison will ever be published, so its terminal error must stop
-	// the workers too — otherwise this wait would hang forever instead
-	// of reporting the failure.
-	if err := srv.Wait("plet-master"); err != nil {
-		for i := 0; i < workers; i++ {
-			srv.Stop(fmt.Sprintf("plet-worker-%d", i)) //nolint:errcheck
-		}
-		for i := 0; i < workers; i++ {
-			srv.Wait(fmt.Sprintf("plet-worker-%d", i)) //nolint:errcheck
-		}
-		return nil, fmt.Errorf("process plet-master: %w", err)
-	}
-	if err := srv.WaitAll(); err != nil {
+	if err := runProgram(srv, "plet", workers, PLETWorker(pr), master); err != nil {
 		return nil, err
 	}
 	SortResults(results)
