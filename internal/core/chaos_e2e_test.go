@@ -10,6 +10,7 @@ import (
 
 	"freepdm/internal/cluster"
 	"freepdm/internal/faultnet"
+	"freepdm/internal/obs"
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
@@ -156,7 +157,10 @@ func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 // TestPrunedTrackerFloatingSubtree pins at the unit level. Pre-fix the
 // run either terminated early with deep results undrained or spun
 // forever in the prune walk; it must instead complete with exactly
-// SolveSequential's results.
+// SolveSequential's results. The stale control tuples carry their
+// tasks' good patterns a second time, next to the re-run tasks' fresh
+// ones: the last incarnation must have taken more good keys than there
+// are results, and reported each once.
 func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 	testChaosMasterRespawnStaleCtl(t, grainDefault)
 }
@@ -167,14 +171,77 @@ func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 // trigger needs a control stream longer than 25 tuples.
 var staleCtlBudget1 = faultGrain{1, func(seed uint64) *toyProblem { return newToyProblem(10, 120, 0.06, seed) }, time.Millisecond}
 
+// ctlWatch counts the good keys on the control tuples the running
+// master incarnation has taken and committed, duplicates included. A
+// transaction that took a control tuple is the master's; when it aborts
+// that incarnation dies, and the next starts from nothing. It sits
+// under the chaos store, whose injected commit failure reaches it as
+// the abort that follows.
+type ctlWatch struct {
+	tuplespace.TxnStore
+	goods atomic.Int64
+}
+
+func (w *ctlWatch) Begin() (tuplespace.Txn, error) {
+	tx, err := w.TxnStore.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return &ctlWatchTxn{Txn: tx, w: w}, nil
+}
+
+type ctlWatchTxn struct {
+	tuplespace.Txn
+	w      *ctlWatch
+	master bool
+	goods  int
+}
+
+func (tx *ctlWatchTxn) InTraced(ctx context.Context, tmpl ...any) (tuplespace.Tuple, obs.SpanContext, error) {
+	tu, org, err := tx.Txn.InTraced(ctx, tmpl...)
+	if err == nil && tu[0] == TagCtl {
+		tx.master = true
+		tx.goods += len(tu[4].([]string))
+	}
+	return tu, org, err
+}
+
+func (tx *ctlWatchTxn) Commit(ctx context.Context, outs []tuplespace.Tuple) error {
+	err := tx.Txn.Commit(ctx, outs)
+	if err == nil {
+		tx.w.goods.Add(int64(tx.goods))
+	}
+	return err
+}
+
+func (tx *ctlWatchTxn) Abort() error {
+	if tx.master {
+		tx.w.goods.Store(0)
+	}
+	return tx.Txn.Abort()
+}
+
 func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	defer faultnet.Reset()
 	base, prob := g.problem(t, 82)
 	seqRes, _ := SolveSequential(base)
 
-	store := faultnet.WrapStore(tuplespace.NewSpace(tuplespace.Options{}), faultnet.StoreOptions{})
+	space := tuplespace.NewSpace(tuplespace.Options{})
+	watch := &ctlWatch{TxnStore: space}
+	store := faultnet.WrapStore(watch, faultnet.StoreOptions{})
 	srv := plinda.NewServerOnStore(store)
 	defer srv.Close()
+
+	// What the first seeded task reports, for the kills to leave behind.
+	top0 := base.Children(base.Root())[0]
+	goods, scores, spilled := expandTask(nil, base, top0, g.budget)
+	if len(goods) == 0 {
+		t.Fatal("the first task reports no good pattern: a stale copy of its report would assert nothing")
+	}
+	kind := CtlExpanded
+	if len(spilled) == 0 {
+		kind = CtlPruned
+	}
 
 	// Mid-run, the master's control-consumption transactions are the
 	// only ones committing zero outs (a worker's task transaction
@@ -182,7 +249,9 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	// only happen after the control stream is spent). Failing every
 	// 25th kills the master deep in the stream, over and over, each
 	// time leaving the rest of that incarnation's control tuples stale
-	// in the space.
+	// in the space — and, so that the incarnation that finishes the run
+	// is sure to meet a repeated report that carries goods, two more
+	// copies of the first task's, as a 2PC re-run would leave them.
 	var ctl, fired atomic.Int32
 	disarm := faultnet.Arm("faultnet.store.txn.commit.before", func(args ...any) error {
 		if n, ok := args[0].(int); !ok || n != 0 {
@@ -190,6 +259,11 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 		}
 		if ctl.Add(1)%25 == 0 && fired.Load() < 8 {
 			fired.Add(1)
+			for range 2 {
+				if err := space.Out(context.Background(), TagCtl, kind, top0.Key(), spilled, goods, scores); err != nil {
+					t.Error(err)
+				}
+			}
 			return faultnet.ErrInjected
 		}
 		return nil
@@ -205,6 +279,12 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	}
 	t.Logf("master killed %d times mid-stream", fired.Load())
 	sameResults(t, seqRes, res, "sequential", "PLET-master-respawn")
+	eachResultOnce(t, res)
+	if taken := watch.goods.Load(); taken <= int64(len(res)) {
+		t.Errorf("the last master incarnation took %d good keys for %d results: no stale control tuple repeated a good pattern, the dedup was not exercised", taken, len(res))
+	} else {
+		t.Logf("the last master incarnation took %d good keys for %d results", taken, len(res))
+	}
 }
 
 // TestChaosScenarios is the table-driven scenario suite the faultnet

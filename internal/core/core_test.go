@@ -128,6 +128,18 @@ func resultKeys(rs []Result) []string {
 	return keys
 }
 
+// eachResultOnce fails the test for every key the results carry twice.
+func eachResultOnce(t *testing.T, rs []Result) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, k := range resultKeys(rs) {
+		if seen[k] {
+			t.Errorf("result %s reported twice", k)
+		}
+		seen[k] = true
+	}
+}
+
 func sameResults(t *testing.T, a, b []Result, la, lb string) {
 	t.Helper()
 	ka, kb := resultKeys(a), resultKeys(b)

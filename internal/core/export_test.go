@@ -1,5 +1,15 @@
 package core
 
+import (
+	"context"
+	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
+
+	"freepdm/internal/tuplespace"
+)
+
 // Test-only exports for the external test package (core_test), which
 // has to be external to import the mining packages that import core.
 
@@ -34,4 +44,74 @@ func ReplayPLED(pr Problem) ([]Result, int, error) {
 		}
 	}
 	return m.results, m.done, nil
+}
+
+// CountingStore decorates a TxnStore with what a program did to it:
+// calls by operation, and tuples published by tag, whether through a
+// plain Out/OutN or a transaction's commit. In, Rd, Rdp and Len pass
+// through uncounted.
+type CountingStore struct {
+	tuplespace.TxnStore
+	Begins, Inps, Commits atomic.Int64
+
+	mu   sync.Mutex
+	outs map[string]int
+}
+
+// Outs returns a copy of the published-tuple counts by tag.
+func (s *CountingStore) Outs() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.outs)
+}
+
+func (s *CountingStore) published(tuples ...tuplespace.Tuple) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.outs == nil {
+		s.outs = map[string]int{}
+	}
+	for _, t := range tuples {
+		s.outs[fmt.Sprint(t[0])]++
+	}
+}
+
+func (s *CountingStore) Out(ctx context.Context, fields ...any) error {
+	s.published(fields)
+	return s.TxnStore.Out(ctx, fields...)
+}
+
+func (s *CountingStore) OutN(ctx context.Context, tuples []tuplespace.Tuple) error {
+	s.published(tuples...)
+	return s.TxnStore.OutN(ctx, tuples)
+}
+
+func (s *CountingStore) Inp(ctx context.Context, tmpl ...any) (tuplespace.Tuple, bool, error) {
+	s.Inps.Add(1)
+	return s.TxnStore.Inp(ctx, tmpl...)
+}
+
+func (s *CountingStore) Begin() (tuplespace.Txn, error) {
+	s.Begins.Add(1)
+	tx, err := s.TxnStore.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return &countingTxn{tx, s}, nil
+}
+
+type countingTxn struct {
+	tuplespace.Txn
+	s *CountingStore
+}
+
+func (tx *countingTxn) Inp(ctx context.Context, tmpl ...any) (tuplespace.Tuple, bool, error) {
+	tx.s.Inps.Add(1)
+	return tx.Txn.Inp(ctx, tmpl...)
+}
+
+func (tx *countingTxn) Commit(ctx context.Context, outs []tuplespace.Tuple) error {
+	tx.s.Commits.Add(1)
+	tx.s.published(outs...)
+	return tx.Txn.Commit(ctx, outs)
 }

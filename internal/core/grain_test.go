@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"freepdm/internal/obs"
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
@@ -70,11 +71,13 @@ func (p *countedToy) Goodness(pat Pattern) float64 {
 
 // TestPLETGrainGuard is the clock-free guard on the PLET task grain: at
 // every budget a run evaluates exactly the E-tree (nothing missed,
-// nothing evaluated twice) and returns SolveSequential's results; at
-// budget 1 it commits once per pattern on each side (worker and
-// master), which is the protocol the grain replaced, and at the default
-// it commits at most once per eight patterns. A change that quietly
-// puts the per-pattern round trip back fails here, on any machine.
+// nothing evaluated twice), returns SolveSequential's results and
+// commits exactly twice per task (worker and master) plus the seed and
+// the poison exits; at budget 1 a task is a pattern, which is the
+// protocol the grain replaced, and at the default it commits at most
+// once per eight patterns. A change that quietly puts the per-pattern
+// round trip, or a transaction of its own for the poison, back fails
+// here, on any machine.
 func TestPLETGrainGuard(t *testing.T) {
 	base := newToyProblem(16, 400, 0.005, 82)
 	seqRes, _ := SolveSequential(base)
@@ -100,15 +103,18 @@ func TestPLETGrainGuard(t *testing.T) {
 			if got := int(p.evals.Load()); got != ett.Evaluated {
 				t.Errorf("PLET evaluated %d patterns, the E-tree has %d", got, ett.Evaluated)
 			}
-			commits := srv.Commits()
-			t.Logf("%d evaluations, %d commits", ett.Evaluated, commits)
+			// One worker and one master transaction per task (the last
+			// control transaction publishes the poison), the master's
+			// seed, and each worker's poison exit.
+			commits, tasks := srv.Commits(), pletTasks(base, tc.budget)
+			t.Logf("%d evaluations, %d tasks, %d commits", ett.Evaluated, tasks, commits)
+			if want := 2*tasks + 1 + workers; commits != want {
+				t.Errorf("%d tasks made %d commits, the protocol makes %d", tasks, commits, want)
+			}
 			switch tc.name {
 			case "budget=1":
-				// One task transaction and one control transaction per
-				// pattern, the master's seed and poison+drain, and each
-				// worker's poison exit.
-				if want := 2*ett.Evaluated + 2 + workers; commits != want {
-					t.Errorf("budget 1 made %d commits, the per-pattern protocol makes %d", commits, want)
+				if tasks != ett.Evaluated {
+					t.Errorf("budget 1 made %d tasks for %d patterns, the per-pattern protocol makes one each", tasks, ett.Evaluated)
 				}
 			case "default":
 				if commits > ett.Evaluated/8 {
@@ -148,10 +154,13 @@ var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Spac
 // TestPLETWorkerKilledMidBatch kills the only worker while it is inside
 // the local expansion of its first batch, on a local Space and over
 // per-incarnation dialed sessions. The batch must vanish whole: when the
-// re-spawned incarnation starts evaluating, the space holds no good, ctl
-// or spilled task tuple of the aborted batch — only the seeded tasks,
-// the aborted one among them again — and the run still returns exactly
+// re-spawned incarnation starts evaluating, the space holds no ctl or
+// spilled task tuple of the aborted batch — only the seeded tasks, the
+// aborted one among them again — and the run still returns exactly
 // SolveSequential's results, having redone at most one budget of work.
+// The observer counts what committed, not what was attempted: core.tasks
+// is the run's task tuples and core.good its good patterns, exactly, the
+// aborted batch in neither.
 func TestPLETWorkerKilledMidBatch(t *testing.T) {
 	const budget, killAt = 16, 5
 	for name, backend := range killBackends {
@@ -186,6 +195,9 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 				}
 			}}
 
+			reg := obs.NewRegistry()
+			SetObserver(reg, nil)
+			defer SetObserver(nil, nil)
 			srv, space := backend(t)
 			defer srv.Close()
 			type outcome struct {
@@ -216,13 +228,9 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			ctx := context.Background()
-			for _, tmpl := range [][]any{
-				{TagGood, tuplespace.FormalStrings, tuplespace.FormalFloats},
-				{TagCtl, tuplespace.FormalString, tuplespace.FormalString, tuplespace.FormalStrings},
-			} {
-				if tu, ok, err := space.Rdp(ctx, tmpl...); err != nil || ok {
-					t.Errorf("tuple of the aborted batch is visible: %v (err %v)", tu, err)
-				}
+			if tu, ok, err := space.Rdp(ctx, TagCtl, tuplespace.FormalString, tuplespace.FormalString,
+				tuplespace.FormalStrings, tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil || ok {
+				t.Errorf("control tuple of the aborted batch is visible: %v (err %v)", tu, err)
 			}
 			for _, key := range spilled {
 				if _, ok, err := space.Rdp(ctx, TagTask, key); err != nil || ok {
@@ -241,18 +249,17 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 				t.Fatal(o.err)
 			}
 			sameResults(t, seqRes, o.res, "sequential", "PLET-killed-mid-batch")
-			seen := map[string]bool{}
-			for _, k := range resultKeys(o.res) {
-				if seen[k] {
-					t.Errorf("result %s reported twice", k)
-				}
-				seen[k] = true
-			}
+			eachResultOnce(t, o.res)
 			if srv.Respawns() < 1 {
 				t.Error("the kill re-spawned nothing: the scenario asserted nothing")
 			}
 			if redone := p.evals.Load() - int64(ett.Evaluated); redone != firstEvals {
 				t.Errorf("%d evaluations were redone, want the aborted batch's %d (at most one budget, %d)", redone, firstEvals, budget)
+			}
+			c := reg.Snapshot().Counters
+			if tasks := int64(pletTasks(base, budget)); c["core.tasks"] != tasks || c["core.good"] != int64(ett.Good) || c["core.results"] != int64(ett.Good) {
+				t.Errorf("observer read core.tasks %d, core.good %d, core.results %d; want the run's %d task tuples and %d good patterns, the aborted batch not counted",
+					c["core.tasks"], c["core.good"], c["core.results"], tasks, ett.Good)
 			}
 		})
 	}

@@ -58,12 +58,13 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 // time, on purpose: with Children's deterministic order a task's report
 // (goods, scores, spilled keys) is then a pure function of its key, so
 // a task run twice — a cluster 2PC re-run, a re-seeding master —
-// reports the same frontier the duplicate-tolerant tracker and drain
-// already saw. A wall-clock budget would let the re-run spill keys
-// other than those whose ctl already landed, and the master would wait
-// forever on task tuples that never committed. Budget 1 is the
-// one-pattern-per-transaction protocol of figure 3.10. The default is
-// measured (DESIGN.md "PLET task grain"); tests in this package set it.
+// reports the same frontier and goods the duplicate-tolerant tracker
+// and result list already saw. A wall-clock budget would let the re-run
+// spill keys other than those whose ctl already landed, and the master
+// would wait forever on task tuples that never committed. Budget 1 is
+// the one-pattern-per-transaction protocol of figure 3.10. The default
+// is measured (DESIGN.md "PLET task grain"); tests in this package set
+// it.
 var pletBudget = 512
 
 // expandTask explores the subtree under task depth-first until budget
@@ -89,12 +90,12 @@ func expandTask(o *coreObs, pr Problem, task Pattern, budget int) (goods []strin
 // PLETWorker returns the PLET worker body (figure 3.10 at the task
 // grain of section 4.3): one transaction takes a task, expands its
 // subtree locally under pletBudget, and commits the batch — the
-// unexplored frontier as task tuples, the good patterns in one good
-// tuple, and one control tuple that reports the frontier as the task's
-// child list (or a prune when nothing is left), which is all the
-// master's termination detection needs to know. A killed worker's
-// transaction aborts: its task tuple reappears and at most one budget
-// of evaluations is redone. Exported for the same remote-worker
+// unexplored frontier as task tuples and one control tuple that reports
+// the frontier as the task's child list (or a prune when nothing is
+// left), which is all the master's termination detection needs to know,
+// and carries the batch's good patterns on the same message. A killed
+// worker's transaction aborts: its task tuple reappears and at most one
+// budget of evaluations is redone. Exported for the same remote-worker
 // deployment as PLEDWorker.
 func PLETWorker(pr Problem) plinda.ProcFunc {
 	budget := pletBudget
@@ -121,15 +122,6 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 				return err
 			}
 			goods, scores, spilled := expandTask(o, pr, pat, budget)
-			if o != nil {
-				o.good.Add(int64(len(goods)))
-				o.tasks.Add(int64(len(spilled)))
-			}
-			if len(goods) > 0 {
-				if err := p.Out(TagGood, goods, scores); err != nil {
-					return err
-				}
-			}
 			if err := p.OutN(taskTuples(spilled)); err != nil {
 				return err
 			}
@@ -137,11 +129,14 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 			if len(spilled) == 0 {
 				kind = CtlPruned
 			}
-			if err := p.Out(TagCtl, kind, key, spilled); err != nil {
+			if err := p.Out(TagCtl, kind, key, spilled, goods, scores); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
 				return err
+			}
+			if o != nil {
+				o.tasks.Add(int64(len(spilled)))
 			}
 		}
 	}
@@ -511,8 +506,9 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 // master of figure 3.9 performs termination detection by pruned-
 // subtree propagation. A worker transaction covers a budgeted subtree
 // (see PLETWorker), so the tracker's nodes are task keys and a task's
-// children are the frontier it spilled. Good patterns are reported
-// through ("good", keys, scores) batches the master drains at the end.
+// children are the frontier it spilled. Good patterns ride the control
+// tuple the tracker takes anyway: the master collects them as it goes,
+// and the transaction that takes the last one publishes the poison.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -525,10 +521,25 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	o := coreObserver.Load()
 	var results []Result
 	master := func(p *plinda.Proc) error {
-		results = nil // a re-spawned master rebuilds the result list
+		results = nil // a re-spawned master re-seeds the tree and rebuilds the result list
 		rootKey := pr.Root().Key()
 		track := NewPrunedTracker(rootKey)
 		top := pr.Children(pr.Root())
+		// poisonIfDone terminates the workers inside the transaction that
+		// completed the tree, atomically with its control-tuple take.
+		poisonIfDone := func() error {
+			if !track.Done() {
+				return nil
+			}
+			poison := make([]tuplespace.Tuple, workers)
+			for i := range poison {
+				poison[i] = tuplespace.Tuple{TagTask, PoisonKey}
+			}
+			if o != nil && o.tracer != nil {
+				o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers, "results", len(results))
+			}
+			return p.OutN(poison)
+		}
 
 		if err := p.Xstart(); err != nil {
 			return err
@@ -547,79 +558,65 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			return err
 		}
 		track.Expanded(rootKey, keys)
+		if err := poisonIfDone(); err != nil {
+			return err
+		}
 		if err := p.Xcommit(); err != nil {
 			return err
 		}
 
+		// A good key can arrive twice: the cluster's two-phase commit
+		// re-runs a worker whose report had already landed on a follower
+		// node, and a re-spawned master reads the previous incarnation's
+		// stale control tuples next to the re-run tasks' fresh ones. A
+		// task's report is a pure function of its key, so the first
+		// report wins and the result set still equals SolveSequential's.
+		seen := make(map[string]bool)
 		for !track.Done() {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
 			// Every task produces exactly one control tuple: an
 			// expansion listing its children, or a prune.
-			tu, err := p.In(TagCtl, tuplespace.FormalString, tuplespace.FormalString, tuplespace.FormalStrings)
+			tu, err := p.In(TagCtl, tuplespace.FormalString, tuplespace.FormalString,
+				tuplespace.FormalStrings, tuplespace.FormalStrings, tuplespace.FormalFloats)
 			if err != nil {
 				return err
 			}
 			kind, key := tu[1].(string), tu[2].(string)
-			if kind == CtlExpanded {
-				track.Expanded(key, tu[3].([]string))
-			} else {
-				track.Pruned(key)
+			goods, scores := tu[4].([]string), tu[5].([]float64)
+			if len(goods) != len(scores) {
+				return fmt.Errorf("core: malformed control tuple (%d good keys, %d scores)", len(goods), len(scores))
 			}
-			if err := p.Xcommit(); err != nil {
-				return err
-			}
-		}
-
-		if err := p.Xstart(); err != nil {
-			return err
-		}
-		poison := make([]tuplespace.Tuple, workers)
-		for i := range poison {
-			poison[i] = tuplespace.Tuple{TagTask, PoisonKey}
-		}
-		if err := p.OutN(poison); err != nil {
-			return err
-		}
-		if o != nil && o.tracer != nil {
-			o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers)
-		}
-		// Drain the good-pattern batches, one tuple per worker
-		// transaction that found any. A key can appear twice when the
-		// cluster's two-phase commit re-ran a worker whose report had
-		// already landed on a follower node; the first report wins and
-		// duplicates are dropped, so the result set still equals
-		// SolveSequential's.
-		seen := make(map[string]bool)
-		for {
-			tu, ok, err := p.Inp(TagGood, tuplespace.FormalStrings, tuplespace.FormalFloats)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			scores := tu[2].([]float64)
-			for i, key := range tu[1].([]string) {
-				if seen[key] {
+			had := len(results)
+			for i, g := range goods {
+				if seen[g] {
 					continue
 				}
-				seen[key] = true
-				pat, err := dec.Decode(key)
+				seen[g] = true
+				pat, err := dec.Decode(g)
 				if err != nil {
 					return err
 				}
 				results = append(results, Result{pat, scores[i]})
 			}
-		}
-		if o != nil {
-			o.results.Add(int64(len(results)))
-			if o.tracer != nil {
-				o.tracer.Record("master", "drain", 0, "program", "plet", "results", len(results))
+			if kind == CtlExpanded {
+				track.Expanded(key, tu[3].([]string))
+			} else {
+				track.Pruned(key)
+			}
+			if err := poisonIfDone(); err != nil {
+				return err
+			}
+			if err := p.Xcommit(); err != nil {
+				return err
+			}
+			if o != nil {
+				o.good.Add(int64(len(results) - had))
+				o.results.Add(int64(len(results) - had))
 			}
 		}
-		return p.Xcommit()
+		return nil
 	}
 
 	if err := runProgram(srv, "plet", workers, PLETWorker(pr), master); err != nil {

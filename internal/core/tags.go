@@ -12,24 +12,30 @@ package core
 //	                                             the chunk [PoisonKey] terminates a PLED worker
 //	(TagResult, keys []string, scores []float64) PLED goodness report: the scores of one chunk,
 //	                                             parallel slices
-//	(TagGood, keys []string, scores []float64)   PLET good-pattern batch: the good patterns
-//	                                             of one worker transaction, parallel slices
-//	(TagCtl, kind string, key string, []string)  PLET termination control:
-//	                                             kind CtlExpanded carries the spilled task keys,
-//	                                             kind CtlPruned carries nil
+//	(TagCtl, kind string, key string,            PLET task report, one per task: termination
+//	 spilled []string,                           control and goodness report on one message.
+//	 goods []string, scores []float64)           kind CtlExpanded carries the spilled task keys,
+//	                                             kind CtlPruned carries nil; goods and scores are
+//	                                             the task's good patterns, parallel slices
 //
 // The two programs share TagTask under two shapes; a template of one
 // never matches a tuple of the other.
 const (
 	TagTask   = "task"
 	TagResult = "result"
-	TagGood   = "good"
 	TagCtl    = "ctl"
+
+	// TagGood was PLET's separate good-pattern batch. No program
+	// publishes or takes it: good patterns ride the TagCtl tuple. It
+	// stays exported only because internal/bench's shard-collision probe
+	// still names it; it goes with that probe (ROADMAP item 1).
+	TagGood = "good"
 
 	// CtlExpanded and CtlPruned are the control-tuple kinds: every
 	// task produces exactly one TagCtl tuple, an expansion listing
 	// the task keys it spilled (its children, to the tracker) or a
-	// prune when its whole subtree was explored.
+	// prune when its whole subtree was explored, with the good patterns
+	// it found either way.
 	CtlExpanded = "expanded"
 	CtlPruned   = "pruned"
 

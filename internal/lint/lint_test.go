@@ -96,8 +96,9 @@ func TestCheckSelection(t *testing.T) {
 
 // TestCoreContractClean is the regression test for the control-tuple
 // audit: the production protocol in internal/core — the "task",
-// "result", "good", "ctl" and poison contracts now spelled with the
-// tags.go constants — must stay finding-free.
+// "result", six-field "ctl" and poison contracts spelled with the
+// tags.go constants — must stay finding-free. The contractok and
+// contractbad fixtures hold the same "ctl" shape matched and mismatched.
 func TestCoreContractClean(t *testing.T) {
 	loader := testLoader(t)
 	pkgs, err := loader.Load(filepath.Join("..", "core"))

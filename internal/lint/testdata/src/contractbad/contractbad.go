@@ -41,3 +41,13 @@ func TypeDrift(s *tuplespace.Space) error {
 	_, err := s.In(context.Background(), "val", tuplespace.FormalString)
 	return err
 }
+
+// StaleCtlTemplate is a consumer left on the four-field control tuple
+// after the producer grew the good keys and scores.
+func StaleCtlTemplate(s *tuplespace.Space, key string, spilled, goods []string, scores []float64) error {
+	if err := s.Out(context.Background(), "ctl", "expanded", key, spilled, goods, scores); err != nil {
+		return err
+	}
+	_, err := s.In(context.Background(), "ctl", tuplespace.FormalString, tuplespace.FormalString, tuplespace.FormalStrings)
+	return err
+}

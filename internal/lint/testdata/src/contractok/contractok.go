@@ -54,3 +54,19 @@ func Drain(s *tuplespace.Space) (int, error) {
 		n++
 	}
 }
+
+// Report and Collect are the PLET control contract at its six-field
+// arity: a task's frontier and its good patterns on one tuple, slices
+// against slice formals.
+func Report(s *tuplespace.Space, key string, spilled, goods []string, scores []float64) error {
+	return s.Out(context.Background(), "ctl", "expanded", key, spilled, goods, scores)
+}
+
+func Collect(s *tuplespace.Space) ([]string, error) {
+	tu, err := s.In(context.Background(), "ctl", tuplespace.FormalString, tuplespace.FormalString,
+		tuplespace.FormalStrings, tuplespace.FormalStrings, tuplespace.FormalFloats)
+	if err != nil {
+		return nil, err
+	}
+	return tu[4].([]string), nil
+}

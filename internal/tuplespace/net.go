@@ -623,6 +623,14 @@ func serveOne(cs *connState, req *request, ctx context.Context) *response {
 			tx.Abort() //nolint:errcheck — raced with expiry/teardown
 			return errResp(ErrLeaseExpired)
 		}
+		// Id 0 means "no transaction" to in/inp, and overwriting an open
+		// id would drop its Txn from the session table, never to be
+		// committed or aborted: its tentative takes would be lost.
+		if _, open := cs.txns[req.Txn]; open || req.Txn == 0 {
+			cs.mu.Unlock()
+			tx.Abort() //nolint:errcheck — nothing taken yet
+			return errResp(fmt.Errorf("tuplespace: begin of transaction id %d, which is zero or already open", req.Txn))
+		}
 		cs.txns[req.Txn] = tx
 		cs.mu.Unlock()
 		cs.txnBegins.Inc()
@@ -839,8 +847,10 @@ type DialOptions struct {
 	// version handshake; zero is unbounded.
 	DialTimeout time.Duration
 	// OpTimeout bounds every non-blocking operation (Out, OutN, Inp,
-	// Rdp, Len, Ping, transaction begin/commit/abort); zero is
-	// unbounded. Blocking In/Rd are unbounded by design.
+	// Rdp, Len, Ping, transaction commit/abort — a begin's answer is
+	// awaited by the transaction's first operation, under that
+	// operation's bound); zero is unbounded. Blocking In/Rd are
+	// unbounded by design.
 	OpTimeout time.Duration
 	// Lease is the session's heartbeat lease: if the server sees no
 	// traffic for this long it declares the client dead, aborts its
@@ -887,14 +897,8 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 	if o.DialTimeout > 0 {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
-	c := &Client{
-		conn:    conn,
-		br:      br,
-		bw:      bufio.NewWriter(conn),
-		pending: make(map[uint64]chan *response),
-	}
+	c := newClient(conn, br)
 	c.opTimeout.Store(int64(o.OpTimeout))
-	go c.readLoop()
 	if o.Lease > 0 || o.Name != "" {
 		if _, err := c.roundTrip(&request{Op: opHello, Lease: int64(o.Lease), Name: o.Name}); err != nil {
 			c.Close() //nolint:errcheck
@@ -913,6 +917,19 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 		}
 	}
 	return c, nil
+}
+
+// newClient starts a client on a connection past its handshake; br
+// holds whatever the handshake read ahead.
+func newClient(conn net.Conn, br *bufio.Reader) *Client {
+	c := &Client{
+		conn:    conn,
+		br:      br,
+		bw:      bufio.NewWriter(conn),
+		pending: make(map[uint64]chan *response),
+	}
+	go c.readLoop()
+	return c
 }
 
 // pingLoop keeps the session lease alive until the client fails or an
@@ -1190,25 +1207,21 @@ func (c *Client) OutN(ctx context.Context, tuples []Tuple) error {
 // server-side waiter is withdrawn when ctx is done, under the same
 // tuple-wins rule as Space.In.
 func (c *Client) In(ctx context.Context, tmplFields ...any) (Tuple, error) {
-	return c.blockCtx(ctx, opIn, tmplFields, 0)
+	t, _, err := c.InTraced(ctx, tmplFields...)
+	return t, err
 }
 
 // Rd blocks until a matching tuple exists and returns a copy, under
 // the same cancellation rules as In.
 func (c *Client) Rd(ctx context.Context, tmplFields ...any) (Tuple, error) {
-	return c.blockCtx(ctx, opRd, tmplFields, 0)
-}
-
-func (c *Client) blockCtx(ctx context.Context, op byte, tmplFields []any, txn uint64) (Tuple, error) {
-	t, _, err := c.blockTraced(ctx, op, tmplFields, txn)
+	t, _, err := takeOrigin(c.roundTripCtx(ctx, &request{Op: opRd, Fields: tmplFields}))
 	return t, err
 }
 
-// blockTraced is blockCtx plus the origin span context the server
-// returns for a take: the span under which the tuple was stamped by
-// its producer, zero when untraced.
-func (c *Client) blockTraced(ctx context.Context, op byte, tmplFields []any, txn uint64) (Tuple, obs.SpanContext, error) {
-	resp, err := c.roundTripCtx(ctx, &request{Op: op, Fields: tmplFields, Txn: txn})
+// takeOrigin unpacks a take's answer: the tuple plus the origin span
+// context the server returns with it — the span under which the tuple
+// was stamped by its producer, zero when untraced.
+func takeOrigin(resp *response, err error) (Tuple, obs.SpanContext, error) {
 	if err != nil {
 		return nil, obs.SpanContext{}, err
 	}
@@ -1218,7 +1231,7 @@ func (c *Client) blockTraced(ctx context.Context, op byte, tmplFields []any, txn
 
 // InTraced is In plus the producer's span context for the taken tuple.
 func (c *Client) InTraced(ctx context.Context, tmplFields ...any) (Tuple, obs.SpanContext, error) {
-	return c.blockTraced(ctx, opIn, tmplFields, 0)
+	return takeOrigin(c.roundTripCtx(ctx, &request{Op: opIn, Fields: tmplFields}))
 }
 
 // Inp is the non-blocking destructive match. The ctx carries the probe's
@@ -1265,34 +1278,66 @@ func (c *Client) Recover() (Tuple, bool, error) {
 
 // Begin opens a remote transaction: takes performed through it are
 // tentative server-side until Commit. A connection drop or lease
-// expiry aborts it automatically.
+// expiry aborts it automatically. Begin writes its frame and returns:
+// the client picked the id, so the answer carries nothing but an error,
+// which the transaction's first operation collects (clientTxn.roundTrip).
 func (c *Client) Begin() (Txn, error) {
-	id := c.txnSeq.Add(1)
-	if _, err := c.roundTrip(&request{Op: opTxBegin, Txn: id}); err != nil {
+	req := &request{Op: opTxBegin, Txn: c.txnSeq.Add(1)}
+	if sc := c.parentSC(context.Background()); sc.Valid() {
+		req.Trace, req.Span = uint64(sc.Trace), uint64(sc.Span)
+	}
+	begun, err := c.send(req)
+	if err != nil {
 		return nil, err
 	}
-	return &clientTxn{c: c, id: id}, nil
+	return &clientTxn{c: c, id: req.Txn, begun: begun}, nil
 }
 
 // clientTxn is a remote transaction handle. The client sends only the
 // transaction ID with each operation; the tentative state lives on the
 // server, which is what makes a client crash recoverable.
 type clientTxn struct {
-	c  *Client
-	id uint64
+	c     *Client
+	id    uint64
+	begun chan *response // the begin's answer: one value, or closed with the connection
+}
+
+// roundTrip runs one operation of the transaction and collects the
+// begin's answer behind it. The server handles a begin inline, in
+// arrival order, so once the operation has an answer the begin's is
+// already here and the receive cannot block; it finds nothing when an
+// earlier operation collected it, or when this one never reached the
+// wire (a done ctx) and the next one will. A failed begin is why the
+// operation failed, so its error wins. Nothing is written here: an
+// Abort racing a blocked In is safe.
+func (tx *clientTxn) roundTrip(ctx context.Context, req *request) (*response, error) {
+	req.Txn = tx.id
+	resp, err := tx.c.roundTripCtx(ctx, req)
+	select {
+	case b, ok := <-tx.begun:
+		if !ok {
+			return nil, ErrClientClosed
+		}
+		if berr := wireError(b); berr != nil {
+			return nil, berr
+		}
+	default:
+	}
+	return resp, err
 }
 
 func (tx *clientTxn) In(ctx context.Context, tmplFields ...any) (Tuple, error) {
-	return tx.c.blockCtx(ctx, opIn, tmplFields, tx.id)
+	t, _, err := tx.InTraced(ctx, tmplFields...)
+	return t, err
 }
 
 // InTraced is the transactional take with origin propagation.
 func (tx *clientTxn) InTraced(ctx context.Context, tmplFields ...any) (Tuple, obs.SpanContext, error) {
-	return tx.c.blockTraced(ctx, opIn, tmplFields, tx.id)
+	return takeOrigin(tx.roundTrip(ctx, &request{Op: opIn, Fields: tmplFields}))
 }
 
 func (tx *clientTxn) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) {
-	resp, err := tx.c.roundTripCtx(ctx, &request{Op: opInp, Fields: tmplFields, Txn: tx.id})
+	resp, err := tx.roundTrip(ctx, &request{Op: opInp, Fields: tmplFields})
 	if err != nil {
 		return nil, false, err
 	}
@@ -1313,15 +1358,15 @@ func (tx *clientTxn) CommitCont(ctx context.Context, outs []Tuple, cont Tuple) e
 }
 
 func (tx *clientTxn) commit(ctx context.Context, outs []Tuple, cont Tuple, hasCont bool) error {
-	req := &request{Op: opTxCommit, Txn: tx.id, Batch: outs, HasCont: hasCont}
+	req := &request{Op: opTxCommit, Batch: outs, HasCont: hasCont}
 	if hasCont {
 		req.Cont = cont
 	}
-	_, err := tx.c.roundTripCtx(ctx, req)
+	_, err := tx.roundTrip(ctx, req)
 	return err
 }
 
 func (tx *clientTxn) Abort() error {
-	_, err := tx.c.roundTrip(&request{Op: opTxAbort, Txn: tx.id})
+	_, err := tx.roundTrip(context.Background(), &request{Op: opTxAbort})
 	return err
 }

@@ -1,9 +1,11 @@
 package tuplespace
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -343,5 +345,161 @@ func TestSpaceTxnLocal(t *testing.T) {
 	}
 	if err := tx2.Commit(context.Background(), nil); !errors.Is(err, ErrTxnFinished) {
 		t.Fatalf("double commit: %v, want ErrTxnFinished", err)
+	}
+}
+
+// TestRemoteTxnBeginDoesNotAwait pins the round trip Begin no longer
+// makes, without a clock: against a peer that reads every frame and
+// answers none, Begin returns; the transaction's first operation goes
+// out behind the begin and then waits — for its own answer, and with it
+// the begin's — until the connection drops, which fails it with
+// ErrClientClosed.
+func TestRemoteTxnBeginDoesNotAwait(t *testing.T) {
+	cliEnd, srvEnd := net.Pipe()
+	ops := make(chan byte) // the op of each frame the peer has read
+	go func() {
+		defer close(ops)
+		br := bufio.NewReader(srvEnd)
+		var scratch []byte
+		for {
+			body, err := readFrame(br, &scratch)
+			if err != nil {
+				return
+			}
+			var req request
+			if err := decodeRequest(body, &req); err != nil {
+				t.Error(err)
+				return
+			}
+			ops <- req.Op
+		}
+	}()
+	c := newClient(cliEnd, bufio.NewReader(cliEnd))
+	defer c.Close()
+
+	// net.Pipe is unbuffered: Begin's write completes only once the peer
+	// has read it, so the begin is on the wire when Begin returns.
+	begun := make(chan Txn)
+	go func() {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Error(err)
+		}
+		begun <- tx
+	}()
+	if op := <-ops; op != opTxBegin {
+		t.Fatalf("first frame is %s, want txbegin", opName(op))
+	}
+	tx := <-begun // returns with no answer: the test hangs here otherwise
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := tx.Inp(context.Background(), "x", FormalInt)
+		done <- err
+	}()
+	if op := <-ops; op != opInp {
+		t.Fatalf("second frame is %s, want inp", opName(op))
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the first operation returned (%v) though nothing was answered", err)
+	default:
+	}
+	srvEnd.Close()
+	if err := <-done; !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("first operation after the connection dropped: %v, want ErrClientClosed", err)
+	}
+}
+
+// pendingLen is the number of requests the client still awaits.
+func pendingLen(c *Client) int {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return len(c.pending)
+}
+
+// TestRemoteTxnBeginAbortLeavesNothingPending: a transaction that does
+// nothing still collects its begin's answer, on the Abort.
+func TestRemoteTxnBeginAbortLeavesNothingPending(t *testing.T) {
+	_, addr := startSessionServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingLen(c); n != 0 {
+		t.Fatalf("%d requests still pending after Begin+Abort", n)
+	}
+}
+
+// TestRemoteTxnBeginErrorAtFirstOp: the begin's answer is read lazily,
+// so a begin the server refuses must fail the transaction's first
+// operation, with the begin's error rather than the operation's own. A
+// begin under an id that is already open — or id 0, which in/inp read as
+// "no transaction" — is refused, and must leave the open transaction in
+// the session table: overwriting it would strand its tentative takes,
+// neither committed nor aborted, for good.
+func TestRemoteTxnBeginErrorAtFirstOp(t *testing.T) {
+	ctx := context.Background()
+	s, addr := startSessionServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := s.Out(ctx, "task", 1); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := first.Inp(ctx, "task", 1); err != nil || !ok {
+		t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
+	}
+
+	for _, prev := range []uint64{0, ^uint64(0)} { // the next ids: 1 again, then 0
+		c.txnSeq.Store(prev)
+		dup, err := c.Begin()
+		if err != nil {
+			t.Fatalf("Begin reported %v itself; the answer is the first operation's to collect", err)
+		}
+		err = dup.Abort()
+		if err == nil || errors.Is(err, ErrTxnFinished) || !strings.Contains(err.Error(), "already open") {
+			t.Fatalf("first operation after a begin of id %d: %v, want the begin's refusal", prev+1, err)
+		}
+	}
+	if n := pendingLen(c); n != 0 {
+		t.Fatalf("%d requests still pending", n)
+	}
+
+	// The refused begin of id 1 was followed by an abort of id 1, which
+	// the server ran on the open transaction: its take is back.
+	if _, ok, err := s.Inp(ctx, "task", 1); err != nil || !ok {
+		t.Fatalf("the first transaction's take after the abort: ok=%v err=%v, want it restored", ok, err)
+	}
+
+	// An expired session refuses the begin with ErrLeaseExpired.
+	leased, err := DialOpts(addr, DialOptions{Lease: 50 * time.Millisecond, Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leased.Close()
+	if _, err := leased.In(ctx, "never", FormalInt); !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("In across the lease: %v, want ErrLeaseExpired", err)
+	}
+	tx, err := leased.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx, nil); !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("first operation on an expired session: %v, want ErrLeaseExpired", err)
 	}
 }
