@@ -17,8 +17,10 @@
 //     level-synchronous with maximal subpattern pruning.
 //   - SolveETT: the parallel E-tree traversal (PETT, section 3.3.2),
 //     asynchronous with parent-only pruning.
-//   - PLinda master/worker programs mirroring figures 3.4/3.5 (PLED)
-//     and 3.9/3.10 (PLET).
+//   - PLinda master/worker programs mirroring figures 3.4/3.5 (PLED,
+//     as level-wise count distribution: the workers generate, prune
+//     and evaluate each level's candidates against the level's good
+//     set, the master only unions their reports) and 3.9/3.10 (PLET).
 //   - Trace extraction and conversion to simulated NOW task graphs for
 //     the chapter 4 timing experiments (optimistic, load-balanced and
 //     adaptive-master strategies).
@@ -46,10 +48,12 @@ type Problem interface {
 	Root() Pattern
 	// Children returns the child patterns of p under the unique-parent
 	// generation relation. Every non-root pattern is generated exactly
-	// once, by its parent. The order must be deterministic — the same
-	// for the same p in every process and on every call — because a
-	// PLET task's report is required to be a function of its key
-	// (see pletBudget).
+	// once, by its parent: PLED partitions a level's candidates by
+	// parent and never checks two chunks for a shared child. The order
+	// must be deterministic — the same for the same p in every process
+	// and on every call — because a task's report is required to be a
+	// function of its tuple (see pletBudget, expandChunk). Children,
+	// Subpatterns and Goodness are called from several workers at once.
 	Children(p Pattern) []Pattern
 	// Subpatterns returns all immediate subpatterns of p (those of
 	// length Len(p)-1). The E-dag traversal evaluates p only when all

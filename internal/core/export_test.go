@@ -26,33 +26,45 @@ func NewToyProblem(n, txnCount int, minSupp float64, seed uint64) Problem {
 	return newToyProblem(n, txnCount, minSupp, seed)
 }
 
-// ReplayPLED drives the PLED master's scheduling state alone, on one
-// goroutine: every key seed and apply release is decoded and evaluated
-// inline, as a worker would, and applied in release order. It returns
-// the master's results and the number of events it applied.
-func ReplayPLED(pr Problem) ([]Result, int, error) {
-	dec := pr.(Decoder)
-	m := newPLEDMaster(pr, dec)
-	queue := m.seed()
-	for i := 0; i < len(queue); i++ {
-		pat, err := dec.Decode(queue[i])
-		if err != nil {
-			return nil, 0, err
-		}
-		if queue, _, err = m.apply(queue[i], pr.Goodness(pat), queue); err != nil {
-			return nil, 0, err
-		}
+// ExpandChunk is expandChunk, unobserved.
+func ExpandChunk(pr Problem, level int, parents, good []string) (goods []string, scores []float64, err error) {
+	return expandChunk(nil, pr, pr.(Decoder), level, parents, good)
+}
+
+// LevelParents is the parents field of every task levelTasks deals for
+// a level's good set.
+func LevelParents(good []string, workers int) [][]string {
+	var parents [][]string
+	for _, tu := range levelTasks(0, good, workers) {
+		parents = append(parents, tu[3].([]string))
 	}
-	return m.results, m.done, nil
+	return parents
+}
+
+// PLEDChunks is what a PLED run's task and commit counts are a function
+// of, read off the sequential results rather than off the program: the
+// good set of level k is the root alone at k = 0 and the good patterns
+// of length k above it, and a level with a good set is dealt into
+// min(len, 2·workers) chunks. It returns the number of such levels and
+// of chunks over all of them.
+func PLEDChunks(seqRes []Result, workers int) (levels, chunks int) {
+	good := map[int]int{0: 1}
+	for _, r := range seqRes {
+		good[r.Pattern.Len()]++
+	}
+	for ; good[levels] > 0; levels++ {
+		chunks += min(good[levels], 2*workers)
+	}
+	return levels, chunks
 }
 
 // CountingStore decorates a TxnStore with what a program did to it:
 // calls by operation, and tuples published by tag, whether through a
-// plain Out/OutN or a transaction's commit. In, Rd, Rdp and Len pass
-// through uncounted.
+// plain Out/OutN or a transaction's commit. In and Len pass through
+// uncounted.
 type CountingStore struct {
 	tuplespace.TxnStore
-	Begins, Inps, Commits atomic.Int64
+	Begins, Inps, Rds, Commits atomic.Int64 // Rds counts Rd and Rdp
 
 	mu   sync.Mutex
 	outs map[string]int
@@ -89,6 +101,16 @@ func (s *CountingStore) OutN(ctx context.Context, tuples []tuplespace.Tuple) err
 func (s *CountingStore) Inp(ctx context.Context, tmpl ...any) (tuplespace.Tuple, bool, error) {
 	s.Inps.Add(1)
 	return s.TxnStore.Inp(ctx, tmpl...)
+}
+
+func (s *CountingStore) Rd(ctx context.Context, tmpl ...any) (tuplespace.Tuple, error) {
+	s.Rds.Add(1)
+	return s.TxnStore.Rd(ctx, tmpl...)
+}
+
+func (s *CountingStore) Rdp(ctx context.Context, tmpl ...any) (tuplespace.Tuple, bool, error) {
+	s.Rds.Add(1)
+	return s.TxnStore.Rdp(ctx, tmpl...)
 }
 
 func (s *CountingStore) Begin() (tuplespace.Txn, error) {

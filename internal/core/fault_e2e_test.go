@@ -30,11 +30,14 @@ func (p *slowProblem) Goodness(pat Pattern) float64 {
 // is killed mid-transaction (SIGKILL semantics: its session drops and
 // the server's lease machinery restores its task tuple), and then the
 // server itself is crashed and restarted from the WAL. The run must
-// still produce results identical to SolveSequential. The tree is
-// sized for the chunk grain (88 evaluations in about 30 commits with 3
-// workers): the chunks the killed worker and the crashed server hold
-// carry several keys each, and both faults land with most of the run
-// ahead.
+// still produce results identical to SolveSequential. At the level
+// grain this tree is 88 evaluations in 20 commits with 3 workers (the
+// seed, 13 chunks, 3 levels, 3 poison exits): the killed worker holds a
+// chunk of the first level or of the six-chunk second one, and the
+// server goes down with three to five of the second level's six reports
+// committed — the suspended master sits inside that level's transaction,
+// its takes tentative, so the restart must bring them back with the WAL
+// and the next master incarnation collect the level again.
 func TestPLEDFaultInjectionRemoteWALRestart(t *testing.T) {
 	base := newToyProblem(12, 200, 0.04, 77)
 	seqRes, _ := SolveSequential(base)
@@ -103,10 +106,10 @@ func TestPLEDFaultInjectionRemoteWALRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: crash the server while the master is parked between
-	// transactions (suspension gates sit outside any wire round trip,
-	// so the crash cannot lose a commit acknowledgment), then restart
-	// it from the WAL.
+	// Phase 2: crash the server while the master is parked at a
+	// suspension gate (gates sit outside any wire round trip, so the
+	// crash cannot lose a commit acknowledgment), then restart it from
+	// the WAL.
 	waitFor("more progress", func() bool { return commits() >= 6 })
 	if err := srv.Suspend("pled-master"); err != nil {
 		t.Fatal(err)

@@ -159,3 +159,54 @@ func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 		t.Fatalf("trace: poison events=%d want 1", counts[[2]string{"master", "poison"}])
 	}
 }
+
+// TestObservedPLEDLevelEvents runs PLED under the observer and checks
+// that the master's trace and the core.* counters tell the level
+// protocol as it ran: one "level" event per master transaction, depths
+// 1, 2, … in order, whose chunks add up to core.tasks (task tuples: one
+// per chunk, the level-0 seed among them, the poison not) and whose good
+// add up to core.good and core.results (keys: only good patterns travel,
+// so the two count the same ones) and to the result list; core.evaluated
+// is the workers' Goodness calls, exactly SolveSequential's; one poison
+// event ends it.
+func TestObservedPLEDLevelEvents(t *testing.T) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(8192)
+	SetObserver(reg, tracer)
+	defer SetObserver(nil, nil)
+
+	pr := newToyProblem(10, 200, 0.04, 82)
+	want, st := SolveSequential(pr)
+	const workers = 2
+	levels, chunks := PLEDChunks(want, workers)
+	srv := plinda.NewServer()
+	defer srv.Close()
+	got, err := RunPLED(srv, pr, workers)
+	if err != nil {
+		t.Fatalf("RunPLED: %v", err)
+	}
+	sameResults(t, want, got, "sequential", "PLED under observation")
+
+	var depth, sumChunks, sumGood, poison int
+	for _, e := range tracer.Events() {
+		switch {
+		case e.Kind == "master" && e.Name == "level":
+			if depth++; e.Attrs["depth"] != depth {
+				t.Errorf("level event %d has depth %v", depth, e.Attrs["depth"])
+			}
+			sumChunks += e.Attrs["chunks"].(int)
+			sumGood += e.Attrs["good"].(int)
+		case e.Kind == "master" && e.Name == "poison":
+			poison++
+		}
+	}
+	if depth != levels || sumChunks != chunks || sumGood != st.Good || poison != 1 {
+		t.Errorf("trace: %d level events with %d chunks and %d good, %d poison; want %d levels, %d chunks, %d good, 1 poison",
+			depth, sumChunks, sumGood, poison, levels, chunks, st.Good)
+	}
+	c := reg.Snapshot().Counters
+	if c["core.tasks"] != int64(chunks) || c["core.results"] != int64(st.Good) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
+		t.Errorf("core.tasks %d, core.results %d, core.good %d, core.evaluated %d; want %d task tuples, %d result and good keys, %d evaluations",
+			c["core.tasks"], c["core.results"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
+	}
+}

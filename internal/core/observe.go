@@ -15,10 +15,10 @@ type coreObs struct {
 	reg       *obs.Registry
 	tracer    *obs.Tracer
 	evaluated *obs.Counter   // patterns whose goodness was computed
-	good      *obs.Counter   // patterns that passed the predicate (PLED, PLET: counted by the master, fresh keys only, after its commit)
-	pruned    *obs.Counter   // patterns skipped by subpattern pruning
-	tasks     *obs.Counter   // task tuples sent, not patterns: PLED chunks; PLET seeds and spilled frontiers
-	results   *obs.Counter   // results collected by masters, in keys (PLED: fresh result keys, not result tuples; PLET: good patterns, fresh keys only)
+	good      *obs.Counter   // patterns that passed the predicate (PLED, PLET: counted by the master after its commit — PLED a level's good keys at a time, duplicate and stale reports in none; PLET fresh keys only)
+	pruned    *obs.Counter   // patterns skipped by subpattern pruning (SolveEDT; a PLED worker drops them uncounted)
+	tasks     *obs.Counter   // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seeds and spilled frontiers
+	results   *obs.Counter   // results collected by masters, in keys, not result tuples (PLED: the keys the level's reports carried — only good patterns travel, so it moves with good; PLET: good patterns, fresh keys only)
 	goodness  *obs.Histogram // per-pattern evaluation latency
 }
 
@@ -28,7 +28,9 @@ var coreObserver atomic.Pointer[coreObs]
 // engines in this package (either may be nil; nil+nil detaches).
 // Metrics use the "core." prefix; trace events use kind "master" and
 // mark the phase transitions of the parallel traversals: E-dag level
-// completions, task seeding, and worker poisoning.
+// completions (SolveEDT's, and one "level" event per PLED master
+// transaction with the depth evaluated, the chunks that reported and the
+// good patterns they found), task seeding, and worker poisoning.
 // The observer is package-global because the engines are free
 // functions; callers that need isolation should use separate
 // registries per run.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"freepdm/internal/obs"
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
@@ -27,35 +28,43 @@ func (p *keyedToy) Goodness(pat Pattern) float64 {
 	return p.countedToy.Goodness(pat)
 }
 
-// seedChunks is the task bag a fresh PLED master commits first.
-func seedChunks(pr Problem, workers int) [][]string {
-	var chunks [][]string
-	for _, tu := range chunkTasks(newPLEDMaster(pr, pr.(Decoder)).seed(), 2*workers) {
-		chunks = append(chunks, tu[1].([]string))
+// levelOneTasks is the task bag a PLED master commits when the level-0
+// report is in: a run's tasks are a function of its input, so a test can
+// know them before the run.
+func levelOneTasks(t *testing.T, pr *toyProblem, workers int) []tuplespace.Tuple {
+	t.Helper()
+	root := []string{pr.Root().Key()}
+	goods, _, err := expandChunk(nil, pr, pr, 0, root, root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return chunks
+	return levelTasks(1, goods, workers)
 }
 
 // TestPLEDWorkerKilledMidChunk kills the only worker while it is
-// evaluating its first chunk, on a local Space and over per-incarnation
-// dialed sessions. The chunk must vanish and reappear whole: when the
-// re-spawned incarnation starts evaluating, the space holds no result
-// tuple — not for the keys the dead incarnation had already scored
-// either — only the seeded chunks less the one in hand; the run returns
-// exactly SolveSequential's results, and the only evaluations made twice
-// are those of the aborted chunk.
+// evaluating the first chunk of level 1, on a local Space and over
+// per-incarnation dialed sessions. The chunk must vanish and reappear
+// whole: when the re-spawned incarnation starts evaluating, the space
+// holds no result tuple — not for the patterns the dead incarnation had
+// already found good either — only the level's task tuples less the one
+// in hand; the run returns exactly SolveSequential's results, and the
+// only evaluations made twice are those of the aborted chunk.
 func TestPLEDWorkerKilledMidChunk(t *testing.T) {
 	const killAt = 2
 	for name, backend := range killBackends {
 		t.Run(name, func(t *testing.T) {
 			base := newToyProblem(10, 200, 0.04, 82)
 			seqRes, st := SolveSequential(base)
-			chunks := seedChunks(base, 1)
-			// The single worker takes the first seeded chunk first (a
-			// partition is a FIFO).
-			first := chunks[0]
-			if len(chunks) < 2 || len(first) <= killAt {
-				t.Fatalf("scenario too small: %d seeded chunks, the first of %d keys", len(chunks), len(first))
+			tasks := levelOneTasks(t, base, 1)
+			rootEvals := int64(len(base.Children(base.Root())))
+			// The single worker takes the level's first chunk first (a
+			// partition is a FIFO); what it evaluates there:
+			first := &keyedToy{byKey: map[string]int{}, countedToy: countedToy{toyProblem: base}}
+			goods, _, err := expandChunk(nil, first, base, 1, tasks[0][3].([]string), tasks[0][4].([]string))
+			firstEvals := first.evals.Load()
+			if err != nil || len(tasks) < 2 || firstEvals <= killAt || len(goods) == 0 {
+				t.Fatalf("scenario too small: %d level-1 chunks, the first makes %d evaluations and finds %d good (err %v)",
+					len(tasks), firstEvals, len(goods), err)
 			}
 
 			mid, respawned := make(chan struct{}), make(chan struct{})
@@ -63,10 +72,10 @@ func TestPLEDWorkerKilledMidChunk(t *testing.T) {
 			p := &keyedToy{byKey: map[string]int{}}
 			p.countedToy = countedToy{toyProblem: base, hook: func(n int64) {
 				switch n {
-				case killAt: // inside the first chunk
+				case rootEvals + killAt: // inside the first chunk
 					close(mid)
 					<-killed
-				case int64(len(first)) + 1: // first evaluation of the re-spawned incarnation
+				case rootEvals + firstEvals + 1: // first evaluation of the re-spawned incarnation
 					close(respawned)
 					<-inspected
 				}
@@ -94,14 +103,12 @@ func TestPLEDWorkerKilledMidChunk(t *testing.T) {
 			// on the server's side, so give it a moment) and the
 			// re-spawned incarnation holds one chunk tentatively:
 			// nothing else may be there.
-			deadline := time.Now().Add(10 * time.Second)
-			for n, _ := space.Len(); n != len(chunks)-1; n, _ = space.Len() {
-				if time.Now().After(deadline) {
-					t.Fatalf("space holds %d tuples after the abort, want the %d seeded chunks less the one in hand", n, len(chunks))
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if tu, ok, err := space.Rdp(context.Background(), TagResult, tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil || ok {
+			waitFor(t, "the aborted chunk to reappear", func() bool {
+				n, _ := space.Len()
+				return n == len(tasks)-1
+			})
+			if tu, ok, err := space.Rdp(context.Background(), TagResult, tuplespace.FormalInt, tuplespace.FormalInt,
+				tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil || ok {
 				t.Errorf("result tuple of the aborted chunk is visible: %v (err %v)", tu, err)
 			}
 			close(inspected)
@@ -119,23 +126,29 @@ func TestPLEDWorkerKilledMidChunk(t *testing.T) {
 			if srv.Respawns() < 1 {
 				t.Error("the kill re-spawned nothing: the scenario asserted nothing")
 			}
-			if redone := int(p.evals.Load()) - st.Evaluated; redone < 1 || redone > len(first) {
-				t.Errorf("%d evaluations were redone, want at least 1 and at most the aborted chunk's %d", redone, len(first))
-			}
-			aborted := map[string]bool{}
-			for _, k := range first {
-				aborted[k] = true
+			if redone := p.evals.Load() - int64(st.Evaluated); redone < 1 || redone > firstEvals {
+				t.Errorf("%d evaluations were redone, want at least 1 and at most the aborted chunk's %d", redone, firstEvals)
 			}
 			for k, n := range p.byKey {
-				if n > 1 && !aborted[k] {
-					t.Errorf("%s was evaluated %d times and is not in the aborted chunk %v", k, n, first)
+				if n > 1 && first.byKey[k] == 0 {
+					t.Errorf("%s was evaluated %d times and is not a candidate of the aborted chunk", k, n)
 				}
 			}
 		})
 	}
 }
 
-// pledLog reads the PLED master's committed event log out of a
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// pledLog reads the PLED master's committed continuation out of a
 // checkpoint of its server.
 func pledLog(t *testing.T, srv *plinda.Server) pledCont {
 	t.Helper()
@@ -154,43 +167,43 @@ func pledLog(t *testing.T, srv *plinda.Server) pledCont {
 	return cont
 }
 
-// TestPLEDDuplicateResultBatch replays result tuples the way an
-// interrupted two-phase commit does — a whole tuple at a time — with
-// some of a tuple's keys already classified and some fresh: before the
-// run starts the space already holds the result of half of the first
-// seeded chunk, so the worker's own report of that chunk is half
-// duplicate, and the second chunk's report is in there twice. Only
-// fresh keys may reach the event log (each evaluated key once, in a log
-// exactly as long as the traversal), or done would outrun sent and the
-// master stop with results missing.
+// TestPLEDDuplicateResultBatch plants the two kinds of report the master
+// must consume and count nowhere, before the run starts. One is a second
+// copy of a report a worker will also make — level 1, chunk 1, as an
+// interrupted two-phase commit publishes it — so that chunk reports
+// twice, and whichever copy comes second is the duplicate (a report is a
+// pure function of its task: the copies are equal). The other is a
+// report of a level that is not open, carrying a key and a chunk number
+// that would show if it were counted. Results, the log (every good key
+// once, in a log exactly as long as the result list) and the core.*
+// counters must see neither: a chunk counted twice would close its level
+// with another chunk's goods missing.
 func TestPLEDDuplicateResultBatch(t *testing.T) {
 	base := newToyProblem(10, 200, 0.04, 82)
 	seqRes, st := SolveSequential(base)
 	const workers = 2
-	chunks := seedChunks(base, workers)
-	if len(chunks) < 2 || len(chunks[0]) < 2 {
-		t.Fatalf("scenario too small: seeded chunks %v", chunks)
+	_, chunks := PLEDChunks(seqRes, workers)
+	tasks := levelOneTasks(t, base, workers)
+	if len(tasks) < 2 {
+		t.Fatalf("scenario too small: %d level-1 chunks", len(tasks))
 	}
-	report := func(keys []string) []float64 {
-		scores := make([]float64, len(keys))
-		for i, k := range keys {
-			pat, err := base.Decode(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scores[i] = base.Goodness(pat)
-		}
-		return scores
+	dupGoods, dupScores, err := expandChunk(nil, base, base, 1, tasks[1][3].([]string), tasks[1][4].([]string))
+	if err != nil || len(dupGoods) == 0 {
+		t.Fatalf("scenario too small: level 1 chunk 1 reports %v (err %v)", dupGoods, err)
 	}
+
 	space := tuplespace.New()
 	srv := plinda.NewServerOn(space)
 	defer srv.Close()
+	reg := obs.NewRegistry()
+	SetObserver(reg, nil)
+	defer SetObserver(nil, nil)
 	ctx := context.Background()
-	half := chunks[0][:len(chunks[0])/2]
-	for _, keys := range [][]string{half, chunks[1]} {
-		if err := space.Out(ctx, TagResult, keys, report(keys)); err != nil {
-			t.Fatal(err)
-		}
+	if err := space.Out(ctx, TagResult, 1, 1, dupGoods, dupScores); err != nil {
+		t.Fatal(err)
+	}
+	if err := space.Out(ctx, TagResult, -1, 0, []string{"{0,1,2,3,4,5,6,7,8,9}"}, []float64{1e9}); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := RunPLED(srv, base, workers)
@@ -199,43 +212,35 @@ func TestPLEDDuplicateResultBatch(t *testing.T) {
 	}
 	sameResults(t, seqRes, res, "sequential", "PLED-duplicate-results")
 	cont := pledLog(t, srv)
-	if len(cont.keys) != st.Evaluated {
-		t.Errorf("the event log holds %d events, the traversal evaluates %d patterns", len(cont.keys), st.Evaluated)
+	if len(cont.keys) != st.Good || !cont.poisoned || cont.levelStart != len(cont.keys) {
+		t.Errorf("the final continuation logs %d good keys from %d on, poisoned %v; the traversal finds %d and ends on an empty level",
+			len(cont.keys), cont.levelStart, cont.poisoned, st.Good)
 	}
 	logged := map[string]bool{}
 	for _, k := range cont.keys {
 		if logged[k] {
-			t.Errorf("%s is in the event log twice", k)
+			t.Errorf("%s is in the log twice", k)
 		}
 		logged[k] = true
 	}
-
-	// The same at the scheduling state: a duplicate event moves nothing.
-	m := newPLEDMaster(base, base)
-	seeded := m.seed()
-	score := report(seeded[:1])[0]
-	if _, fresh, err := m.apply(seeded[0], score, nil); err != nil || !fresh {
-		t.Fatalf("first result for %s: fresh %v, err %v", seeded[0], fresh, err)
-	}
-	sent, done, results := m.sent, m.done, len(m.results)
-	newKeys, fresh, err := m.apply(seeded[0], score, nil)
-	if err != nil || fresh || len(newKeys) != 0 || m.sent != sent || m.done != done || len(m.results) != results {
-		t.Errorf("duplicate result for %s: fresh %v, queued %v, sent %d→%d, done %d→%d, results %d→%d, err %v",
-			seeded[0], fresh, newKeys, sent, m.sent, done, m.done, results, len(m.results), err)
+	c := reg.Snapshot().Counters
+	if c["core.tasks"] != int64(chunks) || c["core.results"] != int64(st.Good) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
+		t.Errorf("observer read core.tasks %d, core.results %d, core.good %d, core.evaluated %d; want %d task tuples, %d result and good keys and %d evaluations",
+			c["core.tasks"], c["core.results"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
 	}
 }
 
 // TestPLEDMasterTerminalFailureIsLoud fails the master for good — a
-// result tuple whose key no Decoder accepts — while both workers sit in
-// In(task). RunPLED must stop them and report the master's error; before
-// runProgram it waited forever for workers that waited forever for
-// poison.
+// result tuple with a score missing — while the workers sit in In(task)
+// or evaluate. RunPLED must stop them and report the master's error;
+// before runProgram it waited forever for workers that waited forever
+// for poison.
 func TestPLEDMasterTerminalFailureIsLoud(t *testing.T) {
 	base := newToyProblem(6, 120, 0.15, 21)
 	space := tuplespace.New()
 	srv := plinda.NewServerOn(space)
 	defer srv.Close()
-	if err := space.Out(context.Background(), TagResult, []string{"{not-an-item}"}, []float64{1}); err != nil {
+	if err := space.Out(context.Background(), TagResult, 0, 0, []string{"{0}", "{1}"}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
@@ -245,7 +250,7 @@ func TestPLEDMasterTerminalFailureIsLoud(t *testing.T) {
 	}()
 	select {
 	case err := <-errCh:
-		if err == nil || !strings.Contains(err.Error(), "process pled-master") {
+		if err == nil || !strings.Contains(err.Error(), "process pled-master") || !strings.Contains(err.Error(), "malformed result tuple") {
 			t.Fatalf("RunPLED returned %v, want the master's terminal error", err)
 		}
 	case <-time.After(20 * time.Second):

@@ -42,41 +42,39 @@ func sameResultSets(t *testing.T, want, got []core.Result, who string) {
 	}
 }
 
-// TestPLEDGrainGuard is the clock-free guard on the PLED task grain, on
-// the toy problem and on the benchmark's exact-motif input: a run keeps
-// the E-dag prune — it evaluates exactly the patterns SolveSequential
-// does, each dispatched once — returns the sequential results, and
-// commits at most once per eight evaluations. A change that quietly puts
-// the per-pattern round trip back fails here, on any machine: the commit
-// count moves with how many results wait for the master each time it
-// looks, but stays under half the bound with -race on a busy CPU (27–39
-// of 81 on the toy tree, 76–141 of 347 on the motif run). The replay
-// subtest guards the cost under the grain: the master's scheduling
-// state, driven alone with goodness inline, may allocate at most 1.5
-// times what the whole of SolveSequential does on the same input (the
-// three-map, map-per-candidate, Decode-per-result state read 1.70).
+// TestPLEDGrainGuard is the clock-free guard on the PLED level grain, on
+// the toy problem and on the benchmark's exact-motif input. What a run
+// does is a pure function of its input, so every count is exact: it
+// keeps the E-dag prune — it evaluates exactly the patterns
+// SolveSequential does, each once — returns the sequential results,
+// commits once for the seed, once per chunk and once per level, and once
+// per worker's poison exit (core.PLEDChunks reads the levels and chunks
+// off the sequential results), and leaves the space empty. A change that
+// quietly puts a per-pattern or per-result round trip back, or a tuple
+// nobody takes, fails here, on any machine.
 func TestPLEDGrainGuard(t *testing.T) {
-	motifExact := func() core.Problem {
-		spec := seq.CyclinsSpec(7)
-		spec.Length = 80
-		return motif.NewProblem(spec.Generate(), motif.Params{MinOccur: 5, MinLength: 12, MaxLength: 24})
-	}
+	const workers = 2
 	for name, build := range map[string]func() core.Problem{
-		"toy":         func() core.Problem { return core.NewToyProblem(16, 400, 0.005, 82) },
-		"motif-exact": motifExact,
+		"toy": func() core.Problem { return core.NewToyProblem(16, 400, 0.005, 82) },
+		"motif-exact": func() core.Problem {
+			spec := seq.CyclinsSpec(7)
+			spec.Length = 80
+			return motif.NewProblem(spec.Generate(), motif.Params{MinOccur: 5, MinLength: 12, MaxLength: 24})
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			seqRes, st := core.SolveSequential(build())
 			if st.Evaluated < 64*8 {
 				t.Fatalf("the E-dag has %d evaluated patterns: too small to tell the grains apart", st.Evaluated)
 			}
+			levels, chunks := core.PLEDChunks(seqRes, workers)
 			p := &keyCounter{Problem: build(), evals: map[string]int{}}
 			reg := obs.NewRegistry()
 			core.SetObserver(reg, nil)
 			defer core.SetObserver(nil, nil)
 			srv := plinda.NewServer()
 			defer srv.Close()
-			res, err := core.RunPLED(srv, p, 2)
+			res, err := core.RunPLED(srv, p, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,42 +84,25 @@ func TestPLEDGrainGuard(t *testing.T) {
 			}
 			for k, n := range p.evals {
 				if n != 1 {
-					t.Errorf("task %s was dispatched %d times", k, n)
+					t.Errorf("%s was evaluated %d times", k, n)
 				}
 			}
-			commits := srv.Commits()
-			t.Logf("%d evaluations, %d commits", st.Evaluated, commits)
-			if commits > st.Evaluated/8 {
-				t.Errorf("%d commits for %d evaluations, want at most one per 8", commits, st.Evaluated)
+			commits, want := srv.Commits(), 1+chunks+levels+workers
+			t.Logf("%d evaluations, %d levels, %d chunks, %d commits", st.Evaluated, levels, chunks, commits)
+			if commits != want {
+				t.Errorf("%d commits, the protocol makes %d: the seed, %d chunks, %d levels and %d poison exits", commits, want, chunks, levels, workers)
+			}
+			if n, err := srv.Space().Len(); err != nil || n != 0 {
+				t.Errorf("the run left %d tuples in the space (err %v)", n, err)
 			}
 			// The observer counts task tuples (one worker commit each)
-			// and result and good keys.
+			// and result and good keys, which are the same keys: only
+			// good patterns travel.
 			c := reg.Snapshot().Counters
-			if c["core.results"] != int64(st.Evaluated) || c["core.good"] != int64(st.Good) ||
-				c["core.tasks"] < 1 || c["core.tasks"] >= int64(commits) {
-				t.Errorf("observer read core.results %d, core.good %d, core.tasks %d; want %d result keys, %d good keys and fewer task tuples than the %d commits",
-					c["core.results"], c["core.good"], c["core.tasks"], st.Evaluated, st.Good, commits)
+			if c["core.tasks"] != int64(chunks) || c["core.results"] != int64(st.Good) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
+				t.Errorf("observer read core.tasks %d, core.results %d, core.good %d, core.evaluated %d; want %d task tuples, %d result and good keys and %d evaluations",
+					c["core.tasks"], c["core.results"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
 			}
 		})
 	}
-
-	t.Run("replay-allocs", func(t *testing.T) {
-		pr := motifExact()
-		seqRes, st := core.SolveSequential(pr)
-		res, applied, err := core.ReplayPLED(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResultSets(t, seqRes, res, "the replayed master")
-		if applied != st.Evaluated {
-			t.Fatalf("the replayed master applied %d events, sequential evaluates %d", applied, st.Evaluated)
-		}
-		seqAllocs := testing.AllocsPerRun(5, func() { core.SolveSequential(pr) })
-		replayAllocs := testing.AllocsPerRun(5, func() { core.ReplayPLED(pr) }) //nolint:errcheck — checked above
-		t.Logf("allocations: sequential %.0f, master replay %.0f (%.2fx)", seqAllocs, replayAllocs, replayAllocs/seqAllocs)
-		if replayAllocs > 1.5*seqAllocs {
-			t.Errorf("the master's replay allocates %.0f times, %.2fx SolveSequential's %.0f; want at most 1.5x",
-				replayAllocs, replayAllocs/seqAllocs, seqAllocs)
-		}
-	})
 }

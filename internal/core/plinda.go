@@ -2,20 +2,54 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"time"
 
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
 
-// PLEDWorker returns the PLED worker body (figure 3.5 at the chunk
-// grain): one transaction takes a chunk of task keys, evaluates every
-// pattern's goodness, and commits one result tuple of parallel keys and
-// scores. A killed worker's transaction aborts: the chunk reappears
-// whole and at most one chunk of evaluations is redone. The body is
-// exported so a remote workstation can run it standalone against a
-// dialed session (cmd/plinda -worker); the problem must implement
-// Decoder.
+// expandChunk is the PLED kernel, the level-wise twin of expandTask: it
+// generates the children of its parents — a chunk of the good set of
+// level — keeps a child only if every immediate subpattern is in that
+// good set (the E-dag prune of theorem 2), evaluates the survivors and
+// returns the good ones, in Children's order. The report is a pure
+// function of the task tuple's fields, so a task run twice — a cluster
+// 2PC re-run, a killed worker — reports exactly what its first run did
+// and the master may drop whichever copy comes second. The level-0 task
+// carries the root's key, which no Decoder need accept: it stands for
+// pr.Root().
+func expandChunk(o *coreObs, pr Problem, dec Decoder, level int, parents, good []string) (goods []string, scores []float64, err error) {
+	set := make(map[string]bool, len(good))
+	for _, k := range good {
+		set[k] = true
+	}
+	for _, key := range parents {
+		pat := pr.Root()
+		if level > 0 {
+			if pat, err = dec.Decode(key); err != nil {
+				return nil, nil, err
+			}
+		}
+		for _, c := range pr.Children(pat) {
+			if !allSubpatternsGood(pr, c, set) {
+				continue
+			}
+			if score := timeGoodness(o, pr, c); pr.Good(c, score) {
+				goods, scores = append(goods, c.Key()), append(scores, score)
+			}
+		}
+	}
+	return goods, scores, nil
+}
+
+// PLEDWorker returns the PLED worker body (figure 3.5 at the level
+// grain): one transaction takes a task — a chunk of a level's good
+// patterns and that level's whole good set — runs expandChunk on it and
+// commits one result tuple with the good children and their scores; bad
+// patterns never travel. A killed worker's transaction aborts: the task
+// reappears whole and at most one chunk of evaluations is redone. The
+// body is exported so a remote workstation can run it standalone against
+// a dialed session; the problem must implement Decoder.
 func PLEDWorker(pr Problem) plinda.ProcFunc {
 	return func(p *plinda.Proc) error {
 		dec, ok := pr.(Decoder)
@@ -27,23 +61,19 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tu, err := p.In(TagTask, tuplespace.FormalStrings)
+			tu, err := p.In(TagTask, tuplespace.FormalInt, tuplespace.FormalInt, tuplespace.FormalStrings, tuplespace.FormalStrings)
 			if err != nil {
 				return err
 			}
-			keys := tu[1].([]string)
-			if len(keys) == 1 && keys[0] == PoisonKey {
+			level, chunk, parents := tu[1].(int), tu[2].(int), tu[3].([]string)
+			if len(parents) == 1 && parents[0] == PoisonKey {
 				return p.Xcommit()
 			}
-			scores := make([]float64, len(keys))
-			for i, key := range keys {
-				pat, err := dec.Decode(key)
-				if err != nil {
-					return err
-				}
-				scores[i] = timeGoodness(o, pr, pat)
+			goods, scores, err := expandChunk(o, pr, dec, level, parents, tu[4].([]string))
+			if err != nil {
+				return err
 			}
-			if err := p.Out(TagResult, keys, scores); err != nil {
+			if err := p.Out(TagResult, level, chunk, goods, scores); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
@@ -142,179 +172,47 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 	}
 }
 
-// pledCont is the PLED master's continuation: the log of result events
-// it has applied, as parallel key and score slices — one event per key,
-// whatever result tuples the keys arrived in. Everything else the
-// master knows (which patterns are good, which tasks were sent) is a
-// deterministic function of that sequence, so the sequence IS the
-// continuation. It is committed as three wire-native tuple fields passed
-// by slice header — Xcommit(keys, scores, poisoned) — so a commit costs
-// the same at any log length. The log is append-only: a transaction
-// appends all its events past the committed prefix, which the process
-// table aliases and Xrecover and Checkpoint read and which is never
-// written again.
+// pledCont is the PLED master's continuation: the good patterns found
+// so far as parallel key and score slices, in level order, and where the
+// traversal stands — chunks task tuples of level are out, each carrying
+// keys[levelStart:] as the level's good set (the root alone at level 0),
+// or the poison is. That is all a master needs to know, so a respawned
+// incarnation reads the six fields and waits for the same reports: no
+// replay, no Problem call. It is committed as wire-native tuple fields
+// passed by slice header, so a commit costs the same at any log length.
+// The log is append-only: a transaction appends past the committed
+// prefix, which the process table and the task tuples alias, Xrecover,
+// Checkpoint and the workers read, and nobody writes again.
 type pledCont struct {
-	keys     []string
-	scores   []float64
-	poisoned bool
+	keys       []string
+	scores     []float64
+	levelStart int
+	level      int
+	chunks     int
+	poisoned   bool
 }
 
 func (c *pledCont) commit(p *plinda.Proc) error {
-	return p.Xcommit(c.keys, c.scores, c.poisoned)
+	return p.Xcommit(c.keys, c.scores, c.levelStart, c.level, c.chunks, c.poisoned)
 }
 
 func decodePLEDCont(t tuplespace.Tuple, c *pledCont) error {
-	if len(t) != 3 {
+	if len(t) != 6 {
 		return fmt.Errorf("core: malformed master continuation (%d fields)", len(t))
 	}
 	keys, kok := t[0].([]string)
 	scores, sok := t[1].([]float64)
-	poisoned, pok := t[2].(bool)
-	if !kok || !sok || !pok || len(keys) != len(scores) {
-		return fmt.Errorf("core: malformed master continuation (%T of %d, %T of %d, %T)",
-			t[0], len(keys), t[1], len(scores), t[2])
+	levelStart, lsok := t[2].(int)
+	level, lok := t[3].(int)
+	chunks, cok := t[4].(int)
+	poisoned, pok := t[5].(bool)
+	if !kok || !sok || !lsok || !lok || !cok || !pok ||
+		len(keys) != len(scores) || levelStart < 0 || levelStart > len(keys) || level < 0 || chunks < 0 {
+		return fmt.Errorf("core: malformed master continuation (%T of %d, %T of %d, level start %v, level %v, chunks %v, poisoned %v)",
+			t[0], len(keys), t[1], len(scores), t[2], t[3], t[4], t[5])
 	}
-	*c = pledCont{keys, scores, poisoned}
+	*c = pledCont{keys, scores, levelStart, level, chunks, poisoned}
 	return nil
-}
-
-// pledMaster is the E-dag scheduling state of figure 3.4, factored so
-// it can be rebuilt by replaying the committed event sequence after a
-// master failure. seed and apply append the newly queued task keys to
-// newKeys; the live master outs them inside the same transaction that
-// takes the results and commits the extended event log, while a
-// replaying master discards them (the tasks are already in the space,
-// or their results already consumed).
-type pledMaster struct {
-	pr  Problem
-	dec Decoder
-
-	// Every pattern sent or classified, by key. Absent means not yet
-	// releasable: unseen, or deferred in pendingBy.
-	nodes map[string]pledNode
-	// Children whose subpattern goodness is not yet known, indexed
-	// by the subpattern keys they wait on.
-	pendingBy  map[string][]*pledDeferred
-	waiting    []string // consider's scratch
-	sent, done int
-	results    []Result
-}
-
-type pledNode struct {
-	state pledState
-	pat   Pattern // as queued, so its result needs no Decode
-}
-
-type pledState uint8
-
-const (
-	pledQueued pledState = iota + 1
-	pledGood
-	pledBad
-)
-
-type pledDeferred struct {
-	pat     Pattern
-	key     string
-	waiting int // distinct subpattern keys not yet known good
-}
-
-func newPLEDMaster(pr Problem, dec Decoder) *pledMaster {
-	return &pledMaster{
-		pr:        pr,
-		dec:       dec,
-		nodes:     map[string]pledNode{pr.Root().Key(): {state: pledGood}},
-		pendingBy: map[string][]*pledDeferred{},
-	}
-}
-
-// send marks a pattern queued and appends its key for dispatch.
-func (m *pledMaster) send(pat Pattern, key string, newKeys []string) []string {
-	if _, known := m.nodes[key]; known {
-		return newKeys
-	}
-	m.nodes[key] = pledNode{pledQueued, pat}
-	m.sent++
-	return append(newKeys, key)
-}
-
-// consider queues a pattern whose subpatterns are all known good,
-// defers it when some are still unknown, and drops it when any is bad
-// (the apriori prune of theorem 2).
-func (m *pledMaster) consider(pat Pattern, newKeys []string) []string {
-	waiting := m.waiting[:0]
-	for _, s := range m.pr.Subpatterns(pat) {
-		k := s.Key()
-		switch m.nodes[k].state {
-		case pledBad:
-			return newKeys // some subpattern is not good: prune
-		case pledGood:
-		default:
-			if !slices.Contains(waiting, k) {
-				waiting = append(waiting, k)
-			}
-		}
-	}
-	m.waiting = waiting
-	if len(waiting) == 0 {
-		return m.send(pat, pat.Key(), newKeys)
-	}
-	d := &pledDeferred{pat, pat.Key(), len(waiting)}
-	for _, k := range waiting {
-		m.pendingBy[k] = append(m.pendingBy[k], d)
-	}
-	return newKeys
-}
-
-func (m *pledMaster) childPatterns(pat Pattern, newKeys []string) []string {
-	for _, c := range m.pr.Children(pat) {
-		newKeys = m.consider(c, newKeys)
-	}
-	return newKeys
-}
-
-// seed queues the root's children; the first committed transaction.
-func (m *pledMaster) seed() []string {
-	return m.childPatterns(m.pr.Root(), nil)
-}
-
-// apply advances the scheduling state by one result event, appending
-// the task keys it newly queued to newKeys, and reports whether the
-// event was fresh. A duplicate event — a second result for a key already
-// classified good or bad, which the cluster's two-phase commit produces
-// a chunk at a time when a worker crashes between the follower and
-// coordinator phases — leaves the state (including the done counter)
-// untouched: counting it would let done outrun sent and terminate the
-// master with takes missing.
-func (m *pledMaster) apply(key string, score float64, newKeys []string) ([]string, bool, error) {
-	n := m.nodes[key]
-	if n.state == pledGood || n.state == pledBad {
-		return newKeys, false, nil
-	}
-	if n.pat == nil { // a key this master never queued
-		pat, err := m.dec.Decode(key)
-		if err != nil {
-			return newKeys, false, err
-		}
-		n.pat = pat
-	}
-	m.done++
-	if !m.pr.Good(n.pat, score) {
-		m.nodes[key] = pledNode{pledBad, n.pat}
-	} else {
-		m.nodes[key] = pledNode{pledGood, n.pat}
-		m.results = append(m.results, Result{n.pat, score})
-		newKeys = m.childPatterns(n.pat, newKeys)
-		// Release deferred children that were waiting on this key.
-		for _, d := range m.pendingBy[key] {
-			if d.waiting--; d.waiting == 0 {
-				newKeys = m.send(d.pat, d.key, newKeys)
-			}
-		}
-	}
-	// Its waiters are released by now, or dead with a bad subpattern.
-	delete(m.pendingBy, key)
-	return newKeys, true, nil
 }
 
 func taskTuples(keys []string) []tuplespace.Tuple {
@@ -325,12 +223,22 @@ func taskTuples(keys []string) []tuplespace.Tuple {
 	return ts
 }
 
-// chunkTasks splits keys into at most n even PLED task tuples.
-func chunkTasks(keys []string, n int) []tuplespace.Tuple {
-	n = min(n, len(keys))
+// levelTasks deals a level's good set round-robin into n = min(len,
+// 2·workers) PLED task tuples, each carrying the whole set next to its
+// share: a second chunk for every worker while the master unions the
+// first ones back, and parent i in chunk i mod n because the children of
+// a prefix-ordered level thin out towards its end (Apriori). The
+// multiplier is a constant: 2 is the one value the measured sweep has
+// near the best on both PLED workloads (DESIGN.md "PLED level grain").
+func levelTasks(level int, good []string, workers int) []tuplespace.Tuple {
+	n := min(len(good), 2*workers)
 	ts := make([]tuplespace.Tuple, n)
 	for i := range ts {
-		ts[i] = tuplespace.Tuple{TagTask, keys[i*len(keys)/n : (i+1)*len(keys)/n]}
+		parents := make([]string, 0, (len(good)-i+n-1)/n)
+		for j := i; j < len(good); j += n {
+			parents = append(parents, good[j])
+		}
+		ts[i] = tuplespace.Tuple{TagTask, level, i, parents, good}
 	}
 	return ts
 }
@@ -366,24 +274,26 @@ func runProgram(srv *plinda.Server, program string, workers int, worker, master 
 }
 
 // RunPLED executes a data mining application as a Persistent Linda
-// parallel E-dag traversal program (PLED): the master of figure 3.4
-// and workers of figure 3.5, at the chunk grain. The problem must
-// implement Decoder so pattern keys can cross the tuple space. The
+// parallel E-dag traversal program (PLED): the master of figure 3.4 and
+// workers of figure 3.5 as level-wise count distribution. The problem
+// must implement Decoder so pattern keys can cross the tuple space. The
 // returned results equal SolveSequential's (theorem 2). Work tuples are
-// ("task", keys); result tuples are ("result", keys, scores).
+// ("task", level, chunk, parents, good); result tuples are
+// ("result", level, chunk, goods, scores).
 //
-// A master transaction takes every result tuple that is waiting,
-// applies their keys one by one, and outs the patterns they released
-// as 2·workers even chunks: a second chunk for every worker while the
-// master handles the first one back, and a commit on either side pays
-// for a chunk of evaluations. The divisor is a constant because the
-// measured sweep is flat (DESIGN.md "PLED task grain").
+// The workers generate, prune and evaluate the candidates (expandChunk);
+// the master only unions. One master transaction per level takes result
+// tuples until every chunk of the level has reported, appends their good
+// patterns to the log in chunk order, and outs the next level's tasks
+// (levelTasks), or the poison when the level found nothing. A report of
+// another level or of a chunk already in — a cluster 2PC re-run — is
+// consumed and counted nowhere: a report is a pure function of its task,
+// so the copy says nothing new.
 //
-// The master is restart-safe: each transaction commits the result
-// takes, the task outs, and a continuation carrying the event log (by
-// slice header, see pledCont) atomically, so a killed master
-// incarnation replays the log and resumes exactly where the last
-// commit left off — no task is re-sent and no result double-counted.
+// The master is restart-safe: each transaction commits the result takes,
+// the task outs and the continuation (pledCont) atomically, so a killed
+// incarnation's takes reappear and the next one reads where the last
+// commit left off and waits for the same reports.
 func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -396,100 +306,97 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	o := coreObserver.Load()
 	var results []Result
 	master := func(p *plinda.Proc) error {
-		m := newPLEDMaster(pr, dec)
 		var cont pledCont
 		if t, ok := p.Xrecover(); ok {
-			// Silent replay: rebuild the scheduling state without
-			// re-outing tasks or double-counting metrics.
 			if err := decodePLEDCont(t, &cont); err != nil {
 				return err
-			}
-			m.seed()
-			for i, key := range cont.keys {
-				if _, _, err := m.apply(key, cont.scores[i], nil); err != nil {
-					return err
-				}
 			}
 		} else {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tasks := chunkTasks(m.seed(), 2*workers)
+			// Level 0: the root is its own good set, one chunk of one.
+			tasks := levelTasks(0, []string{pr.Root().Key()}, workers)
 			if err := p.OutN(tasks); err != nil {
 				return err
 			}
-			if o != nil {
-				o.tasks.Add(int64(len(tasks)))
-			}
+			cont.chunks = len(tasks)
 			if err := cont.commit(p); err != nil {
 				return err
+			}
+			if o != nil {
+				o.tasks.Add(int64(cont.chunks))
 			}
 		}
 
-		for m.done < m.sent {
+		for !cont.poisoned {
+			var start time.Time
+			if o != nil {
+				start = time.Now()
+			}
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tu, err := p.In(TagResult, tuplespace.FormalStrings, tuplespace.FormalFloats)
-			if err != nil {
-				return err
-			}
-			logged, goods := len(cont.keys), len(m.results)
-			var newKeys []string
-			for more := true; more; {
-				keys, scores := tu[1].([]string), tu[2].([]float64)
-				if len(keys) != len(scores) {
-					return fmt.Errorf("core: malformed result tuple (%d keys, %d scores)", len(keys), len(scores))
-				}
-				for i, key := range keys {
-					// A duplicate result is consumed (the commit below
-					// finalizes the take) but logged and counted nowhere.
-					var fresh bool
-					if newKeys, fresh, err = m.apply(key, scores[i], newKeys); err != nil {
-						return err
-					}
-					if fresh {
-						cont.keys, cont.scores = append(cont.keys, key), append(cont.scores, scores[i])
-					}
-				}
-				if tu, more, err = p.Inp(TagResult, tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil {
+			reports := make([]tuplespace.Tuple, cont.chunks)
+			for n := 0; n < len(reports); {
+				tu, err := p.In(TagResult, tuplespace.FormalInt, tuplespace.FormalInt, tuplespace.FormalStrings, tuplespace.FormalFloats)
+				if err != nil {
 					return err
 				}
+				level, chunk, goods, scores := tu[1].(int), tu[2].(int), tu[3].([]string), tu[4].([]float64)
+				if len(goods) != len(scores) {
+					return fmt.Errorf("core: malformed result tuple (level %d chunk %d: %d good keys, %d scores)", level, chunk, len(goods), len(scores))
+				}
+				if level != cont.level || chunk < 0 || chunk >= len(reports) || reports[chunk] != nil {
+					continue // not this level's, or its second copy
+				}
+				reports[chunk] = tu
+				n++
 			}
-			tasks := chunkTasks(newKeys, 2*workers)
+			cont.levelStart = len(cont.keys)
+			for _, tu := range reports {
+				cont.keys = append(cont.keys, tu[3].([]string)...)
+				cont.scores = append(cont.scores, tu[4].([]float64)...)
+			}
+			cont.level++
+			good := cont.keys[cont.levelStart:]
+			tasks := levelTasks(cont.level, good, workers)
+			cont.chunks = len(tasks)
+			if len(good) == 0 {
+				// Poison tasks terminate the workers.
+				cont.poisoned = true
+				tasks = make([]tuplespace.Tuple, workers)
+				for i := range tasks {
+					tasks[i] = tuplespace.Tuple{TagTask, cont.level, i, []string{PoisonKey}, good}
+				}
+			}
 			if err := p.OutN(tasks); err != nil {
 				return err
 			}
+			if err := cont.commit(p); err != nil {
+				return err
+			}
 			if o != nil {
-				o.results.Add(int64(len(cont.keys) - logged))
-				o.tasks.Add(int64(len(tasks)))
-				o.good.Add(int64(len(m.results) - goods))
-			}
-			if err := cont.commit(p); err != nil {
-				return err
-			}
-		}
-		if !cont.poisoned {
-			// Poison tasks terminate the workers.
-			if err := p.Xstart(); err != nil {
-				return err
-			}
-			poison := make([]tuplespace.Tuple, workers)
-			for i := range poison {
-				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
-			}
-			if err := p.OutN(poison); err != nil {
-				return err
-			}
-			if o != nil && o.tracer != nil {
-				o.tracer.Record("master", "poison", 0, "program", "pled", "workers", workers, "tasks", m.sent, "results", m.done)
-			}
-			cont.poisoned = true
-			if err := cont.commit(p); err != nil {
-				return err
+				o.tasks.Add(int64(cont.chunks))
+				o.results.Add(int64(len(good)))
+				o.good.Add(int64(len(good)))
+				if o.tracer != nil {
+					o.tracer.Record("master", "level", time.Since(start), "depth", cont.level, "chunks", len(reports), "good", len(good))
+					if cont.poisoned {
+						o.tracer.Record("master", "poison", 0, "program", "pled", "workers", workers, "results", len(cont.keys))
+					}
+				}
 			}
 		}
-		results = m.results
+
+		results = make([]Result, len(cont.keys))
+		for i, key := range cont.keys {
+			pat, err := dec.Decode(key)
+			if err != nil {
+				return err
+			}
+			results[i] = Result{pat, cont.scores[i]}
+		}
 		return nil
 	}
 

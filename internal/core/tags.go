@@ -8,18 +8,25 @@ package core
 //
 //	(TagTask, key string)                        PLET work unit; key PoisonKey terminates a PLET worker
 //	                                             (the poison cmd/plinda drains on a WAL restart is this one)
-//	(TagTask, keys []string)                     PLED work unit: a chunk of pattern keys;
-//	                                             the chunk [PoisonKey] terminates a PLED worker
-//	(TagResult, keys []string, scores []float64) PLED goodness report: the scores of one chunk,
-//	                                             parallel slices
+//	(TagTask, level int, chunk int,              PLED work unit: parents is chunk's share of the
+//	 parents []string, good []string)            good patterns of level and good is all of them
+//	                                             (level 0: both are the root's key); the worker
+//	                                             evaluates the parents' children whose
+//	                                             subpatterns are all in good. The parents
+//	                                             [PoisonKey] terminate a PLED worker
+//	(TagResult, level int, chunk int,            PLED goodness report, one per task: the good
+//	 goods []string, scores []float64)           children and their scores, parallel slices; bad
+//	                                             patterns never travel. The master counts the
+//	                                             first report of each chunk of the open level
+//	                                             and consumes any other unread
 //	(TagCtl, kind string, key string,            PLET task report, one per task: termination
 //	 spilled []string,                           control and goodness report on one message.
 //	 goods []string, scores []float64)           kind CtlExpanded carries the spilled task keys,
 //	                                             kind CtlPruned carries nil; goods and scores are
 //	                                             the task's good patterns, parallel slices
 //
-// The two programs share TagTask under two shapes; a template of one
-// never matches a tuple of the other.
+// The two programs share TagTask under two shapes (two and five fields);
+// a template of one never matches a tuple of the other.
 const (
 	TagTask   = "task"
 	TagResult = "result"
@@ -40,7 +47,7 @@ const (
 	CtlPruned   = "pruned"
 
 	// PoisonKey is the reserved task key that terminates a worker: on
-	// its own to PLET, as a chunk of one to PLED.
+	// its own to PLET, as the parents of a chunk of one to PLED.
 	// The NUL prefix keeps it out of every Decoder's key space.
 	PoisonKey = "\x00poison"
 )

@@ -70,7 +70,9 @@ func TestRunAllMarksSuppressed(t *testing.T) {
 // TestDOTDeterministic renders the core protocol's flow graph twice
 // and asserts byte equality plus the structural landmarks DESIGN.md's
 // embedded graph relies on: the task fan-out from the PLED/PLET
-// masters to their workers and the bold (blocking) result edge back.
+// masters to their workers — for PLED the five-field task, produced by
+// every level, the seed included, in levelTasks and by the poison in
+// RunPLED — and the bold (blocking) five-field result edge back.
 func TestDOTDeterministic(t *testing.T) {
 	loader := testLoader(t)
 	pkgs, err := loader.Load(filepath.Join("..", "core"))
@@ -87,6 +89,7 @@ func TestDOTDeterministic(t *testing.T) {
 		"digraph tupleflow",
 		`label="freepdm/internal/core"`,
 		`"freepdm/internal/core.RunPLED" -> "freepdm/internal/core.PLEDWorker" [label="task", style=bold]`,
+		`"freepdm/internal/core.levelTasks" -> "freepdm/internal/core.PLEDWorker" [label="task", style=bold]`,
 		`"freepdm/internal/core.PLEDWorker" -> "freepdm/internal/core.RunPLED" [label="result", style=bold]`,
 	} {
 		if !strings.Contains(out, want) {

@@ -95,10 +95,11 @@ func TestCheckSelection(t *testing.T) {
 }
 
 // TestCoreContractClean is the regression test for the control-tuple
-// audit: the production protocol in internal/core — the "task",
-// "result", six-field "ctl" and poison contracts spelled with the
-// tags.go constants — must stay finding-free. The contractok and
-// contractbad fixtures hold the same "ctl" shape matched and mismatched.
+// audit: the production protocol in internal/core — PLET's two-field
+// "task" and six-field "ctl", PLED's five-field "task" and "result",
+// and the poison contracts, spelled with the tags.go constants — must
+// stay finding-free. The contractok and contractbad fixtures hold the
+// same "ctl" and PLED shapes matched and mismatched.
 func TestCoreContractClean(t *testing.T) {
 	loader := testLoader(t)
 	pkgs, err := loader.Load(filepath.Join("..", "core"))

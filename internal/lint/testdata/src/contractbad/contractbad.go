@@ -51,3 +51,21 @@ func StaleCtlTemplate(s *tuplespace.Space, key string, spilled, goods []string, 
 	_, err := s.In(context.Background(), "ctl", tuplespace.FormalString, tuplespace.FormalString, tuplespace.FormalStrings)
 	return err
 }
+
+// StaleChunkTemplates are a worker and a master left on the chunk-grain
+// PLED tuples after the producers grew the level, the chunk number and
+// the level's good set. The goodness report goes under "report" here:
+// this fixture's "result" tag belongs to the typo case above.
+func StaleChunkTemplates(s *tuplespace.Space, parents, good, goods []string, scores []float64) error {
+	if err := s.Out(context.Background(), "task", 3, 0, parents, good); err != nil {
+		return err
+	}
+	if _, err := s.In(context.Background(), "task", tuplespace.FormalStrings); err != nil {
+		return err
+	}
+	if err := s.Out(context.Background(), "report", 3, 0, goods, scores); err != nil {
+		return err
+	}
+	_, err := s.In(context.Background(), "report", tuplespace.FormalStrings, tuplespace.FormalFloats)
+	return err
+}

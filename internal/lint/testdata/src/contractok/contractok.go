@@ -70,3 +70,35 @@ func Collect(s *tuplespace.Space) ([]string, error) {
 	}
 	return tu[4].([]string), nil
 }
+
+// Deal, Expand and Union are the PLED contracts at their five-field
+// arity: a chunk of a level's good set next to the whole set one way,
+// the good children and their scores back, ints and slices against int
+// and slice formals. The five-field "task" shares its tag with
+// RoundTrip's two-field one; neither template matches the other's
+// tuple.
+func Deal(s *tuplespace.Space, level int, chunks [][]string, good []string) error {
+	tasks := make([]tuplespace.Tuple, len(chunks))
+	for i, parents := range chunks {
+		tasks[i] = tuplespace.Tuple{"task", level, i, parents, good}
+	}
+	return s.OutN(context.Background(), tasks)
+}
+
+func Expand(s *tuplespace.Space, goods []string, scores []float64) error {
+	tu, err := s.In(context.Background(), "task", tuplespace.FormalInt, tuplespace.FormalInt,
+		tuplespace.FormalStrings, tuplespace.FormalStrings)
+	if err != nil {
+		return err
+	}
+	return s.Out(context.Background(), "result", tu[1].(int), tu[2].(int), goods, scores)
+}
+
+func Union(s *tuplespace.Space) ([]string, error) {
+	tu, err := s.In(context.Background(), "result", tuplespace.FormalInt, tuplespace.FormalInt,
+		tuplespace.FormalStrings, tuplespace.FormalFloats)
+	if err != nil {
+		return nil, err
+	}
+	return tu[3].([]string), nil
+}
