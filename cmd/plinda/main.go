@@ -180,7 +180,7 @@ func main() {
 		// birth — the same startup hygiene the WAL branch performs.
 		drained := 0
 		for {
-			_, ok, err := tuplespace.Inp(rt, core.TagTask, core.PoisonKey)
+			_, ok, err := tuplespace.Inp(rt, core.TagTask, []string{core.PoisonKey})
 			if err != nil || !ok {
 				break
 			}
@@ -209,7 +209,7 @@ func main() {
 		// workers at birth.
 		drained := 0
 		for {
-			_, ok, err := tuplespace.Inp(ds, core.TagTask, core.PoisonKey)
+			_, ok, err := tuplespace.Inp(ds, core.TagTask, []string{core.PoisonKey})
 			if err != nil || !ok {
 				break
 			}
@@ -284,7 +284,7 @@ func main() {
 			extra := make([]tuplespace.Tuple, 16)
 			for i := range extra {
 				// lint:ignore tuple-contract consumed by the PLET workers in internal/core
-				extra[i] = tuplespace.Tuple{core.TagTask, core.PoisonKey}
+				extra[i] = tuplespace.Tuple{core.TagTask, []string{core.PoisonKey}}
 			}
 			if err := tuplespace.OutN(store, extra); err != nil {
 				fmt.Printf("plinda: remote poison: %v\n", err)

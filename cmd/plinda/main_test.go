@@ -63,7 +63,12 @@ func TestParseChaosSpec(t *testing.T) {
 
 // TestFsyncFlagBoot boots the binary with -wal -fsync -wal-batch and
 // lets the demo run to completion: the full workload committing
-// through the fsync group-commit pipeline, then a clean quit.
+// through the fsync group-commit pipeline, then a clean quit. It boots
+// twice on one WAL directory, serving remote workers (-addr): the first
+// run leaves its 16 extra poison bundles in the durable space, and the
+// second must drain them at start-up — were they still there, or in a
+// shape the drain's template does not match, its workers would take them
+// at birth, exit, and the demo would never complete.
 func TestFsyncFlagBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the plinda binary")
@@ -80,8 +85,21 @@ func TestFsyncFlagBoot(t *testing.T) {
 		t.Errorf("-fsync without -wal: unexpected output %q", out)
 	}
 
-	cmd := exec.Command(exe, "-wal", filepath.Join(t.TempDir(), "wal"),
-		"-fsync", "-wal-batch", "32", "-workers", "2")
+	wal := filepath.Join(t.TempDir(), "wal")
+	for boot, wantDrained := range []bool{false, true} {
+		out := bootDemo(t, exe, "-wal", wal, "-fsync", "-wal-batch", "32", "-workers", "2", "-addr", "127.0.0.1:0")
+		if drained := strings.Contains(out, "drained 16 stale poison tuples"); drained != wantDrained {
+			t.Errorf("boot %d: drained the previous run's 16 poison bundles = %v, want %v:\n%s", boot, drained, wantDrained, out)
+		}
+	}
+}
+
+// bootDemo starts the binary, waits for the demo to finish (the prompt
+// follows the summary), quits, and returns what it printed up to the
+// summary; a zero exit proves the WAL closed cleanly.
+func bootDemo(t *testing.T, exe string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(exe, args...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -98,23 +116,24 @@ func TestFsyncFlagBoot(t *testing.T) {
 		cmd.Process.Kill() //nolint:errcheck — cleanup for early Fatals
 		cmd.Wait()         //nolint:errcheck
 	}()
-	// Wait for the demo to finish (the prompt follows the summary), then
-	// quit; a zero exit proves the WAL closed cleanly in fsync mode.
-	done := make(chan struct{})
+	done := make(chan string, 1)
 	go func() {
+		var seen strings.Builder
 		sc := bufio.NewScanner(out)
 		for sc.Scan() {
+			seen.WriteString(sc.Text() + "\n")
 			if strings.Contains(sc.Text(), "motifs") {
-				close(done)
+				done <- seen.String()
 				break
 			}
 		}
 		io.Copy(io.Discard, out) //nolint:errcheck — keep the pipe drained
 	}()
+	var seen string
 	select {
-	case <-done:
+	case seen = <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("demo never completed under -fsync")
+		t.Fatalf("demo never completed (%v)", args)
 	}
 	if _, err := io.WriteString(stdin, "quit\n"); err != nil {
 		t.Fatal(err)
@@ -129,6 +148,7 @@ func TestFsyncFlagBoot(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("plinda did not exit on quit")
 	}
+	return seen
 }
 
 // TestMetricsSmoke is the CI smoke check for the observability surface:

@@ -114,16 +114,18 @@ func runChaosScenario(t *testing.T, g faultGrain, sc chaosScenario) {
 // master's terminal failure left the workers blocked on a task tuple
 // that would never come (Server.Stop exists for that).
 //
-// The rate falls as the run grows, because a re-spawned PLET master
-// re-seeds the tree and every stale control tuple it has to read on the
-// way lengthens the next incarnation's stream: a master has to live
-// through ~70 store operations on the budget-1 tree (0.985^70, one
-// chance in three) and ~135 on the default grain's (0.996^135, a little
-// over one in two). Much above that the large run only ever exercises
-// the fail-loudly arm, after half a minute of respawns. The coin is
-// seeded, so which operations fail is fixed — the 24th at any rate
-// here — and only who is running them varies.
-func TestChaosLocalStoreErrRate(t *testing.T) { testChaosLocalStoreErrRate(t, grainDefault, 0.004) }
+// The rate is sized to the master's stream, because a re-spawned PLET
+// master re-seeds the tree and every stale control tuple it has to read
+// on the way lengthens the next incarnation's stream: a master has to
+// live through ~70 store operations on the budget-1 tree (24 tasks;
+// 0.985^70, one chance in three) and ~45 on the default grain's (14
+// bundles; 0.985^45, one in two), so both grains run at one rate. Much
+// above it the large run only ever exercises the fail-loudly arm, after
+// half a minute of respawns; much below it a single incarnation dies
+// and no master meets a stale control tuple. The coin is seeded, so
+// which operations fail is fixed — the 24th first — and only who is
+// running them varies.
+func TestChaosLocalStoreErrRate(t *testing.T) { testChaosLocalStoreErrRate(t, grainDefault, 0.015) }
 
 func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 	base, prob := g.problem(t, 81)
@@ -233,21 +235,24 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	defer srv.Close()
 
 	// What the first seeded task reports, for the kills to leave behind.
-	top0 := base.Children(base.Root())[0]
-	goods, scores, spilled := expandTask(nil, base, top0, g.budget)
-	if len(goods) == 0 {
+	const workers = 4
+	tasks := PLETTasks(base, workers, g.budget, 2)
+	stale := tasks[0].Ctl()
+	if len(tasks[0].Goods) == 0 {
 		t.Fatal("the first task reports no good pattern: a stale copy of its report would assert nothing")
 	}
-	kind := CtlExpanded
-	if len(spilled) == 0 {
-		kind = CtlPruned
+	// A run's control stream is one tuple per task: 25 at budget 1, and
+	// half the stream where a run makes fewer than 50 tasks.
+	period := int32(min(25, len(tasks)/2))
+	if period < 2 {
+		t.Fatalf("a run makes %d tasks: no kill can land mid-stream", len(tasks))
 	}
 
 	// Mid-run, the master's control-consumption transactions are the
 	// only ones committing zero outs (a worker's task transaction
 	// always publishes at least its control tuple; the poison exits
 	// only happen after the control stream is spent). Failing every
-	// 25th kills the master deep in the stream, over and over, each
+	// period-th kills the master deep in the stream, over and over, each
 	// time leaving the rest of that incarnation's control tuples stale
 	// in the space — and, so that the incarnation that finishes the run
 	// is sure to meet a repeated report that carries goods, two more
@@ -257,10 +262,10 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 		if n, ok := args[0].(int); !ok || n != 0 {
 			return nil
 		}
-		if ctl.Add(1)%25 == 0 && fired.Load() < 8 {
+		if ctl.Add(1)%period == 0 && fired.Load() < 8 {
 			fired.Add(1)
 			for range 2 {
-				if err := space.Out(context.Background(), TagCtl, kind, top0.Key(), spilled, goods, scores); err != nil {
+				if err := space.Out(context.Background(), stale...); err != nil {
 					t.Error(err)
 				}
 			}
@@ -270,7 +275,7 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	})
 	defer disarm()
 
-	res, err := RunPLET(srv, prob, 4)
+	res, err := RunPLET(srv, prob, workers)
 	if err != nil {
 		t.Fatalf("RunPLET with a repeatedly-killed master: %v", err)
 	}

@@ -20,7 +20,9 @@
 //   - PLinda master/worker programs mirroring figures 3.4/3.5 (PLED,
 //     as level-wise count distribution: the workers generate, prune
 //     and evaluate each level's candidates against the level's good
-//     set, the master only unions their reports) and 3.9/3.10 (PLET).
+//     set, the master only unions their reports) and 3.9/3.10 (PLET:
+//     a task is a bundle of frontier patterns a worker explores under a
+//     node budget, spilling what is left as two bundles).
 //   - Trace extraction and conversion to simulated NOW task graphs for
 //     the chapter 4 timing experiments (optimistic, load-balanced and
 //     adaptive-master strategies).
@@ -49,7 +51,8 @@ type Problem interface {
 	// Children returns the child patterns of p under the unique-parent
 	// generation relation. Every non-root pattern is generated exactly
 	// once, by its parent: PLED partitions a level's candidates by
-	// parent and never checks two chunks for a shared child. The order
+	// parent and never checks two chunks for a shared child, and PLET
+	// names a task by the first key of its bundle. The order
 	// must be deterministic — the same for the same p in every process
 	// and on every call — because a task's report is required to be a
 	// function of its tuple (see pletBudget, expandChunk). Children,

@@ -13,9 +13,93 @@ import (
 // Test-only exports for the external test package (core_test), which
 // has to be external to import the mining packages that import core.
 
-// ExpandTask is expandTask, unobserved.
-func ExpandTask(pr Problem, task Pattern, budget int) (goods []string, scores []float64, spilled []string) {
-	return expandTask(nil, pr, task, budget)
+// A PLETTask is one task of a PLET run replayed without a store: its
+// bundle, what expandTask reports for it, and the patterns it evaluated,
+// in order. Spilled is the unexplored stack, top first, before it is
+// dealt into bundles; Parent indexes the task that spilled this one in
+// PLETTasks' slice, -1 for a seed.
+type PLETTask struct {
+	Keys      []string
+	Goods     []string
+	Scores    []float64
+	Spilled   []string
+	Evaluated []string
+	Parent    int
+}
+
+// ID is the task's identity on the ctl tuple: its bundle's first key.
+func (t PLETTask) ID() string { return t.Keys[0] }
+
+// Spills is the bundles PLETWorker deals the task's unexplored stack
+// into.
+func (t PLETTask) Spills() [][]string { return deal(t.Spilled, 2) }
+
+// Ctl is the control tuple PLETWorker publishes for the task.
+func (t PLETTask) Ctl() tuplespace.Tuple {
+	_, ids := taskTuples(t.Spills())
+	kind := CtlExpanded
+	if len(ids) == 0 {
+		kind = CtlPruned
+	}
+	return tuplespace.Tuple{TagCtl, kind, t.ID(), ids, t.Goods, t.Scores}
+}
+
+type evalRecorder struct {
+	Problem
+	keys []string
+}
+
+func (r *evalRecorder) Goodness(pat Pattern) float64 {
+	r.keys = append(r.keys, pat.Key())
+	return r.Problem.Goodness(pat)
+}
+
+// ExpandTask runs one PLET task on its bundle the way PLETWorker does,
+// unobserved.
+func ExpandTask(pr Problem, keys []string, budget int) PLETTask {
+	stack := make([]Pattern, len(keys))
+	for i, key := range keys {
+		var err error
+		if stack[len(keys)-1-i], err = pr.(Decoder).Decode(key); err != nil {
+			panic(err) // keys the problem itself made
+		}
+	}
+	rec := &evalRecorder{Problem: pr}
+	t := PLETTask{Keys: keys, Parent: -1}
+	t.Goods, t.Scores, t.Spilled = expandTask(nil, rec, stack, budget)
+	t.Evaluated = rec.keys
+	return t
+}
+
+// PLETSeeds is the seed bundles RunPLET's master deals the root's
+// children into.
+func PLETSeeds(pr Problem, workers int) [][]string {
+	var keys []string
+	for _, c := range pr.Children(pr.Root()) {
+		keys = append(keys, c.Key())
+	}
+	return deal(keys, 2*workers)
+}
+
+// PLETTasks replays the task graph of a PLET run: tasks are pure
+// functions of their tuples, so one ExpandTask per task, the seeds
+// first and every task's spilled bundles behind them, yields it. spill
+// is how many bundles a spent budget deals its stack into; the
+// program's is 2.
+func PLETTasks(pr Problem, workers, budget, spill int) []PLETTask {
+	var tasks []PLETTask
+	for _, b := range PLETSeeds(pr, workers) {
+		tasks = append(tasks, PLETTask{Keys: b, Parent: -1})
+	}
+	for i := 0; i < len(tasks); i++ {
+		parent := tasks[i].Parent
+		tasks[i] = ExpandTask(pr, tasks[i].Keys, budget)
+		tasks[i].Parent = parent
+		for _, b := range deal(tasks[i].Spilled, spill) {
+			tasks = append(tasks, PLETTask{Keys: b, Parent: i})
+		}
+	}
+	return tasks
 }
 
 // PLETBudget returns the PLET task grain in force.

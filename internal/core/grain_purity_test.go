@@ -66,17 +66,17 @@ func inTreeProblems(t *testing.T) map[string]func() core.Problem {
 // TestExpandTaskIsPure checks, for every in-tree mining problem the
 // PLET program can run and for the package's toy problem, the invariant
 // its node budget exists for: what a task reports — good keys, scores,
-// spilled frontier — is a function of the task's key and the budget
-// alone. It must not depend on which
-// process expands the task (a fresh instance of the problem stands for
-// a remote worker), on what that process expanded before (the motif
-// problem caches occurrence counts), or on the order Children happens to
-// produce. The master's duplicate tolerance rests on it: a re-run task
-// may only report again what its first run reported.
+// spilled frontier — is a function of the task tuple's bundle and the
+// budget alone. Two goroutines run every task of a walk at once against
+// one instance of the problem (two workers of a run share it, so under
+// -race this is also Children and Goodness being safe to call
+// concurrently; the motif problem caches occurrence counts) and a third
+// report comes from a fresh instance, which stands for a remote worker;
+// all three must be equal. The master's duplicate tolerance rests on it:
+// a re-run task may only report again what its first run reported.
 //
-// The walk follows the spilled keys, so it also shows that the tasks of
-// a run cover the E-tree exactly once: the goods add up to
-// SolveETTSequential's.
+// The walk follows the spilled bundles, so it also shows that the tasks
+// of a run cover the E-tree: the goods add up to SolveETTSequential's.
 func TestExpandTaskIsPure(t *testing.T) {
 	for name, build := range inTreeProblems(t) {
 		t.Run(name, func(t *testing.T) {
@@ -86,34 +86,77 @@ func TestExpandTaskIsPure(t *testing.T) {
 			}
 			for _, budget := range []int{1, 7, core.PLETBudget()} {
 				a, b := build(), build()
-				var queue []string
-				for _, c := range a.Children(a.Root()) {
-					queue = append(queue, c.Key())
-				}
+				queue := core.PLETSeeds(a, 2)
 				good := 0
 				for len(queue) > 0 {
-					key := queue[0]
+					bundle := queue[0]
 					queue = queue[1:]
-					pat, err := a.(core.Decoder).Decode(key)
-					if err != nil {
-						t.Fatal(err)
+					var r [3]core.PLETTask
+					var wg sync.WaitGroup
+					for i, pr := range []core.Problem{a, a, b} {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							r[i] = core.ExpandTask(pr, bundle, budget)
+						}()
 					}
-					g1, s1, f1 := core.ExpandTask(a, pat, budget)
-					g2, s2, f2 := core.ExpandTask(b, pat, budget) // another process
-					g3, s3, f3 := core.ExpandTask(a, pat, budget) // the same one again, caches warm
-					if !reflect.DeepEqual(g1, g2) || !reflect.DeepEqual(s1, s2) || !reflect.DeepEqual(f1, f2) {
-						t.Fatalf("budget %d: task %q reports differently on a fresh instance:\n%v %v %v\n%v %v %v",
-							budget, key, g1, s1, f1, g2, s2, f2)
+					wg.Wait()
+					if !reflect.DeepEqual(r[0], r[1]) || !reflect.DeepEqual(r[0], r[2]) {
+						t.Fatalf("budget %d: task %q reports differently:\nconcurrently   %+v\n               %+v\nfresh instance %+v",
+							budget, bundle, r[0], r[1], r[2])
 					}
-					if !reflect.DeepEqual(g1, g3) || !reflect.DeepEqual(s1, s3) || !reflect.DeepEqual(f1, f3) {
-						t.Fatalf("budget %d: task %q reports differently when re-run:\n%v %v %v\n%v %v %v",
-							budget, key, g1, s1, f1, g3, s3, f3)
-					}
-					good += len(g1)
-					queue = append(queue, f1...)
+					good += len(r[0].Goods)
+					queue = append(queue, r[0].Spills()...)
 				}
 				if good != ett.Good {
 					t.Fatalf("budget %d: the tasks report %d good patterns, the E-tree has %d", budget, good, ett.Good)
+				}
+			}
+		})
+	}
+}
+
+// TestPLETTaskIDsUnique checks the identity argument of the bundle
+// protocol over every in-tree problem: a task is named, on its control
+// tuple and in the tracker, by its bundle's first key, and no first key
+// names two bundles of a run; every pattern of the E-tree is evaluated
+// by exactly one task; and the union of the reports is the E-tree's good
+// set. It holds at budget 1, where a bundle's first key is all its task
+// evaluates, as at the default.
+func TestPLETTaskIDsUnique(t *testing.T) {
+	for name, build := range inTreeProblems(t) {
+		t.Run(name, func(t *testing.T) {
+			ettRes, ett := core.SolveETTSequential(build())
+			want := make([]string, len(ettRes))
+			for i, r := range ettRes {
+				want[i] = r.Pattern.Key()
+			}
+			sort.Strings(want)
+			for _, budget := range []int{1, 7, core.PLETBudget()} {
+				ids, evaluated := map[string][]string{}, map[string]bool{}
+				var goods []string
+				for _, task := range core.PLETTasks(build(), 2, budget, 2) {
+					if other, dup := ids[task.ID()]; dup {
+						t.Errorf("budget %d: %q names the bundles %q and %q", budget, task.ID(), other, task.Keys)
+					}
+					ids[task.ID()] = task.Keys
+					if len(task.Evaluated) == 0 || task.Evaluated[0] != task.ID() {
+						t.Errorf("budget %d: task %q evaluated %q first, not its own first key", budget, task.Keys, task.Evaluated)
+					}
+					for _, key := range task.Evaluated {
+						if evaluated[key] {
+							t.Errorf("budget %d: %q is evaluated twice", budget, key)
+						}
+						evaluated[key] = true
+					}
+					goods = append(goods, task.Goods...)
+				}
+				if len(evaluated) != ett.Evaluated {
+					t.Errorf("budget %d: the tasks evaluate %d patterns, the E-tree has %d", budget, len(evaluated), ett.Evaluated)
+				}
+				sort.Strings(goods)
+				if !reflect.DeepEqual(goods, want) {
+					t.Errorf("budget %d: the tasks report %d good patterns, the E-tree has %d:\n%v\n%v", budget, len(goods), len(want), goods, want)
 				}
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,8 +29,9 @@ func withPLETBudget(t *testing.T, budget int) {
 // transaction per pattern, on the small trees they were written for —
 // the densest protocol, where a fault has the most transaction
 // boundaries to land on — and at the default budget on a tree of ~3.5k
-// patterns, large enough that tasks still spill frontiers (35–45 worker
-// transactions a run) so faults land between and inside real batches.
+// patterns, large enough that bundles still spill (10–14 worker
+// transactions a run, two or three of them a full budget) so faults land
+// between and inside real batches.
 // Every "the fault actually fired" assertion holds at both.
 type faultGrain struct {
 	budget int
@@ -106,7 +108,7 @@ func TestPLETGrainGuard(t *testing.T) {
 			// One worker and one master transaction per task (the last
 			// control transaction publishes the poison), the master's
 			// seed, and each worker's poison exit.
-			commits, tasks := srv.Commits(), pletTasks(base, tc.budget)
+			commits, tasks := srv.Commits(), pletTasks(base, workers, tc.budget)
 			t.Logf("%d evaluations, %d tasks, %d commits", ett.Evaluated, tasks, commits)
 			if want := 2*tasks + 1 + workers; commits != want {
 				t.Errorf("%d tasks made %d commits, the protocol makes %d", tasks, commits, want)
@@ -153,14 +155,15 @@ var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Spac
 
 // TestPLETWorkerKilledMidBatch kills the only worker while it is inside
 // the local expansion of its first batch, on a local Space and over
-// per-incarnation dialed sessions. The batch must vanish whole: when the
-// re-spawned incarnation starts evaluating, the space holds no ctl or
-// spilled task tuple of the aborted batch — only the seeded tasks, the
-// aborted one among them again — and the run still returns exactly
-// SolveSequential's results, having redone at most one budget of work.
-// The observer counts what committed, not what was attempted: core.tasks
-// is the run's task tuples and core.good its good patterns, exactly, the
-// aborted batch in neither.
+// per-incarnation dialed sessions. The batch must vanish whole and its
+// bundle reappear whole: when the re-spawned incarnation starts
+// evaluating, the space holds no ctl and no spilled bundle of the
+// aborted batch — only the seeded bundles, every key of the aborted one
+// among them again — and the run still returns exactly SolveSequential's
+// results, having redone the aborted batch and nothing else: at most one
+// budget of work. The observer counts what committed, not what was
+// attempted: core.tasks is the run's task tuples and core.good its good
+// patterns, exactly, the aborted batch in neither.
 func TestPLETWorkerKilledMidBatch(t *testing.T) {
 	const budget, killAt = 16, 5
 	for name, backend := range killBackends {
@@ -169,17 +172,16 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 			base := newToyProblem(8, 120, 0.06, 82)
 			seqRes, _ := SolveSequential(base)
 			_, ett := SolveETTSequential(base)
-			top := base.Children(base.Root())
 
-			// The single worker takes the first seeded task first (a
+			// The single worker takes the first seeded bundle first (a
 			// partition is a FIFO); what that batch would have
 			// committed, had it lived:
-			first := &countedToy{toyProblem: base}
-			goods, _, spilled := expandTask(nil, first, top[0], budget)
-			firstEvals := first.evals.Load()
-			if firstEvals <= killAt || len(goods) == 0 || len(spilled) == 0 {
-				t.Fatalf("scenario too small: first batch makes %d evaluations, %d goods, %d spilled tasks",
-					firstEvals, len(goods), len(spilled))
+			tasks := PLETTasks(base, 1, budget, 2)
+			seeds, first := [][]string{tasks[0].Keys, tasks[1].Keys}, tasks[0]
+			firstEvals := int64(len(first.Evaluated))
+			if tasks[1].Parent != -1 || len(first.Keys) < 2 || firstEvals <= killAt || len(first.Goods) == 0 || len(first.Spilled) == 0 {
+				t.Fatalf("scenario too small: seeds %v, first batch makes %d evaluations, %d goods, %d spilled keys",
+					seeds, firstEvals, len(first.Goods), len(first.Spilled))
 			}
 
 			mid, respawned := make(chan struct{}), make(chan struct{})
@@ -216,25 +218,29 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 			}
 			close(killed)
 			<-respawned
-			// The aborted task is back (a dropped session's abort runs on
+			// The aborted bundle is back (a dropped session's abort runs on
 			// the server's side, so give it a moment) and the re-spawned
-			// incarnation holds one task tentatively: nothing else may
+			// incarnation holds one bundle tentatively: nothing else may
 			// be there.
 			deadline := time.Now().Add(10 * time.Second)
-			for n, _ := space.Len(); n != len(top)-1; n, _ = space.Len() {
+			for n, _ := space.Len(); n != len(seeds)-1; n, _ = space.Len() {
 				if time.Now().After(deadline) {
-					t.Fatalf("space holds %d tuples after the abort, want the %d seeded tasks less the one in hand", n, len(top))
+					t.Fatalf("space holds %d tuples after the abort, want the %d seeded bundles less the one in hand", n, len(seeds))
 				}
 				time.Sleep(time.Millisecond)
 			}
 			ctx := context.Background()
+			if tu, ok, err := space.Rdp(ctx, TagTask, tuplespace.FormalStrings); err != nil || !ok ||
+				!slices.ContainsFunc(seeds, func(b []string) bool { return slices.Equal(b, tu[1].([]string)) }) {
+				t.Errorf("the task left in the space is %v (ok %v, err %v), want one of the seeded bundles %v, whole", tu, ok, err, seeds)
+			}
 			if tu, ok, err := space.Rdp(ctx, TagCtl, tuplespace.FormalString, tuplespace.FormalString,
 				tuplespace.FormalStrings, tuplespace.FormalStrings, tuplespace.FormalFloats); err != nil || ok {
 				t.Errorf("control tuple of the aborted batch is visible: %v (err %v)", tu, err)
 			}
-			for _, key := range spilled {
-				if _, ok, err := space.Rdp(ctx, TagTask, key); err != nil || ok {
-					t.Errorf("spilled task %s of the aborted batch is visible (err %v)", key, err)
+			for _, b := range first.Spills() {
+				if _, ok, err := space.Rdp(ctx, TagTask, b); err != nil || ok {
+					t.Errorf("spilled bundle %v of the aborted batch is visible (err %v)", b, err)
 				}
 			}
 			close(inspected)
@@ -253,11 +259,11 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 			if srv.Respawns() < 1 {
 				t.Error("the kill re-spawned nothing: the scenario asserted nothing")
 			}
-			if redone := p.evals.Load() - int64(ett.Evaluated); redone != firstEvals {
+			if redone := p.evals.Load() - int64(ett.Evaluated); redone != firstEvals || redone > budget {
 				t.Errorf("%d evaluations were redone, want the aborted batch's %d (at most one budget, %d)", redone, firstEvals, budget)
 			}
 			c := reg.Snapshot().Counters
-			if tasks := int64(pletTasks(base, budget)); c["core.tasks"] != tasks || c["core.good"] != int64(ett.Good) || c["core.results"] != int64(ett.Good) {
+			if tasks := int64(pletTasks(base, 1, budget)); c["core.tasks"] != tasks || c["core.good"] != int64(ett.Good) || c["core.results"] != int64(ett.Good) {
 				t.Errorf("observer read core.tasks %d, core.good %d, core.results %d; want the run's %d task tuples and %d good patterns, the aborted batch not counted",
 					c["core.tasks"], c["core.good"], c["core.results"], tasks, ett.Good)
 			}

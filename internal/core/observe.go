@@ -17,7 +17,7 @@ type coreObs struct {
 	evaluated *obs.Counter   // patterns whose goodness was computed
 	good      *obs.Counter   // patterns that passed the predicate (PLED, PLET: counted by the master after its commit — PLED a level's good keys at a time, duplicate and stale reports in none; PLET fresh keys only)
 	pruned    *obs.Counter   // patterns skipped by subpattern pruning (SolveEDT; a PLED worker drops them uncounted)
-	tasks     *obs.Counter   // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seeds and spilled frontiers
+	tasks     *obs.Counter   // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seed and spilled bundles
 	results   *obs.Counter   // results collected by masters, in keys, not result tuples (PLED: the keys the level's reports carried — only good patterns travel, so it moves with good; PLET: good patterns, fresh keys only)
 	goodness  *obs.Histogram // per-pattern evaluation latency
 }

@@ -86,8 +86,8 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 // pletBudget is the PLET task grain: how many patterns one worker
 // transaction evaluates before it commits. It is a node count, not a
 // time, on purpose: with Children's deterministic order a task's report
-// (goods, scores, spilled keys) is then a pure function of its key, so
-// a task run twice — a cluster 2PC re-run, a re-seeding master —
+// (goods, scores, spilled bundles) is then a pure function of its tuple,
+// so a task run twice — a cluster 2PC re-run, a re-seeding master —
 // reports the same frontier and goods the duplicate-tolerant tracker
 // and result list already saw. A wall-clock budget would let the re-run
 // spill keys other than those whose ctl already landed, and the master
@@ -97,11 +97,10 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 // it.
 var pletBudget = 512
 
-// expandTask explores the subtree under task depth-first until budget
-// patterns are evaluated, returning the good patterns found and the
-// keys of the unexplored DFS stack.
-func expandTask(o *coreObs, pr Problem, task Pattern, budget int) (goods []string, scores []float64, spilled []string) {
-	stack := []Pattern{task}
+// expandTask explores the subtrees under a DFS stack (its top last)
+// depth-first until budget patterns are evaluated, returning the good
+// patterns found and the keys of the unexplored stack, its top first.
+func expandTask(o *coreObs, pr Problem, stack []Pattern, budget int) (goods []string, scores []float64, spilled []string) {
 	for n := 0; n < budget && len(stack) > 0; n++ {
 		pat := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -111,22 +110,24 @@ func expandTask(o *coreObs, pr Problem, task Pattern, budget int) (goods []strin
 			stack = append(stack, pr.Children(pat)...)
 		}
 	}
-	for _, pat := range stack {
-		spilled = append(spilled, pat.Key())
+	for i := len(stack) - 1; i >= 0; i-- {
+		spilled = append(spilled, stack[i].Key())
 	}
 	return goods, scores, spilled
 }
 
 // PLETWorker returns the PLET worker body (figure 3.10 at the task
-// grain of section 4.3): one transaction takes a task, expands its
-// subtree locally under pletBudget, and commits the batch — the
-// unexplored frontier as task tuples and one control tuple that reports
-// the frontier as the task's child list (or a prune when nothing is
-// left), which is all the master's termination detection needs to know,
-// and carries the batch's good patterns on the same message. A killed
-// worker's transaction aborts: its task tuple reappears and at most one
-// budget of evaluations is redone. Exported for the same remote-worker
-// deployment as PLEDWorker.
+// grain of section 4.3): one transaction takes a task — a bundle of
+// frontier patterns — expands their subtrees locally under pletBudget,
+// and commits the batch: the unexplored frontier dealt into two bundles
+// (two, so that a subtree larger than the budget keeps splitting in half
+// and a second worker can always join it) and one control tuple that
+// reports their first keys as the task's child list (or a prune when
+// nothing is left), which is all the master's termination detection
+// needs, and carries the batch's good patterns. A killed worker's
+// transaction aborts: its task tuple reappears and at most one budget of
+// evaluations is redone. Exported for the same remote-worker deployment
+// as PLEDWorker.
 func PLETWorker(pr Problem) plinda.ProcFunc {
 	budget := pletBudget
 	return func(p *plinda.Proc) error {
@@ -139,34 +140,40 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			tu, err := p.In(TagTask, tuplespace.FormalString)
+			tu, err := p.In(TagTask, tuplespace.FormalStrings)
 			if err != nil {
 				return err
 			}
-			key := tu[1].(string)
-			if key == PoisonKey {
+			keys := tu[1].([]string)
+			if len(keys) == 0 {
+				return fmt.Errorf("core: malformed task tuple (empty bundle)")
+			}
+			if keys[0] == PoisonKey {
 				return p.Xcommit()
 			}
-			pat, err := dec.Decode(key)
-			if err != nil {
-				return err
+			stack := make([]Pattern, len(keys))
+			for i, key := range keys { // the first key on top
+				if stack[len(keys)-1-i], err = dec.Decode(key); err != nil {
+					return err
+				}
 			}
-			goods, scores, spilled := expandTask(o, pr, pat, budget)
-			if err := p.OutN(taskTuples(spilled)); err != nil {
+			goods, scores, spilled := expandTask(o, pr, stack, budget)
+			tasks, ids := taskTuples(deal(spilled, 2))
+			if err := p.OutN(tasks); err != nil {
 				return err
 			}
 			kind := CtlExpanded
-			if len(spilled) == 0 {
+			if len(ids) == 0 {
 				kind = CtlPruned
 			}
-			if err := p.Out(TagCtl, kind, key, spilled, goods, scores); err != nil {
+			if err := p.Out(TagCtl, kind, keys[0], ids, goods, scores); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
 				return err
 			}
 			if o != nil {
-				o.tasks.Add(int64(len(spilled)))
+				o.tasks.Add(int64(len(tasks)))
 			}
 		}
 	}
@@ -215,30 +222,42 @@ func decodePLEDCont(t tuplespace.Tuple, c *pledCont) error {
 	return nil
 }
 
-func taskTuples(keys []string) []tuplespace.Tuple {
-	ts := make([]tuplespace.Tuple, len(keys))
-	for i, k := range keys {
-		ts[i] = tuplespace.Tuple{TagTask, k}
+// deal splits keys round-robin into min(len, n) bundles, key i into
+// bundle i mod n: neighbours in a prefix-ordered list have subtrees of
+// like size. It serves the PLED level, the PLET seed and the PLET spill.
+func deal(keys []string, n int) [][]string {
+	n = min(len(keys), n)
+	bundles := make([][]string, n)
+	for i := range bundles {
+		bundles[i] = make([]string, 0, (len(keys)-i+n-1)/n)
+		for j := i; j < len(keys); j += n {
+			bundles[i] = append(bundles[i], keys[j])
+		}
 	}
-	return ts
+	return bundles
 }
 
-// levelTasks deals a level's good set round-robin into n = min(len,
-// 2·workers) PLED task tuples, each carrying the whole set next to its
-// share: a second chunk for every worker while the master unions the
-// first ones back, and parent i in chunk i mod n because the children of
-// a prefix-ordered level thin out towards its end (Apriori). The
-// multiplier is a constant: 2 is the one value the measured sweep has
-// near the best on both PLED workloads (DESIGN.md "PLED level grain").
+// taskTuples makes a PLET task tuple of each bundle and returns their
+// identities with them: a bundle's first key, which names no other
+// bundle because its own task evaluates it and Children is unique-parent.
+func taskTuples(bundles [][]string) (tasks []tuplespace.Tuple, ids []string) {
+	for _, b := range bundles {
+		tasks, ids = append(tasks, tuplespace.Tuple{TagTask, b}), append(ids, b[0])
+	}
+	return tasks, ids
+}
+
+// levelTasks deals a level's good set into n = min(len, 2·workers) PLED
+// task tuples, each carrying the whole set next to its share: a second
+// chunk for every worker while the master unions the first ones back,
+// and parent i in chunk i mod n because the children of a prefix-ordered
+// level thin out towards its end (Apriori). The multiplier is a
+// constant: 2 is the one value the measured sweep has near the best on
+// both PLED workloads (DESIGN.md "PLED level grain").
 func levelTasks(level int, good []string, workers int) []tuplespace.Tuple {
-	n := min(len(good), 2*workers)
-	ts := make([]tuplespace.Tuple, n)
-	for i := range ts {
-		parents := make([]string, 0, (len(good)-i+n-1)/n)
-		for j := i; j < len(good); j += n {
-			parents = append(parents, good[j])
-		}
-		ts[i] = tuplespace.Tuple{TagTask, level, i, parents, good}
+	ts := make([]tuplespace.Tuple, 0, 2*workers)
+	for i, parents := range deal(good, 2*workers) {
+		ts = append(ts, tuplespace.Tuple{TagTask, level, i, parents, good})
 	}
 	return ts
 }
@@ -411,11 +430,14 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 // parallel E-tree traversal program (PLET): workers expand good nodes
 // in place (figure 3.10, load-balanced variant of figure 4.7) and the
 // master of figure 3.9 performs termination detection by pruned-
-// subtree propagation. A worker transaction covers a budgeted subtree
-// (see PLETWorker), so the tracker's nodes are task keys and a task's
-// children are the frontier it spilled. Good patterns ride the control
-// tuple the tracker takes anyway: the master collects them as it goes,
-// and the transaction that takes the last one publishes the poison.
+// subtree propagation. A task is a bundle of frontier patterns: the
+// master deals the root's children into 2·workers of them (levelTasks'
+// constant), a worker transaction explores one under a node budget (see
+// PLETWorker), so the tracker's nodes are tasks, named by their first
+// key, and a task's children are the bundles it spilled. Good patterns
+// ride the control tuple the tracker takes anyway: the master collects
+// them as it goes, and the transaction that takes the last one publishes
+// the poison.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -440,7 +462,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 			poison := make([]tuplespace.Tuple, workers)
 			for i := range poison {
-				poison[i] = tuplespace.Tuple{TagTask, PoisonKey}
+				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
 			}
 			if o != nil && o.tracer != nil {
 				o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers, "results", len(results))
@@ -455,16 +477,17 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		for i, c := range top {
 			keys[i] = c.Key()
 		}
+		tasks, ids := taskTuples(deal(keys, 2*workers))
 		if o != nil {
-			o.tasks.Add(int64(len(top)))
+			o.tasks.Add(int64(len(tasks)))
 			if o.tracer != nil {
-				o.tracer.Record("master", "seed", 0, "program", "plet", "tasks", len(top))
+				o.tracer.Record("master", "seed", 0, "program", "plet", "tasks", len(tasks))
 			}
 		}
-		if err := p.OutN(taskTuples(keys)); err != nil {
+		if err := p.OutN(tasks); err != nil {
 			return err
 		}
-		track.Expanded(rootKey, keys)
+		track.Expanded(rootKey, ids)
 		if err := poisonIfDone(); err != nil {
 			return err
 		}
@@ -476,7 +499,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		// re-runs a worker whose report had already landed on a follower
 		// node, and a re-spawned master reads the previous incarnation's
 		// stale control tuples next to the re-run tasks' fresh ones. A
-		// task's report is a pure function of its key, so the first
+		// task's report is a pure function of its tuple, so the first
 		// report wins and the result set still equals SolveSequential's.
 		seen := make(map[string]bool)
 		for !track.Done() {

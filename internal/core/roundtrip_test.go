@@ -11,21 +11,11 @@ import (
 	"freepdm/internal/tuplespace"
 )
 
-// pletTasks walks the E-tree the way a PLET run does, one expandTask
-// per task, and returns how many tasks — seeds and spilled frontiers —
-// a run at this budget makes. Budget 1 makes one per pattern.
-func pletTasks(pr *toyProblem, budget int) int {
-	var queue []string
-	for _, c := range pr.Children(pr.Root()) {
-		queue = append(queue, c.Key())
-	}
-	n := 0
-	for ; n < len(queue); n++ {
-		pat, _ := pr.Decode(queue[n]) // keys this problem just made
-		_, _, spilled := expandTask(nil, pr, pat, budget)
-		queue = append(queue, spilled...)
-	}
-	return n
+// pletTasks replays the task graph of a PLET run (PLETTasks) and
+// returns how many tasks — seed bundles and spilled ones — a run with
+// these workers makes at this budget. Budget 1 makes one per pattern.
+func pletTasks(pr *toyProblem, workers, budget int) int {
+	return len(PLETTasks(pr, workers, budget, 2))
 }
 
 // roundTripBackends are the stores the round-trip guards run on: a local
@@ -66,7 +56,7 @@ func TestPLETRoundTripGuard(t *testing.T) {
 	seqRes, _ := SolveSequential(base)
 	const workers = 2
 	for _, budget := range []int{1, pletBudget} {
-		tasks := pletTasks(base, budget)
+		tasks := pletTasks(base, workers, budget)
 		for name, backend := range roundTripBackends {
 			t.Run(fmt.Sprintf("budget=%d/%s", budget, name), func(t *testing.T) {
 				withPLETBudget(t, budget)

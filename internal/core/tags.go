@@ -6,8 +6,10 @@ package core
 // lindalint's tuple-contract cross-reference has a single source of
 // truth. The wire contracts they name:
 //
-//	(TagTask, key string)                        PLET work unit; key PoisonKey terminates a PLET worker
-//	                                             (the poison cmd/plinda drains on a WAL restart is this one)
+//	(TagTask, keys []string)                     PLET work unit: a bundle of frontier patterns,
+//	                                             explored first key first; that key names the task
+//	                                             on its TagCtl tuple. The bundle [PoisonKey] ends a
+//	                                             PLET worker (cmd/plinda drains it at start-up)
 //	(TagTask, level int, chunk int,              PLED work unit: parents is chunk's share of the
 //	 parents []string, good []string)            good patterns of level and good is all of them
 //	                                             (level 0: both are the root's key); the worker
@@ -20,10 +22,11 @@ package core
 //	                                             first report of each chunk of the open level
 //	                                             and consumes any other unread
 //	(TagCtl, kind string, key string,            PLET task report, one per task: termination
-//	 spilled []string,                           control and goodness report on one message.
-//	 goods []string, scores []float64)           kind CtlExpanded carries the spilled task keys,
-//	                                             kind CtlPruned carries nil; goods and scores are
-//	                                             the task's good patterns, parallel slices
+//	 spilled []string,                           control and goodness report on one message. key
+//	 goods []string, scores []float64)           is the task's first key; kind CtlExpanded carries
+//	                                             the first keys of the bundles it spilled, kind
+//	                                             CtlPruned carries nil; goods and scores are the
+//	                                             task's good patterns, parallel slices
 //
 // The two programs share TagTask under two shapes (two and five fields);
 // a template of one never matches a tuple of the other.
@@ -40,14 +43,14 @@ const (
 
 	// CtlExpanded and CtlPruned are the control-tuple kinds: every
 	// task produces exactly one TagCtl tuple, an expansion listing
-	// the task keys it spilled (its children, to the tracker) or a
-	// prune when its whole subtree was explored, with the good patterns
-	// it found either way.
+	// the bundles it spilled by their first keys (its children, to the
+	// tracker) or a prune when all its subtrees were explored, with the
+	// good patterns it found either way.
 	CtlExpanded = "expanded"
 	CtlPruned   = "pruned"
 
-	// PoisonKey is the reserved task key that terminates a worker: on
-	// its own to PLET, as the parents of a chunk of one to PLED.
+	// PoisonKey is the reserved task key that terminates a worker: as a
+	// bundle of one to PLET, as the parents of a chunk of one to PLED.
 	// The NUL prefix keeps it out of every Decoder's key space.
 	PoisonKey = "\x00poison"
 )

@@ -72,7 +72,10 @@ func TestRunAllMarksSuppressed(t *testing.T) {
 // embedded graph relies on: the task fan-out from the PLED/PLET
 // masters to their workers — for PLED the five-field task, produced by
 // every level, the seed included, in levelTasks and by the poison in
-// RunPLED — and the bold (blocking) five-field result edge back.
+// RunPLED; for PLET the bundle task, which taskTuples makes of what deal
+// dealt for the seed and for every spill (deal itself builds no tuple,
+// so it is not a node), and the poison bundle in RunPLET — and the bold
+// (blocking) result and ctl edges back.
 func TestDOTDeterministic(t *testing.T) {
 	loader := testLoader(t)
 	pkgs, err := loader.Load(filepath.Join("..", "core"))
@@ -91,6 +94,9 @@ func TestDOTDeterministic(t *testing.T) {
 		`"freepdm/internal/core.RunPLED" -> "freepdm/internal/core.PLEDWorker" [label="task", style=bold]`,
 		`"freepdm/internal/core.levelTasks" -> "freepdm/internal/core.PLEDWorker" [label="task", style=bold]`,
 		`"freepdm/internal/core.PLEDWorker" -> "freepdm/internal/core.RunPLED" [label="result", style=bold]`,
+		`"freepdm/internal/core.RunPLET" -> "freepdm/internal/core.PLETWorker" [label="task", style=bold]`,
+		`"freepdm/internal/core.taskTuples" -> "freepdm/internal/core.PLETWorker" [label="task", style=bold]`,
+		`"freepdm/internal/core.PLETWorker" -> "freepdm/internal/core.RunPLET" [label="ctl", style=bold]`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q", want)

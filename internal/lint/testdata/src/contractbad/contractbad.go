@@ -69,3 +69,19 @@ func StaleChunkTemplates(s *tuplespace.Space, parents, good, goods []string, sco
 	_, err := s.In(context.Background(), "report", tuplespace.FormalStrings, tuplespace.FormalFloats)
 	return err
 }
+
+// StaleKeyTemplates are a worker and a start-up drain left on the
+// one-key PLET task after the producer moved to bundles of keys: the
+// arity still agrees, the field type does not. The bundle goes under
+// "frontier" here: this fixture's "task" tag belongs to the chunk case
+// above.
+func StaleKeyTemplates(s *tuplespace.Space, keys []string) error {
+	if err := s.Out(context.Background(), "frontier", keys); err != nil {
+		return err
+	}
+	if _, err := s.In(context.Background(), "frontier", tuplespace.FormalString); err != nil {
+		return err
+	}
+	_, _, err := s.Inp(context.Background(), "frontier", "\x00poison")
+	return err
+}

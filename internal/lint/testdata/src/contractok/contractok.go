@@ -71,12 +71,36 @@ func Collect(s *tuplespace.Space) ([]string, error) {
 	return tu[4].([]string), nil
 }
 
+// Bundles, Explore and DrainPoison are the PLET task contract: a bundle
+// of frontier keys against a slice formal, and the poison bundle a
+// start-up drain takes with a slice actual. The two-field "task" shares
+// its tag and arity with RoundTrip's; field 1's type tells them apart.
+func Bundles(s *tuplespace.Space, bundles [][]string) error {
+	tasks := make([]tuplespace.Tuple, len(bundles))
+	for i, keys := range bundles {
+		tasks[i] = tuplespace.Tuple{"task", keys}
+	}
+	return s.OutN(context.Background(), tasks)
+}
+
+func Explore(s *tuplespace.Space) ([]string, error) {
+	tu, err := s.In(context.Background(), "task", tuplespace.FormalStrings)
+	if err != nil {
+		return nil, err
+	}
+	return tu[1].([]string), nil
+}
+
+func DrainPoison(s *tuplespace.Space) (bool, error) {
+	_, ok, err := s.Inp(context.Background(), "task", []string{"\x00poison"})
+	return ok, err
+}
+
 // Deal, Expand and Union are the PLED contracts at their five-field
 // arity: a chunk of a level's good set next to the whole set one way,
 // the good children and their scores back, ints and slices against int
-// and slice formals. The five-field "task" shares its tag with
-// RoundTrip's two-field one; neither template matches the other's
-// tuple.
+// and slice formals. The five-field "task" shares its tag with the
+// two-field ones above; neither template matches the other's tuple.
 func Deal(s *tuplespace.Space, level int, chunks [][]string, good []string) error {
 	tasks := make([]tuplespace.Tuple, len(chunks))
 	for i, parents := range chunks {

@@ -47,28 +47,61 @@ func TestAllTasksComplete(t *testing.T) {
 	}
 }
 
+// TestRetreatsForceStateReload checks the retreat accounting on what
+// holds under every schedule. A piranha loads the state once per stay —
+// on joining and after every retreat that finds work left — and retreats
+// at most once per stay, so Retreats <= StateLoads <= width + Retreats:
+// were a rejoin to skip the reload, the loads would stop at the width
+// while the retreats went on. (StateLoads == width + Retreats is not an
+// invariant: a piranha whose last act is a retreat, or that starts after
+// the bag is empty, loads one time fewer.) The owners return from inside
+// Work, on the first task of each of the first stays, two events each:
+// the signaller takes the second only after it has raised the flag for
+// the first, so with one piranha the flag is up when Work returns, every
+// return is a retreat with most of the bag left, and work after it must
+// run on a state loaded since.
 func TestRetreatsForceStateReload(t *testing.T) {
-	var loads atomic.Int64
-	retreats := make(chan struct{}, 16)
-	for i := 0; i < 6; i++ {
-		retreats <- struct{}{}
+	type stay struct {
+		n         int64
+		signalled atomic.Bool
 	}
-	close(retreats)
-	results, st, err := Run(squareCfg(&loads), squareTasks(200), 3, retreats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 200 {
-		t.Fatalf("lost results: %d", len(results))
-	}
-	// Every retreat that was observed forced a state reload beyond the
-	// initial 3 joins.
-	if st.Retreats > 0 && int(loads.Load()) < 3+st.Retreats {
-		t.Fatalf("loads=%d retreats=%d: retreats did not pay the reload cost",
-			loads.Load(), st.Retreats)
-	}
-	if st.StateLoads != int(loads.Load()) {
-		t.Fatalf("stats.StateLoads=%d loads=%d", st.StateLoads, loads.Load())
+	const owners = 3
+	for _, width := range []int{1, 3} {
+		var loads atomic.Int64
+		retreats := make(chan struct{})
+		cfg := Config{
+			LoadState: func() any { return &stay{n: loads.Add(1)} },
+			Work: func(state any, task Task) (any, error) {
+				s := state.(*stay)
+				if width == 1 && s.n != loads.Load() {
+					return nil, errors.New("work on a state loaded before the last retreat")
+				}
+				if s.n <= owners && s.signalled.CompareAndSwap(false, true) {
+					retreats <- struct{}{}
+					retreats <- struct{}{}
+				}
+				v := task.Payload.(int)
+				return v * v, nil
+			},
+		}
+		results, st, err := Run(cfg, squareTasks(200), width, retreats)
+		close(retreats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 200 {
+			t.Fatalf("width %d: lost results: %d", width, len(results))
+		}
+		if st.StateLoads != int(loads.Load()) {
+			t.Fatalf("width %d: stats.StateLoads=%d loads=%d", width, st.StateLoads, loads.Load())
+		}
+		if st.StateLoads < st.Retreats || st.StateLoads > width+st.Retreats {
+			t.Fatalf("width %d: loads=%d retreats=%d: want one load per join and per retreat that found work left",
+				width, st.StateLoads, st.Retreats)
+		}
+		if width == 1 && st.Retreats < owners {
+			t.Fatalf("%d owners returned, %d retreats: the scenario asserted nothing", owners, st.Retreats)
+		}
 	}
 }
 

@@ -175,15 +175,19 @@ func TestLeaseExpiryAbortsTxn(t *testing.T) {
 
 // TestLeaseHeartbeatKeepsSessionAlive is the inverse: background pings
 // refresh the lease, so a quiet-but-alive client outlives many lease
-// periods.
+// periods. The lease is forty heartbeats long: the claim is that pings
+// keep a session alive, not that this machine schedules the pinger
+// within a few tens of milliseconds, which a race build on two busy
+// CPUs does not always do.
 func TestLeaseHeartbeatKeepsSessionAlive(t *testing.T) {
 	_, addr := startSessionServer(t)
-	c, err := DialOpts(addr, DialOptions{Lease: 60 * time.Millisecond})
+	const lease = 400 * time.Millisecond
+	c, err := DialOpts(addr, DialOptions{Lease: lease, Heartbeat: lease / 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	time.Sleep(300 * time.Millisecond) // several lease periods, pinger active
+	time.Sleep(3*lease + lease/8) // several lease periods, pinger active
 	if err := c.Out(context.Background(), "alive", 1); err != nil {
 		t.Fatalf("session died despite heartbeats: %v", err)
 	}

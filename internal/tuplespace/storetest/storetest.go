@@ -199,6 +199,34 @@ func Run(t *testing.T, open Factory) {
 		}
 	})
 
+	// A slice actual selects by value: the PLET poison is
+	// ("task", [PoisonKey]) among ("task", keys) bundles, and a start-up
+	// drain takes the one and must leave the others.
+	t.Run("SliceActualSelectsByValue", func(t *testing.T) {
+		s, ctx := open(t), testCtx(t)
+		for _, keys := range [][]string{{"a", "b"}, {"\x00poison"}, {"\x00poison", "a"}} {
+			if err := s.Out(ctx, "task", keys); err != nil {
+				t.Fatalf("Out: %v", err)
+			}
+		}
+		if _, ok, err := s.Inp(ctx, "task", []string{"a"}); err != nil || ok {
+			t.Fatalf("Inp of a prefix of a slice field = ok=%v err=%v, want miss", ok, err)
+		}
+		tu, ok, err := s.Inp(ctx, "task", []string{"\x00poison"})
+		if err != nil || !ok {
+			t.Fatalf("Inp = ok=%v err=%v, want hit", ok, err)
+		}
+		if keys, _ := tu[1].([]string); len(keys) != 1 || keys[0] != "\x00poison" {
+			t.Fatalf("Inp returned %v, want the one-key slice", tu)
+		}
+		if _, ok, err := s.Inp(ctx, "task", []string{"\x00poison"}); err != nil || ok {
+			t.Fatalf("second Inp = ok=%v err=%v, want miss", ok, err)
+		}
+		if n, err := s.Len(); err != nil || n != 2 {
+			t.Fatalf("Len = %d (err %v), want the 2 other slices left", n, err)
+		}
+	})
+
 	t.Run("CrossTemplate", func(t *testing.T) {
 		s, ctx := open(t), testCtx(t)
 		if err := s.OutN(ctx, []tuplespace.Tuple{{"alpha", 1}, {"beta", 2}}); err != nil {
