@@ -45,6 +45,15 @@ type Pattern interface {
 // Problem is a pattern-lattice data mining application: the four
 // elements of section 3.1.2 plus the unique-parent child relation that
 // turns the pattern lattice into an E-tree.
+//
+// Every worker of a run calls one instance at once, the way the
+// dissertation's workers share nothing but the tuple space: Children,
+// Subpatterns, Goodness, Good and Decode are pure and safe for
+// concurrent use, and take no process-wide lock and write no shared map
+// per call. A memo is per-worker or lock-free to read, and bounded by
+// the patterns evaluated; a counter is an atomic or lives with the
+// observer. TestKernelTakesNoLock and TestGoodnessAllocs hold the
+// in-tree problems to it.
 type Problem interface {
 	// Root returns the zero-length pattern, which is always good.
 	Root() Pattern
@@ -55,8 +64,7 @@ type Problem interface {
 	// names a task by the first key of its bundle. The order
 	// must be deterministic — the same for the same p in every process
 	// and on every call — because a task's report is required to be a
-	// function of its tuple (see pletBudget, expandChunk). Children,
-	// Subpatterns and Goodness are called from several workers at once.
+	// function of its tuple (see pletBudget, expandChunk).
 	Children(p Pattern) []Pattern
 	// Subpatterns returns all immediate subpatterns of p (those of
 	// length Len(p)-1). The E-dag traversal evaluates p only when all

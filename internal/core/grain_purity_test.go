@@ -70,7 +70,8 @@ func inTreeProblems(t *testing.T) map[string]func() core.Problem {
 // budget alone. Two goroutines run every task of a walk at once against
 // one instance of the problem (two workers of a run share it, so under
 // -race this is also Children and Goodness being safe to call
-// concurrently; the motif problem caches occurrence counts) and a third
+// concurrently with no lock around them; motif-mut memoises occurrence
+// counts in a sync.Map, the one shared write in the tree) and a third
 // report comes from a fresh instance, which stands for a remote worker;
 // all three must be equal. The master's duplicate tolerance rests on it:
 // a re-run task may only report again what its first run reported.

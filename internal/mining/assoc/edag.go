@@ -12,11 +12,16 @@ import (
 type Problem struct {
 	DB         *DB
 	MinSupport int
+	total      int // summed length of DB.Txns, for Cost
 }
 
 // NewProblem binds the framework adapter to a database.
 func NewProblem(db *DB, minSupport int) *Problem {
-	return &Problem{DB: db, MinSupport: minSupport}
+	pr := &Problem{DB: db, MinSupport: minSupport}
+	for _, t := range db.Txns {
+		pr.total += len(t)
+	}
+	return pr
 }
 
 type pattern struct{ s Itemset }
@@ -87,11 +92,7 @@ func (pr *Problem) Good(p core.Pattern, goodness float64) bool {
 // Cost implements core.CostModel: support counting scans the database
 // once per pattern.
 func (pr *Problem) Cost(p core.Pattern) float64 {
-	total := 0
-	for _, t := range pr.DB.Txns {
-		total += len(t)
-	}
-	return float64(total) * float64(p.Len()+1) * 1e-7
+	return float64(pr.total) * float64(p.Len()+1) * 1e-7
 }
 
 // FrequentSets converts traversal results into FrequentSet form.

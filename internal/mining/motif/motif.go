@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"freepdm/internal/core"
 	"freepdm/internal/seq"
@@ -54,16 +55,19 @@ type Problem struct {
 	Seqs   []string
 	Params Params
 	gst    *seq.GST
+	total  int // summed length of Seqs, for Cost
 
 	// SubpatternPruning enables the optimization heuristic of section
 	// 2.3.4: if a pattern's parent occurrence number is already below
 	// the minimum, matching is skipped (the cached bound is returned).
+	// Off, Goodness reads immutable data and bumps occCnt, nothing else.
 	SubpatternPruning bool
 
-	mu     sync.Mutex
-	occCnt int // Goodness invocations that ran the matcher (for ablations)
-	skips  int // matcher runs avoided by the pruning heuristic
-	cache  map[string]int
+	occCnt atomic.Int64 // Goodness invocations that ran the matcher (for ablations)
+	skips  atomic.Int64 // matcher runs avoided by the pruning heuristic
+	// cache maps a segment to its occurrence number or bound (int). Only
+	// SubpatternPruning writes it: one entry per pattern evaluated.
+	cache sync.Map
 }
 
 // NewProblem builds the discovery problem, constructing the candidate
@@ -74,12 +78,11 @@ func NewProblem(seqs []string, params Params) *Problem {
 	if params.SampleSize > 0 && params.SampleSize < len(seqs) {
 		sample = seqs[:params.SampleSize]
 	}
-	return &Problem{
-		Seqs:   seqs,
-		Params: params,
-		gst:    seq.BuildGST(sample),
-		cache:  map[string]int{},
+	total := 0
+	for _, s := range seqs {
+		total += len(s)
 	}
+	return &Problem{Seqs: seqs, Params: params, gst: seq.BuildGST(sample), total: total}
 }
 
 // pattern is a segment motif *S*.
@@ -144,17 +147,14 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		// always good, but the suffix subpattern may already be cached
 		// from another branch; if either bound is below the minimum,
 		// skip the expensive matcher.
-		pr.mu.Lock()
-		bound, ok := pr.cache[s[:len(s)-1]]
-		if suffOcc, sok := pr.cache[s[1:]]; sok && (!ok || suffOcc < bound) {
-			bound, ok = suffOcc, true
+		pre, ok := pr.cache.Load(s[:len(s)-1])
+		bound, _ := pre.(int)
+		if suf, sok := pr.cache.Load(s[1:]); sok && (!ok || suf.(int) < bound) {
+			bound, ok = suf.(int), true
 		}
-		pr.mu.Unlock()
 		if ok && bound < pr.Params.MinOccur {
-			pr.mu.Lock()
-			pr.skips++
-			pr.cache[s] = bound
-			pr.mu.Unlock()
+			pr.skips.Add(1)
+			pr.cache.Store(s, bound)
 			return float64(bound)
 		}
 	}
@@ -172,10 +172,10 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		m := seq.Motif{Segments: []string{s}}
 		occ = m.OccurrenceNo(pr.Seqs, pr.Params.MaxMut)
 	}
-	pr.mu.Lock()
-	pr.occCnt++
-	pr.cache[s] = occ
-	pr.mu.Unlock()
+	pr.occCnt.Add(1)
+	if pr.SubpatternPruning {
+		pr.cache.Store(s, occ)
+	}
 	return float64(occ)
 }
 
@@ -196,20 +196,14 @@ func (pr *Problem) Cost(p core.Pattern) float64 {
 	if m == 0 {
 		return 0
 	}
-	total := 0
-	for _, s := range pr.Seqs {
-		total += len(s)
-	}
 	band := float64(pr.Params.MaxMut + 1)
-	return float64(m) * float64(total) * band * 1e-7
+	return float64(m) * float64(pr.total) * band * 1e-7
 }
 
 // MatcherRuns reports how many goodness evaluations actually ran the
 // matcher, and how many the subpattern-pruning heuristic skipped.
 func (pr *Problem) MatcherRuns() (ran, skipped int) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.occCnt, pr.skips
+	return int(pr.occCnt.Load()), int(pr.skips.Load())
 }
 
 // ActiveMotifs filters traversal results down to the motifs the user

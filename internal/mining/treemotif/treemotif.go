@@ -42,6 +42,7 @@ type Problem struct {
 	Trees  []*rnatree.Tree
 	Params Params
 	labels []string
+	total  int // summed size of Trees, for Cost
 }
 
 // NewProblem builds the discovery problem; candidate node labels are
@@ -49,7 +50,9 @@ type Problem struct {
 func NewProblem(trees []*rnatree.Tree, params Params) *Problem {
 	seen := map[string]bool{}
 	var labels []string
+	total := 0
 	for _, t := range trees {
+		total += t.Size()
 		for _, n := range t.Nodes() {
 			if !seen[n.Label] {
 				seen[n.Label] = true
@@ -65,7 +68,7 @@ func NewProblem(trees []*rnatree.Tree, params Params) *Problem {
 			}
 		}
 	}
-	return &Problem{Trees: trees, Params: params.withDefaults(), labels: labels}
+	return &Problem{Trees: trees, Params: params.withDefaults(), labels: labels, total: total}
 }
 
 type pattern struct {
@@ -224,11 +227,7 @@ func (pr *Problem) Cost(p core.Pattern) float64 {
 	if m == 0 {
 		return 0
 	}
-	total := 0
-	for _, t := range pr.Trees {
-		total += t.Size()
-	}
-	return float64(m*m) * float64(total) * float64(pr.Params.MaxDist+1) * 1e-6
+	return float64(m*m) * float64(pr.total) * float64(pr.Params.MaxDist+1) * 1e-6
 }
 
 // ActiveMotifs filters traversal results to motifs meeting the size
