@@ -17,11 +17,12 @@ import (
 // read while Cost still re-summed the database on every call) and the
 // heap allocations of one Goodness, one Children and one Subpatterns
 // call. The counts are exact where the call is a function of the
-// pattern's shape alone and upper bounds where a matcher's allocations
-// follow the database (motif-mut, treemotif). Of motif-mut's 190, 2 are
-// the sync.Map store SubpatternPruning makes per evaluation — the boxed
-// key and the entry; a count above 255 would box too — and 188 the
-// mutation matcher; with pruning off Goodness stores nothing.
+// pattern's shape alone and an upper bound where a matcher's allocations
+// follow the database (treemotif). motif-mut's 2 are the sync.Map store
+// SubpatternPruning makes per evaluation — the boxed key and the entry;
+// a count above 255 would box too — and the mutation matcher, Myers'
+// bit-vector kernel, takes nothing from the heap for a segment of up to
+// 64 letters; with pruning off Goodness allocates nothing.
 var kernelPatterns = map[string]struct {
 	key                             string
 	cost                            float64
@@ -30,7 +31,7 @@ var kernelPatterns = map[string]struct {
 }{
 	"toy":         {"{0,1}", 0.036000000000000004, 0, 25, 6, true},
 	"motif-exact": {"DWLVEV", 0.0011358, 0, 16, 3, true},
-	"motif-mut":   {"LLWET", 0.0028395, 190, 4, 3, false},
+	"motif-mut":   {"LLWET", 0.0028395, 2, 4, 3, true},
 	"assoc":       {"{0,1,2}", 0.0003268, 0, 25, 7, true},
 	"episode":     {"<1 3>", 0.00015, 0, 13, 7, true},
 	"treemotif":   {"B(H)", 0.000192, 5452, 145, 5, false},

@@ -168,9 +168,8 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		} else {
 			occ = seq.NaiveSeqCount(pr.Seqs, s)
 		}
-	} else {
-		m := seq.Motif{Segments: []string{s}}
-		occ = m.OccurrenceNo(pr.Seqs, pr.Params.MaxMut)
+	} else { // the one-segment slice stays on the stack: the matcher keeps no reference
+		occ = seq.Motif{Segments: []string{s}}.OccurrenceNo(pr.Seqs, pr.Params.MaxMut)
 	}
 	pr.occCnt.Add(1)
 	if pr.SubpatternPruning {
@@ -191,6 +190,7 @@ func (pr *Problem) Good(p core.Pattern, goodness float64) bool {
 // the database costs ~ m * total sequence length (times the mutation
 // band). Units are arbitrary; the experiments scale them to reference
 // seconds.
+// It models the paper's reference machine, which internal/now is calibrated on, not seq's kernel.
 func (pr *Problem) Cost(p core.Pattern) float64 {
 	m := p.Len()
 	if m == 0 {

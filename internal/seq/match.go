@@ -46,107 +46,94 @@ func (m Motif) Len() int {
 // non-overlapping, left-to-right positions; the mutation budget is
 // shared across segments.
 func (m Motif) MatchesWithin(s string, mut int) bool {
-	if m.Len() == 0 {
-		return true
-	}
-	// state[j] = minimal mutations spent so far for a parse of the
-	// segments consumed so far that ends at or before position j of s.
-	// Process segments in order; for each, run a semi-global edit DP
-	// whose start positions are the allowed continuation points.
-	n := len(s)
-	const inf = 1 << 30
-	// best[j]: minimal cost to have matched the segments so far with
-	// the last match ending at position <= j (prefix-min form).
-	best := make([]int, n+1)
-	for j := range best {
-		best[j] = 0 // zero segments matched costs nothing, any start
-	}
-	cur := make([]int, n+1)
-	prev := make([]int, n+1)
-	for _, seg := range m.Segments {
-		mlen := len(seg)
-		// prev/cur rows of the edit DP over the segment (rows) and s
-		// (cols). Row 0: starting a match at position j costs best[j]
-		// (mutations already spent before this segment).
-		for j := 0; j <= n; j++ {
-			prev[j] = best[j]
-		}
-		nextBest := make([]int, n+1)
-		for j := range nextBest {
-			nextBest[j] = inf
-		}
-		for i := 1; i <= mlen; i++ {
-			cur[0] = prev[0] + 1 // deletion of segment letter
-			for j := 1; j <= n; j++ {
-				sub := prev[j-1]
-				if seg[i-1] != s[j-1] {
-					sub++
-				}
-				del := prev[j] + 1 // delete segment letter
-				ins := cur[j-1] + 1
-				v := sub
-				if del < v {
-					v = del
-				}
-				if ins < v {
-					v = ins
-				}
-				cur[j] = v
-			}
-			prev, cur = cur, prev
-		}
-		// prev now holds the final row: cost of matching this segment
-		// ending exactly at position j. Convert to prefix-min for the
-		// next segment's free start (the * between them).
-		run := inf
-		for j := 0; j <= n; j++ {
-			if prev[j] < run {
-				run = prev[j]
-			}
-			nextBest[j] = run
-		}
-		best = nextBest
-	}
-	return best[n] <= mut
+	return m.OccurrenceNo([]string{s}, mut) == 1
 }
 
 // OccurrenceNo is occurrence_no^mut_S(P): the number of sequences in
 // the set that contain the motif within mut mutations.
+//
+// It decides MatchesWithin's edit DP — segment k's row 0 at column j is
+// the least cost of segments 1..k-1 ending at or before j — a column at
+// a time with Myers' bit-vector algorithm (J. ACM 46(3), 1999): each
+// 64-letter block of a segment keeps the column's vertical deltas as
+// two masks, and the horizontal delta leaving one block's last row
+// enters the next block's first. After a segment's last block the DP
+// needs only its running minimum, whose step (0 or -1) enters the next
+// segment in the same way; once the last one is within mut, s matches.
+// A last block shorter than 64 is read at row 64 all the same: its rows
+// past the segment match no letter, and each such row adds exactly one
+// to the running minimum of the row above, so the steps are the same.
 func (m Motif) OccurrenceNo(seqs []string, mut int) int {
-	c := 0
+	if l := m.Len(); l == 0 || l <= mut { // row 0 and column 0 already cost l
+		return len(seqs)
+	}
+	var one [1]block // a segment of up to 64 letters takes no heap
+	bs := one[:0]
+	for _, seg := range m.Segments {
+		for lo := 0; lo < len(seg); lo += 64 {
+			var b block
+			for i := lo; i < min(lo+64, len(seg)); i++ {
+				b.peq[seg[i]] |= 1 << (i - lo)
+			}
+			if lo+64 >= len(seg) {
+				b.seg = len(seg)
+			}
+			bs = append(bs, b)
+		}
+	}
+	last, c := &bs[len(bs)-1], 0
 	for _, s := range seqs {
-		if m.MatchesWithin(s, mut) {
+		row0 := 0
+		for i := range bs {
+			bs[i].pv, bs[i].mv = ^uint64(0), 0 // column 0 climbs by one a row
+			row0 += bs[i].seg
+			bs[i].score, bs[i].run = row0, row0
+		}
+		for j := 0; j < len(s) && last.run > mut; j++ {
+			var hp, hm uint64 // the first segment's row 0 is all zeros
+			for i := range bs {
+				b := &bs[i]
+				b.pv, b.mv, hp, hm = advance(b.pv, b.mv, b.peq[s[j]], hp, hm)
+				if b.seg > 0 {
+					b.score += int(hp) - int(hm)
+					hp, hm = 0, 0
+					if b.score < b.run {
+						b.run, hm = b.score, 1
+					}
+				}
+			}
+		}
+		if last.run <= mut {
 			c++
 		}
 	}
 	return c
 }
 
-// EditDistance is the unit-cost Levenshtein distance, exposed for the
-// property tests of the matcher.
-func EditDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			sub := prev[j-1]
-			if a[i-1] != b[j-1] {
-				sub++
-			}
-			v := sub
-			if prev[j]+1 < v {
-				v = prev[j] + 1
-			}
-			if cur[j-1]+1 < v {
-				v = cur[j-1] + 1
-			}
-			cur[j] = v
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
+// block is 64 rows of one segment in OccurrenceNo, peq[c] marking the
+// rows whose letter is c, pv and mv the column's vertical deltas. A
+// segment's last block has seg set to its length, the cost of the
+// segment ending at the current column (as row 64 reads it) in score,
+// and the least cost ending at or before it in run.
+type block struct {
+	peq             [256]uint64
+	pv, mv          uint64
+	seg, score, run int
+}
+
+// advance is Myers' step of one block by one text letter. pv and mv
+// mark the rows whose cell is one more and one less than the cell above
+// it, eq the rows whose letter is the text's, and hp or hm is set when
+// the cell above the first row is one more or one less than its left
+// neighbour. It returns the next column's pv and mv, and hp and hm of
+// its last row.
+func advance(pv, mv, eq, hp, hm uint64) (uint64, uint64, uint64, uint64) {
+	eq |= hm // a -1 from above opens the first row's diagonal
+	xv := eq | mv
+	xh := (eq&pv + pv) ^ pv | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	hpOut, hmOut := ph>>63, mh>>63
+	ph, mh = ph<<1|hp, mh<<1|hm
+	return mh | ^(xv | ph), ph & xv, hpOut, hmOut
 }
