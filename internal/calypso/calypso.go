@@ -122,11 +122,14 @@ func ParBegin(workers []Worker, routines ...Routine) (Stats, error) {
 	prog := &progress{completed: make([]bool, len(all)), remaining: len(all)}
 
 	// The progress manager hands out instance indexes: first each
-	// instance once, then (eager scheduling) unfinished ones again.
+	// instance once, then (eager scheduling) unfinished ones again. The
+	// first round is dealt, worker w starting on instance w, so every
+	// machine joins the step however the goroutines are scheduled.
 	var asg struct {
 		sync.Mutex
 		next int
 	}
+	asg.next = min(len(workers), len(all))
 	take := func() (int, bool) {
 		asg.Lock()
 		defer asg.Unlock()
@@ -155,20 +158,11 @@ func ParBegin(workers []Worker, routines ...Routine) (Stats, error) {
 		wg.Add(1)
 		go func(wi int, w Worker) {
 			defer wg.Done()
-			execs := 0
-			for {
-				if prog.finished() {
-					return
-				}
-				i, ok := take()
-				if !ok {
-					return
-				}
-				if w.FailAfter > 0 && execs >= w.FailAfter {
-					failures.Store(wi, true)
-					return // the machine is gone; eager scheduling covers
-				}
-				execs++
+			i, ok := wi, true
+			if wi >= len(all) {
+				i, ok = take()
+			}
+			for execs := 1; ok; execs++ {
 				in := all[i]
 				up, err := in.r.Body(in.i, in.r.Instances)
 				if err != nil {
@@ -180,10 +174,18 @@ func ParBegin(workers []Worker, routines ...Routine) (Stats, error) {
 					return
 				}
 				prog.done(i, up)
+				if w.FailAfter > 0 && execs >= w.FailAfter {
+					failures.Store(wi, true)
+					return // the machine is gone; eager scheduling covers
+				}
 				// Yield between instances so workers interleave even on
 				// a single-CPU host (each instance is a separate machine
 				// timeslice in the model).
 				runtime.Gosched()
+				if prog.finished() {
+					return
+				}
+				i, ok = take()
 			}
 		}(wi, w)
 	}

@@ -92,28 +92,3 @@ func BenchmarkClusterBlockingIn(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkClusterScatterInp measures the scatter-gather slow path: a
-// cross (formal-first) probe must ask every node, so its cost grows
-// with the cluster while tag-routed probes stay flat.
-func BenchmarkClusterScatterInp(b *testing.B) {
-	for _, n := range []int{1, 3} {
-		b.Run(fmt.Sprintf("nodes%d", n), func(b *testing.B) {
-			r, err := cluster.New(startBenchNodes(b, n), cluster.Options{
-				Dial: tuplespace.DialOptions{DialTimeout: 2 * time.Second},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { r.Close() })
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// lint:ignore cross-shard the scatter cost is what this benchmark measures
-				if _, ok, err := r.Rdp(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil || ok {
-					b.Fatalf("scatter Rdp on empty cluster = ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-}

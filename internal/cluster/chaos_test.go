@@ -9,7 +9,6 @@ import (
 
 	"freepdm/internal/cluster"
 	"freepdm/internal/faultnet"
-	"freepdm/internal/obs"
 	"freepdm/internal/tuplespace"
 	"freepdm/internal/tuplespace/storetest"
 )
@@ -45,13 +44,13 @@ func tagHome(t *testing.T, r *cluster.Router, nodes []*testNode, want int) strin
 }
 
 // TestTxnCoordinatorPinsToTakingNode is the regression for the
-// coordinator-pinning bug: a cross-template transactional take opens
-// sub-transactions starting at node 0, but the tuple it takes can live
-// on another node. The coordinator must be the node whose take
-// SUCCEEDED — pre-fix it was the first sub opened (node 0), so the
-// real take committed as a phase-1 "follower" and a crash between the
-// phases consumed the tuple while the empty coordinator aborted:
-// the work was lost.
+// coordinator-pinning bug: a transaction's first Inp misses on a tag
+// homed on node 0, which opens that sub-transaction first, and its In
+// then takes a tuple homed on node 1. The coordinator must be the node
+// whose take SUCCEEDED — pinned to the first sub opened (node 0), the
+// real take would commit as a phase-1 "follower" and a crash between
+// the phases would consume the tuple while the empty coordinator
+// aborted: the work would be lost.
 func TestTxnCoordinatorPinsToTakingNode(t *testing.T) {
 	nodes := startTestNodes(t, 2)
 	r := newRouter(t, nodeAddrs(nodes), cluster.Options{
@@ -59,8 +58,9 @@ func TestTxnCoordinatorPinsToTakingNode(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	tag := tagHome(t, r, nodes, 1)
-	if err := r.Out(ctx, tag, 42); err != nil {
+	missTag := tagHome(t, r, nodes, 0)
+	taskTag := tagHome(t, r, nodes, 1)
+	if err := r.Out(ctx, taskTag, 42); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,15 +72,15 @@ func TestTxnCoordinatorPinsToTakingNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cross template: the poll loop visits node 0 first, the match is
-	// on node 1.
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	tu, err := tx.In(ctx, tuplespace.FormalString, tuplespace.FormalInt)
+	if _, ok, err := tx.Inp(ctx, missTag, tuplespace.FormalInt); err != nil || ok {
+		t.Fatalf("txn Inp on node 0 = ok=%v err=%v, want a miss", ok, err)
+	}
+	tu, err := tx.In(ctx, taskTag, tuplespace.FormalInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tu[0] != tag {
-		t.Fatalf("took %v, want tag %q", tu, tag)
+	if tu[1] != 42 {
+		t.Fatalf("took %v, want the task tuple", tu)
 	}
 	if err := tx.Commit(ctx, []tuplespace.Tuple{{"result", 1}}); err == nil {
 		t.Fatal("Commit survived the injected crash between phases")
@@ -90,149 +90,8 @@ func TestTxnCoordinatorPinsToTakingNode(t *testing.T) {
 	// rolled back: the task tuple is still in the space to be retried.
 	// (The "result" out may or may not have landed in phase 1 — that is
 	// the protocol's duplicated-never-lost side; only the take matters.)
-	if _, ok, err := r.Rdp(ctx, tag, 42); err != nil || !ok {
+	if _, ok, err := r.Rdp(ctx, taskTag, 42); err != nil || !ok {
 		t.Fatalf("task tuple lost after an aborted commit: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestHedgedLoserCompensationFailureIsLoud is the regression for the
-// silent-drop compensation bug. Both nodes hold a match and both
-// responses are delayed, so both hedge goroutines take a tuple
-// (tuple-wins on cancellation) and the loser must be restored. The
-// happy path restores it; when the restore itself fails, pre-fix code
-// dropped the tuple with the error discarded — now the failure bumps
-// fpdm_cluster_compensation_failures and logs.
-func TestHedgedLoserCompensationFailureIsLoud(t *testing.T) {
-	nodes := startTestNodes(t, 2)
-	proxies := make([]*faultnet.Proxy, len(nodes))
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		p, err := faultnet.NewProxy(n.addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() }) //nolint:errcheck
-		proxies[i] = p
-		addrs[i] = p.Addr()
-	}
-	r := newRouter(t, addrs, cluster.Options{
-		Dial: tuplespace.DialOptions{DialTimeout: 2 * time.Second},
-	})
-	reg := obs.NewRegistry()
-	r.Observe(reg, nil)
-	ctx := context.Background()
-
-	load := func(t0, t1 string) {
-		t.Helper()
-		if err := r.Out(ctx, t0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Out(ctx, t1, 2); err != nil {
-			t.Fatal(err)
-		}
-		// Delay both response directions: both takes match server-side
-		// before the winner's response triggers the loser's cancel.
-		for _, p := range proxies {
-			p.Delay(faultnet.ServerToClient, 30*time.Millisecond)
-		}
-	}
-	t0 := tagHome(t, r, nodes, 0)
-	t1 := tagHome(t, r, nodes, 1)
-
-	// Happy path: winner consumed, loser restored, nothing lost.
-	load(t0, t1)
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	if _, err := r.In(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range proxies {
-		p.Heal()
-	}
-	if n, err := r.Len(); err != nil || n != 1 {
-		t.Fatalf("after hedged take Len = %d (err %v), want 1: winner consumed, loser restored", n, err)
-	}
-
-	// Failure path: the restore fails; the loss must be counted.
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	if _, ok, err := r.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil || !ok {
-		t.Fatalf("draining the survivor: ok=%v err=%v", ok, err)
-	}
-	load(t0, t1)
-	disarm := faultnet.ArmError("cluster.hedged.compensate", faultnet.ErrInjected)
-	defer disarm()
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	if _, err := r.In(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("cluster.compensation.failures").Value(); got != 1 {
-		t.Fatalf("cluster.compensation.failures = %d, want 1", got)
-	}
-}
-
-// TestCrossInpSkipsDownNode is the regression for cross-probe
-// fragility: one dead node must not veto a match sitting on a live
-// one. Pre-fix, Router.Inp returned the first node error and the probe
-// failed cluster-wide.
-func TestCrossInpSkipsDownNode(t *testing.T) {
-	nodes := startTestNodes(t, 2)
-	r := newRouter(t, nodeAddrs(nodes), cluster.Options{
-		Dial:         tuplespace.DialOptions{DialTimeout: 500 * time.Millisecond},
-		RetryTimeout: -1, // the dead node's error surfaces on the first attempt
-	})
-	ctx := context.Background()
-
-	tag := tagHome(t, r, nodes, 1)
-	if err := r.Out(ctx, tag, 7); err != nil {
-		t.Fatal(err)
-	}
-	nodes[0].kill()
-
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	tu, ok, err := r.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt)
-	if err != nil || !ok {
-		t.Fatalf("cross Inp with node 0 dead: ok=%v err=%v — node 1 held a match", ok, err)
-	}
-	if tu[0] != tag {
-		t.Fatalf("took %v, want tag %q", tu, tag)
-	}
-	// A clean miss across the surviving nodes reports the down node's
-	// error instead of pretending the whole cluster was probed.
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	if _, ok, err := r.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt); ok || err == nil {
-		t.Fatalf("cross Inp miss with a dead node: ok=%v err=%v, want the down-node error", ok, err)
-	}
-}
-
-// TestHedgedErrorMarksNodeDown verifies hedge goroutines feed the
-// health machinery: a transport error inside a hedged take must arm
-// the node's holdoff just like a routed operation's failure would.
-func TestHedgedErrorMarksNodeDown(t *testing.T) {
-	nodes := startTestNodes(t, 2)
-	r := newRouter(t, nodeAddrs(nodes), cluster.Options{
-		Dial:    tuplespace.DialOptions{DialTimeout: 2 * time.Second},
-		Backoff: 500 * time.Millisecond,
-	})
-	reg := obs.NewRegistry()
-	r.Observe(reg, nil)
-	ctx := context.Background()
-
-	tag := tagHome(t, r, nodes, 1)
-	if err := r.Out(ctx, tag, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Make sure the router holds a live connection to node 0, then
-	// crash it: the hedge goroutine, not node.do, sees the corpse.
-	if _, ok, err := r.Rdp(ctx, tagHome(t, r, nodes, 0), -2); err != nil || ok {
-		t.Fatalf("warm-up probe: ok=%v err=%v", ok, err)
-	}
-	nodes[0].kill()
-
-	// lint:ignore cross-shard chaos fixture: the cross-shard path is the subject under test
-	if _, err := r.Rd(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil {
-		t.Fatal(err) // node 1 answers the hedge
-	}
-	if up := reg.Gauge("cluster.node.0.up").Value(); up != 0 {
-		t.Fatal("hedged transport error did not mark node 0 down")
 	}
 }
 

@@ -4,10 +4,10 @@
 // same signature scheme the in-process shards use (arity, field types
 // and the leading string tag), so placement is a pure function of the
 // tuple and every client routes identically with no coordinator in
-// the path. Templates with a constant leading tag route the same way;
-// templates that lead with a formal string can match on any node and
-// scatter-gather instead (first-success-wins probes, hedged blocking
-// takes with loser cancellation).
+// the path. Templates route the same way, so every take and read talks
+// to exactly one node; a template that leads with a formal string names
+// no home, and the node it lands on rejects it with
+// tuplespace.ErrCrossTemplate.
 //
 // Node failures surface as health state: a failed node is marked down,
 // operations against it redial with backoff inside a bounded retry
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"freepdm/internal/faultnet"
 	"freepdm/internal/obs"
 	"freepdm/internal/tuplespace"
 )
@@ -148,9 +147,9 @@ func (r *Router) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 // like a dropped remote session.
 func (r *Router) RetryableFailures() bool { return true }
 
-// home picks the node owning a tuple or constant-tagged template: an
-// FNV-1a hash of the signature the in-process shards partition by.
-// Deterministic across processes (unlike the per-process seeded
+// home picks the node owning a tuple or template: an FNV-1a hash of
+// the signature the in-process shards partition by. Deterministic
+// across processes (unlike the per-process seeded
 // in-process shard hash), so every client and every restart routes
 // identically.
 func (r *Router) home(fields []any) int {
@@ -184,9 +183,8 @@ func transientErr(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// healthy reports whether the node is outside its failure holdoff.
-// Callers that only need a snapshot (hedging, health export) use it
-// without taking an op through the node.
+// healthy reports whether the node is outside its failure holdoff, for
+// the health export, without taking an op through the node.
 func (n *node) healthy() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -333,8 +331,7 @@ func (r *Router) OutN(ctx context.Context, tuples []tuplespace.Tuple) (err error
 	return nil
 }
 
-// In blocks for a match: on the home node for constant-tagged
-// templates, hedged across every node for cross templates.
+// In blocks for a match on the template's home node.
 func (r *Router) In(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, error) {
 	t, _, err := r.InTraced(ctx, tmplFields...)
 	return t, err
@@ -344,224 +341,48 @@ func (r *Router) In(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, e
 func (r *Router) InTraced(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, org obs.SpanContext, err error) {
 	done := r.startOp(ctx, "in")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
-			var e error
-			t, org, e = cl.InTraced(ctx, tmplFields...)
-			return e
-		})
-		return t, org, err
-	}
-	t, org, err = r.hedged(ctx, true, tmplFields)
+	err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
+		var e error
+		t, org, e = cl.InTraced(ctx, tmplFields...)
+		return e
+	})
 	return t, org, err
 }
 
-// Rd blocks for a non-destructive match, hedged like In for cross
-// templates (no compensation needed: reads take nothing).
+// Rd blocks for a non-destructive match on the template's home node.
 func (r *Router) Rd(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, err error) {
 	done := r.startOp(ctx, "rd")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
-			var e error
-			t, e = cl.Rd(ctx, tmplFields...)
-			return e
-		})
-		return t, err
-	}
-	t, _, err = r.hedged(ctx, false, tmplFields)
+	err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
+		var e error
+		t, e = cl.Rd(ctx, tmplFields...)
+		return e
+	})
 	return t, err
 }
 
-// hedged races one blocking take (or read) per healthy node and keeps
-// the first success, canceling the rest. A losing take that slipped
-// through the cancellation race (the wire protocol's tuple-wins rule)
-// is compensated by re-outing the tuple to its home node, so hedging
-// never loses tuples.
-func (r *Router) hedged(ctx context.Context, take bool, tmplFields []any) (tuplespace.Tuple, obs.SpanContext, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		t   tuplespace.Tuple
-		org obs.SpanContext
-		err error
-	}
-	results := make(chan res, len(r.nodes))
-	launched := 0
-	for _, n := range r.nodes {
-		if !n.healthy() {
-			continue
-		}
-		cl, err := n.client()
-		if err != nil {
-			continue
-		}
-		launched++
-		nn := n
-		go func() {
-			var rr res
-			if take {
-				rr.t, rr.org, rr.err = cl.InTraced(hctx, tmplFields...)
-			} else {
-				rr.t, rr.err = cl.Rd(hctx, tmplFields...)
-			}
-			// Hedge goroutines bypass node.do, so they must feed the
-			// health machinery themselves: a transport error here arms
-			// the node's holdoff exactly like a failed routed op.
-			if rr.err != nil && !errors.Is(rr.err, context.Canceled) && transientErr(rr.err) {
-				nn.fault(cl, rr.err)
-			}
-			results <- rr
-		}()
-	}
-	if launched == 0 {
-		return nil, obs.SpanContext{}, fmt.Errorf("%w: no reachable node for cross template", ErrNodeDown)
-	}
-	var won *res
-	var firstErr error
-	for i := 0; i < launched; i++ {
-		rr := <-results
-		switch {
-		case rr.err == nil && won == nil:
-			w := rr
-			won = &w
-			cancel()
-		case rr.err == nil && take:
-			// A second winner lost the race to the first: put its
-			// tuple back (routed to the tuple's own home node). The
-			// restore must not ride the canceled hedge context.
-			r.compensate(rr.t)
-		case rr.err != nil && firstErr == nil && !errors.Is(rr.err, context.Canceled):
-			firstErr = rr.err
-		}
-	}
-	if won != nil {
-		return won.t, won.org, nil
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-		if firstErr == nil {
-			firstErr = fmt.Errorf("%w: every hedged node failed", ErrNodeDown)
-		}
-	}
-	return nil, obs.SpanContext{}, firstErr
-}
-
-// compensate restores a hedged loser's take to the tuple's home node.
-// This is the step the "hedging never loses tuples" invariant hangs
-// on, so it is not best-effort: the Out retries through node.do within
-// the router's retry budget, and if the budget still runs out the loss
-// is made loud — logged on the default logger and counted on
-// fpdm_cluster_compensation_failures_total for alerting.
-func (r *Router) compensate(t tuplespace.Tuple) {
-	err := faultnet.Hit("cluster.hedged.compensate", t)
-	if err == nil {
-		err = r.Out(context.Background(), t...)
-	}
-	if err == nil {
-		return
-	}
-	if reg := r.reg.Load(); reg != nil {
-		reg.Counter("cluster.compensation.failures").Inc()
-	}
-	obs.Default().Error("cluster: hedged-take compensation failed, tuple lost",
-		"tuple", fmt.Sprintf("%v", t), "err", err)
-}
-
-// Inp probes for a destructive match. Constant-tagged templates go to
-// the home node; cross templates probe node by node, first success
-// wins — sequentially, because two parallel destructive probes could
-// both take a tuple and one would have to be pushed back. Down or
-// failing nodes are skipped like Rdp skips them: the first error is
-// only surfaced when no healthy node matched, so one dead node cannot
-// veto a match sitting on a live one.
+// Inp probes the template's home node for a destructive match.
 func (r *Router) Inp(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, ok bool, err error) {
 	done := r.startOp(ctx, "inp")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
-			var e error
-			t, ok, e = cl.Inp(ctx, tmplFields...)
-			return e
-		})
-		return t, ok, err
-	}
-	var firstErr error
-	for _, n := range r.nodes {
-		if !n.healthy() {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: node %d (%s) skipped in cross probe", ErrNodeDown, n.idx, n.addr)
-			}
-			continue
-		}
-		nerr := n.do(ctx, func(cl *tuplespace.Client) error {
-			var e error
-			t, ok, e = cl.Inp(ctx, tmplFields...)
-			return e
-		})
-		if nerr != nil {
-			if firstErr == nil {
-				firstErr = nerr
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		if ok {
-			return t, true, nil
-		}
-	}
-	return nil, false, firstErr
+	err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
+		var e error
+		t, ok, e = cl.Inp(ctx, tmplFields...)
+		return e
+	})
+	return t, ok, err
 }
 
-// Rdp probes for a non-destructive match; cross templates scatter to
-// every healthy node in parallel and the first hit wins.
+// Rdp probes the template's home node for a non-destructive match.
 func (r *Router) Rdp(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, ok bool, err error) {
 	done := r.startOp(ctx, "rdp")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
-			var e error
-			t, ok, e = cl.Rdp(ctx, tmplFields...)
-			return e
-		})
-		return t, ok, err
-	}
-	type res struct {
-		t   tuplespace.Tuple
-		ok  bool
-		err error
-	}
-	results := make(chan res, len(r.nodes))
-	launched := 0
-	for _, n := range r.nodes {
-		nn := n
-		launched++
-		go func() {
-			var rr res
-			rr.err = nn.do(ctx, func(cl *tuplespace.Client) error {
-				var e error
-				rr.t, rr.ok, e = cl.Rdp(ctx, tmplFields...)
-				return e
-			})
-			results <- rr
-		}()
-	}
-	var firstErr error
-	for i := 0; i < launched; i++ {
-		rr := <-results
-		if rr.err == nil && rr.ok && t == nil {
-			t, ok = rr.t, true
-		}
-		if rr.err != nil && firstErr == nil {
-			firstErr = rr.err
-		}
-	}
-	if ok {
-		return t, true, nil
-	}
-	return nil, false, firstErr
+	err = r.nodes[r.home(tmplFields)].do(ctx, func(cl *tuplespace.Client) error {
+		var e error
+		t, ok, e = cl.Rdp(ctx, tmplFields...)
+		return e
+	})
+	return t, ok, err
 }
 
 // Len sums the tuple counts of every node.

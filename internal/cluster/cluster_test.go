@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -115,7 +114,7 @@ func TestPartitioningConcentratesTags(t *testing.T) {
 
 // TestRoutersAgreeOnHomes proves routing is deterministic across
 // router instances: a second router takes what the first one stored,
-// by tag, without scatter.
+// by tag.
 func TestRoutersAgreeOnHomes(t *testing.T) {
 	nodes := startTestNodes(t, 3)
 	r1 := newRouter(t, nodeAddrs(nodes), cluster.Options{})
@@ -241,61 +240,6 @@ func TestRetryRidesOutRestart(t *testing.T) {
 	}
 	if _, ok, err := s2.Inp(ctx, "warm", 1); err != nil || !ok {
 		t.Fatalf("restarted node missing the retried tuple: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestHedgedCrossInNoLoss floods the cluster with cross-template
-// takers racing hedged blocking Ins: every tuple is delivered exactly
-// once — losers' takes are compensated back, nothing is lost, nothing
-// duplicated.
-func TestHedgedCrossInNoLoss(t *testing.T) {
-	nodes := startTestNodes(t, 3)
-	r := newRouter(t, nodeAddrs(nodes), cluster.Options{})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	const n = 60
-	var wg sync.WaitGroup
-	got := make(chan int, n)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Formal-first template: must hedge across every node.
-			// lint:ignore cross-shard hedged scatter is the behavior under test
-			tu, err := r.In(ctx, tuplespace.FormalString, tuplespace.FormalInt)
-			if err != nil {
-				errs <- err
-				return
-			}
-			got <- tu[1].(int)
-		}()
-	}
-	for i := 0; i < n; i++ {
-		// Distinct tags spread the tuples over all three nodes.
-		if err := r.Out(ctx, fmt.Sprintf("w%d", i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	close(got)
-	close(errs)
-	for err := range errs {
-		t.Fatalf("hedged In: %v", err)
-	}
-	seen := map[int]bool{}
-	for v := range got {
-		if seen[v] {
-			t.Fatalf("tuple %d delivered twice", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != n {
-		t.Fatalf("delivered %d of %d tuples", len(seen), n)
-	}
-	if total, err := r.Len(); err != nil || total != 0 {
-		t.Fatalf("Len after drain = %d err=%v, want 0 (lost or duplicated tuples)", total, err)
 	}
 }
 

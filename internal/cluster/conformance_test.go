@@ -47,8 +47,8 @@ func newRouter(t *testing.T, addrs []string, opts cluster.Options) *cluster.Rout
 }
 
 // TestClusterConformance runs the Store v2 conformance suite against a
-// three-node cluster: partitioning and scatter-gather must preserve
-// single-space semantics.
+// three-node cluster: partitioning must preserve single-space
+// semantics.
 func TestClusterConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) tuplespace.TxnStore {
 		return newRouter(t, startNodes(t, 3), cluster.Options{

@@ -7,17 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"freepdm/internal/faultnet"
 	"freepdm/internal/obs"
 	"freepdm/internal/tuplespace"
 )
-
-// crossProbeInterval paces the polling fallback a transactional
-// blocking take uses for cross templates (tentative takes cannot be
-// hedged across nodes, so the transaction probes instead).
-const crossProbeInterval = 2 * time.Millisecond
 
 // routerTxn is one cluster transaction. The node whose take first
 // *succeeds* becomes the coordinator; takes that land on other nodes
@@ -31,11 +25,11 @@ const crossProbeInterval = 2 * time.Millisecond
 // idempotent accounting (see DESIGN.md).
 //
 // Pinning to the first successful take (not the first sub-transaction
-// opened) matters for cross templates: their poll loop opens a sub on
-// every node starting at node 0, so pinning to order[0] would let the
-// real take sit on a "follower" that commits in phase 1 — a crash
-// before phase 2 would then consume the task tuple while the empty
-// coordinator aborts, losing the work.
+// opened) matters when a transaction's first Inp misses: the miss opens
+// a sub on its tag's home, and if a later take on another node pinned
+// that empty sub instead, the real take would commit in phase 1 as a
+// "follower" — a crash before phase 2 would then consume the task tuple
+// while the empty coordinator aborts, losing the work.
 type routerTxn struct {
 	r *Router
 
@@ -98,73 +92,31 @@ func (tx *routerTxn) In(ctx context.Context, tmplFields ...any) (tuplespace.Tupl
 func (tx *routerTxn) InTraced(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, org obs.SpanContext, err error) {
 	done := tx.r.startOp(ctx, "txn.in")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		h := tx.r.home(tmplFields)
-		s, err := tx.sub(ctx, h)
-		if err != nil {
-			return nil, obs.SpanContext{}, err
-		}
-		t, org, err = s.InTraced(ctx, tmplFields...)
-		if err == nil {
-			tx.pinCoord(h)
-		}
-		return t, org, err
+	h := tx.r.home(tmplFields)
+	s, err := tx.sub(ctx, h)
+	if err != nil {
+		return nil, obs.SpanContext{}, err
 	}
-	// Cross template: a blocking take must stay tentative, so it
-	// cannot hedge plain In calls across nodes. Poll the nodes'
-	// sub-transactions instead until one yields a match.
-	for {
-		for i := range tx.r.nodes {
-			s, err := tx.sub(ctx, i)
-			if err != nil {
-				return nil, obs.SpanContext{}, err
-			}
-			t, ok, err := s.Inp(ctx, tmplFields...)
-			if err != nil {
-				return nil, obs.SpanContext{}, err
-			}
-			if ok {
-				tx.pinCoord(i)
-				return t, obs.SpanContext{}, nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return nil, obs.SpanContext{}, ctx.Err()
-		case <-time.After(crossProbeInterval):
-		}
+	t, org, err = s.InTraced(ctx, tmplFields...)
+	if err == nil {
+		tx.pinCoord(h)
 	}
+	return t, org, err
 }
 
 func (tx *routerTxn) Inp(ctx context.Context, tmplFields ...any) (t tuplespace.Tuple, ok bool, err error) {
 	done := tx.r.startOp(ctx, "txn.inp")
 	defer func() { done(err) }()
-	if !tuplespace.CrossTemplate(tmplFields) {
-		h := tx.r.home(tmplFields)
-		s, err := tx.sub(ctx, h)
-		if err != nil {
-			return nil, false, err
-		}
-		t, ok, err = s.Inp(ctx, tmplFields...)
-		if ok && err == nil {
-			tx.pinCoord(h)
-		}
-		return t, ok, err
+	h := tx.r.home(tmplFields)
+	s, err := tx.sub(ctx, h)
+	if err != nil {
+		return nil, false, err
 	}
-	for i := range tx.r.nodes {
-		s, err := tx.sub(ctx, i)
-		if err != nil {
-			return nil, false, err
-		}
-		t, ok, err = s.Inp(ctx, tmplFields...)
-		if err != nil || ok {
-			if ok && err == nil {
-				tx.pinCoord(i)
-			}
-			return t, ok, err
-		}
+	t, ok, err = s.Inp(ctx, tmplFields...)
+	if ok && err == nil {
+		tx.pinCoord(h)
 	}
-	return nil, false, nil
+	return t, ok, err
 }
 
 // Commit finalizes the transaction: outs and follower sub-commits

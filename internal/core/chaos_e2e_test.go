@@ -35,6 +35,33 @@ func (h *chaosHarness) awaitEvals(min int64) {
 	}
 }
 
+// chaosSentinel is the payload of the tuple sentinelHomedOn places.
+const chaosSentinel = 424242
+
+// sentinelHomedOn stores (tag, chaosSentinel) through the router under
+// a tag the router homes on node want, and returns the tag: a read of
+// it is a probe of that one node.
+func (h *chaosHarness) sentinelHomedOn(t *testing.T, want int) string {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < 256; i++ {
+		tag := fmt.Sprintf("chaos-sentinel-%d", i)
+		if err := h.router.Out(ctx, tag, chaosSentinel); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := h.nodes[want].ds.Rdp(ctx, tag, chaosSentinel); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			return tag
+		}
+		if _, ok, err := h.router.Inp(ctx, tag, chaosSentinel); err != nil || !ok {
+			t.Fatalf("sentinel %q vanished: ok=%v err=%v", tag, ok, err)
+		}
+	}
+	t.Fatalf("no sentinel tag homed on node %d", want)
+	return ""
+}
+
 // chaosScenario is one scripted failure. inject arms its faults and
 // returns a cleanup that disarms them and waits out any in-flight
 // crash/heal goroutines (the runner defers it before asserting).
@@ -384,16 +411,15 @@ func testChaosScenarios(t *testing.T, g faultGrain) {
 		},
 		{
 			// One node turns slow (delayed in both directions, the
-			// overloaded workstation): the run must ride it out, and
-			// hedged cross-template reads must keep answering fast off
-			// the healthy nodes while the slow node lags.
-			name: "slow-node-hedging",
+			// overloaded workstation): the run must ride it out, and a
+			// tagged read of a sentinel homed on the slow node must keep
+			// answering, late by at least the injected delay — the proof
+			// that the fault sat on the path the run was using.
+			name: "slow-node",
 			seed: 79,
 			inject: func(t *testing.T, h *chaosHarness) func() {
-				const sentinel = 424242
-				if err := h.router.Out(context.Background(), "chaos-sentinel", sentinel); err != nil {
-					t.Fatal(err)
-				}
+				const delay = 60 * time.Millisecond
+				tag := h.sentinelHomedOn(t, 2)
 				stop := make(chan struct{})
 				var probes atomic.Int32
 				var wg sync.WaitGroup
@@ -401,15 +427,20 @@ func testChaosScenarios(t *testing.T, g faultGrain) {
 				go func() {
 					defer wg.Done()
 					h.awaitEvals(3)
-					h.proxies[2].Delay(faultnet.ServerToClient, 60*time.Millisecond)
+					h.proxies[2].Delay(faultnet.ServerToClient, delay)
 					h.proxies[2].Delay(faultnet.ClientToServer, 20*time.Millisecond)
 					for i := 0; i < 20; i++ {
 						ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-						// lint:ignore cross-shard chaos fixture: the hedged cross read is the subject under test
-						_, err := h.router.Rd(ctx, tuplespace.FormalString, sentinel)
+						start := time.Now()
+						_, err := h.router.Rd(ctx, tag, chaosSentinel)
+						took := time.Since(start)
 						cancel()
 						if err != nil {
-							t.Errorf("hedged Rd under a slow node: %v", err)
+							t.Errorf("Rd of the slow node's sentinel: %v", err)
+							return
+						}
+						if took < delay {
+							t.Errorf("Rd of the slow node's sentinel took %v, under the injected %v: the delay did not fire", took, delay)
 							return
 						}
 						probes.Add(1)
@@ -425,7 +456,7 @@ func testChaosScenarios(t *testing.T, g faultGrain) {
 					wg.Wait()
 					h.proxies[2].Heal()
 					if probes.Load() == 0 {
-						t.Error("no hedged probe completed while the node was slow")
+						t.Error("no read of the slow node completed while it was slow")
 					}
 				}
 			},

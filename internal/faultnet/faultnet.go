@@ -8,8 +8,7 @@
 // It has three parts:
 //
 //   - Fault points (this file): named hooks compiled into production
-//     code paths — cluster commit phases, hedged-take compensation,
-//     WAL group commit. Unarmed (the only state outside tests) a hook
+//     code paths — cluster commit phases, WAL group commit. Unarmed (the only state outside tests) a hook
 //     is one atomic load; armed, it runs test-registered handlers
 //     that may observe protocol context, trigger proxies, or inject
 //     an error at exactly that step.
@@ -22,7 +21,7 @@
 //     scenarios and the `plinda -chaos` dev flag.
 //
 // Fault-point names are dotted paths, "<subsystem>.<site>[.<step>]":
-// "cluster.commit.between-phases", "cluster.hedged.compensate",
+// "cluster.commit.before-phase1", "cluster.commit.between-phases",
 // "durable.wal.before-write", "durable.wal.after-write",
 // "faultnet.store.<op>.before" / ".after". The instrumented site calls
 // Hit(name, args...) with whatever protocol context it has (the

@@ -220,8 +220,7 @@ func (p *Proxy) Blackhole(dir Direction, on bool) {
 }
 
 // Delay adds latency to every chunk forwarded in one direction — the
-// overloaded "free" workstation whose tuples arrive late, the scenario
-// hedged takes exist for.
+// overloaded "free" workstation whose tuples arrive late.
 func (p *Proxy) Delay(dir Direction, d time.Duration) {
 	p.delayNanos[dir].Store(int64(d))
 }

@@ -47,12 +47,10 @@ func (a *analysis) checkFormalMisuse() []Finding {
 }
 
 // checkCrossShard flags consumer templates whose leading field is a
-// formal string. Such a template can match any tagged partition of
-// its arity, so the sharded space routes it through the cross-shard
-// slow path: its waiter goes on the shared list every Out consults,
-// and its polls scan every shard in order. On a hot path that undoes
-// the whole point of signature sharding; lead with a constant tag, or
-// acknowledge the cost with a lint:ignore comment.
+// formal string. Such a template names no tag, so no partition, shard
+// or cluster node is its home, and every Store rejects it at run time
+// with tuplespace.ErrCrossTemplate; the check reports the error at
+// build time. Lead with a constant tag.
 func (a *analysis) checkCrossShard() []Finding {
 	var fs []Finding
 	for _, op := range a.ops {
@@ -67,7 +65,7 @@ func (a *analysis) checkCrossShard() []Finding {
 		fs = append(fs, Finding{
 			Pos:   a.fset.Position(op.call.Pos()),
 			Check: CheckCrossShard,
-			Msg:   fmt.Sprintf("%s template leads with a formal string: it matches every tagged partition and takes the cross-shard slow path; lead with a constant tag", op.name),
+			Msg:   fmt.Sprintf("%s template leads with a formal string: every Store rejects it with ErrCrossTemplate; lead with a constant tag", op.name),
 		})
 	}
 	return fs

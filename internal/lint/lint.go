@@ -14,7 +14,7 @@ import (
 const (
 	CheckContract   = "tuple-contract" // producer/consumer signature cross-reference
 	CheckFormal     = "formal-misuse"  // formal template field passed to Out / stored in a Tuple
-	CheckCrossShard = "cross-shard"    // leading formal-string template: cross-shard slow path
+	CheckCrossShard = "cross-shard"    // leading formal-string template: every Store rejects it
 	CheckLock       = "lock-blocking"  // blocking In/Rd reachable while a sync lock is held
 	CheckErr        = "tuple-errcheck" // discarded tuple-op error result
 

@@ -1,6 +1,6 @@
 // Package crossshard leads consumer templates with a formal string,
-// which matches every tagged partition and rides the sharded space's
-// cross-shard slow path.
+// which names no tag and which every Store rejects with
+// ErrCrossTemplate.
 package crossshard
 
 import (
@@ -9,7 +9,7 @@ import (
 	"freepdm/internal/tuplespace"
 )
 
-// Drain sweeps every partition with an any-tag template.
+// Drain tries to sweep every partition with an any-tag template.
 func Drain(s *tuplespace.Space) (int, error) {
 	n := 0
 	for {
@@ -24,8 +24,8 @@ func Drain(s *tuplespace.Space) (int, error) {
 	}
 }
 
-// DrainQuietly acknowledges the cost, so the finding is suppressed.
+// DrainQuietly expects the rejection, so the finding is suppressed.
 func DrainQuietly(s *tuplespace.Space) (tuplespace.Tuple, bool, error) {
-	// lint:ignore cross-shard a full sweep of every partition is the point here
+	// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
 	return s.Inp(context.Background(), tuplespace.FormalString, tuplespace.FormalInt)
 }

@@ -37,8 +37,8 @@ func TakeResult(ctx context.Context, s *tuplespace.Space) (tuplespace.Tuple, err
 	return t, err
 }
 
-// Probe rides the cross-shard slow path through the traced
-// non-blocking take.
+// Probe leads the traced non-blocking take with a formal string,
+// which every Store rejects.
 func Probe(ctx context.Context, s *tuplespace.Space) (tuplespace.Tuple, bool, error) {
 	t, _, ok, err := s.InpTraced(ctx, tuplespace.FormalString, tuplespace.FormalInt)
 	return t, ok, err

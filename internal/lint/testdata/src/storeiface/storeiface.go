@@ -33,7 +33,7 @@ func ReadStat(ctx context.Context, st tuplespace.Store) (tuplespace.Tuple, error
 	return st.Rd(ctx, "stat", tuplespace.FormalFloat)
 }
 
-// Sweep rides the cross-shard slow path through a transaction handle.
+// Sweep leads a transactional take with a formal string: rejected.
 func Sweep(ctx context.Context, tx tuplespace.Txn) (tuplespace.Tuple, bool, error) {
 	return tx.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt)
 }

@@ -357,7 +357,7 @@ func (p *Proc) In(tmpl ...any) (tuplespace.Tuple, error) {
 	if p.killed() {
 		if !p.txnOpen {
 			// Died between match and delivery with no transaction to
-			// undo the take: compensate directly, off the (dead)
+			// undo the take: re-out the tuple directly, off the (dead)
 			// incarnation context so the restore cannot be canceled.
 			p.store.Out(context.Background(), t...) //nolint:errcheck
 		}

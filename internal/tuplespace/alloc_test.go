@@ -110,8 +110,8 @@ func TestCompiledTemplateMatchAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(200, func() {
 		var farr [6]compiledField
 		var sbuf [88]byte
-		ct := compileTemplate(tm, farr[:0], sbuf[:0])
-		if !ct.match(tu) {
+		ct, err := compileTemplate(tm, farr[:0], sbuf[:0])
+		if err != nil || !ct.match(tu) {
 			t.Fatal("template must match")
 		}
 		// lint:ignore tuple-contract matcher micro-fixture, never enters a space

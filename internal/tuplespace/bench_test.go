@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the tuple-space hot paths. Before/after numbers
-// for the sharded-space + pipelined-protocol change are recorded in
-// BENCH_tuplespace.json at the repository root; CI runs these with
-// -benchtime=1x as a smoke test so they cannot rot.
+// Micro-benchmarks for the tuple-space hot paths. No claim rests on
+// them — a change is measured by mining runs per backend, see
+// internal/bench/README.md; CI runs these with -benchtime=1x as a smoke
+// test so they cannot rot.
 
 // BenchmarkTuplespaceOutInp is the uncontended local hot loop: one
 // goroutine cycling a tuple through Out and Inp on a tagged signature.

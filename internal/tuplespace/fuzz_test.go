@@ -31,7 +31,7 @@ func seedRequests() []*request {
 		{ID: 4, Op: opIn, Fields: []any{"k", Formal(0), FormalString, Formal(nil)}, Txn: 9, Trace: 0xabc, Span: 0xdef},
 		// lint:ignore tuple-contract codec seed frames, never enter a space
 		{ID: 5, Op: opOutN, Batch: []Tuple{{"a", 1}, {"b", nil, []int(nil)}}},
-		{ID: 6, Op: opTxCommit, Txn: 2, Batch: []Tuple{{"r", 1.5}}, HasCont: true, Cont: []any{"cont", 3}},
+		{ID: 6, Op: opTxCommit, Txn: 2, Batch: []Tuple{{"a", 1}}, HasCont: true, Cont: []any{"cont", 3}},
 		{ID: 7, Op: opCancel, Target: 4},
 		{ID: 8, Op: opInp, Fields: []any{"p", Formal(pt{})}},
 	}

@@ -100,6 +100,7 @@ const (
 	codeDeadline
 	codeLeaseExpired
 	codeTxnFinished
+	codeCrossTemplate
 )
 
 // response is the server's answer to the request with the same ID.
@@ -125,6 +126,8 @@ func codeFor(err error) uint8 {
 		return codeLeaseExpired
 	case errors.Is(err, ErrTxnFinished):
 		return codeTxnFinished
+	case errors.Is(err, ErrCrossTemplate):
+		return codeCrossTemplate
 	case errors.Is(err, ErrClosed):
 		return codeClosed
 	case errors.Is(err, context.Canceled):
@@ -149,6 +152,8 @@ func wireError(resp *response) error {
 		return ErrLeaseExpired
 	case codeTxnFinished:
 		return ErrTxnFinished
+	case codeCrossTemplate:
+		return ErrCrossTemplate
 	}
 	if resp.Err != "" {
 		return errors.New(resp.Err)

@@ -12,9 +12,8 @@ import (
 )
 
 // Tests that the Linda semantics survive the sharded space: signature
-// routing, readers-before-one-taker, FIFO among takers, the cross-shard
-// slow path for formal-first-string templates, and Close reaching
-// waiters on every shard. Run in CI under -race.
+// routing, readers-before-one-taker, FIFO among takers, and Close
+// reaching waiters on every shard. Run in CI under -race.
 
 func TestNewShardedRounding(t *testing.T) {
 	if got := NewSharded(5).Shards(); got != 8 {
@@ -124,122 +123,10 @@ func TestShardedTakerFIFO(t *testing.T) {
 	}
 }
 
-func TestShardedTakerFIFOAcrossCrossAndExact(t *testing.T) {
-	// A formal-first-string taker (cross-shard list) registered before
-	// an exact-tag taker (shard list) must win the first tuple: FIFO is
-	// by arrival order across both lists.
-	s := NewSharded(16)
-	woke := make(chan string, 2)
-	go func() {
-		// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-		if _, err := s.In(context.Background(), FormalString, FormalInt); err == nil {
-			woke <- "cross"
-		}
-	}()
-	waitBlocked(t, s, 1)
-	go func() {
-		if _, err := s.In(context.Background(), "xtag", FormalInt); err == nil {
-			woke <- "exact"
-		}
-	}()
-	waitBlocked(t, s, 2)
-	s.Out(context.Background(), "xtag", 1)
-	select {
-	case got := <-woke:
-		if got != "cross" {
-			t.Fatalf("first wake went to %q, want the earlier cross-shard taker", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no taker woke")
-	}
-	s.Out(context.Background(), "xtag", 2)
-	select {
-	case got := <-woke:
-		if got != "exact" {
-			t.Fatalf("second wake went to %q", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("exact taker never woke")
-	}
-}
-
-func TestCrossShardBlockedWaiterWokenByAnyTag(t *testing.T) {
-	s := NewSharded(16)
-	got := make(chan Tuple, 1)
-	go func() {
-		// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-		tu, err := s.In(context.Background(), FormalString, FormalInt)
-		if err == nil {
-			got <- tu
-		}
-	}()
-	waitBlocked(t, s, 1)
-	s.Out(context.Background(), "surprise-tag", 42)
-	select {
-	case tu := <-got:
-		if tu[0].(string) != "surprise-tag" || tu[1].(int) != 42 {
-			t.Fatalf("got %v", tu)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cross-shard waiter never woken")
-	}
-	if slen(s) != 0 {
-		t.Fatalf("Len=%d want 0", slen(s))
-	}
-}
-
-func TestCrossShardClaimsPreexistingTuples(t *testing.T) {
-	// Tuples on many different tags (hence many shards) must all be
-	// reachable through one formal-first-string template, without ever
-	// blocking, and arity filtering must hold.
-	s := NewSharded(16)
-	const n = 40
-	for i := 0; i < n; i++ {
-		s.Out(context.Background(), fmt.Sprintf("tag-%d", i), i)
-		s.Out(context.Background(), fmt.Sprintf("tag-%d", i), i, i) // wrong arity: must be skipped
-	}
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		done := make(chan Tuple, 1)
-		go func() {
-			// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-			tu, err := s.In(context.Background(), FormalString, FormalInt)
-			if err == nil {
-				done <- tu
-			}
-		}()
-		select {
-		case tu := <-done:
-			seen[tu[1].(int)] = true
-		case <-time.After(2 * time.Second):
-			t.Fatalf("In %d blocked on stored tuples", i)
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("claimed %d distinct tuples, want %d", len(seen), n)
-	}
-	if slen(s) != n { // the arity-2 tuples remain
-		t.Fatalf("Len=%d want %d", slen(s), n)
-	}
-}
-
-func TestCrossShardRdLeavesTuple(t *testing.T) {
-	s := NewSharded(16)
-	s.Out(context.Background(), "only", 9)
-	// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-	tu, err := s.Rd(context.Background(), FormalString, FormalInt)
-	if err != nil || tu[1].(int) != 9 {
-		t.Fatalf("Rd got %v err=%v", tu, err)
-	}
-	if slen(s) != 1 {
-		t.Fatalf("cross-shard Rd consumed the tuple: Len=%d", slen(s))
-	}
-}
-
 func TestCloseReleasesWaitersOnEveryShard(t *testing.T) {
 	s := NewSharded(32)
 	const n = 24
-	errs := make(chan error, n+1)
+	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		tag := fmt.Sprintf("shardtag-%d", i) // spread across shards
 		go func() {
@@ -247,14 +134,9 @@ func TestCloseReleasesWaitersOnEveryShard(t *testing.T) {
 			errs <- err
 		}()
 	}
-	go func() { // plus one cross-shard waiter
-		// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-		_, err := s.Rd(context.Background(), FormalString, FormalFloat)
-		errs <- err
-	}()
-	waitBlocked(t, s, n+1)
+	waitBlocked(t, s, n)
 	s.Close()
-	for i := 0; i < n+1; i++ {
+	for i := 0; i < n; i++ {
 		select {
 		case err := <-errs:
 			if !errors.Is(err, ErrClosed) {

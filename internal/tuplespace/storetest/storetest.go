@@ -4,8 +4,9 @@
 // client, the durable space and the cluster router. A program written
 // against tuplespace.Store may be pointed at any backend, so the
 // contract — ctx-first operations, destructive vs non-destructive
-// takes, blocking semantics, cancellation, formal matching, cross
-// templates, and transactional take/abort/commit — has to hold
+// takes, blocking semantics, cancellation, formal matching, the
+// rejection of formal-first templates, and transactional
+// take/abort/commit — has to hold
 // everywhere, not just where it happened to be implemented first.
 package storetest
 
@@ -35,6 +36,27 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+type namedOp struct {
+	name string
+	call func() error
+}
+
+// wantCrossRejected checks that each op returns ErrCrossTemplate well
+// before the suite's deadline, that is, without having blocked.
+func wantCrossRejected(t *testing.T, ops []namedOp) {
+	t.Helper()
+	for _, op := range ops {
+		start := time.Now()
+		err := op.call()
+		if !errors.Is(err, tuplespace.ErrCrossTemplate) {
+			t.Errorf("%s of a formal-first template = %v, want ErrCrossTemplate", op.name, err)
+		}
+		if elapsed := time.Since(start); elapsed > opDeadline/2 {
+			t.Errorf("%s took %v to reject a formal-first template", op.name, elapsed)
+		}
+	}
+}
+
 // Run exercises the full conformance suite against stores opened by
 // the factory.
 func Run(t *testing.T, open Factory) {
@@ -54,7 +76,7 @@ func Run(t *testing.T, open Factory) {
 
 	t.Run("OutNAndLen", func(t *testing.T) {
 		s, ctx := open(t), testCtx(t)
-		batch := []tuplespace.Tuple{{"a", 1}, {"b", 2}, {"c", 3}}
+		batch := []tuplespace.Tuple{{"job", 1}, {"job", 2}, {"job", 3}}
 		if err := s.OutN(ctx, batch); err != nil {
 			t.Fatalf("OutN: %v", err)
 		}
@@ -227,48 +249,58 @@ func Run(t *testing.T, open Factory) {
 		}
 	})
 
+	// A template leading with a formal string names no tag, so no home:
+	// every backend refuses it with ErrCrossTemplate before blocking or
+	// taking anything. The probes run against a store holding a match,
+	// so a backend that searched would take or report it.
+	cross := []any{tuplespace.FormalString, tuplespace.FormalInt}
 	t.Run("CrossTemplate", func(t *testing.T) {
 		s, ctx := open(t), testCtx(t)
-		if err := s.OutN(ctx, []tuplespace.Tuple{{"alpha", 1}, {"beta", 2}}); err != nil {
-			t.Fatalf("OutN: %v", err)
+		if err := s.Out(ctx, "alpha", 1); err != nil {
+			t.Fatalf("Out: %v", err)
 		}
-		// A formal-first template cannot be routed by tag: the store
-		// must search everywhere (every shard, every node).
-		// lint:ignore cross-shard the suite exercises the scatter path on purpose
-		if _, ok, err := s.Rdp(ctx, tuplespace.FormalString, tuplespace.FormalInt); err != nil || !ok {
-			t.Fatalf("cross Rdp = ok=%v err=%v, want hit", ok, err)
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
 		}
-		got := map[string]bool{}
-		for i := 0; i < 2; i++ {
-			// lint:ignore cross-shard the suite exercises the scatter path on purpose
-			tu, ok, err := s.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt)
-			if err != nil || !ok {
-				t.Fatalf("cross Inp #%d = ok=%v err=%v, want hit", i, ok, err)
-			}
-			got[tu[0].(string)] = true
+		defer tx.Abort() //nolint:errcheck — took nothing
+		wantCrossRejected(t, []namedOp{
+			{"Inp", func() error { _, _, err := s.Inp(ctx, cross...); return err }},
+			{"Rdp", func() error { _, _, err := s.Rdp(ctx, cross...); return err }},
+			{"txn Inp", func() error { _, _, err := tx.Inp(ctx, cross...); return err }},
+		})
+		if n, err := s.Len(); err != nil || n != 1 {
+			t.Fatalf("Len = %d (err %v) after the rejected probes, want 1", n, err)
 		}
-		if !got["alpha"] || !got["beta"] {
-			t.Fatalf("cross Inp drained %v, want both alpha and beta", got)
-		}
-		// lint:ignore cross-shard,tuple-errcheck deliberate scatter probe; the miss is the assertion
-		if _, ok, _ := s.Inp(ctx, tuplespace.FormalString, tuplespace.FormalInt); ok {
-			t.Fatal("cross Inp found a third tuple in a two-tuple store")
+		if _, ok, err := s.Inp(ctx, "alpha", tuplespace.FormalInt); err != nil || !ok {
+			t.Fatalf("Inp by tag after the rejected probes = ok=%v err=%v, want hit", ok, err)
 		}
 	})
 
+	// The blocking forms run against an empty store, so a backend that
+	// waited instead of rejecting would only return at the suite's
+	// deadline; a tuple outed afterwards must not go to a waiter the
+	// rejected call left behind.
 	t.Run("CrossBlockingIn", func(t *testing.T) {
 		s, ctx := open(t), testCtx(t)
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			s.Out(context.Background(), "surprise", 3) //nolint:errcheck
-		}()
-		// lint:ignore cross-shard the suite exercises the scatter path on purpose
-		tu, err := s.In(ctx, tuplespace.FormalString, tuplespace.FormalInt)
+		tx, err := s.Begin()
 		if err != nil {
-			t.Fatalf("cross In: %v", err)
+			t.Fatalf("Begin: %v", err)
 		}
-		if tu[0] != "surprise" || tu[1] != 3 {
-			t.Fatalf("cross In returned %v", tu)
+		defer tx.Abort() //nolint:errcheck — took nothing
+		wantCrossRejected(t, []namedOp{
+			{"In", func() error { _, err := s.In(ctx, cross...); return err }},
+			{"Rd", func() error { _, err := s.Rd(ctx, cross...); return err }},
+			{"txn In", func() error { _, err := tx.In(ctx, cross...); return err }},
+		})
+		if err := s.Out(ctx, "alpha", 1); err != nil {
+			t.Fatalf("Out: %v", err)
+		}
+		if n, err := s.Len(); err != nil || n != 1 {
+			t.Fatalf("Len = %d (err %v) after the rejected takes, want 1", n, err)
+		}
+		if _, ok, err := s.Inp(ctx, "alpha", tuplespace.FormalInt); err != nil || !ok {
+			t.Fatalf("Inp by tag after the rejected takes = ok=%v err=%v, want hit", ok, err)
 		}
 	})
 

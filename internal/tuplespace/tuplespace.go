@@ -17,13 +17,13 @@
 // shards by signature hash, so operations on different signatures never
 // contend on a lock. Each shard keeps its own tuple lists and its own
 // waiter list; an Out only wakes waiters registered for its signature.
-// The one cross-shard case — a template whose first field is a formal
-// string, which may match any tagged partition of its arity — takes a
-// slow path: its waiters live on a shared list every shard consults,
-// and its polls scan the shards in order. Templates are compiled once
-// per operation into a matcher with fast-path equality for the scalar,
-// string and []byte field types the miners use, falling back to
-// reflection only for other types.
+// Every template therefore names its one partition, and so its one
+// shard: a template whose first field is a formal string would match
+// any tagged partition of its arity, and every operation rejects it
+// with ErrCrossTemplate before it blocks or takes anything. Templates
+// are compiled once per operation into a matcher with fast-path
+// equality for the scalar, string and []byte field types the miners
+// use, falling back to reflection only for other types.
 package tuplespace
 
 import (
@@ -47,6 +47,12 @@ import (
 // ErrClosed is returned by blocking operations when the space is closed
 // while they wait, and by all operations on an already closed space.
 var ErrClosed = errors.New("tuplespace: space closed")
+
+// ErrCrossTemplate rejects a template whose first field is a formal
+// string: it names no tag, so no partition, shard or cluster node is
+// its home. Every Store returns it before blocking or taking anything,
+// and the identity survives the wire.
+var ErrCrossTemplate = errors.New("tuplespace: template leads with a formal string; lead with a constant tag")
 
 // Tuple is an ordered sequence of typed values stored in a space.
 type Tuple []any
@@ -94,7 +100,8 @@ type Template []any
 // Matches reports whether the template matches the tuple: same arity,
 // every actual equal in type and value, every formal equal in type.
 // This is the reference semantics; the space itself matches through
-// compiled templates, which agree with Matches on every input.
+// compiled templates, which agree with Matches on every template the
+// space accepts (it rejects a leading formal string, ErrCrossTemplate).
 func (tm Template) Matches(t Tuple) bool {
 	if len(tm) != len(t) {
 		return false
@@ -242,8 +249,6 @@ func appendTag(sig []byte, v string) []byte {
 type compiledTemplate struct {
 	fields []compiledField
 	sig    []byte // signature partition key
-	cross  bool   // leading formal string: may match any tagged partition
-	prefix string // cross templates: "<arity>:string;" candidate-key prefix
 }
 
 func (ct *compiledTemplate) match(t Tuple) bool {
@@ -265,8 +270,9 @@ func (ct *compiledTemplate) match(t Tuple) bool {
 // required when the result outlives the caller's frame, e.g. in a
 // registered waiter). The result is returned by value so the callee
 // never stores through a pointer into it, which would defeat stack
-// allocation at every call site.
-func compileTemplate(tm Template, fields []compiledField, sig []byte) compiledTemplate {
+// allocation at every call site. A template leading with a formal
+// string has no partition and fails with ErrCrossTemplate.
+func compileTemplate(tm Template, fields []compiledField, sig []byte) (compiledTemplate, error) {
 	var ct compiledTemplate
 	if cap(fields) >= len(tm) {
 		fields = fields[:len(tm)]
@@ -290,11 +296,11 @@ func compileTemplate(tm Template, fields []compiledField, sig []byte) compiledTe
 				sig = append(sig, "nil;"...)
 				continue
 			}
+			if i == 0 && cf.kind == kindString {
+				return compiledTemplate{}, ErrCrossTemplate
+			}
 			sig = append(sig, typeName(fo.t)...)
 			sig = append(sig, ';')
-			if i == 0 && cf.kind == kindString {
-				ct.cross = true
-			}
 			continue
 		}
 		switch v := f.(type) {
@@ -331,12 +337,7 @@ func compileTemplate(tm Template, fields []compiledField, sig []byte) compiledTe
 		}
 	}
 	ct.sig = sig
-	if ct.cross {
-		// A cross signature starts with "<arity>:string;" — the prefix
-		// every matchable partition key shares.
-		ct.prefix = string(sig[:bytes.IndexByte(sig, ';')+1])
-	}
-	return ct
+	return ct, nil
 }
 
 // signatureOf appends the partition key for a tuple to sig: the arity,
@@ -388,25 +389,13 @@ func signatureOf(sig []byte, fields []any) []byte {
 // Signature appends the partition key of a tuple (or template) to dst
 // and returns it: the arity, the type of each field, and the value of
 // a leading string tag. Two tuples share a partition exactly when
-// their signatures are byte-equal, and a non-cross template matches
-// only tuples of its own signature. External routers (the cluster
-// package) partition by a deterministic hash of this key — unlike the
+// their signatures are byte-equal, and a template matches only tuples
+// of its own signature. External routers (the cluster package)
+// partition by a deterministic hash of this key — unlike the
 // in-process shard routing, which hashes with a per-process seed and
 // so must never leak across processes.
 func Signature(dst []byte, fields []any) []byte {
 	return signatureOf(dst, fields)
-}
-
-// CrossTemplate reports whether a template's leading field is a formal
-// string — the one shape that can match tuples in any tagged partition
-// of its arity, and therefore cannot be routed to a single home (shard
-// or cluster node) by signature.
-func CrossTemplate(tmplFields []any) bool {
-	if len(tmplFields) == 0 {
-		return false
-	}
-	fo, ok := tmplFields[0].(formal)
-	return ok && fo.t == typeString
 }
 
 // Stats counts operations on a space; useful for tests and for the
@@ -493,8 +482,7 @@ type waiter struct {
 	ct      *compiledTemplate
 	take    bool // In (destructive) vs Rd
 	ch      chan stored
-	seq     int64
-	removed bool // guarded by the lock of the list holding the waiter
+	removed bool // guarded by the shard lock
 }
 
 // partition is the tuple list of one signature: a FIFO whose head take
@@ -516,10 +504,9 @@ type shard struct {
 	mu      sync.Mutex
 	idx     int
 	parts   map[string]*partition
-	waiters []*waiter
-	sorted  []string // sorted partition keys; nil = stale, rebuilt on demand
-	count   int64    // stored tuples in this shard
-	empties int      // partitions currently holding no tuples
+	waiters []*waiter // in arrival order, so FIFO among takers
+	count   int64     // stored tuples in this shard
+	empties int       // partitions currently holding no tuples
 	closed  bool
 }
 
@@ -541,22 +528,8 @@ func (sh *shard) noteEmptiedLocked() {
 				delete(sh.parts, k)
 			}
 		}
-		sh.sorted = nil
 		sh.empties = 0
 	}
-}
-
-// sortedKeysLocked returns the shard's partition keys in sorted order,
-// rebuilding the cache only after a partition was created or deleted.
-func (sh *shard) sortedKeysLocked() []string {
-	if sh.sorted == nil {
-		sh.sorted = make([]string, 0, len(sh.parts))
-		for k := range sh.parts {
-			sh.sorted = append(sh.sorted, k)
-		}
-		sort.Strings(sh.sorted)
-	}
-	return sh.sorted
 }
 
 // Space is a concurrency-safe Linda tuple space, lock-striped over
@@ -567,18 +540,6 @@ type Space struct {
 	shards []*shard
 	mask   uint64
 
-	// xwait holds waiters whose template has a leading formal string —
-	// the only templates that can match tuples on more than one shard.
-	// Every Out consults this list (cheaply skipped via the atomic
-	// counter when empty). Lock order: shard.mu before xwait.mu.
-	xwait struct {
-		mu     sync.Mutex
-		list   []*waiter
-		n      atomic.Int64 // live (non-removed) entries
-		closed bool
-	}
-
-	seq      atomic.Int64 // waiter arrival order, for FIFO fairness
 	tupleCnt atomic.Int64
 	closed   atomic.Bool
 
@@ -672,7 +633,6 @@ func (s *Space) out(t Tuple, org obs.SpanContext) error {
 		if p == nil {
 			p = &partition{}
 			sh.parts[string(sig)] = p
-			sh.sorted = nil
 		} else if len(p.tuples) == 0 {
 			sh.empties-- // refilling a retained empty partition
 		}
@@ -698,113 +658,50 @@ func (s *Space) out(t Tuple, org obs.SpanContext) error {
 	return nil
 }
 
-// deliverLocked serves st to blocked waiters: every matching reader is
-// woken, then the earliest-registered matching taker consumes it. The
-// shard's own waiters and the cross-shard list are walked merged in
-// arrival order, preserving FIFO fairness between them. Called with
-// sh.mu held; takes xwait.mu only when cross-shard waiters exist.
+// deliverLocked serves st to the shard's blocked waiters: every
+// matching reader is woken, then the earliest-registered matching taker
+// consumes it. Called with sh.mu held.
 func (s *Space) deliverLocked(sh *shard, st stored) bool {
-	var xs []*waiter
-	xlocked := false
-	if s.xwait.n.Load() > 0 {
-		s.xwait.mu.Lock()
-		xlocked = true
-		xs = s.xwait.list
+	if len(sh.waiters) == 0 {
+		return false
 	}
 	taken := false
-	ws := sh.waiters
-	if len(ws) > 0 || len(xs) > 0 {
-		i, j := 0, 0
-		for i < len(ws) || j < len(xs) {
-			var w *waiter
-			switch {
-			case i >= len(ws):
-				w = xs[j]
-				j++
-			case j >= len(xs) || ws[i].seq < xs[j].seq:
-				w = ws[i]
-				i++
-			default:
-				w = xs[j]
-				j++
-			}
-			if w.removed || !w.ct.match(st.t) {
-				continue
-			}
-			if w.take {
-				if !taken {
-					w.removed = true
-					w.ch <- st
-					taken = true
-				}
-				continue
-			}
-			w.removed = true
-			w.ch <- st
+	for _, w := range sh.waiters {
+		if w.removed || !w.ct.match(st.t) {
+			continue
 		}
-		compactWaiters(&sh.waiters)
+		if w.take {
+			if !taken {
+				w.removed = true
+				w.ch <- st
+				taken = true
+			}
+			continue
+		}
+		w.removed = true
+		w.ch <- st
 	}
-	if xlocked {
-		n := compactWaiters(&s.xwait.list)
-		s.xwait.n.Store(int64(n))
-		s.xwait.mu.Unlock()
-	}
-	return taken
-}
-
-func compactWaiters(ws *[]*waiter) int {
-	live := (*ws)[:0]
-	for _, w := range *ws {
+	live := sh.waiters[:0]
+	for _, w := range sh.waiters {
 		if !w.removed {
 			live = append(live, w)
 		}
 	}
-	for i := len(live); i < len(*ws); i++ {
-		(*ws)[i] = nil
-	}
-	*ws = live
-	return len(live)
+	clear(sh.waiters[len(live):])
+	sh.waiters = live
+	return taken
 }
 
-// findInShardLocked searches one shard for a match, removing the tuple
-// when take is set. Cross-shard templates consult only the partitions
-// whose key carries the template's arity-and-leading-string prefix,
-// through the shard's cached sorted key list.
+// findInShardLocked searches the template's partition in its shard for
+// a match, removing the tuple when take is set.
 func (s *Space) findInShardLocked(sh *shard, ct *compiledTemplate, take bool) (stored, bool) {
 	if len(ct.fields) == 0 {
 		return stored{}, false
 	}
-	if !ct.cross {
-		p := sh.parts[string(ct.sig)] // no-alloc lookup
-		if p == nil {
-			return stored{}, false
-		}
-		st, ok := s.scanPartitionLocked(sh, p, ct, take)
-		if ok && take && len(p.tuples) == 0 {
-			sh.noteEmptiedLocked()
-		}
-		return st, ok
+	p := sh.parts[string(ct.sig)] // no-alloc lookup
+	if p == nil {
+		return stored{}, false
 	}
-	keys := sh.sortedKeysLocked()
-	for _, k := range keys[sort.SearchStrings(keys, ct.prefix):] {
-		if !strings.HasPrefix(k, ct.prefix) {
-			break
-		}
-		p := sh.parts[k]
-		if p == nil {
-			continue // swept since the sorted cache was built
-		}
-		if st, ok := s.scanPartitionLocked(sh, p, ct, take); ok {
-			if take && len(p.tuples) == 0 {
-				sh.noteEmptiedLocked()
-			}
-			return st, ok
-		}
-	}
-	return stored{}, false
-}
-
-func (s *Space) scanPartitionLocked(sh *shard, p *partition, ct *compiledTemplate, take bool) (stored, bool) {
 	for i, st := range p.tuples {
 		if !ct.match(st.t) {
 			continue
@@ -819,6 +716,9 @@ func (s *Space) scanPartitionLocked(sh *shard, p *partition, ct *compiledTemplat
 				if p.tuples = p.tuples[1:]; len(p.tuples) == 0 {
 					p.tuples = p.base
 				}
+			}
+			if len(p.tuples) == 0 {
+				sh.noteEmptiedLocked()
 			}
 			sh.count--
 			s.tupleCnt.Add(-1)
@@ -848,7 +748,10 @@ func (s *Space) poll(ctx context.Context, tm Template, take bool) (stored, bool,
 	// hot path (a worker's Inp poll loop) allocates nothing here.
 	var farr [6]compiledField
 	var sbuf [88]byte
-	ct := compileTemplate(tm, farr[:0], sbuf[:0])
+	ct, err := compileTemplate(tm, farr[:0], sbuf[:0])
+	if err != nil {
+		return stored{}, false, err
+	}
 	op := "rdp"
 	if take {
 		s.stInps.Add(1)
@@ -856,23 +759,10 @@ func (s *Space) poll(ctx context.Context, tm Template, take bool) (stored, bool,
 	} else {
 		s.stRdps.Add(1)
 	}
-	var st stored
-	var ok bool
-	if ct.cross {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			st, ok = s.findInShardLocked(sh, &ct, take)
-			sh.mu.Unlock()
-			if ok {
-				break
-			}
-		}
-	} else {
-		sh := s.shardOf(ct.sig)
-		sh.mu.Lock()
-		st, ok = s.findInShardLocked(sh, &ct, take)
-		sh.mu.Unlock()
-	}
+	sh := s.shardOf(ct.sig)
+	sh.mu.Lock()
+	st, ok := s.findInShardLocked(sh, &ct, take)
+	sh.mu.Unlock()
 	if o := s.obs.Load(); o != nil {
 		if take {
 			o.inps.Inc()
@@ -893,8 +783,8 @@ func (s *Space) poll(ctx context.Context, tm Template, take bool) (stored, bool,
 
 // Inp is the non-blocking destructive match: if a matching tuple
 // exists it is removed and returned with true, else ok is false. The
-// error is non-nil only when the space is closed or the ctx already
-// done.
+// error is non-nil only when the space is closed, the ctx already
+// done, or the template leads with a formal string (ErrCrossTemplate).
 func (s *Space) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) {
 	st, ok, err := s.poll(ctx, Template(tmplFields), true)
 	return st.t, ok, err
@@ -949,7 +839,10 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 	}
 	// Heap-compiled (nil scratch): a registered waiter retains it.
 	ct := new(compiledTemplate)
-	*ct = compileTemplate(tm, nil, nil)
+	var err error
+	if *ct, err = compileTemplate(tm, nil, nil); err != nil {
+		return stored{}, err
+	}
 	op := "rd"
 	if take {
 		s.stIns.Add(1)
@@ -974,118 +867,40 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 		sp = o.tracer.StartChild(obs.FromContext(ctx), "tuple", op)
 	}
 
-	if !ct.cross {
-		sh := s.shardOf(ct.sig)
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			if sp != nil {
-				sp.Annotate("err", "closed")
-				sp.End()
-			}
-			return stored{}, ErrClosed
-		}
-		if st, ok := s.findInShardLocked(sh, ct, take); ok {
-			sh.mu.Unlock()
-			if sp != nil {
-				sp.Annotate("blocked", false)
-				sp.Annotate("shard", sh.idx)
-				sp.End()
-			} else if o != nil && o.tracer != nil {
-				o.tracer.Record("tuple", op, 0, "blocked", false)
-			}
-			return st, nil
-		}
-		w := &waiter{ct: ct, take: take, ch: make(chan stored, 1), seq: s.seq.Add(1)}
-		sh.waiters = append(sh.waiters, w)
+	sh := s.shardOf(ct.sig)
+	sh.mu.Lock()
+	if sh.closed {
 		sh.mu.Unlock()
-		unregister := func() bool {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if w.removed {
-				return false
-			}
-			w.removed = true
-			return true
-		}
-		return s.block(ctx, w, unregister, op, o, sp)
-	}
-
-	// Cross-shard template: register on the shared waiter list first so
-	// a concurrent Out on any shard can find us, then scan the shards
-	// for an already stored match, claiming our waiter slot before
-	// taking a tuple so at most one of {scan, Out} fulfills us.
-	s.xwait.mu.Lock()
-	if s.xwait.closed {
-		s.xwait.mu.Unlock()
 		if sp != nil {
 			sp.Annotate("err", "closed")
 			sp.End()
 		}
 		return stored{}, ErrClosed
 	}
-	w := &waiter{ct: ct, take: take, ch: make(chan stored, 1), seq: s.seq.Add(1)}
-	s.xwait.list = append(s.xwait.list, w)
-	s.xwait.n.Add(1)
-	s.xwait.mu.Unlock()
-
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			break // closing: our channel is (being) closed
-		}
-		if _, ok := s.findInShardLocked(sh, ct, false); !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		s.xwait.mu.Lock()
-		claimed := !w.removed && !s.xwait.closed
-		if claimed {
-			w.removed = true
-			s.xwait.n.Add(-1)
-		}
-		s.xwait.mu.Unlock()
-		if !claimed {
-			sh.mu.Unlock()
-			break // an Out delivered concurrently; consume the channel
-		}
-		// The shard lock was held across the probe, so the match is
-		// still present.
-		st, ok := s.findInShardLocked(sh, ct, take)
+	if st, ok := s.findInShardLocked(sh, ct, take); ok {
 		sh.mu.Unlock()
-		if ok {
-			if sp != nil {
-				sp.Annotate("blocked", false)
-				sp.Annotate("shard", sh.idx)
-				sp.End()
-			} else if o != nil && o.tracer != nil {
-				o.tracer.Record("tuple", op, 0, "blocked", false)
-			}
-			return st, nil
+		if sp != nil {
+			sp.Annotate("blocked", false)
+			sp.Annotate("shard", sh.idx)
+			sp.End()
+		} else if o != nil && o.tracer != nil {
+			o.tracer.Record("tuple", op, 0, "blocked", false)
 		}
-		break
+		return st, nil
 	}
-	unregister := func() bool {
-		s.xwait.mu.Lock()
-		defer s.xwait.mu.Unlock()
-		if w.removed {
-			return false
-		}
-		w.removed = true
-		s.xwait.n.Add(-1)
-		return true
-	}
-	return s.block(ctx, w, unregister, op, o, sp)
+	w := &waiter{ct: ct, take: take, ch: make(chan stored, 1)}
+	sh.waiters = append(sh.waiters, w)
+	sh.mu.Unlock()
+	return s.block(ctx, sh, w, op, o, sp)
 }
 
 // block parks the caller on its waiter channel until an Out delivers a
 // tuple, the context is canceled, or Close releases it. On
-// cancellation, unregister claims the waiter slot under the list lock;
+// cancellation the caller claims its waiter slot under the shard lock;
 // if the claim fails a delivery (or Close) won the race and the
 // channel resolves immediately — the tuple wins over cancellation so
 // no take is lost.
-func (s *Space) block(ctx context.Context, w *waiter, unregister func() bool, op string, o *spaceObs, sp *obs.Span) (stored, error) {
+func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *spaceObs, sp *obs.Span) (stored, error) {
 	s.stBlocked.Add(1)
 	if o != nil {
 		o.blocked.Inc()
@@ -1103,7 +918,11 @@ func (s *Space) block(ctx context.Context, w *waiter, unregister func() bool, op
 	select {
 	case st, ok = <-w.ch:
 	case <-ctx.Done():
-		if unregister() {
+		sh.mu.Lock()
+		claimed := !w.removed
+		w.removed = true
+		sh.mu.Unlock()
+		if claimed {
 			waited := time.Since(blockedAt)
 			s.stBlockedNanos.Add(int64(waited))
 			if o != nil {
@@ -1165,17 +984,6 @@ func (s *Space) Close() error {
 		sh.waiters = nil
 		sh.mu.Unlock()
 	}
-	s.xwait.mu.Lock()
-	s.xwait.closed = true
-	for _, w := range s.xwait.list {
-		if !w.removed {
-			w.removed = true
-			close(w.ch)
-		}
-	}
-	s.xwait.list = nil
-	s.xwait.n.Store(0)
-	s.xwait.mu.Unlock()
 	return nil
 }
 
@@ -1237,7 +1045,6 @@ func (s *Space) Restore(tuples []Tuple) error {
 		sh.mu.Lock()
 		removed := sh.count
 		sh.parts = make(map[string]*partition)
-		sh.sorted = nil
 		sh.count = 0
 		sh.empties = 0
 		s.tupleCnt.Add(-removed)

@@ -221,24 +221,6 @@ func TestRestoreWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestFormalStringFirstFieldScans(t *testing.T) {
-	s := New()
-	s.Out(context.Background(), "alpha", 1)
-	s.Out(context.Background(), "beta", 2)
-	seen := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		// lint:ignore cross-shard this test exercises the cross-shard slow path deliberately
-		tu, ok, _ := s.Inp(context.Background(), FormalString, FormalInt)
-		if !ok {
-			t.Fatalf("scan %d failed", i)
-		}
-		seen[tu[0].(string)] = true
-	}
-	if !seen["alpha"] || !seen["beta"] {
-		t.Fatalf("scanned %v", seen)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	s := New()
 	s.Out(context.Background(), "a", 1)
