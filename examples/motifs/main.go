@@ -1,16 +1,18 @@
 // Motifs: discover active motifs in a cyclins-like protein family
-// (chapter 4) with the optimistic and load-balanced parallel E-tree
-// strategies, then predict how the run would scale on a simulated
+// (chapter 4) sequentially and with the PLinda parallel E-tree
+// traversal, then predict how the run would scale on a simulated
 // network of workstations.
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"freepdm/internal/core"
 	"freepdm/internal/mining/motif"
 	"freepdm/internal/now"
+	"freepdm/internal/plinda"
 	"freepdm/internal/seq"
 )
 
@@ -32,13 +34,15 @@ func main() {
 		fmt.Printf("  *%s*  occurs in %d sequences\n", r.Pattern.Key(), int(r.Goodness))
 	}
 
-	// In-process parallel traversals agree.
-	for _, strat := range []core.Strategy{core.Optimistic, core.LoadBalanced} {
-		pr := motif.NewProblem(corpus, params)
-		res, stats := core.SolveETT(pr, 8, strat)
-		fmt.Printf("\n%s PETT with 8 workers: %d active motifs, %d evaluations",
-			strat, len(pr.ActiveMotifs(res)), stats.Evaluated)
+	// The PLinda parallel E-tree traversal agrees.
+	pr := motif.NewProblem(corpus, params)
+	srv := plinda.NewServer()
+	res, err := core.RunPLET(srv, pr, 8)
+	srv.Close()
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("\nPLET with 8 workers: %d active motifs", len(pr.ActiveMotifs(res)))
 
 	// Predict scaling on a simulated NOW, the chapter 4 experiment.
 	trace := core.BuildTrace(motif.NewProblem(corpus, params))

@@ -13,19 +13,20 @@
 //
 //   - SolveSequential: the optimal sequential data mining virtual
 //     machine (DMVM, section 3.1.5).
-//   - SolveEDT: the parallel E-dag traversal (PEDT, section 3.2.1),
-//     level-synchronous with maximal subpattern pruning.
-//   - SolveETT: the parallel E-tree traversal (PETT, section 3.3.2),
-//     asynchronous with parent-only pruning.
-//   - PLinda master/worker programs mirroring figures 3.4/3.5 (PLED,
-//     as level-wise count distribution: the workers generate, prune
-//     and evaluate each level's candidates against the level's good
-//     set, the master only unions their reports) and 3.9/3.10 (PLET:
-//     a task is a bundle of frontier patterns a worker explores under a
-//     node budget, spilling what is left as two bundles).
+//   - SolveETTSequential: the sequential E-tree traversal, the
+//     reference for what parent-only pruning evaluates.
+//   - The parallel traversals as PLinda master/worker programs, one per
+//     lattice shape. RunPLED is the parallel E-dag traversal (PEDT,
+//     section 3.2.1, figures 3.4/3.5) as level-wise count distribution:
+//     the workers generate, prune and evaluate each level's candidates
+//     against the level's good set, the master only unions their
+//     reports. RunPLET is the parallel E-tree traversal (PETT, section
+//     3.3.2, figures 3.9/3.10): a task is a bundle of frontier patterns
+//     a worker explores under a node budget, spilling what is left as
+//     two bundles.
 //   - Trace extraction and conversion to simulated NOW task graphs for
 //     the chapter 4 timing experiments (optimistic, load-balanced and
-//     adaptive-master strategies).
+//     adaptive-master strategies are simulated schedules, not runtimes).
 package core
 
 import (

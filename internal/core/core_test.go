@@ -179,31 +179,6 @@ func TestSequentialFindsPlantedFrequentSets(t *testing.T) {
 	}
 }
 
-func TestEDTMatchesSequential(t *testing.T) {
-	p := newToyProblem(7, 300, 0.12, 7)
-	seqRes, seqSt := SolveSequential(p)
-	parRes, parSt := SolveEDT(p, 4)
-	sameResults(t, seqRes, parRes, "sequential", "PEDT")
-	if seqSt.Evaluated != parSt.Evaluated {
-		t.Fatalf("PEDT evaluated %d, sequential %d (theorem 2 violated)",
-			parSt.Evaluated, seqSt.Evaluated)
-	}
-}
-
-func TestETTMatchesSequentialResults(t *testing.T) {
-	p := newToyProblem(7, 300, 0.12, 11)
-	seqRes, seqSt := SolveSequential(p)
-	for _, strat := range []Strategy{Optimistic, LoadBalanced} {
-		parRes, parSt := SolveETT(p, 4, strat)
-		sameResults(t, seqRes, parRes, "sequential", "PETT-"+strat.String())
-		// Lemma 2/3: same good patterns; the E-tree may evaluate MORE
-		// candidates (it gives up non-parent subpattern pruning).
-		if parSt.Evaluated < seqSt.Evaluated {
-			t.Fatalf("PETT evaluated fewer (%d) than EDT (%d)?", parSt.Evaluated, seqSt.Evaluated)
-		}
-	}
-}
-
 func TestETTSequentialMatches(t *testing.T) {
 	p := newToyProblem(6, 150, 0.18, 3)
 	a, _ := SolveSequential(p)
@@ -441,24 +416,29 @@ func TestLoadBalancedBeatsOptimisticOnSkewedTrees(t *testing.T) {
 	}
 }
 
-// Property: for random toy problems, PEDT with any worker count finds
-// exactly the sequential result set.
-func TestPropertyEDTWorkerCountInvariance(t *testing.T) {
+// Property: for random toy problems, both PLinda programs find exactly
+// the sequential result set with any worker count.
+func TestPropertyPLindaWorkerCountInvariance(t *testing.T) {
 	f := func(seed uint64, workers uint8) bool {
 		p := newToyProblem(5, 60, 0.2, seed|1)
-		a, _ := SolveSequential(p)
-		b, _ := SolveEDT(p, int(workers%6)+1)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].Pattern.Key() != b[i].Pattern.Key() {
+		want, _ := SolveSequential(p)
+		w := int(workers%5) + 1
+		for _, run := range []func(*plinda.Server, Problem, int) ([]Result, error){RunPLED, RunPLET} {
+			srv := plinda.NewServer()
+			got, err := run(srv, p, w)
+			srv.Close()
+			if err != nil || len(got) != len(want) {
 				return false
+			}
+			for i := range want {
+				if want[i].Pattern.Key() != got[i].Pattern.Key() {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -468,13 +448,5 @@ func BenchmarkSolveSequentialToy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SolveSequential(p)
-	}
-}
-
-func BenchmarkSolveEDT4Workers(b *testing.B) {
-	p := newToyProblem(10, 500, 0.08, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SolveEDT(p, 4)
 	}
 }

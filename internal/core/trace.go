@@ -99,6 +99,29 @@ func AdaptiveDepth(workers int) int {
 	return 1
 }
 
+// Strategy selects how a simulated E-tree schedule distributes work,
+// matching the implementation strategies of section 4.2.2. It shapes
+// the NOW task graph Trace.Tasks builds for the chapter 4 timing
+// experiments; it is not a runtime option of RunPLET.
+type Strategy int
+
+const (
+	// Optimistic: each initial task is an entire subtree, finished by a
+	// single simulated worker with a local stack (figures 4.4/4.5).
+	// Minimal communication, no load balancing.
+	Optimistic Strategy = iota
+	// LoadBalanced: each simulated task spawns its child patterns back
+	// into the shared pool so idle workers can help (figures 4.6/4.7).
+	LoadBalanced
+)
+
+func (s Strategy) String() string {
+	if s == Optimistic {
+		return "optimistic"
+	}
+	return "load-balanced"
+}
+
 // Tasks converts a trace into a simulated NOW task graph under the
 // given strategy, seeding initial tasks at the given depth. The master
 // itself evaluates the nodes above the seeding depth (the "E-dag

@@ -91,12 +91,20 @@ func TestAllTraversalsAgree(t *testing.T) {
 	mk := func() *Problem { return NewProblem(seqs, params) }
 	seqRes, _ := core.SolveSequential(mk())
 	ettRes, _ := core.SolveETTSequential(mk())
-	edtRes, _ := core.SolveEDT(mk(), 4)
-	pettRes, _ := core.SolveETT(mk(), 4, core.LoadBalanced)
+	run := func(engine func(*plinda.Server, core.Problem, int) ([]core.Result, error)) []core.Result {
+		srv := plinda.NewServer()
+		defer srv.Close()
+		res, err := engine(srv, mk(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	pledRes, pletRes := run(core.RunPLED), run(core.RunPLET)
 
 	want := strings.Join(keys(seqRes), " ")
 	for name, got := range map[string][]core.Result{
-		"ETT": ettRes, "PEDT": edtRes, "PETT": pettRes,
+		"ETT": ettRes, "PLED": pledRes, "PLET": pletRes,
 	} {
 		if strings.Join(keys(got), " ") != want {
 			t.Fatalf("%s diverged:\n%v\nvs\n%v", name, keys(got), keys(seqRes))

@@ -97,12 +97,23 @@ func TestSubpatternsRemoveOneLeaf(t *testing.T) {
 func TestTraversalsAgree(t *testing.T) {
 	trees := corpus(t, 6, "R(H H)", 4, 4)
 	params := Params{MinOccur: 4, MaxDist: 0, MinSize: 2, MaxSize: 3}
-	a, _ := core.SolveSequential(NewProblem(trees, params))
-	b, _ := core.SolveETTSequential(NewProblem(trees, params))
-	c, _ := core.SolveETT(NewProblem(trees, params), 4, core.LoadBalanced)
-	ka, kb, kc := join(a), join(b), join(c)
-	if ka != kb || ka != kc {
-		t.Fatalf("traversals diverge:\n%s\n%s\n%s", ka, kb, kc)
+	want, _ := core.SolveSequential(NewProblem(trees, params))
+	ett, _ := core.SolveETTSequential(NewProblem(trees, params))
+	if join(ett) != join(want) {
+		t.Fatalf("ETT diverged:\n%s\nvs\n%s", join(ett), join(want))
+	}
+	for name, engine := range map[string]func(*plinda.Server, core.Problem, int) ([]core.Result, error){
+		"PLED": core.RunPLED, "PLET": core.RunPLET,
+	} {
+		srv := plinda.NewServer()
+		got, err := engine(srv, NewProblem(trees, params), 4)
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if join(got) != join(want) {
+			t.Fatalf("%s diverged:\n%s\nvs\n%s", name, join(got), join(want))
+		}
 	}
 }
 

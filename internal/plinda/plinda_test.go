@@ -156,6 +156,51 @@ func TestTransactionAbortRestoresTakenTuples(t *testing.T) {
 	}
 }
 
+// A formal-first template names no partition, so every Store rejects
+// it; the transaction's own buffer must refuse it the same way instead
+// of matching a tuple the transaction has out'ed.
+func TestProcBufferRejectsFormalFirstTemplate(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	err := srv.Spawn("crosser", func(p *Proc) error {
+		if err := p.Xstart(); err != nil {
+			return err
+		}
+		defer p.Xabort()
+		if err := p.Out("task", "k"); err != nil {
+			return err
+		}
+		ops := []struct {
+			name string
+			call func() error
+		}{
+			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
+			{"In", func() error { _, err := p.In(tuplespace.FormalString, tuplespace.FormalString); return err }},
+			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
+			{"Inp", func() error { _, _, err := p.Inp(tuplespace.FormalString, tuplespace.FormalString); return err }},
+			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
+			{"Rd", func() error { _, err := p.Rd(tuplespace.FormalString, tuplespace.FormalString); return err }},
+			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
+			{"Rdp", func() error { _, _, err := p.Rdp(tuplespace.FormalString, tuplespace.FormalString); return err }},
+		}
+		for _, op := range ops {
+			if err := op.call(); !errors.Is(err, tuplespace.ErrCrossTemplate) {
+				t.Errorf("%s of a formal-first template = %v, want ErrCrossTemplate", op.name, err)
+			}
+		}
+		if len(p.buffer) != 1 {
+			t.Errorf("buffer holds %d tuples after the rejected ops, want the 1 out'ed", len(p.buffer))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Wait("crosser"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTxnOutsInvisibleUntilCommit(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()

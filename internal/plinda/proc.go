@@ -308,20 +308,25 @@ func (p *Proc) OutN(tuples []tuplespace.Tuple) error {
 }
 
 // takeBuffered serves In/Rd from this transaction's private buffer so
-// a transaction can consume tuples it has produced itself.
-func (p *Proc) takeBuffered(tm tuplespace.Template, take bool) (tuplespace.Tuple, bool) {
+// a transaction can consume tuples it has produced itself. A template
+// leading with a formal string fails with ErrCrossTemplate before the
+// buffer is consulted, as it does on every Store.
+func (p *Proc) takeBuffered(tm tuplespace.Template, take bool) (tuplespace.Tuple, bool, error) {
+	if len(tm) > 0 && tm[0] == tuplespace.FormalString {
+		return nil, false, tuplespace.ErrCrossTemplate
+	}
 	if !p.txnOpen {
-		return nil, false
+		return nil, false, nil
 	}
 	for i, t := range p.buffer {
 		if tm.Matches(t) {
 			if take {
 				p.buffer = append(p.buffer[:i], p.buffer[i+1:]...)
 			}
-			return t, true
+			return t, true, nil
 		}
 	}
-	return nil, false
+	return nil, false, nil
 }
 
 // In blocks until a matching tuple exists and removes it. Inside a
@@ -331,8 +336,8 @@ func (p *Proc) In(tmpl ...any) (tuplespace.Tuple, error) {
 	if err := p.gate(); err != nil {
 		return nil, err
 	}
-	if t, ok := p.takeBuffered(tuplespace.Template(tmpl), true); ok {
-		return t, nil
+	if t, ok, err := p.takeBuffered(tuplespace.Template(tmpl), true); ok || err != nil {
+		return t, err
 	}
 	p.setStatus(Blocked)
 	defer p.setStatus(Running)
@@ -372,8 +377,8 @@ func (p *Proc) Inp(tmpl ...any) (tuplespace.Tuple, bool, error) {
 	if err := p.gate(); err != nil {
 		return nil, false, err
 	}
-	if t, ok := p.takeBuffered(tuplespace.Template(tmpl), true); ok {
-		return t, true, nil
+	if t, ok, err := p.takeBuffered(tuplespace.Template(tmpl), true); ok || err != nil {
+		return t, ok, err
 	}
 	if p.txnOpen {
 		return p.txn.Inp(p.opCtx(), tmpl...)
@@ -387,8 +392,8 @@ func (p *Proc) Rd(tmpl ...any) (tuplespace.Tuple, error) {
 	if err := p.gate(); err != nil {
 		return nil, err
 	}
-	if t, ok := p.takeBuffered(tuplespace.Template(tmpl), false); ok {
-		return t, nil
+	if t, ok, err := p.takeBuffered(tuplespace.Template(tmpl), false); ok || err != nil {
+		return t, err
 	}
 	p.setStatus(Blocked)
 	defer p.setStatus(Running)
@@ -407,8 +412,8 @@ func (p *Proc) Rdp(tmpl ...any) (tuplespace.Tuple, bool, error) {
 	if err := p.gate(); err != nil {
 		return nil, false, err
 	}
-	if t, ok := p.takeBuffered(tuplespace.Template(tmpl), false); ok {
-		return t, true, nil
+	if t, ok, err := p.takeBuffered(tuplespace.Template(tmpl), false); ok || err != nil {
+		return t, ok, err
 	}
 	return p.store.Rdp(p.opCtx(), tmpl...)
 }
