@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"freepdm/internal/obs"
@@ -21,7 +22,7 @@ func pletTasks(pr *toyProblem, workers, budget int) int {
 // roundTripBackends are the stores the round-trip guards run on: a local
 // Space, and one Client dialed to a served Space. A registry, when
 // given, observes the Space, so the serving side counts the wire's bytes
-// into it (net.rx_bytes, net.tx_bytes).
+// and frames into it (net.rx_bytes, net.tx_bytes, net.op.<op>).
 var roundTripBackends = map[string]func(*testing.T, *obs.Registry) tuplespace.TxnStore{
 	"space": func(*testing.T, *obs.Registry) tuplespace.TxnStore { return tuplespace.New() },
 	"client": func(t *testing.T, reg *obs.Registry) tuplespace.TxnStore {
@@ -43,14 +44,42 @@ var roundTripBackends = map[string]func(*testing.T, *obs.Registry) tuplespace.Tx
 	},
 }
 
+// checkWireFrames holds the dialed run's frames to the two a
+// transaction needs, read off the served space's registry: no txbegin
+// frame, every request a take or a commit — a begin rides its
+// transaction's first operation — and one transaction begun on the
+// server per commit, commits as many as the run made.
+func checkWireFrames(t *testing.T, reg *obs.Registry, commits int64) {
+	t.Helper()
+	s := reg.Snapshot()
+	var requests int64
+	for name, h := range s.Histograms {
+		if strings.HasPrefix(name, "net.op.") {
+			requests += h.Count
+		}
+	}
+	if n := s.Histograms["net.op.txbegin"].Count; n != 0 {
+		t.Errorf("the client sent %d txbegin frames, want none", n)
+	}
+	takes := s.Histograms["net.op.in"].Count + s.Histograms["net.op.inp"].Count
+	if c := s.Histograms["net.op.txcommit"].Count; c != commits || requests != takes+c {
+		t.Errorf("the client sent %d requests: %d takes and %d commits of the run's %d, want takes + commits",
+			requests, takes, c, commits)
+	}
+	if b := s.Counters["net.txn_begins"]; b != commits {
+		t.Errorf("the server began %d transactions, want one per commit, %d", b, commits)
+	}
+}
+
 // TestPLETRoundTripGuard is the clock-free guard on what a PLET run
 // asks of its store, on a local Space and through a dialed Client: one
 // transaction per task on each side plus the seed and the workers'
 // poison exits, no Inp at all (nothing is drained), and nothing
 // published but task tuples (the poison among them) and one control
 // tuple per task — in particular no good tuple: good patterns ride the
-// control tuple. A change that puts a separate report message or a
-// polling loop back fails here, on any machine.
+// control tuple. On the wire a transaction is two frames
+// (checkWireFrames). A change that puts a separate report message, a
+// polling loop or a begin frame back fails here, on any machine.
 func TestPLETRoundTripGuard(t *testing.T) {
 	base := newToyProblem(16, 400, 0.005, 82)
 	seqRes, _ := SolveSequential(base)
@@ -60,7 +89,8 @@ func TestPLETRoundTripGuard(t *testing.T) {
 		for name, backend := range roundTripBackends {
 			t.Run(fmt.Sprintf("budget=%d/%s", budget, name), func(t *testing.T) {
 				withPLETBudget(t, budget)
-				store := &CountingStore{TxnStore: backend(t, nil)}
+				reg := obs.NewRegistry()
+				store := &CountingStore{TxnStore: backend(t, reg)}
 				srv := plinda.NewServerOnStore(store)
 				defer srv.Close()
 				res, err := RunPLET(srv, base, workers)
@@ -81,6 +111,9 @@ func TestPLETRoundTripGuard(t *testing.T) {
 					t.Errorf("budget %d: %d begins and %d commits, want %d of each (seed, a worker and a master transaction per task, %d poison exits)",
 						budget, b, c, txns, workers)
 				}
+				if name == "client" {
+					checkWireFrames(t, reg, txns)
+				}
 			})
 		}
 	}
@@ -92,7 +125,8 @@ func TestPLETRoundTripGuard(t *testing.T) {
 // master's, plus the seed and the workers' poison exits; no Inp and no
 // Rd at all (nothing is polled, drained or read in place: the level's
 // good set rides the task); and nothing published but one task tuple per
-// chunk, the poison, and one result tuple per chunk. The dialed run logs
+// chunk, the poison, and one result tuple per chunk; on the wire, two
+// frames a transaction (checkWireFrames). The dialed run logs
 // the bytes its wire carried: the price of shipping every level's good
 // set with every one of its chunks (DESIGN.md "PLED level grain").
 func TestPLEDRoundTripGuard(t *testing.T) {
@@ -123,6 +157,7 @@ func TestPLEDRoundTripGuard(t *testing.T) {
 				t.Errorf("%d begins and %d commits, want %d of each (seed, %d chunks, %d levels, %d poison exits)", b, c, txns, chunks, levels, workers)
 			}
 			if c := reg.Snapshot().Counters; name == "client" {
+				checkWireFrames(t, reg, txns)
 				t.Logf("%d evaluations, %d good, %d levels, %d chunks: the server received %d bytes and sent %d",
 					st.Evaluated, st.Good, levels, chunks, c["net.rx_bytes"], c["net.tx_bytes"])
 			}

@@ -51,12 +51,12 @@ import (
 	"freepdm/internal/obs"
 )
 
-// wireMagic and wireVersion form the connection banner. Version 2 is
-// the binary codec; version 1 was the gob protocol, which no longer
-// speaks.
+// wireMagic and wireVersion form the connection banner. Version 3
+// opens a transaction with its first operation; version 2 sent a
+// txbegin frame of its own, and version 1 was the gob protocol.
 const (
 	wireMagic   = "FPDM"
-	wireVersion = 2
+	wireVersion = 3
 )
 
 // Value tag bytes. The vNil..vStrings range doubles as the formal type
@@ -90,7 +90,6 @@ const (
 	opLen
 	opHello
 	opPing
-	opTxBegin
 	opTxCommit
 	opTxAbort
 	opCancel
@@ -103,7 +102,7 @@ const (
 var opNames = [opMax]string{
 	opOut: "out", opOutN: "outn", opIn: "in", opInp: "inp",
 	opRd: "rd", opRdp: "rdp", opLen: "len", opHello: "hello",
-	opPing: "ping", opTxBegin: "txbegin", opTxCommit: "txcommit",
+	opPing: "ping", opTxCommit: "txcommit",
 	opTxAbort: "txabort", opCancel: "cancel", opRecover: "recover",
 }
 
@@ -542,7 +541,7 @@ func (r *wireReader) fields() ([]any, error) {
 // appendRequest encodes one request body:
 //
 //	op(1) flags(1) id(uvarint)
-//	[rfTxn]    txn(uvarint)
+//	[rfTxn]    txn(uvarint: id<<1 | begin bit)
 //	[rfTarget] target(uvarint)
 //	[rfLease]  lease(varint ns)
 //	[rfName]   name(string)
@@ -558,7 +557,7 @@ func appendRequest(b []byte, req *request) ([]byte, error) {
 	if len(req.Batch) > 0 {
 		flags |= rfBatch
 	}
-	if req.Txn != 0 {
+	if req.Txn != 0 || req.Begin {
 		flags |= rfTxn
 	}
 	if req.Target != 0 {
@@ -579,7 +578,11 @@ func appendRequest(b []byte, req *request) ([]byte, error) {
 	b = append(b, req.Op, flags)
 	b = binary.AppendUvarint(b, req.ID)
 	if flags&rfTxn != 0 {
-		b = binary.AppendUvarint(b, req.Txn)
+		txn := req.Txn << 1
+		if req.Begin {
+			txn |= 1
+		}
+		b = binary.AppendUvarint(b, txn)
 	}
 	if flags&rfTarget != 0 {
 		b = binary.AppendUvarint(b, req.Target)
@@ -636,9 +639,11 @@ func decodeRequest(body []byte, req *request) error {
 	}
 	req.Op, req.ID = op, id
 	if flags&rfTxn != 0 {
-		if req.Txn, err = r.uvarint(); err != nil {
+		txn, err := r.uvarint()
+		if err != nil {
 			return err
 		}
+		req.Txn, req.Begin = txn>>1, txn&1 != 0
 	}
 	if flags&rfTarget != 0 {
 		if req.Target, err = r.uvarint(); err != nil {
@@ -878,10 +883,17 @@ func readFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// encBuf is a pooled encode buffer. Server handlers encode responses
-// into one and hand it to the writer goroutine, which returns it to
-// the pool after the frame is written; clients encode requests into
-// one outside the write lock.
+// frameBuffered reports whether br already holds a whole frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	size, n := binary.Uvarint(b)
+	return n > 0 && uint64(len(b)-n) >= size
+}
+
+// encBuf is a pooled encode buffer. Both ends encode a frame into one
+// outside the connection's write lock; frameWriter.write returns it to
+// the pool once the frame is written.
 type encBuf struct {
 	b []byte
 }

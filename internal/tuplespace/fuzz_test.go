@@ -34,6 +34,9 @@ func seedRequests() []*request {
 		{ID: 6, Op: opTxCommit, Txn: 2, Batch: []Tuple{{"a", 1}}, HasCont: true, Cont: []any{"cont", 3}},
 		{ID: 7, Op: opCancel, Target: 4},
 		{ID: 8, Op: opInp, Fields: []any{"p", Formal(pt{})}},
+		// A transaction's first operation carries the begin bit.
+		{ID: 9, Op: opIn, Fields: []any{"k", Formal(0)}, Txn: 3, Begin: true},
+		{ID: 10, Op: opTxCommit, Txn: 4, Begin: true},
 	}
 }
 

@@ -41,32 +41,30 @@ var ErrLeaseExpired = errors.New("tuplespace: session lease expired")
 // client-assigned ID, responses come back tagged with the same ID and
 // may arrive out of order. A Client therefore keeps exactly one
 // connection but never serializes operations on it — a blocked In
-// occupies a waiter in the server's space, not the wire. Writes on
-// both ends go through a buffered writer that is flushed only when no
-// further frame is queued behind it, so bursts of small frames
-// coalesce into few packets. Frames are encoded into pooled buffers —
-// on the client outside the write lock, on the server in the handler
-// goroutines — so the lock and the writer goroutine do I/O only.
+// occupies a waiter in the server's space, not the wire. Both ends
+// write through a frameWriter (pooled frames, encoded outside its lock,
+// coalesced flushes). The server's reader answers every request that
+// need not wait; only a take or read that must wait gets a goroutine.
 //
 // Fault tolerance (chapter 5's transactions, on the wire): a client
 // dialed with DialOpts establishes a session, optionally named and
 // optionally guarded by a heartbeat lease. Takes performed inside a
 // client transaction (Client.Begin) are held server-side as tentative;
-// Commit finalizes them and publishes the transaction's outs in the
-// same request, optionally recording a continuation tuple under the
-// session name. If the connection drops or the lease expires, the
-// server aborts the session's open transactions, restoring every
-// tentative take — a kill -9'd remote worker's task tuples reappear
-// for other workers.
+// the transaction opens with its first operation, and Commit finalizes
+// its takes and publishes its outs in the same request, optionally
+// recording a continuation tuple under the session name. If the
+// connection drops or the lease expires, the server aborts the
+// session's open transactions, restoring every tentative take — a
+// kill -9'd remote worker's task tuples reappear for other workers.
 
 // request is one client operation. ID is echoed on the response so the
 // client can demultiplex concurrent operations on one connection.
 // Fields holds template or tuple fields (formals included, as formal
 // values — the codec encodes them as type tags). Batch is used by
 // "outn" (the tuples) and "txcommit" (the outs). Txn carries the
-// client-assigned transaction ID for "txbegin" and for operations
-// running inside the transaction. Target is the ID of the request a
-// "cancel" aims at. Lease and Name configure the session on "hello";
+// client-assigned transaction ID; Begin marks the transaction's first
+// operation. Target is the ID of the request a "cancel" aims at.
+// Lease and Name configure the session on "hello";
 // Cont (guarded by HasCont) is a "txcommit" continuation.
 //
 // Trace and Span are the distributed-tracing header: the span context
@@ -81,6 +79,7 @@ type request struct {
 	Fields  []any
 	Batch   []Tuple
 	Txn     uint64
+	Begin   bool
 	Target  uint64
 	Lease   int64 // nanoseconds
 	Name    string
@@ -184,6 +183,42 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// frameWriter is one end's write path, shared by all its writers: the
+// last writer queued flushes for all, so a burst of frames from
+// concurrent writers coalesces into one write.
+type frameWriter struct {
+	mu      sync.Mutex // owns bw
+	bw      *bufio.Writer
+	wq      atomic.Int32 // writers queued or writing
+	flushes *obs.Counter // counted before each flush, so current once the peer has the bytes
+}
+
+// write writes one encoded frame and returns the buffer to the pool.
+// With hold set it never flushes: the caller flushes later.
+func (w *frameWriter) write(e *encBuf, hold bool) error {
+	w.wq.Add(1)
+	w.mu.Lock()
+	err := writeFrame(w.bw, e.b)
+	if w.wq.Add(-1) == 0 && !hold && err == nil {
+		w.flushes.Inc()
+		err = w.bw.Flush()
+	}
+	w.mu.Unlock()
+	putEncBuf(e)
+	return err
+}
+
+// flush writes out the held frames, if any. A write error needs no
+// handling here: the server's next read reports the broken connection.
+func (w *frameWriter) flush() {
+	w.mu.Lock()
+	if w.bw.Buffered() > 0 {
+		w.flushes.Inc()
+		w.bw.Flush() //nolint:errcheck
+	}
+	w.mu.Unlock()
+}
+
 // ServerBackend is what Serve needs from a space implementation: the
 // transactional store plus access to its attached instruments. Both
 // *Space and durable.Space satisfy it.
@@ -219,20 +254,19 @@ func (ns *netServer) cont(name string) (Tuple, bool) {
 }
 
 // connState is the per-connection server machinery: a reader loop
-// (the calling goroutine), handler goroutines for blocking ops, one
-// writer goroutine that does pure frame I/O, and the session state —
-// name, lease timer, open transactions, and cancel handles for
-// in-flight blocking operations.
+// (the calling goroutine) that answers every request that need not
+// wait, a goroutine per take or read that must, the frame writer they
+// share, and the session state — name, lease timer, open transactions,
+// and cancel handles for in-flight blocking operations.
 type connState struct {
 	ns      *netServer
 	be      ServerBackend
-	respCh  chan *encBuf // encoded response frames, pooled buffers
+	fw      frameWriter
 	wg      sync.WaitGroup
 	reg     *obs.Registry
 	tracer  *obs.Tracer
 	cm      *codecMetrics
 	hists   [opMax]*obs.Histogram // nil entries when unobserved
-	flushes *obs.Counter
 	bouts   *obs.Counter
 	btuples *obs.Counter
 
@@ -260,10 +294,10 @@ type connState struct {
 
 // Serve serves the backend on the listener until the listener is
 // closed; each accepted connection handles requests pipelined: a
-// dedicated reader decodes frames, non-blocking ops run inline,
-// blocking in/rd run in their own goroutines, and a dedicated writer
-// streams tagged responses back as they complete. It returns after the
-// listener closes.
+// dedicated reader decodes frames and answers every request that need
+// not wait, an in or rd that must wait runs in its own goroutine, and
+// each writes its own tagged response as it completes. It returns after
+// the listener closes.
 //
 // If the backend has an observer attached, the server also records
 // wire-level metrics: request/response byte counters
@@ -308,7 +342,6 @@ func serveConn(ns *netServer, conn net.Conn) {
 	cs := &connState{
 		ns:      ns,
 		be:      ns.be,
-		respCh:  make(chan *encBuf, 64),
 		reg:     ns.be.Registry(),
 		tracer:  ns.be.Tracer(),
 		txns:    make(map[uint64]Txn),
@@ -326,7 +359,7 @@ func serveConn(ns *netServer, conn net.Conn) {
 		for op := byte(1); op < opMax; op++ {
 			cs.hists[op] = cs.reg.Histogram("net.op." + opName(op))
 		}
-		cs.flushes = cs.reg.Counter("net.flushes")
+		cs.fw.flushes = cs.reg.Counter("net.flushes")
 		cs.bouts = cs.reg.Counter("net.batch_outs")
 		cs.btuples = cs.reg.Counter("net.batch_tuples")
 		cs.sessions = cs.reg.Counter("net.sessions")
@@ -340,13 +373,12 @@ func serveConn(ns *netServer, conn net.Conn) {
 	}
 
 	// Handshake: both sides send their banner first, then validate the
-	// peer's, so neither end deadlocks waiting. The server's banner
-	// must be flushed before the writer goroutine takes over bw.
-	bw := bufio.NewWriter(rwc)
-	if err := writeHandshake(bw); err != nil {
+	// peer's, so neither end deadlocks waiting.
+	cs.fw.bw = bufio.NewWriter(rwc)
+	if err := writeHandshake(cs.fw.bw); err != nil {
 		return
 	}
-	if err := bw.Flush(); err != nil {
+	if err := cs.fw.bw.Flush(); err != nil {
 		return
 	}
 	br := bufio.NewReader(rwc)
@@ -354,29 +386,14 @@ func serveConn(ns *netServer, conn net.Conn) {
 		return
 	}
 
-	// Writer: pure I/O — handlers encode, this goroutine writes frames
-	// and returns buffers to the pool. Flushes only when no response is
-	// queued behind the one just written, coalescing bursts (e.g. the
-	// wakeups after an OutN) into one packet. Keeps draining after a
-	// write error so handler sends never block.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		var werr error
-		for e := range cs.respCh {
-			if werr == nil {
-				if werr = writeFrame(bw, e.b); werr == nil && len(cs.respCh) == 0 {
-					if werr = bw.Flush(); werr == nil {
-						cs.flushes.Inc()
-					}
-				}
-			}
-			putEncBuf(e)
-		}
-	}()
-
+	// The reader holds its answers unflushed while another whole request
+	// is already buffered, so a pipelined burst is answered in one write;
+	// it flushes before a read that could block.
 	var scratch []byte
 	for {
+		if !frameBuffered(br) {
+			cs.fw.flush()
+		}
 		body, err := readFrame(br, &scratch)
 		if err != nil {
 			break // connection closed
@@ -391,16 +408,31 @@ func serveConn(ns *netServer, conn net.Conn) {
 			// The frame boundary is intact (length-prefixed), so a bad
 			// body — e.g. an unregistered formal type — poisons only
 			// this request, not the connection.
-			resp := errResp(derr)
-			resp.ID = req.ID
-			cs.sendResp(resp)
+			cs.sendResp(req.ID, errResp(derr), true)
 			continue
 		}
+		// A transaction opens here, in arrival order, before its first
+		// operation runs, so every later frame of it finds it open. A
+		// refused begin is that operation's answer.
+		if req.Begin {
+			if resp := cs.begin(req.Txn); resp != nil {
+				cs.sendResp(req.ID, resp, true)
+				continue
+			}
+		}
 		if req.Op == opIn || req.Op == opRd {
-			// Blocking ops get their own goroutine so they cannot stall
-			// the requests pipelined behind them. The cancel handle is
-			// registered before the handler starts, so a pipelined
-			// "cancel" never races past it.
+			// A take or read that matches now is answered here. One that
+			// must wait gets its own goroutine so it cannot stall the
+			// requests pipelined behind it, and so does every traced one,
+			// whose InTraced hands the producer's origin back. The cancel
+			// handle is registered before the handler starts, so a
+			// pipelined "cancel" never races past it.
+			if req.Trace == 0 && req.Span == 0 {
+				if resp := cs.handle(req, cs.ctx, true); resp != nil {
+					cs.sendResp(req.ID, resp, true)
+					continue
+				}
+			}
 			hctx, hcancel := context.WithCancel(cs.ctx)
 			cs.mu.Lock()
 			cs.cancels[req.ID] = hcancel
@@ -408,7 +440,7 @@ func serveConn(ns *netServer, conn net.Conn) {
 			cs.wg.Add(1)
 			go func() {
 				defer cs.wg.Done()
-				cs.handle(req, hctx)
+				cs.sendResp(req.ID, cs.handle(req, hctx, false), false)
 				cs.mu.Lock()
 				delete(cs.cancels, req.ID)
 				cs.mu.Unlock()
@@ -416,7 +448,7 @@ func serveConn(ns *netServer, conn net.Conn) {
 			}()
 			continue
 		}
-		cs.handle(req, cs.ctx)
+		cs.sendResp(req.ID, cs.handle(req, cs.ctx, false), true)
 	}
 	// Connection teardown: release blocked handlers, then auto-abort
 	// the session's surviving transactions — the connection-drop half
@@ -438,15 +470,14 @@ func serveConn(ns *netServer, conn net.Conn) {
 		cs.autoAborts.Inc()
 		cs.openTxns.Add(-1)
 	}
-	close(cs.respCh)
-	<-writerDone
 }
 
-// sendResp encodes a response into a pooled buffer and queues it for
-// the writer goroutine. Encoding can only fail on a tuple carrying an
-// unregistered custom type; that failure is reported in-band as an
-// error response, which always encodes.
-func (cs *connState) sendResp(resp *response) {
+// sendResp encodes the answer to request id into a pooled buffer and
+// writes it; the reader passes hold and flushes later. Encoding can only
+// fail on a tuple carrying an unregistered custom type; that failure is
+// reported in-band as an error response, which always encodes.
+func (cs *connState) sendResp(id uint64, resp *response, hold bool) {
+	resp.ID = id
 	e, hit := getEncBuf()
 	cs.cm.pool(hit)
 	b, err := appendResponse(e.b, resp)
@@ -457,7 +488,9 @@ func (cs *connState) sendResp(resp *response) {
 	}
 	e.b = b
 	cs.cm.enc(len(b))
-	cs.respCh <- e
+	// A write error needs no handling here: the connection is gone, and
+	// the reader's next read says so.
+	cs.fw.write(e, hold) //nolint:errcheck
 }
 
 // touch resets the lease timer; called for every decoded request, so
@@ -544,12 +577,13 @@ func (cs *connState) mapErr(err error) *response {
 	return errResp(err)
 }
 
-// handle executes one request and queues its response. When the
+// handle executes one request and returns its response. When the
 // request carries a trace header, the whole server-side handling runs
 // as a child span of the client's span, and the span context rides ctx
 // into the backend so shard-match, waiter-block, and WAL-append child
-// spans land in the same trace.
-func (cs *connState) handle(req *request, ctx context.Context) {
+// spans land in the same trace. With poll set, an in or rd that finds
+// no match returns nil and does nothing else.
+func (cs *connState) handle(req *request, ctx context.Context, poll bool) *response {
 	var start time.Time
 	if cs.reg != nil || cs.tracer != nil {
 		start = time.Now()
@@ -560,8 +594,10 @@ func (cs *connState) handle(req *request, ctx context.Context) {
 		cs.noteSession(parent)
 		ctx = obs.ContextWith(ctx, sp.Context())
 	}
-	resp := serveOne(cs, req, ctx)
-	resp.ID = req.ID
+	resp := serveOne(cs, req, ctx, poll)
+	if resp == nil {
+		return nil
+	}
 	if !start.IsZero() {
 		d := time.Since(start)
 		if cs.reg != nil && req.Op < opMax {
@@ -574,7 +610,7 @@ func (cs *connState) handle(req *request, ctx context.Context) {
 			cs.tracer.Record("net", opName(req.Op), d, "ok", resp.Err == "")
 		}
 	}
-	cs.sendResp(resp)
+	return resp
 }
 
 // txn looks up an open transaction of this session.
@@ -595,7 +631,38 @@ func (cs *connState) takeTxn(id uint64) Txn {
 	return tx
 }
 
-func serveOne(cs *connState, req *request, ctx context.Context) *response {
+// begin opens transaction id in the session for the request carrying
+// the begin bit. It returns nil once open, else the refusal, which
+// answers that request.
+func (cs *connState) begin(id uint64) *response {
+	tx, err := cs.be.Begin()
+	if err != nil {
+		return cs.mapErr(err)
+	}
+	cs.mu.Lock()
+	if cs.expired {
+		cs.mu.Unlock()
+		tx.Abort() //nolint:errcheck — nothing taken yet
+		return errResp(ErrLeaseExpired)
+	}
+	// Id 0 means "no transaction" to in/inp, and overwriting an open id
+	// would drop its Txn from the session table, never to be committed
+	// or aborted: its tentative takes would be lost.
+	if _, open := cs.txns[id]; open || id == 0 {
+		cs.mu.Unlock()
+		tx.Abort() //nolint:errcheck — nothing taken yet
+		return errResp(fmt.Errorf("tuplespace: begin of transaction id %d, which is zero or already open", id))
+	}
+	cs.txns[id] = tx
+	cs.mu.Unlock()
+	cs.txnBegins.Inc()
+	cs.openTxns.Add(1)
+	return nil
+}
+
+// serveOne runs one request and returns its answer; with poll set, an
+// in or rd runs in its non-blocking form and a miss returns nil.
+func serveOne(cs *connState, req *request, ctx context.Context, poll bool) *response {
 	be := cs.be
 	if cs.sessionExpired() {
 		return errResp(ErrLeaseExpired)
@@ -617,30 +684,6 @@ func serveOne(cs *connState, req *request, ctx context.Context) *response {
 		return &response{OK: true}
 	case opPing:
 		return &response{OK: true} // the reader's touch already reset the lease
-	case opTxBegin:
-		tx, err := be.Begin()
-		if err != nil {
-			return cs.mapErr(err)
-		}
-		cs.mu.Lock()
-		if cs.expired || cs.txns == nil {
-			cs.mu.Unlock()
-			tx.Abort() //nolint:errcheck — raced with expiry/teardown
-			return errResp(ErrLeaseExpired)
-		}
-		// Id 0 means "no transaction" to in/inp, and overwriting an open
-		// id would drop its Txn from the session table, never to be
-		// committed or aborted: its tentative takes would be lost.
-		if _, open := cs.txns[req.Txn]; open || req.Txn == 0 {
-			cs.mu.Unlock()
-			tx.Abort() //nolint:errcheck — nothing taken yet
-			return errResp(fmt.Errorf("tuplespace: begin of transaction id %d, which is zero or already open", req.Txn))
-		}
-		cs.txns[req.Txn] = tx
-		cs.mu.Unlock()
-		cs.txnBegins.Inc()
-		cs.openTxns.Add(1)
-		return &response{OK: true}
 	case opTxCommit:
 		if req.HasCont && cs.sessionName() == "" {
 			return errResp(errors.New("tuplespace: continuation commit requires a named session"))
@@ -702,57 +745,54 @@ func serveOne(cs *connState, req *request, ctx context.Context) *response {
 			return cs.mapErr(err)
 		}
 		return &response{OK: true}
-	case opIn:
-		// Takes go through the traced variant, returning the producer's
-		// span context stamped on the tuple so the response can hand
-		// provenance back to the consumer.
-		var t Tuple
-		var org obs.SpanContext
-		var err error
+	case opIn, opInp:
+		// A take inside a transaction is tentative.
+		var from interface {
+			InTraced(context.Context, ...any) (Tuple, obs.SpanContext, error)
+			Inp(context.Context, ...any) (Tuple, bool, error)
+		} = be
 		if req.Txn != 0 {
 			tx := cs.txn(req.Txn)
 			if tx == nil {
 				return cs.mapErr(ErrTxnFinished)
 			}
-			t, org, err = tx.InTraced(ctx, fields...)
-		} else {
-			t, org, err = be.InTraced(ctx, fields...)
+			from = tx
 		}
+		if req.Op == opInp || poll {
+			t, ok, err := from.Inp(ctx, fields...)
+			if err != nil {
+				return cs.mapErr(err)
+			}
+			if poll && !ok {
+				return nil
+			}
+			return &response{Tuple: t, OK: ok}
+		}
+		// The traced take returns the producer's span context stamped on
+		// the tuple, so the response can hand provenance to the consumer.
+		t, org, err := from.InTraced(ctx, fields...)
 		if err != nil {
 			return cs.mapErr(err)
 		}
 		return &response{Tuple: t, OK: true, Trace: uint64(org.Trace), Span: uint64(org.Span)}
-	case opRd:
-		// Reads are non-destructive and therefore never tentative: a rd
-		// inside a transaction goes straight to the store.
+	case opRd, opRdp:
+		// A read is never tentative, so a rd inside a transaction goes
+		// straight to the store.
+		if req.Op == opRdp || poll {
+			t, ok, err := be.Rdp(ctx, fields...)
+			if err != nil {
+				return cs.mapErr(err)
+			}
+			if poll && !ok {
+				return nil
+			}
+			return &response{Tuple: t, OK: ok}
+		}
 		t, err := be.Rd(ctx, fields...)
 		if err != nil {
 			return cs.mapErr(err)
 		}
 		return &response{Tuple: t, OK: true}
-	case opInp:
-		var t Tuple
-		var ok bool
-		var err error
-		if req.Txn != 0 {
-			tx := cs.txn(req.Txn)
-			if tx == nil {
-				return cs.mapErr(ErrTxnFinished)
-			}
-			t, ok, err = tx.Inp(ctx, fields...)
-		} else {
-			t, ok, err = be.Inp(ctx, fields...)
-		}
-		if err != nil {
-			return cs.mapErr(err)
-		}
-		return &response{Tuple: t, OK: ok}
-	case opRdp:
-		t, ok, err := be.Rdp(ctx, fields...)
-		if err != nil {
-			return cs.mapErr(err)
-		}
-		return &response{Tuple: t, OK: ok}
 	case opLen:
 		n, err := be.Len()
 		if err != nil {
@@ -786,10 +826,7 @@ func (e *timeoutError) Unwrap() error   { return ErrTimeout }
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader // owned by readLoop; holds handshake overflow
-
-	wmu sync.Mutex // owns bw
-	bw  *bufio.Writer
-	wq  atomic.Int32 // writers queued or writing; used to coalesce flushes
+	fw   frameWriter
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *response // nil after fail/Close
@@ -852,10 +889,8 @@ type DialOptions struct {
 	// version handshake; zero is unbounded.
 	DialTimeout time.Duration
 	// OpTimeout bounds every non-blocking operation (Out, OutN, Inp,
-	// Rdp, Len, Ping, transaction commit/abort — a begin's answer is
-	// awaited by the transaction's first operation, under that
-	// operation's bound); zero is unbounded. Blocking In/Rd are
-	// unbounded by design.
+	// Rdp, Len, Ping, transaction commit/abort); zero is unbounded.
+	// Blocking In/Rd are unbounded by design.
 	OpTimeout time.Duration
 	// Lease is the session's heartbeat lease: if the server sees no
 	// traffic for this long it declares the client dead, aborts its
@@ -905,7 +940,7 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 	c := newClient(conn, br)
 	c.opTimeout.Store(int64(o.OpTimeout))
 	if o.Lease > 0 || o.Name != "" {
-		if _, err := c.roundTrip(&request{Op: opHello, Lease: int64(o.Lease), Name: o.Name}); err != nil {
+		if _, err := c.roundTripCtx(context.Background(), &request{Op: opHello, Lease: int64(o.Lease), Name: o.Name}); err != nil {
 			c.Close() //nolint:errcheck
 			return nil, err
 		}
@@ -930,9 +965,9 @@ func newClient(conn net.Conn, br *bufio.Reader) *Client {
 	c := &Client{
 		conn:    conn,
 		br:      br,
-		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan *response),
 	}
+	c.fw.bw = bufio.NewWriter(conn)
 	go c.readLoop()
 	return c
 }
@@ -962,7 +997,7 @@ func (c *Client) stopPinger() {
 
 // Ping performs one keepalive round trip, resetting the session lease.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(&request{Op: opPing})
+	_, err := c.roundTripCtx(context.Background(), &request{Op: opPing})
 	return err
 }
 
@@ -1068,7 +1103,7 @@ func (c *Client) send(req *request) (chan *response, error) {
 	}
 	c.pending[req.ID] = ch
 	c.pmu.Unlock()
-	if err := c.writeBuf(e); err != nil {
+	if err := c.fw.write(e, false); err != nil {
 		if c.fail() {
 			return nil, ErrClientClosed
 		}
@@ -1077,40 +1112,15 @@ func (c *Client) send(req *request) (chan *response, error) {
 	return ch, nil
 }
 
-// write encodes and writes one fire-and-forget frame (used by the
-// cancel protocol, which awaits the original response instead).
-func (c *Client) write(req *request) error {
-	e, err := c.encodeReq(req)
-	if err != nil {
-		return err
-	}
-	return c.writeBuf(e)
-}
-
-// writeBuf writes one encoded frame under the write lock and returns
-// the buffer to the pool; flushes only if no other writer is queued
-// behind it (which will flush for both).
-func (c *Client) writeBuf(e *encBuf) error {
-	c.wq.Add(1)
-	c.wmu.Lock()
-	err := writeFrame(c.bw, e.b)
-	queued := c.wq.Add(-1)
-	if err == nil && queued == 0 {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	putEncBuf(e)
-	return err
-}
-
-func (c *Client) roundTrip(req *request) (*response, error) {
-	return c.roundTripCtx(context.Background(), req)
-}
-
-// roundTripCtx stamps the trace header, runs the round trip, and ends
-// the client-side op span. Heartbeat pings are not traced — they would
-// drown every session trace in keepalive noise.
 func (c *Client) roundTripCtx(ctx context.Context, req *request) (*response, error) {
+	return c.txRoundTrip(ctx, nil, req)
+}
+
+// txRoundTrip stamps the trace header, runs the round trip — as an
+// operation of tx, unless tx is nil — and ends the client-side op span.
+// Heartbeat pings are not traced — they would drown every session trace
+// in keepalive noise.
+func (c *Client) txRoundTrip(ctx context.Context, tx *clientTxn, req *request) (*response, error) {
 	var sp *obs.Span
 	if req.Op != opPing {
 		parent := c.parentSC(ctx)
@@ -1123,7 +1133,7 @@ func (c *Client) roundTripCtx(ctx context.Context, req *request) (*response, err
 			req.Trace, req.Span = uint64(parent.Trace), uint64(parent.Span)
 		}
 	}
-	resp, err := c.doRoundTrip(ctx, req)
+	resp, err := c.doRoundTrip(ctx, tx, req)
 	if sp != nil {
 		sp.Annotate("ok", err == nil)
 		sp.End()
@@ -1131,13 +1141,19 @@ func (c *Client) roundTripCtx(ctx context.Context, req *request) (*response, err
 	return resp, err
 }
 
-func (c *Client) doRoundTrip(ctx context.Context, req *request) (*response, error) {
+func (c *Client) doRoundTrip(ctx context.Context, tx *clientTxn, req *request) (*response, error) {
 	// A context that is already done fails before touching the wire:
 	// probes with expired deadlines never consume a tuple.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ch, err := c.send(req)
+	var ch chan *response
+	var err error
+	if tx != nil {
+		ch, err = tx.send(req)
+	} else {
+		ch, err = c.send(req)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1169,7 +1185,11 @@ func (c *Client) doRoundTrip(ctx context.Context, req *request) (*response, erro
 		// no take is lost on the wire. The op timeout stays armed for
 		// non-blocking ops, so a wedged server cannot hold a
 		// deadline-carrying probe past its configured bound.
-		c.write(&request{ID: c.nextID.Add(1), Op: opCancel, Target: req.ID}) //nolint:errcheck — a write failure fails the conn; ch resolves either way
+		// The cancel is fire-and-forget: on a broken connection the
+		// reader fails ch anyway.
+		if e, err := c.encodeReq(&request{ID: c.nextID.Add(1), Op: opCancel, Target: req.ID}); err == nil {
+			c.fw.write(e, false) //nolint:errcheck
+		}
 		select {
 		case resp, ok := <-ch:
 			if !ok {
@@ -1263,7 +1283,7 @@ func (c *Client) Rdp(ctx context.Context, tmplFields ...any) (Tuple, bool, error
 
 // Len reports the remote tuple count.
 func (c *Client) Len() (int, error) {
-	resp, err := c.roundTrip(&request{Op: opLen})
+	resp, err := c.roundTripCtx(context.Background(), &request{Op: opLen})
 	if err != nil {
 		return 0, err
 	}
@@ -1274,7 +1294,7 @@ func (c *Client) Len() (int, error) {
 // session's name (see DialOptions.Name and ContCommitter). ok is false
 // when no continuation was ever committed.
 func (c *Client) Recover() (Tuple, bool, error) {
-	resp, err := c.roundTrip(&request{Op: opRecover})
+	resp, err := c.roundTripCtx(context.Background(), &request{Op: opRecover})
 	if err != nil {
 		return nil, false, err
 	}
@@ -1283,52 +1303,44 @@ func (c *Client) Recover() (Tuple, bool, error) {
 
 // Begin opens a remote transaction: takes performed through it are
 // tentative server-side until Commit. A connection drop or lease
-// expiry aborts it automatically. Begin writes its frame and returns:
-// the client picked the id, so the answer carries nothing but an error,
-// which the transaction's first operation collects (clientTxn.roundTrip).
+// expiry aborts it automatically. Begin writes nothing: the client
+// picks the id, and the transaction's first operation carries a begin
+// bit, so the server opens the transaction just before running it and
+// a refused begin is that operation's error.
 func (c *Client) Begin() (Txn, error) {
-	req := &request{Op: opTxBegin, Txn: c.txnSeq.Add(1)}
-	if sc := c.parentSC(context.Background()); sc.Valid() {
-		req.Trace, req.Span = uint64(sc.Trace), uint64(sc.Span)
+	if c.closed.Load() {
+		return nil, ErrClientClosed
 	}
-	begun, err := c.send(req)
-	if err != nil {
-		return nil, err
-	}
-	return &clientTxn{c: c, id: req.Txn, begun: begun}, nil
+	return &clientTxn{c: c, id: c.txnSeq.Add(1)}, nil
 }
 
 // clientTxn is a remote transaction handle. The client sends only the
 // transaction ID with each operation; the tentative state lives on the
 // server, which is what makes a client crash recoverable.
 type clientTxn struct {
-	c     *Client
-	id    uint64
-	begun chan *response // the begin's answer: one value, or closed with the connection
+	c  *Client
+	id uint64
+
+	mu   sync.Mutex // held while a frame of the transaction is written
+	sent bool       // a frame went out, or Abort settled the transaction unsent
 }
 
-// roundTrip runs one operation of the transaction and collects the
-// begin's answer behind it. The server handles a begin inline, in
-// arrival order, so once the operation has an answer the begin's is
-// already here and the receive cannot block; it finds nothing when an
-// earlier operation collected it, or when this one never reached the
-// wire (a done ctx) and the next one will. A failed begin is why the
-// operation failed, so its error wins. Nothing is written here: an
-// Abort racing a blocked In is safe.
-func (tx *clientTxn) roundTrip(ctx context.Context, req *request) (*response, error) {
-	req.Txn = tx.id
-	resp, err := tx.c.roundTripCtx(ctx, req)
-	select {
-	case b, ok := <-tx.begun:
-		if !ok {
-			return nil, ErrClientClosed
-		}
-		if berr := wireError(b); berr != nil {
-			return nil, berr
-		}
-	default:
+// send writes one frame of the transaction, the first to reach the wire
+// with the begin bit. The lock keeps a concurrent operation from
+// overtaking that frame; it is not held while an answer is awaited.
+func (tx *clientTxn) send(req *request) (chan *response, error) {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	req.Txn, req.Begin = tx.id, !tx.sent
+	ch, err := tx.c.send(req)
+	if err == nil {
+		tx.sent = true
 	}
-	return resp, err
+	return ch, err
+}
+
+func (tx *clientTxn) roundTrip(ctx context.Context, req *request) (*response, error) {
+	return tx.c.txRoundTrip(ctx, tx, req)
 }
 
 func (tx *clientTxn) In(ctx context.Context, tmplFields ...any) (Tuple, error) {
@@ -1371,7 +1383,18 @@ func (tx *clientTxn) commit(ctx context.Context, outs []Tuple, cont Tuple, hasCo
 	return err
 }
 
+// Abort restores the transaction's takes. A transaction that sent
+// nothing has nothing on the server, so Abort writes nothing; it marks
+// the transaction sent, and a later operation, going out without the
+// begin bit, is refused as on any finished transaction.
 func (tx *clientTxn) Abort() error {
+	tx.mu.Lock()
+	sent := tx.sent
+	tx.sent = true
+	tx.mu.Unlock()
+	if !sent {
+		return nil
+	}
 	_, err := tx.roundTrip(context.Background(), &request{Op: opTxAbort})
 	return err
 }

@@ -3,7 +3,9 @@ package tuplespace
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +282,21 @@ func TestNetWireMetrics(t *testing.T) {
 	if _, err := c.In(context.Background(), "w", FormalInt); err != nil {
 		t.Fatal(err)
 	}
+	// A transaction of a take and a commit is two frames: the begin
+	// rides the take.
+	if err := c.Out(context.Background(), "w", 43); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := tx.Inp(context.Background(), "w", FormalInt); err != nil || !ok {
+		t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
+	}
+	if err := tx.Commit(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
 	if snap.Counters["net.conns"] != 1 {
 		t.Fatalf("net.conns=%d want 1", snap.Counters["net.conns"])
@@ -287,8 +304,24 @@ func TestNetWireMetrics(t *testing.T) {
 	if snap.Counters["net.rx_bytes"] == 0 || snap.Counters["net.tx_bytes"] == 0 {
 		t.Fatalf("byte counters empty: %v", snap.Counters)
 	}
-	if snap.Histograms["net.op.out"].Count != 1 || snap.Histograms["net.op.in"].Count != 1 {
-		t.Fatalf("per-op latency histograms %v", snap.Histograms)
+	want := map[string]int64{"net.op.out": 2, "net.op.in": 1, "net.op.inp": 1, "net.op.txcommit": 1}
+	var requests int64
+	for name, h := range snap.Histograms {
+		if !strings.HasPrefix(name, "net.op.") {
+			continue
+		}
+		if want[name] != h.Count {
+			t.Errorf("%s observed %d requests, want %d", name, h.Count, want[name])
+		}
+		requests += h.Count
+	}
+	// One request at a time: every response is the only one queued, so
+	// each is flushed on its own.
+	if n := snap.Counters["net.flushes"]; n != requests || requests != 5 {
+		t.Errorf("%d flushes for %d requests, want 5 of each", n, requests)
+	}
+	if b, c := snap.Counters["net.txn_begins"], snap.Counters["net.txn_commits"]; b != 1 || c != 1 {
+		t.Errorf("%d transactions begun and %d committed, want 1 of each", b, c)
 	}
 	var netEvents int
 	for _, e := range tr.Events() {
@@ -296,8 +329,56 @@ func TestNetWireMetrics(t *testing.T) {
 			netEvents++
 		}
 	}
-	if netEvents != 2 {
-		t.Fatalf("traced %d net events, want 2", netEvents)
+	if netEvents != 5 {
+		t.Fatalf("traced %d net events, want 5", netEvents)
+	}
+}
+
+// TestNetDialRejectsWireVersion2: a peer speaking version 2, whose
+// transactions opened with a txbegin frame of their own, fails at dial
+// on either side, not as a misread frame later.
+func TestNetDialRejectsWireVersion2(t *testing.T) {
+	v2 := []byte(wireMagic + "\x02")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.Write(v2)            //nolint:errcheck — the client judges the banner
+		io.Copy(io.Discard, conn) //nolint:errcheck — hold the connection until the client hangs up
+	}()
+	if c, err := DialOpts(l.Addr().String(), DialOptions{DialTimeout: time.Second}); err == nil {
+		c.Close()
+		t.Fatal("dial to a version-2 server succeeded")
+	} else if !strings.Contains(err.Error(), "wire version 2") {
+		t.Fatalf("dial to a version-2 server: %v, want a version mismatch", err)
+	}
+
+	// The server reads a version-2 banner and hangs up: its own banner is
+	// all a version-2 client gets.
+	_, addr, stop := startServer(t)
+	defer stop()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck — bounds a hang
+	if _, err := conn.Write(v2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading from the server: %v, want its banner and then EOF", err)
+	}
+	if want := wireMagic + "\x03"; string(got) != want {
+		t.Fatalf("the server sent %q to a version-2 client, want only its banner %q", got, want)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"freepdm/internal/obs"
 )
 
 func startSessionServer(t *testing.T) (*Space, string) {
@@ -352,17 +354,17 @@ func TestSpaceTxnLocal(t *testing.T) {
 	}
 }
 
-// TestRemoteTxnBeginDoesNotAwait pins the round trip Begin no longer
-// makes, without a clock: against a peer that reads every frame and
-// answers none, Begin returns; the transaction's first operation goes
-// out behind the begin and then waits — for its own answer, and with it
-// the begin's — until the connection drops, which fails it with
-// ErrClientClosed.
+// TestRemoteTxnBeginDoesNotAwait pins the frame Begin no longer sends,
+// without a clock: against a peer that reads every frame and answers
+// none, Begin writes nothing, the first frame on the wire is the
+// transaction's first operation carrying the begin bit, the next one
+// carries none, and both wait for their own answers until the
+// connection drops, which fails them with ErrClientClosed.
 func TestRemoteTxnBeginDoesNotAwait(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
-	ops := make(chan byte) // the op of each frame the peer has read
+	reqs := make(chan request) // each frame the peer has read
 	go func() {
-		defer close(ops)
+		defer close(reqs)
 		br := bufio.NewReader(srvEnd)
 		var scratch []byte
 		for {
@@ -375,43 +377,42 @@ func TestRemoteTxnBeginDoesNotAwait(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ops <- req.Op
+			reqs <- req
 		}
 	}()
 	c := newClient(cliEnd, bufio.NewReader(cliEnd))
 	defer c.Close()
 
-	// net.Pipe is unbuffered: Begin's write completes only once the peer
-	// has read it, so the begin is on the wire when Begin returns.
-	begun := make(chan Txn)
-	go func() {
-		tx, err := c.Begin()
-		if err != nil {
-			t.Error(err)
-		}
-		begun <- tx
-	}()
-	if op := <-ops; op != opTxBegin {
-		t.Fatalf("first frame is %s, want txbegin", opName(op))
+	// net.Pipe is unbuffered: a write completes only once the peer has
+	// read it, so anything Begin wrote would be the first frame read.
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
 	}
-	tx := <-begun // returns with no answer: the test hangs here otherwise
-
-	done := make(chan error, 1)
-	go func() {
+	done := make(chan error, 2)
+	inp := func() {
 		_, _, err := tx.Inp(context.Background(), "x", FormalInt)
 		done <- err
-	}()
-	if op := <-ops; op != opInp {
-		t.Fatalf("second frame is %s, want inp", opName(op))
+	}
+	go inp()
+	if req := <-reqs; req.Op != opInp || !req.Begin || req.Txn == 0 {
+		t.Fatalf("first frame is %s of txn %d, begin bit %v; want the transaction's inp, carrying the begin bit",
+			opName(req.Op), req.Txn, req.Begin)
+	}
+	go inp()
+	if req := <-reqs; req.Op != opInp || req.Begin {
+		t.Fatalf("second frame is %s, begin bit %v; want an inp without it", opName(req.Op), req.Begin)
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("the first operation returned (%v) though nothing was answered", err)
+		t.Fatalf("an operation returned (%v) though nothing was answered", err)
 	default:
 	}
 	srvEnd.Close()
-	if err := <-done; !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("first operation after the connection dropped: %v, want ErrClientClosed", err)
+	for range 2 {
+		if err := <-done; !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("operation after the connection dropped: %v, want ErrClientClosed", err)
+		}
 	}
 }
 
@@ -423,9 +424,13 @@ func pendingLen(c *Client) int {
 }
 
 // TestRemoteTxnBeginAbortLeavesNothingPending: a transaction that does
-// nothing still collects its begin's answer, on the Abort.
+// nothing writes nothing, its Abort included, and leaves nothing
+// pending; an operation after that Abort is refused as on any finished
+// transaction, and opens none.
 func TestRemoteTxnBeginAbortLeavesNothingPending(t *testing.T) {
-	_, addr := startSessionServer(t)
+	s, addr := startSessionServer(t)
+	reg := obs.NewRegistry()
+	s.Observe(reg, nil) // before the dial: the connection reads the registry at accept
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -441,14 +446,23 @@ func TestRemoteTxnBeginAbortLeavesNothingPending(t *testing.T) {
 	if n := pendingLen(c); n != 0 {
 		t.Fatalf("%d requests still pending after Begin+Abort", n)
 	}
+	if n := reg.Counter("codec.dec_bytes").Value(); n != 0 {
+		t.Fatalf("the server read %d bytes of frames after Begin+Abort, want none", n)
+	}
+	if _, _, err := tx.Inp(context.Background(), "x", FormalInt); !errors.Is(err, ErrTxnFinished) {
+		t.Fatalf("Inp after the Abort: %v, want ErrTxnFinished", err)
+	}
+	if n := reg.Counter("net.txn_begins").Value(); n != 0 {
+		t.Fatalf("%d transactions begun on the server, want none", n)
+	}
 }
 
-// TestRemoteTxnBeginErrorAtFirstOp: the begin's answer is read lazily,
-// so a begin the server refuses must fail the transaction's first
-// operation, with the begin's error rather than the operation's own. A
-// begin under an id that is already open — or id 0, which in/inp read as
-// "no transaction" — is refused, and must leave the open transaction in
-// the session table: overwriting it would strand its tentative takes,
+// TestRemoteTxnBeginErrorAtFirstOp: a begin rides the transaction's
+// first operation, so a begin the server refuses fails that operation,
+// with the begin's error, and the operation does not run. A begin under
+// an id that is already open — or id 0, which in/inp read as "no
+// transaction" — is refused, and must leave the open transaction in the
+// session table: overwriting it would strand its tentative takes,
 // neither committed nor aborted, for good.
 func TestRemoteTxnBeginErrorAtFirstOp(t *testing.T) {
 	ctx := context.Background()
@@ -473,9 +487,9 @@ func TestRemoteTxnBeginErrorAtFirstOp(t *testing.T) {
 		c.txnSeq.Store(prev)
 		dup, err := c.Begin()
 		if err != nil {
-			t.Fatalf("Begin reported %v itself; the answer is the first operation's to collect", err)
+			t.Fatalf("Begin reported %v itself; the refusal is the first operation's", err)
 		}
-		err = dup.Abort()
+		_, _, err = dup.Inp(ctx, "task", FormalInt)
 		if err == nil || errors.Is(err, ErrTxnFinished) || !strings.Contains(err.Error(), "already open") {
 			t.Fatalf("first operation after a begin of id %d: %v, want the begin's refusal", prev+1, err)
 		}
@@ -484,10 +498,16 @@ func TestRemoteTxnBeginErrorAtFirstOp(t *testing.T) {
 		t.Fatalf("%d requests still pending", n)
 	}
 
-	// The refused begin of id 1 was followed by an abort of id 1, which
-	// the server ran on the open transaction: its take is back.
+	// The refused begins ran nothing: the open transaction's take is
+	// still tentative, and its own abort brings it back.
+	if _, ok, err := s.Inp(ctx, "task", 1); err != nil || ok {
+		t.Fatalf("the first transaction's take after the refused begins: ok=%v err=%v, want it still taken", ok, err)
+	}
+	if err := first.Abort(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, err := s.Inp(ctx, "task", 1); err != nil || !ok {
-		t.Fatalf("the first transaction's take after the abort: ok=%v err=%v, want it restored", ok, err)
+		t.Fatalf("the first transaction's take after its abort: ok=%v err=%v, want it restored", ok, err)
 	}
 
 	// An expired session refuses the begin with ErrLeaseExpired.
