@@ -346,10 +346,14 @@ func main() {
 				fmt.Println("error:", err)
 				break
 			}
-			if err := srv.Checkpoint(f); err != nil {
-				fmt.Println("error:", err)
+			err = srv.Checkpoint(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			f.Close()
+			if err != nil {
+				fmt.Println("error:", err)
+				break
+			}
 			fmt.Printf("tuple space checkpointed to %s\n", arg)
 		case "restore":
 			f, err := os.Open(arg)
@@ -357,10 +361,12 @@ func main() {
 				fmt.Println("error:", err)
 				break
 			}
-			if err := srv.RestoreCheckpoint(f); err != nil {
+			err = srv.RestoreCheckpoint(f)
+			f.Close() //nolint:errcheck — read-only
+			if err != nil {
 				fmt.Println("error:", err)
+				break
 			}
-			f.Close()
 			fmt.Println("tuple space rolled back")
 		case "stats":
 			tuples, err := store.Len()

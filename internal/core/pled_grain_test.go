@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"strings"
 	"sync"
 	"testing"
@@ -149,22 +148,33 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // pledLog reads the PLED master's committed continuation out of a
-// checkpoint of its server.
+// checkpoint of its server: the second of its two tuple batches holds
+// one (process name, continuation...) tuple per process.
 func pledLog(t *testing.T, srv *plinda.Server) pledCont {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := srv.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var cp struct{ Continuations map[string]tuplespace.Tuple }
-	if err := gob.NewDecoder(&buf).Decode(&cp); err != nil {
+	_, rest, err := tuplespace.DecodeWireTuples(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var cont pledCont
-	if err := decodePLEDCont(cp.Continuations["pled-master"], &cont); err != nil {
+	conts, _, err := tuplespace.DecodeWireTuples(rest)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return cont
+	for _, c := range conts {
+		if c[0] == "pled-master" {
+			var cont pledCont
+			if err := decodePLEDCont(c[1:], &cont); err != nil {
+				t.Fatal(err)
+			}
+			return cont
+		}
+	}
+	t.Fatal("the checkpoint holds no pled-master continuation")
+	return pledCont{}
 }
 
 // TestPLEDDuplicateResultBatch plants the two kinds of report the master

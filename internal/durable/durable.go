@@ -1,16 +1,16 @@
 // Package durable adds crash recovery to a tuple space: a write-ahead
-// log of committed operations with periodic snapshot compaction, the
+// log of committed operations with periodic compaction, the
 // checkpoint-protected space of Li's chapter 5 rebuilt on package
 // tuplespace's Snapshot/Restore.
 //
 // Every committed mutation — an Out, a committed (non-transactional)
 // take, or a transaction commit (its takes and outs as one record) —
-// is appended to an append-only log before it is applied, so after
-// a crash Open replays the log over the latest snapshot and recovers
-// exactly the committed state. Tentative takes of open transactions
-// are deliberately NOT logged: a crash aborts them by omission, and
-// the taken tuples are simply present again in the recovered space —
-// the recovery half of the transaction contract.
+// is appended to an append-only log before it is applied, so after a
+// crash Open replays the log and recovers exactly the committed state.
+// Tentative takes of open transactions are deliberately NOT logged: a
+// crash aborts them by omission, and the taken tuples are simply
+// present again in the recovered space — the recovery half of the
+// transaction contract.
 //
 // Records are encoded with the tuplespace binary wire codec (the same
 // encoding tuples take over TCP) and framed as uvarint body length +
@@ -25,11 +25,14 @@
 // pay one write, the group-commit protocol of conventional database
 // logs.
 //
-// Files are generation-numbered: snap-<g>.gob is a snapshot, and
-// wal-<g>.log holds the records since that snapshot. Compaction writes
-// snap-<g+1> (tmp + rename, so a crash mid-compaction is harmless),
-// starts an empty wal-<g+1>, and deletes generation g. A torn final
-// record — a crash mid-append — is detected and truncated on replay.
+// One file per generation, wal-<g>.log. For g > 0 its first record is
+// the snapshot: its outs are the whole logical state at compaction.
+// Compaction writes that record alone to wal-<g+1>.log.tmp, fsyncs it,
+// renames it into place — the single commit point, so a crash
+// mid-compaction is harmless — keeps appending to it, and deletes
+// wal-<g>.log. A torn final record — a crash mid-append — is detected
+// and truncated on replay; a damaged snapshot record is not a torn
+// tail, and Open fails on it.
 //
 // Durability levels: by default each record is written to the OS
 // before the operation returns, so the state survives process crashes
@@ -43,15 +46,14 @@
 package durable
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,7 +63,7 @@ import (
 )
 
 // DefaultCompactEvery is the number of WAL records after which the log
-// is automatically compacted into a snapshot.
+// is automatically compacted into a new generation.
 const DefaultCompactEvery = 1024
 
 // DefaultMaxBatch is the group-commit batch cap: the most records a
@@ -143,17 +145,23 @@ type Space struct {
 	fsyncH      *obs.Histogram
 }
 
-func snapPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%d.gob", gen))
-}
-
 func walPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", gen))
 }
 
+// walGen parses a wal-<g>.log file name, rejecting any other spelling
+// of the same number and any suffix (a compaction's .tmp file).
+func walGen(name string) (uint64, bool) {
+	var g uint64
+	_, err := fmt.Sscanf(name, "wal-%d.log", &g)
+	return g, err == nil && name == fmt.Sprintf("wal-%d.log", g)
+}
+
 // Open recovers (or creates) a durable space in dir, replaying the
-// newest snapshot and WAL generation into s. A nil s creates a fresh
-// space. Stale generations and leftover temporary files are removed.
+// newest WAL generation into s. A nil s creates a fresh space. Once
+// recovery succeeds, older generations and leftover temporary files
+// are removed; a damaged snapshot record fails Open before any file
+// changes.
 func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 	if s == nil {
 		s = tuplespace.New()
@@ -181,30 +189,19 @@ func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	var snaps, wals []uint64
+	var wals []uint64
+	var tmps []string
 	for _, e := range entries {
-		var g uint64
-		switch {
-		case matchGen(e.Name(), "snap-%d.gob", &g):
-			snaps = append(snaps, g)
-		case matchGen(e.Name(), "wal-%d.log", &g):
+		name := e.Name()
+		if g, ok := walGen(name); ok {
 			wals = append(wals, g)
-		case filepath.Ext(e.Name()) == ".tmp":
-			os.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck — torn compaction leftover
-		}
-	}
-	for _, g := range snaps {
-		if g > d.gen {
-			d.gen = g
-		}
-	}
-	for _, g := range wals {
-		// A WAL can be one generation ahead of its snapshot only if a
-		// crash hit between compaction steps; the snapshot rename is
-		// the commit point, so an orphan newer WAL never exists. A WAL
-		// equal to the max snapshot generation is the live one.
-		if g > d.gen {
-			d.gen = g
+			d.gen = max(d.gen, g)
+		} else if filepath.Ext(name) == ".tmp" {
+			tmps = append(tmps, name) // torn compaction leftover
+		} else if strings.HasPrefix(name, "snap-") && filepath.Ext(name) == ".gob" {
+			// A snapshot in a layout this package no longer reads:
+			// replaying its WAL without it would silently lose state.
+			return nil, fmt.Errorf("durable: %s is a snapshot file in a retired format", filepath.Join(dir, name))
 		}
 	}
 
@@ -212,12 +209,11 @@ func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 		return nil, err
 	}
 
-	// Drop stale generations now that recovery committed to d.gen.
-	for _, g := range snaps {
-		if g != d.gen {
-			os.Remove(snapPath(dir, g)) //nolint:errcheck
-		}
+	for _, name := range tmps {
+		os.Remove(filepath.Join(dir, name)) //nolint:errcheck
 	}
+	// A generation older than the recovered one is left over from a
+	// compaction that crashed between its rename and its delete.
 	for _, g := range wals {
 		if g != d.gen {
 			os.Remove(walPath(dir, g)) //nolint:errcheck
@@ -226,42 +222,36 @@ func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 	return d, nil
 }
 
-func matchGen(name, format string, g *uint64) bool {
-	n, err := fmt.Sscanf(name, format, g)
-	return err == nil && n == 1
-}
-
-// recover loads snapshot d.gen (if present), replays its WAL —
-// truncating a torn tail record — and leaves the WAL open for append.
+// recover replays wal-<d.gen>.log — for a generation > 0 its first
+// record is the snapshot, which must be intact — truncates a torn tail
+// record and leaves the file open for append. The snapshot record
+// counts neither as replayed nor against the compaction budget.
 func (d *Space) recover() error {
-	if data, err := os.ReadFile(snapPath(d.dir, d.gen)); err == nil {
-		var tuples []tuplespace.Tuple
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&tuples); err != nil {
-			return fmt.Errorf("durable: snapshot %d corrupt: %w", d.gen, err)
-		}
-		if err := d.s.Restore(tuples); err != nil {
-			return err
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
 	wp := walPath(d.dir, d.gen)
 	data, err := os.ReadFile(wp)
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	good := 0 // offset of the last intact record boundary
-	for off := 0; off < len(data); {
-		rec, n := readRecord(data[off:])
+	if d.gen > 0 {
+		rec, n := readRecord(data)
+		if n == 0 {
+			return fmt.Errorf("durable: snapshot record of %s is damaged", wp)
+		}
+		if err := d.apply(rec); err != nil {
+			return err
+		}
+		good = n
+	}
+	for good < len(data) {
+		rec, n := readRecord(data[good:])
 		if n == 0 {
 			break // torn tail: everything past `good` is discarded
 		}
 		if err := d.apply(rec); err != nil {
 			return err
 		}
-		off += n
-		good = off
+		good += n
 		d.recs++
 		d.replayed++
 	}
@@ -269,7 +259,7 @@ func (d *Space) recover() error {
 		obs.Default().Warn("wal torn tail truncated",
 			"dir", d.dir, "generation", d.gen, "discarded_bytes", len(data)-good)
 	}
-	if d.replayed > 0 || good > 0 {
+	if good > 0 {
 		obs.Default().Info("wal recovered",
 			"dir", d.dir, "generation", d.gen, "replayed", d.replayed)
 	}
@@ -290,10 +280,27 @@ func (d *Space) recover() error {
 	return nil
 }
 
+// appendBody encodes a record body — the wire-codec takes batch, then
+// the outs batch — onto b.
+func appendBody(b []byte, rec record) ([]byte, error) {
+	b, err := tuplespace.AppendWireTuples(b, rec.Takes)
+	if err != nil {
+		return nil, err
+	}
+	return tuplespace.AppendWireTuples(b, rec.Outs)
+}
+
+// appendFrame frames a record body onto b: uvarint body length,
+// CRC32-C of the body (little-endian), body. readRecord is its inverse.
+func appendFrame(b, body []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoli))
+	return append(b, body...)
+}
+
 // readRecord decodes one framed record from the head of data,
 // returning the bytes consumed; 0 means the data ends in a torn or
-// corrupt record. Frame: uvarint body length, CRC32-C of the body
-// (little-endian), body (wire-codec takes batch then outs batch).
+// corrupt record. The frame is appendFrame's.
 func readRecord(data []byte) (record, int) {
 	size, n := binary.Uvarint(data)
 	if n <= 0 || len(data)-n < 4 || uint64(len(data)-n-4) < size {
@@ -352,11 +359,8 @@ func (d *Space) enqueue(ctx context.Context, rec record) (uint64, error) {
 			}()
 		}
 	}
-	body, err := tuplespace.AppendWireTuples(d.enc[:0], rec.Takes)
+	body, err := appendBody(d.enc[:0], rec)
 	if err != nil {
-		return 0, err
-	}
-	if body, err = tuplespace.AppendWireTuples(body, rec.Outs); err != nil {
 		return 0, err
 	}
 	d.enc = body[:0] // keep the grown scratch
@@ -369,9 +373,7 @@ func (d *Space) enqueue(ctx context.Context, rec record) (uint64, error) {
 		return 0, err
 	}
 	frameStart := len(d.pend)
-	d.pend = binary.AppendUvarint(d.pend, uint64(len(body)))
-	d.pend = binary.LittleEndian.AppendUint32(d.pend, crc32.Checksum(body, castagnoli))
-	d.pend = append(d.pend, body...)
+	d.pend = appendFrame(d.pend, body)
 	frameLen := len(d.pend) - frameStart
 	d.ends = append(d.ends, len(d.pend))
 	d.seq++
@@ -505,7 +507,7 @@ func (d *Space) maybeCompactLocked() error {
 	return nil
 }
 
-// Compact forces a snapshot + fresh WAL generation.
+// Compact forces a new WAL generation, opened by a snapshot record.
 func (d *Space) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -517,10 +519,10 @@ func (d *Space) Compact() error {
 
 // compactLocked snapshots the logical state — the stored tuples plus
 // the tentative takes of open transactions, which are committed to
-// nothing yet and therefore still logically present — and rolls the
-// log to the next generation. Caller holds d.mu, which stops new
-// records from being enqueued; gmu is held across the file swap so no
-// group-commit leader can write to the old file mid-roll.
+// nothing yet and therefore still logically present — into the first
+// record of the next generation's WAL. Caller holds d.mu, which stops
+// new records from being enqueued; gmu is held across the file swap so
+// no group-commit leader can write to the old file mid-roll.
 func (d *Space) compactLocked() error {
 	d.gmu.Lock()
 	defer d.gmu.Unlock()
@@ -532,36 +534,31 @@ func (d *Space) compactLocked() error {
 	for tx := range d.txns {
 		tuples = append(tuples, tx.takes...)
 	}
+	body, err := appendBody(nil, record{Outs: tuples})
+	if err != nil {
+		return err
+	}
 	next := d.gen + 1
-
-	tmp := snapPath(d.dir, next) + ".tmp"
-	f, err := os.Create(tmp)
+	wp := walPath(d.dir, next)
+	f, err := os.Create(wp + ".tmp")
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(tuples); err != nil {
+	_, err = f.Write(appendFrame(nil, body))
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(wp+".tmp", wp)
+	}
+	if err != nil {
 		f.Close() //nolint:errcheck
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //nolint:errcheck
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, snapPath(d.dir, next)); err != nil {
 		return err
 	}
 
-	nf, err := os.Create(walPath(d.dir, next))
-	if err != nil {
-		return err
-	}
-	d.f.Close()                       //nolint:errcheck — already drained; the snapshot supersedes it
-	os.Remove(walPath(d.dir, d.gen))  //nolint:errcheck
-	os.Remove(snapPath(d.dir, d.gen)) //nolint:errcheck
-	d.f = nf
+	d.f.Close()                      //nolint:errcheck — already drained; the snapshot supersedes it
+	os.Remove(walPath(d.dir, d.gen)) //nolint:errcheck
+	d.f = f
 	d.recs = 0
 	d.gen = next
 	d.compactions.Inc()
@@ -791,7 +788,7 @@ func (d *Space) Restore(tuples []tuplespace.Tuple) error {
 // tests and operational sanity checks.
 func (d *Space) Replayed() int { return d.replayed }
 
-// Generation reports the current snapshot/WAL generation.
+// Generation reports the current WAL generation.
 func (d *Space) Generation() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"freepdm/internal/obs"
@@ -167,27 +169,41 @@ func TestDurableReplayIdempotence(t *testing.T) {
 	sameTuples(t, first, d3.Snapshot(), "second recovery")
 }
 
-// TestDurableSnapshotPlusWAL forces compactions mid-stream so recovery
-// must combine a snapshot generation with its live WAL, and verifies
-// the result equals the pre-crash Snapshot().
+// TestDurableSnapshotPlusWAL forces compactions mid-stream, with a
+// transaction holding a tentative take, so recovery must combine a
+// generation's snapshot record with the records after it. Each
+// compaction leaves one file, the new generation's WAL; recovery equals
+// the pre-crash Snapshot() and counts only the records after the
+// snapshot.
 func TestDurableSnapshotPlusWAL(t *testing.T) {
 	dir := t.TempDir()
+	ctx := context.Background()
 	d, err := Open(dir, nil, Options{CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 11; i++ { // 2 compactions at 4 and 8, then 3 live records
-		if err := d.Out(context.Background(), "n", i); err != nil {
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ { // compactions at 4 and 8, then 2 live records
+		if err := d.Out(ctx, "n", i); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			if _, ok, err := tx.Inp(ctx, "n", 0); err != nil || !ok {
+				t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
+			}
+		}
+		onlyFile(t, dir, d.Generation())
 	}
-	if _, ok, err := d.Inp(context.Background(), "n", 9); err != nil || !ok {
+	if _, ok, err := d.Inp(ctx, "n", 9); err != nil || !ok { // the third live record
 		t.Fatalf("Inp: ok=%v err=%v", ok, err)
 	}
-	if d.Generation() == 0 {
-		t.Fatal("no compaction happened; CompactEvery not honored")
+	if g := d.Generation(); g != 2 {
+		t.Fatalf("generation %d after 11 records at CompactEvery 4, want 2", g)
 	}
-	want := d.Snapshot()
+	want := d.Snapshot() // the open transaction's take counts as present
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +213,11 @@ func TestDurableSnapshotPlusWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
+	if d2.Replayed() != 3 {
+		t.Errorf("replayed %d records, want the 3 after the snapshot", d2.Replayed())
+	}
 	sameTuples(t, want, d2.Snapshot(), "snapshot+WAL recovery")
+	onlyFile(t, dir, 2)
 }
 
 // TestDurableTxnSemantics proves the recovery invariants of durable
@@ -303,5 +323,195 @@ func TestDurableObserve(t *testing.T) {
 	}
 	if snap.Counters["wal.compactions"] == 0 {
 		t.Fatal("wal.compactions not counted")
+	}
+}
+
+// dirState maps each file in dir to its contents.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = string(b)
+	}
+	return state
+}
+
+// onlyFile fails unless dir holds exactly one file, wal-<gen>.log.
+func onlyFile(t *testing.T, dir string, gen uint64) {
+	t.Helper()
+	want := fmt.Sprintf("wal-%d.log", gen)
+	st := dirState(t, dir)
+	if _, ok := st[want]; !ok || len(st) != 1 {
+		names := make([]string, 0, len(st))
+		for n := range st {
+			names = append(names, n)
+		}
+		t.Fatalf("files on disk: %v, want only %s", names, want)
+	}
+}
+
+// TestDurableDamagedSnapshotFailsOpen: a snapshot record that fails its
+// checksum or ends early is not a torn tail to truncate. Open fails,
+// and the directory is left exactly as it was.
+func TestDurableDamagedSnapshotFailsOpen(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped byte": func(b []byte) []byte { b[8] ^= 0xff; return b },
+		"torn":         func(b []byte) []byte { return b[:5] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := Open(dir, nil, Options{CompactEvery: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				if err := d.Out(context.Background(), "n", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wp := filepath.Join(dir, "wal-1.log")
+			b, err := os.ReadFile(wp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wp, damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A compaction leftover, which a successful Open would remove.
+			if err := os.WriteFile(filepath.Join(dir, "wal-2.log.tmp"), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirState(t, dir)
+
+			if d2, err := Open(dir, nil, Options{}); err == nil {
+				d2.Close()
+				t.Fatal("Open accepted a damaged snapshot record")
+			} else if !strings.Contains(err.Error(), "snapshot") {
+				t.Fatalf("Open: %v, want a damaged-snapshot error", err)
+			}
+			if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatal("the failed Open changed the directory")
+			}
+		})
+	}
+}
+
+// TestDurableLeftoverGobSnapshotFailsOpen: a snap-<g>.gob file belongs
+// to a layout whose WAL is incomplete without it, so Open refuses to
+// run and names the file.
+func TestDurableLeftoverGobSnapshotFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Out(context.Background(), "n", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-0.gob"), []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d2, err := Open(dir, nil, Options{}); err == nil {
+		d2.Close()
+		t.Fatal("Open ignored a leftover snap-0.gob")
+	} else if !strings.Contains(err.Error(), "snap-0.gob") {
+		t.Fatalf("Open: %v, want an error naming snap-0.gob", err)
+	}
+}
+
+// TestDurableCrashBetweenRenameAndDelete: a compaction that crashed
+// after its rename and before deleting the old generation leaves both
+// WALs. Open recovers the newer one's state, and removes the older one
+// and a later compaction's leftover tmp file.
+func TestDurableCrashBetweenRenameAndDelete(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	d, err := Open(dir, nil, Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Out(ctx, "n", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, err := os.ReadFile(walPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := d.Inp(ctx, "n", 1); err != nil || !ok {
+		t.Fatalf("Inp: ok=%v err=%v", ok, err)
+	}
+	want := d.Snapshot()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath(dir, 0), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath(dir, 2)+".tmp", []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir, nil, Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if g := d2.Generation(); g != 1 {
+		t.Fatalf("recovered generation %d, want 1", g)
+	}
+	sameTuples(t, want, d2.Snapshot(), "recovery of the newer generation")
+	onlyFile(t, dir, 1)
+}
+
+// TestDurableOutCustomValueRefused: a tuple the wire codec cannot
+// encode is refused before it is logged or applied.
+func TestDurableOutCustomValueRefused(t *testing.T) {
+	type custom struct{ A int }
+	dir := t.TempDir()
+	d, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d.Observe(reg, nil)
+	// lint:ignore tuple-contract the Out is refused; nothing enters the space
+	if err := d.Out(context.Background(), "c", custom{1}); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
+		t.Fatalf("Out of a custom value: %v, want a not-wire-encodable error", err)
+	}
+	if n, _ := d.Len(); n != 0 {
+		t.Errorf("the refused tuple was applied: Len %d", n)
+	}
+	if n := reg.Snapshot().Counters["wal.appends"]; n != 0 {
+		t.Errorf("the refused tuple was logged: wal.appends %d", n)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if n, _ := d2.Len(); d2.Replayed() != 0 || n != 0 {
+		t.Errorf("recovery replayed %d records into %d tuples, want none", d2.Replayed(), n)
 	}
 }

@@ -2,10 +2,8 @@ package durable
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -15,18 +13,13 @@ import (
 )
 
 // encodeRecord frames one record exactly as the group-commit pipeline
-// does: uvarint body length, CRC32-C, wire-codec body.
+// does.
 func encodeRecord(t testing.TB, rec record) []byte {
-	body, err := tuplespace.AppendWireTuples(nil, rec.Takes)
+	body, err := appendBody(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body, err = tuplespace.AppendWireTuples(body, rec.Outs); err != nil {
-		t.Fatal(err)
-	}
-	frame := binary.AppendUvarint(nil, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
-	return append(frame, body...)
+	return appendFrame(nil, body)
 }
 
 // FuzzWALTail is the torn-tail property test: whatever bytes a crash

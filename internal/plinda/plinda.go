@@ -14,7 +14,10 @@
 //     committed transaction.
 //   - Checkpoint-protected tuple space: the server can snapshot the
 //     whole tuple space plus continuations and roll back to the latest
-//     checkpoint after a server failure.
+//     checkpoint after a server failure. A checkpoint is two batches
+//     in the tuple encoding of the wire and the durable WAL: the stored
+//     tuples, then one (process name, continuation...) tuple per
+//     process with a continuation.
 //
 // Workstations are modeled as process incarnations: Kill simulates an
 // owner returning to (or a crash of) the machine a process runs on, at
@@ -30,7 +33,6 @@ package plinda
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -640,15 +642,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// checkpoint is the gob-serialized durable state: tuple space contents
-// plus per-process continuations.
-type checkpoint struct {
-	Tuples        []tuplespace.Tuple
-	Continuations map[string]tuplespace.Tuple
-}
-
 // Checkpoint writes the current store contents and all committed
-// continuations to w. It pauses no processes; PLinda checkpoints are
+// continuations to w, as two wire-codec tuple batches: the stored
+// tuples, then one (process name, continuation...) tuple per process
+// with a continuation, sorted by name so that the same state always
+// writes the same bytes. It pauses no processes; PLinda checkpoints are
 // taken between transactions, which is safe because uncommitted
 // transaction effects are not in the shared space. The server's store
 // must support snapshots (local and durable stores do; remote-mode
@@ -659,70 +657,84 @@ func (s *Server) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
 	s.mu.Lock()
-	cp := checkpoint{Continuations: make(map[string]tuplespace.Tuple)}
+	var conts []tuplespace.Tuple
 	for n, ps := range s.procs {
 		if ps.hasCont {
-			cp.Continuations[n] = append(tuplespace.Tuple(nil), ps.continuation...)
+			conts = append(conts, append(tuplespace.Tuple{n}, ps.continuation...))
 		}
 	}
 	s.mu.Unlock()
-	cp.Tuples = sr.Snapshot()
-	if err := gob.NewEncoder(w).Encode(&cp); err != nil {
+	sort.Slice(conts, func(i, j int) bool { return conts[i][0].(string) < conts[j][0].(string) })
+	tuples := sr.Snapshot()
+	b, err := tuplespace.AppendWireTuples(nil, tuples)
+	if err == nil {
+		b, err = tuplespace.AppendWireTuples(b, conts)
+	}
+	if err != nil {
+		return fmt.Errorf("plinda: checkpoint: %w", err)
+	}
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
 	if o := s.obs.Load(); o != nil {
 		o.checkpoints.Inc()
 		if o.tracer != nil {
-			o.tracer.Record("proc", "checkpoint", 0, "tuples", len(cp.Tuples), "continuations", len(cp.Continuations))
+			o.tracer.Record("proc", "checkpoint", 0, "tuples", len(tuples), "continuations", len(conts))
 		}
 	}
 	return nil
 }
 
-// RestoreCheckpoint performs rollback recovery: the store and
-// continuations are replaced by the checkpointed state.
+// RestoreCheckpoint performs rollback recovery: the store and the
+// continuations are replaced by the checkpointed state, and a process
+// the checkpoint holds no continuation for loses its own. The whole
+// checkpoint is decoded before anything changes, so a malformed one
+// fails with the server untouched.
 func (s *Server) RestoreCheckpoint(r io.Reader) error {
 	sr, ok := s.store.(snapshotRestorer)
 	if !ok {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
-	var cp checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	tuples, rest, err := tuplespace.DecodeWireTuples(b)
+	if err != nil {
+		return fmt.Errorf("plinda: checkpoint tuples: %w", err)
+	}
+	conts, rest, err := tuplespace.DecodeWireTuples(rest)
+	if err != nil {
+		return fmt.Errorf("plinda: checkpoint continuations: %w", err)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("plinda: %d trailing bytes after the checkpoint", len(rest))
+	}
+	byName := make(map[string]tuplespace.Tuple, len(conts))
+	for _, c := range conts {
+		var name any
+		if len(c) > 0 {
+			name = c[0]
+		}
+		n, ok := name.(string)
+		if !ok {
+			return fmt.Errorf("plinda: checkpoint continuation %v has no process name", c)
+		}
+		byName[n] = c[1:]
+	}
+	if err := sr.Restore(tuples); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	for n, c := range cp.Continuations {
-		if ps, ok := s.procs[n]; ok {
-			ps.continuation = c
-			ps.hasCont = true
-		}
+	for n, ps := range s.procs {
+		ps.continuation, ps.hasCont = byName[n]
 	}
 	s.mu.Unlock()
-	if err := sr.Restore(cp.Tuples); err != nil {
-		return err
-	}
 	if o := s.obs.Load(); o != nil {
 		o.restores.Inc()
 		if o.tracer != nil {
-			o.tracer.Record("proc", "restore", 0, "tuples", len(cp.Tuples), "continuations", len(cp.Continuations))
+			o.tracer.Record("proc", "restore", 0, "tuples", len(tuples), "continuations", len(conts))
 		}
 	}
 	return nil
 }
-
-func init() {
-	// Field types that cross checkpoints must be gob-registered since
-	// tuple fields are interface values.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]int(nil))
-	gob.Register([]float64(nil))
-	gob.Register([]string(nil))
-}
-
-// RegisterType makes a concrete tuple-field type checkpointable.
-func RegisterType(sample any) { gob.Register(sample) }

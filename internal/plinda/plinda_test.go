@@ -482,10 +482,23 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
+// contOf reads a process's continuation out of the process table.
+func contOf(srv *Server, name string) (tuplespace.Tuple, bool) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	ps := srv.procs[name]
+	return ps.continuation, ps.hasCont
+}
+
+// TestCheckpointRestore: a rollback restores the checkpointed space and
+// continuations, and takes away a continuation committed after the
+// checkpoint, whose process would otherwise resume past outs the
+// rollback removed. A malformed checkpoint changes nothing.
 func TestCheckpointRestore(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
-	srv.Space().Out(context.Background(), "state", 42)
+	ctx := context.Background()
+	srv.Space().Out(ctx, "state", 42)
 	srv.Spawn("committer", func(p *Proc) error {
 		if err := p.Xstart(); err != nil {
 			return err
@@ -495,21 +508,70 @@ func TestCheckpointRestore(t *testing.T) {
 	if err := srv.Wait("committer"); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf, again bytes.Buffer
 	if err := srv.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Server "fails": space trashed.
-	srv.Space().Inp(context.Background(), "state", 42)
-	srv.Space().Out(context.Background(), "garbage", 1)
-	if err := srv.RestoreCheckpoint(&buf); err != nil {
+	if err := srv.Checkpoint(&again); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := srv.Space().Rdp(context.Background(), "state", 42); !ok {
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("two checkpoints of the same state differ")
+	}
+	cp := buf.Bytes()
+
+	// After the checkpoint a process commits an out and its first
+	// continuation, and the server "fails": the space is trashed.
+	srv.Spawn("late", func(p *Proc) error {
+		if err := p.Xstart(); err != nil {
+			return err
+		}
+		if err := p.Out("late-out", 1); err != nil {
+			return err
+		}
+		return p.Xcommit("late-phase", 1)
+	})
+	if err := srv.Wait("late"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Space().Inp(ctx, "state", 42)
+	srv.Space().Out(ctx, "garbage", 1)
+
+	empty, _ := tuplespace.AppendWireTuples(nil, nil)
+	unnamed, _ := tuplespace.AppendWireTuples(empty, []tuplespace.Tuple{{7, "phase"}})
+	nameless, _ := tuplespace.AppendWireTuples(empty, []tuplespace.Tuple{{}})
+	for name, bad := range map[string][]byte{
+		"truncated":     cp[:len(cp)-1],
+		"trailing byte": append(cp[:len(cp):len(cp)], 0),
+		"int name":      unnamed,
+		"no name":       nameless,
+	} {
+		if err := srv.RestoreCheckpoint(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s checkpoint restored", name)
+		}
+		_, garbage, _ := srv.Space().Rdp(ctx, "garbage", 1)
+		if _, late := contOf(srv, "late"); !garbage || !late {
+			t.Fatalf("the %s checkpoint's failed restore changed the server", name)
+		}
+	}
+
+	if err := srv.RestoreCheckpoint(bytes.NewReader(cp)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := srv.Space().Rdp(ctx, "state", 42); !ok {
 		t.Fatal("state tuple not rolled back")
 	}
-	if _, ok, _ := srv.Space().Rdp(context.Background(), "garbage", 1); ok {
+	if _, ok, _ := srv.Space().Rdp(ctx, "garbage", 1); ok {
 		t.Fatal("post-checkpoint garbage survived rollback")
+	}
+	if _, ok, _ := srv.Space().Rdp(ctx, "late-out", 1); ok {
+		t.Fatal("an out committed after the checkpoint survived rollback")
+	}
+	if c, ok := contOf(srv, "committer"); !ok || len(c) != 2 || c[0] != "phase-2" || c[1] != 7 {
+		t.Fatalf("committer's continuation after rollback: %v (%v), want [phase-2 7]", c, ok)
+	}
+	if c, ok := contOf(srv, "late"); ok {
+		t.Fatalf("late keeps its post-checkpoint continuation %v after rollback", c)
 	}
 }
 

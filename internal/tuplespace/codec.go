@@ -2,13 +2,14 @@ package tuplespace
 
 // The binary wire codec. Both hot paths of the runtime — the TCP
 // protocol in net.go and the durable WAL in internal/durable — encode
-// through this file instead of encoding/gob: the field types a tuple
-// can carry on the wire form a closed set (the scalar and slice types
-// the miners use, plus formals and registered custom types), so a
-// hand-rolled tag-byte format beats gob's self-describing streams on
-// every axis that matters here: no per-message type dictionary, no
-// reflection on the fast path, no intermediate wireField slice, and
-// encode buffers that come from a sync.Pool instead of the heap.
+// through this file, and so do plinda checkpoints: the field types a
+// tuple can carry form a closed set (the scalar and slice types the
+// miners use, plus formals of those types), so a hand-rolled tag-byte
+// format needs no per-message type dictionary, no reflection on the
+// fast path and no intermediate wireField slice, and its encode
+// buffers come from a sync.Pool instead of the heap. A field outside
+// the set fails to encode, so it is refused before anything is sent or
+// logged.
 //
 // Framing: every message is one frame, a uvarint byte length followed
 // by the body. The body layouts for requests and responses are
@@ -23,13 +24,9 @@ package tuplespace
 //	vString                   — uvarint length + bytes
 //	vBool                     — 1 byte
 //	vBytes                    — uvarint length+1 + bytes (0 = nil,
-//	                            preserving gob's nil/empty distinction)
+//	                            keeping nil and empty apart)
 //	vInts, vFloats, vStrings  — uvarint count+1 + elements
 //	vFormal                   — 1 type byte (a vNil..vStrings tag)
-//	vFormalNamed              — uvarint length + RegisterWireType name
-//	vGob                      — uvarint length + gob stream (the escape
-//	                            hatch for registered custom types; the
-//	                            only remaining use of gob on the wire)
 //
 // The handshake is a 5-byte banner ("FPDM" + one version byte) each
 // side sends on connect, so a version mismatch fails loudly at dial
@@ -37,9 +34,7 @@ package tuplespace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -73,8 +68,6 @@ const (
 	vFloats
 	vStrings
 	vFormal
-	vFormalNamed
-	vGob
 )
 
 // Request op codes. opInvalid is zero so a zeroed request never aliases
@@ -152,7 +145,7 @@ var (
 )
 
 // formalTag maps a formal's type to its one-byte wire code; ok is
-// false for types outside the built-in set (sent by name instead).
+// false for types outside the built-in set, which cannot be encoded.
 func formalTag(t reflect.Type) (byte, bool) {
 	switch t {
 	case nil:
@@ -185,25 +178,6 @@ var tagFormalType = [vStrings + 1]reflect.Type{
 	vString: typeString, vBool: typeBool, vBytes: typeBytes,
 	vInts: typeInts, vFloats: typeFloats, vStrings: typeStrings,
 }
-
-// RegisterWireType makes a concrete tuple-field type transferable over
-// the networked tuple space and usable as a formal. Both the server
-// and the client process must register it. Registered types travel as
-// a gob-encoded escape-hatch value (vGob) — correct but off the fast
-// path; the built-in field types need no registration.
-func RegisterWireType(sample any) {
-	gob.Register(sample)
-	wireTypesMu.Lock()
-	wireTypes[reflect.TypeOf(sample).String()] = reflect.TypeOf(sample)
-	wireTypesMu.Unlock()
-}
-
-// wireTypes is read on every named-formal decode and written only by
-// RegisterWireType (typically at init time), hence the RWMutex.
-var (
-	wireTypesMu sync.RWMutex
-	wireTypes   = map[string]reflect.Type{}
-)
 
 // appendValue encodes one tuple or template field.
 func appendValue(b []byte, v any) ([]byte, error) {
@@ -270,26 +244,9 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		if tag, ok := formalTag(x.t); ok {
 			return append(b, vFormal, tag), nil
 		}
-		name := x.t.String()
-		b = append(b, vFormalNamed)
-		b = binary.AppendUvarint(b, uint64(len(name)))
-		return append(b, name...), nil
-	default:
-		// Escape hatch: a RegisterWireType'd custom type rides in a
-		// nested gob stream. Unregistered types fail here, before any
-		// bytes hit the wire. The copy keeps &-of-parameter out of the
-		// native-type paths: addressing v directly would heap-allocate
-		// it on every call, including the nine allocation-free cases
-		// above.
-		vv := v
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&vv); err != nil {
-			return nil, fmt.Errorf("tuplespace: field type %T not wire-encodable (RegisterWireType it): %w", v, err)
-		}
-		b = append(b, vGob)
-		b = binary.AppendUvarint(b, uint64(gb.Len()))
-		return append(b, gb.Bytes()...), nil
+		return nil, fmt.Errorf("tuplespace: formal of type %v is not wire-encodable", x.t)
 	}
+	return nil, fmt.Errorf("tuplespace: field type %T is not wire-encodable", v)
 }
 
 // appendFields encodes a field list: uvarint count + values.
@@ -493,32 +450,6 @@ func (r *wireReader) value() (any, error) {
 			return nil, fmt.Errorf("tuplespace: bad formal type code %d", code)
 		}
 		return formal{tagFormalType[code]}, nil
-	case vFormalNamed:
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		wireTypesMu.RLock()
-		t, ok := wireTypes[name]
-		wireTypesMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("tuplespace: unknown wire type %q (RegisterWireType it)", name)
-		}
-		return formal{t}, nil
-	case vGob:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(s)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("tuplespace: custom wire value: %w", err)
-		}
-		return v, nil
 	}
 	return nil, fmt.Errorf("tuplespace: unknown value tag %d", tag)
 }

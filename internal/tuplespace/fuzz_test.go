@@ -22,8 +22,6 @@ import (
 // seedRequests are representative frames covering every op shape and
 // value tag; they seed the fuzzers and generate the checked-in corpus.
 func seedRequests() []*request {
-	type pt struct{ X, Y int }
-	RegisterWireType(pt{})
 	return []*request{
 		{ID: 1, Op: opPing},
 		{ID: 2, Op: opHello, Lease: int64(5e9), Name: "worker-1"},
@@ -33,7 +31,7 @@ func seedRequests() []*request {
 		{ID: 5, Op: opOutN, Batch: []Tuple{{"a", 1}, {"b", nil, []int(nil)}}},
 		{ID: 6, Op: opTxCommit, Txn: 2, Batch: []Tuple{{"a", 1}}, HasCont: true, Cont: []any{"cont", 3}},
 		{ID: 7, Op: opCancel, Target: 4},
-		{ID: 8, Op: opInp, Fields: []any{"p", Formal(pt{})}},
+		{ID: 8, Op: opInp, Fields: []any{"p", FormalFloats}},
 		// A transaction's first operation carries the begin bit.
 		{ID: 9, Op: opIn, Fields: []any{"k", Formal(0)}, Txn: 3, Begin: true},
 		{ID: 10, Op: opTxCommit, Txn: 4, Begin: true},

@@ -406,8 +406,8 @@ func serveConn(ns *netServer, conn net.Conn) {
 				break // header itself unreadable: nothing to route to
 			}
 			// The frame boundary is intact (length-prefixed), so a bad
-			// body — e.g. an unregistered formal type — poisons only
-			// this request, not the connection.
+			// body — e.g. an unknown value tag — poisons only this
+			// request, not the connection.
 			cs.sendResp(req.ID, errResp(derr), true)
 			continue
 		}
@@ -474,8 +474,9 @@ func serveConn(ns *netServer, conn net.Conn) {
 
 // sendResp encodes the answer to request id into a pooled buffer and
 // writes it; the reader passes hold and flushes later. Encoding can only
-// fail on a tuple carrying an unregistered custom type; that failure is
-// reported in-band as an error response, which always encodes.
+// fail on a tuple carrying a field of a type the codec lacks (one a
+// local Out put in the served space); that failure is reported in-band
+// as an error response, which always encodes.
 func (cs *connState) sendResp(id uint64, resp *response, hold bool) {
 	resp.ID = id
 	e, hit := getEncBuf()
@@ -1065,9 +1066,9 @@ func (c *Client) Close() error {
 // the server and must therefore not carry a timeout.
 func blockingOp(op byte) bool { return op == opIn || op == opRd }
 
-// encodeReq encodes req into a pooled buffer. An encode error (an
-// unregistered custom field type) surfaces here, before any bytes hit
-// the wire, leaving the connection healthy.
+// encodeReq encodes req into a pooled buffer. An encode error (a field
+// type the codec lacks) surfaces here, before any bytes hit the wire,
+// leaving the connection healthy.
 func (c *Client) encodeReq(req *request) (*encBuf, error) {
 	e, hit := getEncBuf()
 	cm := c.cm.Load()

@@ -1,6 +1,7 @@
 package tuplespace
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -382,35 +383,49 @@ func TestNetDialRejectsWireVersion2(t *testing.T) {
 	}
 }
 
-func TestNetCustomTypeNeedsRegistration(t *testing.T) {
+// TestNetCustomTypeRejected: a field value or a formal outside the
+// built-in set fails on the client, before any request frame is
+// written, so the next operation is the first frame the server reads.
+func TestNetCustomTypeRejected(t *testing.T) {
 	type custom struct{ A int }
-	_, addr, stop := startServer(t)
-	defer stop()
-	c, _ := Dial(addr)
+	cliEnd, srvEnd := net.Pipe()
+	ops := make(chan byte, 1) // the op of the first frame the peer reads
+	go func() {
+		defer close(ops)
+		var scratch []byte
+		body, err := readFrame(bufio.NewReader(srvEnd), &scratch)
+		if err != nil {
+			return // the client hung up without writing a frame
+		}
+		var req request
+		if err := decodeRequest(body, &req); err != nil {
+			t.Error(err)
+			return
+		}
+		ops <- req.Op
+	}()
+	c := newClient(cliEnd, bufio.NewReader(cliEnd))
 	defer c.Close()
-	// Formals of unregistered types are rejected with a clear error.
-	// lint:ignore tuple-contract,tuple-deadlock the wire layer rejects the template before any match is attempted
-	if _, err := c.In(context.Background(), "y", Formal(custom{})); err == nil {
-		t.Fatal("unregistered wire type accepted")
-	}
-}
 
-func TestNetRegisteredCustomType(t *testing.T) {
-	type point struct{ X, Y int }
-	RegisterWireType(point{})
-	_, addr, stop := startServer(t)
-	defer stop()
-	c, _ := Dial(addr)
-	defer c.Close()
-	if err := c.Out(context.Background(), "p", point{3, 4}); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	if err := c.Out(ctx, "y", custom{1}); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
+		t.Fatalf("Out of a custom value: %v, want a not-wire-encodable error", err)
 	}
-	tu, err := c.In(context.Background(), "p", Formal(point{}))
-	if err != nil {
-		t.Fatal(err)
+	// lint:ignore tuple-contract,tuple-deadlock the wire layer rejects the template before any match is attempted
+	if _, err := c.In(ctx, "y", Formal(custom{})); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
+		t.Fatalf("In with a custom formal: %v, want a not-wire-encodable error", err)
 	}
-	if tu[1].(point).Y != 4 {
-		t.Fatalf("tuple %v", tu)
+	lenErr := make(chan error, 1)
+	go func() {
+		_, err := c.Len()
+		lenErr <- err
+	}()
+	if op := <-ops; op != opLen {
+		t.Fatalf("the first frame on the wire is %s, want the len after the two refused operations", opName(op))
+	}
+	srvEnd.Close()
+	if err := <-lenErr; !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("len after the peer hung up: %v, want ErrClientClosed", err)
 	}
 }
 
