@@ -1,26 +1,23 @@
 // Lindalint statically checks the tuple-space protocol contracts of
-// this module: it loads packages through go/types and verifies that
-// every Out has a matching In, that formals stay out of stored
-// tuples, that blocking operations are not reachable under a lock,
-// that tuple-op errors are handled — and, through the whole-program
-// tuple-flow graph, that no blocking In can wait forever
-// (tuple-deadlock), no tag accumulates unconsumed (tuple-leak), and
-// every worker receive loop honors the poison key
-// (poison-propagation). See README.md ("Static analysis") for the
-// check catalogue and the suppression syntax.
+// this module's production code: it loads packages through go/types,
+// without their test files, and runs three checks — every Out has a
+// matching In and the reverse (tuple-contract), no tuple-op error is
+// discarded (tuple-errcheck), and no blocking In/Rd is reachable while
+// a sync lock is held (lock-blocking). A lint:ignore directive that
+// names no check or suppresses nothing is itself reported
+// (stale-directive). See README.md ("Static analysis") for the check
+// catalogue and the suppression syntax.
 //
 // Usage:
 //
-//	lindalint [-checks list] [-json] [-graph] [packages]
+//	lindalint [-json] [packages]
 //
 // Packages are directory patterns relative to the current directory
 // ("./..." by default, recursing like the go tool). -json emits one
 // diagnostic object per line (file, line, col, check, message,
 // suppressed — suppressed findings are included, marked) instead of
-// text. -graph emits the tuple-flow graph of the loaded packages as
-// GraphViz DOT and reports nothing. The exit status is 0 when the
-// tree is clean, 1 when findings are reported, and 2 when loading or
-// type-checking fails.
+// text. The exit status is 0 when the tree is clean, 1 when findings
+// are reported, and 2 when loading or type-checking fails.
 package main
 
 import (
@@ -45,27 +42,8 @@ type diagnostic struct {
 }
 
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated checks to run (default: all of "+strings.Join(lint.AllChecks, ",")+")")
 	jsonFlag := flag.Bool("json", false, "emit one JSON diagnostic per line, including suppressed findings (marked)")
-	graphFlag := flag.Bool("graph", false, "emit the tuple-flow graph of the loaded packages as GraphViz DOT and exit")
 	flag.Parse()
-
-	var enabled map[string]bool
-	if *checksFlag != "" {
-		enabled = make(map[string]bool)
-		known := make(map[string]bool)
-		for _, c := range lint.AllChecks {
-			known[c] = true
-		}
-		for _, c := range strings.Split(*checksFlag, ",") {
-			c = strings.TrimSpace(c)
-			if !known[c] {
-				fmt.Fprintf(os.Stderr, "lindalint: unknown check %q (have %s)\n", c, strings.Join(lint.AllChecks, ", "))
-				os.Exit(2)
-			}
-			enabled[c] = true
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -84,18 +62,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var pkgs []*lint.Package
-	for _, dir := range dirs {
-		ps, err := loader.Load(dir)
-		if err != nil {
+	pkgs := make([]*lint.Package, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = loader.Load(dir); err != nil {
 			fatal(err)
 		}
-		pkgs = append(pkgs, ps...)
-	}
-
-	if *graphFlag {
-		os.Stdout.Write(lint.DOT(pkgs))
-		return
 	}
 
 	rel := func(name string) string {
@@ -105,29 +76,21 @@ func main() {
 		return name
 	}
 
+	enc := json.NewEncoder(os.Stdout)
 	reported := 0
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		for _, f := range lint.RunAll(pkgs, enabled) {
-			if !f.Suppressed {
-				reported++
-			}
-			if err := enc.Encode(diagnostic{
-				File:       rel(f.Pos.Filename),
-				Line:       f.Pos.Line,
-				Col:        f.Pos.Column,
-				Check:      f.Check,
-				Message:    f.Msg,
-				Suppressed: f.Suppressed,
-			}); err != nil {
+	for _, f := range lint.RunAll(pkgs) {
+		f.Pos.Filename = rel(f.Pos.Filename)
+		switch {
+		case *jsonFlag:
+			d := diagnostic{f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Msg, f.Suppressed}
+			if err := enc.Encode(d); err != nil {
 				fatal(err)
 			}
-		}
-	} else {
-		for _, f := range lint.Run(pkgs, enabled) {
-			reported++
-			f.Pos.Filename = rel(f.Pos.Filename)
+		case !f.Suppressed:
 			fmt.Println(f)
+		}
+		if !f.Suppressed {
+			reported++
 		}
 	}
 	if reported > 0 {

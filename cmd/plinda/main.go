@@ -283,7 +283,6 @@ func main() {
 			// master poisoned) terminate too.
 			extra := make([]tuplespace.Tuple, 16)
 			for i := range extra {
-				// lint:ignore tuple-contract consumed by the PLET workers in internal/core
 				extra[i] = tuplespace.Tuple{core.TagTask, []string{core.PoisonKey}}
 			}
 			if err := tuplespace.OutN(store, extra); err != nil {

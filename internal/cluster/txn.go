@@ -198,9 +198,10 @@ func (tx *routerTxn) commit(ctx context.Context, outs []tuplespace.Tuple, cont t
 		b := batch
 		var ferr error
 		if s, ok := subs[h]; ok {
-			ferr = s.Commit(ctx, b)
-			delete(subs, h)
-			order = removeNode(order, h)
+			if ferr = s.Commit(ctx, b); ferr == nil {
+				delete(subs, h)
+				order = removeNode(order, h)
+			}
 		} else {
 			ferr = tx.r.nodes[h].do(ctx, func(cl *tuplespace.Client) error {
 				return cl.OutN(ctx, b)
@@ -240,9 +241,16 @@ func (tx *routerTxn) commit(ctx context.Context, outs []tuplespace.Tuple, cont t
 			s.Abort() //nolint:errcheck
 			return fmt.Errorf("cluster: node %d transaction cannot store continuations", coord)
 		}
-		return cc.CommitCont(ctx, byNode[coord], cont)
+		err = cc.CommitCont(ctx, byNode[coord], cont)
+	} else {
+		err = s.Commit(ctx, byNode[coord])
 	}
-	return s.Commit(ctx, byNode[coord])
+	if err != nil {
+		// A refused commit (ErrFormalOut) sent nothing and left the sub
+		// open; after a lost connection the server has aborted it.
+		s.Abort() //nolint:errcheck
+	}
+	return err
 }
 
 // Abort rolls back every sub-transaction.

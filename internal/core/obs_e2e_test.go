@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,21 +48,30 @@ func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 	}
 
 	// Kill a worker once the run is underway to exercise the respawn
-	// and abort paths in the trace. The program may win the race and
-	// finish first, so the kill outcome is reported, not assumed.
+	// and abort paths in the trace. The worker is suspended first and
+	// killed only while it is parked at the gate of its next tuple
+	// operation: there it has provably not returned, so the kill must
+	// cause a respawn. (A worker that reads Running may already have
+	// returned, and a kill then counts with no respawn to follow.) The
+	// program may win the race and finish before the worker reaches a
+	// gate, so the kill outcome is reported, not assumed.
+	const victim = "plet-worker-0"
 	killed := make(chan bool, 1)
 	go func() {
-		for i := 0; i < 400; i++ {
+		defer srv.Resume(victim) //nolint:errcheck — releases a worker parked after the window closed
+		suspended := false
+		for deadline := time.Now().Add(400 * time.Millisecond); time.Now().Before(deadline); {
 			for _, p := range srv.Processes() {
-				if p.Name == "plet-worker-0" &&
-					(p.Status == plinda.Running || p.Status == plinda.Blocked) {
-					if srv.Kill("plet-worker-0") == nil {
-						killed <- true
-						return
-					}
+				switch {
+				case p.Name != victim:
+				case !suspended && p.Status != plinda.Done && p.Status != plinda.Failed:
+					suspended = srv.Suspend(victim) == nil
+				case p.Status == plinda.Suspended:
+					killed <- srv.Kill(victim) == nil
+					return
 				}
 			}
-			time.Sleep(time.Millisecond)
+			runtime.Gosched() // poll tightly: a whole run can take under a millisecond
 		}
 		killed <- false
 	}()

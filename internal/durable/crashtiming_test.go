@@ -37,7 +37,6 @@ func TestWALCrashBeforeWrite(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// lint:ignore tuple-contract crash-timing fixture: observed via returned errors, not taken
 			errs <- d.Out(context.Background(), "doomed", i)
 		}(i)
 	}
@@ -51,7 +50,6 @@ func TestWALCrashBeforeWrite(t *testing.T) {
 
 	// Fail-stop: the sticky write error outlives the fault point.
 	disarm()
-	// lint:ignore tuple-contract crash-timing fixture: observed via returned errors, not taken
 	if err := d.Out(context.Background(), "later", 9); err == nil {
 		t.Error("Out after an injected WAL failure returned nil; the WAL must fail-stop")
 	}
@@ -89,7 +87,6 @@ func TestWALCrashAfterWrite(t *testing.T) {
 	})
 	defer disarm()
 
-	// lint:ignore tuple-contract crash-timing fixture: observed via returned errors, not taken
 	if err := d.Out(context.Background(), "ghost", 1); !errors.Is(err, boom) {
 		t.Fatalf("Out under after-write fault = %v, want the injected error", err)
 	}

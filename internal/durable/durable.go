@@ -932,13 +932,15 @@ func (tx *txn) Commit(ctx context.Context, outs []tuplespace.Tuple) error {
 		d.mu.Unlock()
 		return errFinished
 	}
-	tx.done = true
-	delete(d.txns, tx)
 	seq, err := d.enqueue(ctx, record{Takes: tx.takes, Outs: outs})
 	if err != nil {
+		// Nothing was logged or applied: the transaction stays open,
+		// for Abort to restore its takes.
 		d.mu.Unlock()
 		return err
 	}
+	tx.done = true
+	delete(d.txns, tx)
 	tx.takes = nil
 	if err := d.s.OutN(ctx, outs); err != nil {
 		d.mu.Unlock()

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -483,7 +484,8 @@ func TestDurableCrashBetweenRenameAndDelete(t *testing.T) {
 }
 
 // TestDurableOutCustomValueRefused: a tuple the wire codec cannot
-// encode is refused before it is logged or applied.
+// encode, or one with a formal, is refused before it is logged or
+// applied.
 func TestDurableOutCustomValueRefused(t *testing.T) {
 	type custom struct{ A int }
 	dir := t.TempDir()
@@ -493,9 +495,25 @@ func TestDurableOutCustomValueRefused(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	d.Observe(reg, nil)
-	// lint:ignore tuple-contract the Out is refused; nothing enters the space
-	if err := d.Out(context.Background(), "c", custom{1}); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
+	ctx := context.Background()
+	if err := d.Out(ctx, "c", custom{1}); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
 		t.Fatalf("Out of a custom value: %v, want a not-wire-encodable error", err)
+	}
+	if err := d.Out(ctx, "c", tuplespace.FormalInt); !errors.Is(err, tuplespace.ErrFormalOut) {
+		t.Fatalf("Out of a formal: %v, want ErrFormalOut", err)
+	}
+	if err := d.OutN(ctx, []tuplespace.Tuple{{"c", 1}, {"c", tuplespace.FormalInt}}); !errors.Is(err, tuplespace.ErrFormalOut) {
+		t.Fatalf("OutN with a formal: %v, want ErrFormalOut", err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx, []tuplespace.Tuple{{"c", tuplespace.FormalInt}}); !errors.Is(err, tuplespace.ErrFormalOut) {
+		t.Fatalf("Commit of a formal: %v, want ErrFormalOut", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
 	if n, _ := d.Len(); n != 0 {
 		t.Errorf("the refused tuple was applied: Len %d", n)

@@ -32,9 +32,7 @@ func FuzzWALTail(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
-	// lint:ignore tuple-contract fuzz seeds are raw WAL bytes, not live tuples
 	f.Add(encodeRecord(f, record{Outs: []tuplespace.Tuple{{"extra", 99}}}))
-	// lint:ignore tuple-contract fuzz seeds are raw WAL bytes, not live tuples
 	f.Add(encodeRecord(f, record{Takes: []tuplespace.Tuple{{"a", 1}}})[:5]) // torn mid-frame
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
@@ -42,11 +40,9 @@ func FuzzWALTail(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// lint:ignore tuple-contract recovery fixtures: consumed by replay assertions, not a worker
 		if err := d.Out(context.Background(), "a", 1); err != nil {
 			t.Fatal(err)
 		}
-		// lint:ignore tuple-contract recovery fixtures: consumed by replay assertions, not a worker
 		if err := d.Out(context.Background(), "b", "two"); err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +110,8 @@ func TestGenFuzzCorpus(t *testing.T) {
 		{},
 		{0x01},
 		{0xff, 0xff, 0xff, 0xff, 0xff},
-		// lint:ignore tuple-contract fuzz seeds are raw WAL bytes, not live tuples
 		encodeRecord(t, record{Outs: []tuplespace.Tuple{{"extra", 99}}}),
-		// lint:ignore tuple-contract fuzz seeds are raw WAL bytes, not live tuples
 		encodeRecord(t, record{Takes: []tuplespace.Tuple{{"a", 1}}, Outs: []tuplespace.Tuple{{"c", 3.5}}}),
-		// lint:ignore tuple-contract fuzz seeds are raw WAL bytes, not live tuples
 		encodeRecord(t, record{Takes: []tuplespace.Tuple{{"a", 1}}})[:5],
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzWALTail")

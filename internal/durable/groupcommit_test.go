@@ -40,7 +40,6 @@ func TestGroupCommitBatchesConcurrentAppends(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// lint:ignore tuple-contract group-commit fixture: observed via WAL counters, not taken
 		if err := d.Out(context.Background(), "a", 1); err != nil {
 			t.Errorf("Out a: %v", err)
 		}
@@ -51,7 +50,6 @@ func TestGroupCommitBatchesConcurrentAppends(t *testing.T) {
 	for _, v := range []int{2, 3} {
 		go func(v int) {
 			defer wg.Done()
-			// lint:ignore tuple-contract group-commit fixture: observed via WAL counters, not taken
 			if err := d.Out(context.Background(), "b", v); err != nil {
 				t.Errorf("Out b %d: %v", v, err)
 			}
@@ -132,7 +130,6 @@ func TestGroupCommitWriteFailureFailsBatch(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		// lint:ignore tuple-contract fault-injection fixture: observed via returned errors, not taken
 		first <- d.Out(context.Background(), "a", 1)
 	}()
 	<-entered // the first Out is now the stalled leader
@@ -140,7 +137,6 @@ func TestGroupCommitWriteFailureFailsBatch(t *testing.T) {
 	batched := make(chan error, 2)
 	for _, v := range []int{2, 3} {
 		go func(v int) {
-			// lint:ignore tuple-contract fault-injection fixture: observed via returned errors, not taken
 			batched <- d.Out(context.Background(), "b", v)
 		}(v)
 	}
@@ -169,7 +165,6 @@ func TestGroupCommitWriteFailureFailsBatch(t *testing.T) {
 			t.Error("batched Out returned nil after its WAL write failed")
 		}
 	}
-	// lint:ignore tuple-contract fault-injection fixture: observed via returned errors, not taken
 	if err := d.Out(context.Background(), "later", 4); err == nil {
 		t.Error("Out after a WAL write failure returned nil; the WAL must fail-stop")
 	}
@@ -237,7 +232,6 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			// lint:ignore tuple-contract write-only benchmark: the tuples are never read back
 			if err := d.Out(context.Background(), "bench", 1); err != nil {
 				b.Error(err)
 				return

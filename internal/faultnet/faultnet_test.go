@@ -308,19 +308,16 @@ func TestChaosStoreTxnPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// lint:ignore tuple-contract chaos fixture: the matching Out goes through the exempt wrapper
 	if _, err := tx.In(ctx, "task", tuplespace.FormalString); err != nil {
 		t.Fatal(err)
 	}
 	disarm := ArmError("faultnet.store.txn.commit.before", ErrInjected)
-	// lint:ignore tuple-contract chaos fixture: the matching Inp goes through the exempt wrapper
 	if err := tx.Commit(ctx, []tuplespace.Tuple{{"done", "a"}}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Commit under before-fault = %v", err)
 	}
 	disarm()
 	// The inner transaction is still open (the fault fired before the
 	// backend saw the commit); committing again succeeds.
-	// lint:ignore tuple-contract chaos fixture: the matching Inp goes through the exempt wrapper
 	if err := tx.Commit(ctx, []tuplespace.Tuple{{"done", "a"}}); err != nil {
 		t.Fatalf("retry Commit: %v", err)
 	}

@@ -6,71 +6,6 @@ import (
 	"go/types"
 )
 
-// checkFormalMisuse flags formal template fields stored into the
-// space: a Formal passed to Out (or placed in a tuplespace.Tuple
-// literal) is stored as an opaque formal value that no sensible
-// template will ever match — the producer almost certainly meant to
-// pass a value. This is the tag-typo's quieter cousin: it compiles,
-// and the consumer deadlocks.
-func (a *analysis) checkFormalMisuse() []Finding {
-	var fs []Finding
-	flag := func(arg ast.Expr, where string) {
-		if t, ok := a.formalType(arg); ok {
-			name := "of unknown type"
-			if t != nil {
-				name = "?" + t.String()
-			}
-			fs = append(fs, Finding{
-				Pos:   a.fset.Position(arg.Pos()),
-				Check: CheckFormal,
-				Msg:   fmt.Sprintf("formal %s %s: formals belong in In/Rd templates, not in stored tuples", name, where),
-			})
-		}
-	}
-	for _, op := range a.ops {
-		if !op.info.producer || op.call.Ellipsis.IsValid() {
-			continue
-		}
-		for _, arg := range op.templateArgs() {
-			flag(arg, "passed to "+op.name)
-		}
-	}
-	for _, lit := range a.lits {
-		for _, e := range lit.Elts {
-			if kv, ok := e.(*ast.KeyValueExpr); ok {
-				e = kv.Value
-			}
-			flag(e, "stored in a Tuple literal")
-		}
-	}
-	return fs
-}
-
-// checkCrossShard flags consumer templates whose leading field is a
-// formal string. Such a template names no tag, so no partition, shard
-// or cluster node is its home, and every Store rejects it at run time
-// with tuplespace.ErrCrossTemplate; the check reports the error at
-// build time. Lead with a constant tag.
-func (a *analysis) checkCrossShard() []Finding {
-	var fs []Finding
-	for _, op := range a.ops {
-		args := op.templateArgs()
-		if !op.info.consumer || op.call.Ellipsis.IsValid() || len(args) == 0 {
-			continue
-		}
-		t, ok := a.formalType(args[0])
-		if !ok || t == nil || !types.Identical(t, types.Typ[types.String]) {
-			continue
-		}
-		fs = append(fs, Finding{
-			Pos:   a.fset.Position(op.call.Pos()),
-			Check: CheckCrossShard,
-			Msg:   fmt.Sprintf("%s template leads with a formal string: every Store rejects it with ErrCrossTemplate; lead with a constant tag", op.name),
-		})
-	}
-	return fs
-}
-
 // checkLockBlocking flags a blocking In/Rd reachable while a
 // sync.Mutex or sync.RWMutex is held in the same function body. A
 // blocked tuple operation parks its goroutine until some other
@@ -89,12 +24,8 @@ func (a *analysis) checkLockBlocking() []Finding {
 				if n.Body != nil {
 					fs = append(fs, a.lockWalk(n.Body)...)
 				}
-				return true
-			case *ast.FuncLit:
-				// Visited via lockWalk of the enclosing body boundary
-				// below; each literal is its own scope.
+			case *ast.FuncLit: // its own scope: lockWalk skips it
 				fs = append(fs, a.lockWalk(n.Body)...)
-				return true
 			}
 			return true
 		})
@@ -173,18 +104,14 @@ func (a *analysis) syncLockCall(call *ast.CallExpr) (name, recv string, ok bool)
 
 // checkErrors flags tuple-op calls whose error result is discarded:
 // used as an expression statement, assigned to the blank identifier,
-// or launched via go/defer. In/Out errors carry ErrClosed, ErrKilled
-// and wire failures; ignoring them turns a clean shutdown into a
-// spin or a silent data loss. Test files are exempt — tests discard
-// errors deliberately and assert on state instead.
+// or launched via go/defer. In/Out errors carry ErrClosed, ErrKilled,
+// ErrFormalOut and wire failures; ignoring them turns a clean shutdown
+// into a spin or a silent data loss.
 func (a *analysis) checkErrors() []Finding {
 	var fs []Finding
 	flag := func(call *ast.CallExpr) {
 		op := a.tupleOpCall(call)
-		if op == nil || !op.returnsErr() {
-			return
-		}
-		if a.inTestFile(call.Pos()) {
+		if op == nil {
 			return
 		}
 		fs = append(fs, Finding{

@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -140,17 +141,11 @@ func (a *analysis) contractSigs() (producers, consumers []*signature) {
 			consumers = append(consumers, a.signatureOf(args, op.call.Pos(), op.name))
 		}
 	}
+	keyed := func(e ast.Expr) bool { _, ok := e.(*ast.KeyValueExpr); return ok }
 	for _, lit := range a.lits {
-		if len(lit.Elts) == 0 {
-			continue
+		if len(lit.Elts) > 0 && !slices.ContainsFunc(lit.Elts, keyed) {
+			producers = append(producers, a.signatureOf(lit.Elts, lit.Pos(), "Tuple literal"))
 		}
-		for _, e := range lit.Elts {
-			if _, ok := e.(*ast.KeyValueExpr); ok {
-				goto skip
-			}
-		}
-		producers = append(producers, a.signatureOf(lit.Elts, lit.Pos(), "Tuple literal"))
-	skip:
 	}
 	return producers, consumers
 }
@@ -198,4 +193,18 @@ func fieldName(f sigField) string {
 		return "unknown"
 	}
 	return f.typ.String()
+}
+
+// mismatchReason explains the first way two same-tag signatures fail
+// to unify.
+func mismatchReason(s, o *signature) string {
+	if len(s.fields) != len(o.fields) {
+		return fmt.Sprintf("arity %d vs %d", len(s.fields), len(o.fields))
+	}
+	for i := range s.fields {
+		if !s.fields[i].unifies(o.fields[i]) {
+			return fmt.Sprintf("field %d is %s vs %s", i, fieldName(s.fields[i]), fieldName(o.fields[i]))
+		}
+	}
+	return "shapes do not unify"
 }

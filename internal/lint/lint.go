@@ -1,35 +1,29 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Check names, in reporting order. Each is documented in README.md
-// ("Static analysis") and implemented in contract.go / checks.go /
-// deadlock.go.
+// Check names. Each is documented in README.md ("Static analysis")
+// and implemented in contract.go / checks.go.
 const (
-	CheckContract   = "tuple-contract" // producer/consumer signature cross-reference
-	CheckFormal     = "formal-misuse"  // formal template field passed to Out / stored in a Tuple
-	CheckCrossShard = "cross-shard"    // leading formal-string template: every Store rejects it
-	CheckLock       = "lock-blocking"  // blocking In/Rd reachable while a sync lock is held
-	CheckErr        = "tuple-errcheck" // discarded tuple-op error result
+	CheckContract = "tuple-contract" // producer/consumer signature cross-reference
+	CheckErr      = "tuple-errcheck" // discarded tuple-op error result
+	CheckLock     = "lock-blocking"  // blocking In/Rd reachable while a sync lock is held
 
-	// The whole-program checks built on the tuple-flow graph
-	// (flowgraph.go, callgraph.go, deadlock.go).
-	CheckDeadlock = "tuple-deadlock"     // blocking In/Rd with no reachable producer
-	CheckLeak     = "tuple-leak"         // tag produced but never taken by any reachable consumer
-	CheckPoison   = "poison-propagation" // unbounded worker receive loop ignores the poison key
+	// CheckDirective reports a stale lint:ignore directive: one that
+	// names no check in AllChecks, or one whose check suppresses no
+	// finding. No directive can suppress it.
+	CheckDirective = "stale-directive"
 )
 
-// AllChecks lists every check name lindalint knows.
-var AllChecks = []string{
-	CheckContract, CheckFormal, CheckCrossShard, CheckLock, CheckErr,
-	CheckDeadlock, CheckLeak, CheckPoison,
-}
+// AllChecks lists every check a lint:ignore directive may name.
+var AllChecks = []string{CheckContract, CheckErr, CheckLock}
 
 // Finding is one diagnostic, anchored to a source position.
 type Finding struct {
@@ -46,68 +40,30 @@ func (f Finding) String() string {
 }
 
 // Run analyzes the packages and returns the surviving findings,
-// sorted by position. enabled selects the checks to run; nil enables
-// all of them. Findings suppressed by a "// lint:ignore check-name
-// reason" comment on the same or the preceding line are dropped, as
-// are tuple-errcheck findings on lines carrying a "//nolint:errcheck"
-// comment.
-func Run(pkgs []*Package, enabled map[string]bool) []Finding {
-	all := RunAll(pkgs, enabled)
-	out := all[:0]
-	for _, f := range all {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
+// sorted by position. Findings suppressed by a "// lint:ignore
+// check-name reason" comment on the same or the preceding line are
+// dropped, as are tuple-errcheck findings on lines carrying a
+// "//nolint:errcheck" comment.
+func Run(pkgs []*Package) []Finding {
+	return slices.DeleteFunc(RunAll(pkgs), func(f Finding) bool { return f.Suppressed })
 }
 
 // RunAll is Run without the suppression filter: suppressed findings
 // are returned too, marked, so callers (the -json output mode) can
-// show what a directive silenced. The per-package checks
-// (tuple-contract and friends) see each package in isolation; the
-// flow-graph checks (tuple-deadlock, tuple-leak, poison-propagation)
-// see the loaded package set as one program.
-func RunAll(pkgs []*Package, enabled map[string]bool) []Finding {
-	on := func(check string) bool { return enabled == nil || enabled[check] }
-	analyses := make([]*analysis, len(pkgs))
-	for i, pkg := range pkgs {
-		analyses[i] = newAnalysis(pkg)
-	}
+// show what a directive silenced. Each package is analyzed in
+// isolation: a "task" tuple in one program has no relation to a
+// "task" tuple in another.
+func RunAll(pkgs []*Package) []Finding {
 	var all []Finding
-	for _, a := range analyses {
-		if on(CheckContract) {
-			all = append(all, a.checkContract()...)
-		}
-		if on(CheckFormal) {
-			all = append(all, a.checkFormalMisuse()...)
-		}
-		if on(CheckCrossShard) {
-			all = append(all, a.checkCrossShard()...)
-		}
-		if on(CheckLock) {
-			all = append(all, a.checkLockBlocking()...)
-		}
-		if on(CheckErr) {
-			all = append(all, a.checkErrors()...)
-		}
+	for _, pkg := range pkgs {
+		a := newAnalysis(pkg)
+		fs := a.checkContract()
+		fs = append(fs, a.checkErrors()...)
+		fs = append(fs, a.checkLockBlocking()...)
+		all = append(all, a.suppress(fs)...)
 	}
-	if on(CheckDeadlock) || on(CheckLeak) || on(CheckPoison) {
-		cg := buildCallGraph(pkgs)
-		g := buildFlowGraph(analyses, cg)
-		if on(CheckDeadlock) {
-			all = append(all, g.checkDeadlock()...)
-		}
-		if on(CheckLeak) {
-			all = append(all, g.checkLeak()...)
-		}
-		if on(CheckPoison) {
-			all = append(all, checkPoison(analyses, cg)...)
-		}
-	}
-	markSuppressed(analyses, all)
 	sortFindings(all)
-	return dedup(all)
+	return all
 }
 
 // sortFindings orders findings stably by file, line, column, check
@@ -115,106 +71,111 @@ func RunAll(pkgs []*Package, enabled map[string]bool) []Finding {
 // deterministic regardless of the discovery (map-iteration) order the
 // checks produced them in.
 func sortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Check != b.Check {
-			return a.Check < b.Check
-		}
-		return a.Msg < b.Msg
+	slices.SortStableFunc(fs, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Check, b.Check),
+			cmp.Compare(a.Msg, b.Msg),
+		)
 	})
 }
 
-func dedup(fs []Finding) []Finding {
-	out := fs[:0]
+// directive is one suppression comment of a file.
+type directive struct {
+	pos    token.Position
+	checks []string        // the checks it names
+	used   map[string]bool // the named checks that suppressed a finding
+	nolint bool            // //nolint:errcheck, which is never stale
+}
+
+// suppress marks the findings a directive covers — one on the same or
+// the preceding line that names the finding's check — and appends a
+// stale-directive finding for every check a lint:ignore names that is
+// not in AllChecks or suppressed nothing.
+func (a *analysis) suppress(fs []Finding) []Finding {
+	type lineKey struct {
+		file string
+		line int
+	}
+	at := make(map[lineKey][]*directive)
+	for _, d := range a.directives {
+		k := lineKey{d.pos.Filename, d.pos.Line}
+		at[k] = append(at[k], d)
+	}
 	for i, f := range fs {
-		if i > 0 && f == fs[i-1] {
+		for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
+			for _, d := range at[lineKey{f.Pos.Filename, line}] {
+				if slices.Contains(d.checks, f.Check) {
+					d.used[f.Check] = true
+					fs[i].Suppressed = true
+				}
+			}
+		}
+	}
+	for _, d := range a.directives {
+		if d.nolint {
 			continue
 		}
-		out = append(out, f)
+		for _, c := range d.checks {
+			msg := ""
+			switch {
+			case !slices.Contains(AllChecks, c):
+				msg = fmt.Sprintf("lint:ignore names %q, which is not a check (have %s)", c, strings.Join(AllChecks, ", "))
+			case !d.used[c]:
+				msg = fmt.Sprintf("lint:ignore %s suppresses no finding", c)
+			default:
+				continue
+			}
+			fs = append(fs, Finding{Pos: d.pos, Check: CheckDirective, Msg: msg})
+		}
 	}
-	return out
+	return fs
 }
 
-// markSuppressed flags the findings covered by an ignore directive.
-// Directives are matched by filename across the whole analysis set,
-// so a directive suppresses flow-graph findings anchored in its file
-// no matter which package's walk produced them.
-func markSuppressed(analyses []*analysis, fs []Finding) {
-	byFile := make(map[string]fileIgnores)
-	for _, a := range analyses {
-		for name, dirs := range a.ignores {
-			byFile[name] = dirs
-		}
-	}
-	for i, f := range fs {
-		dirs := byFile[f.Pos.Filename]
-		if dirs == nil {
-			continue
-		}
-		if dirs.covers(f.Pos.Line, f.Check) || dirs.covers(f.Pos.Line-1, f.Check) {
-			fs[i].Suppressed = true
-		}
-	}
-}
-
-// fileIgnores records the ignore directives of one file by line.
-type fileIgnores map[int][]string
-
-func (fi fileIgnores) covers(line int, check string) bool {
-	for _, name := range fi[line] {
-		if name == check || name == "all" {
-			return true
-		}
-	}
-	return false
-}
-
-// collectIgnores scans a file's comments for suppression directives:
+// collectDirectives scans a file's comments for suppression
+// directives:
 //
 //	// lint:ignore check-name reason
 //	// lint:ignore check-a,check-b reason
 //	//nolint:errcheck
 //
-// A lint:ignore directive requires a non-empty reason and suppresses
-// the named checks on its own line and the next. nolint:errcheck (the
-// pre-existing convention in this repository) suppresses
+// A directive is a comment that starts with one of these. An ignore
+// directive requires a non-empty reason and suppresses the named
+// checks on its own line and the next; without a reason it is no
+// directive at all. nolint:errcheck (the pre-existing convention in
+// this repository, shared with other linters) suppresses
 // tuple-errcheck only.
-func collectIgnores(fset *token.FileSet, f *ast.File) fileIgnores {
-	fi := make(fileIgnores)
+func collectDirectives(fset *token.FileSet, f *ast.File) []*directive {
+	var ds []*directive
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
 			text = strings.TrimPrefix(text, "/*")
 			text = strings.TrimSuffix(text, "*/")
-			line := fset.Position(c.Pos()).Line
-			trimmed := strings.TrimSpace(text)
-			if strings.HasPrefix(trimmed, "nolint:") && strings.Contains(trimmed, "errcheck") {
-				fi[line] = append(fi[line], CheckErr)
-			}
-			idx := strings.Index(text, "lint:ignore")
-			if idx < 0 {
+			text = strings.TrimSpace(text)
+			d := &directive{pos: fset.Position(c.Pos()), used: make(map[string]bool)}
+			if strings.HasPrefix(text, "nolint:") && strings.Contains(text, "errcheck") {
+				d.checks, d.nolint = []string{CheckErr}, true
+				ds = append(ds, d)
 				continue
 			}
-			rest := strings.TrimSpace(text[idx+len("lint:ignore"):])
+			rest, ok := strings.CutPrefix(text, "lint:ignore")
+			if !ok {
+				continue
+			}
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
 				continue // a reason is required; an unexplained directive does not suppress
 			}
 			for _, name := range strings.Split(fields[0], ",") {
 				if name != "" {
-					fi[line] = append(fi[line], name)
+					d.checks = append(d.checks, name)
 				}
 			}
+			ds = append(ds, d)
 		}
 	}
-	return fi
+	return ds
 }

@@ -33,7 +33,8 @@ func testLoader(t *testing.T) *Loader {
 func renderFindings(fs []Finding) []byte {
 	var buf bytes.Buffer
 	for _, f := range fs {
-		fmt.Fprintf(&buf, "%s:%d: [%s] %s\n", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Check, f.Msg)
+		f.Pos.Filename = filepath.Base(f.Pos.Filename)
+		fmt.Fprintln(&buf, f)
 	}
 	return buf.Bytes()
 }
@@ -54,11 +55,11 @@ func TestGoldenFixtures(t *testing.T) {
 		}
 		dir := filepath.Join(root, e.Name())
 		t.Run(e.Name(), func(t *testing.T) {
-			pkgs, err := loader.Load(dir)
+			pkg, err := loader.Load(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderFindings(Run(pkgs, nil))
+			got := renderFindings(Run([]*Package{pkg}))
 			golden := filepath.Join(dir, "findings.golden")
 			if *update {
 				if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -77,23 +78,6 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
-// TestCheckSelection verifies that the enabled set restricts which
-// checks run: the contractbad fixture is full of contract findings but
-// must stay silent when only tuple-errcheck is on.
-func TestCheckSelection(t *testing.T) {
-	loader := testLoader(t)
-	pkgs, err := loader.Load(filepath.Join("testdata", "src", "contractbad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := Run(pkgs, map[string]bool{CheckErr: true}); len(fs) != 0 {
-		t.Errorf("errcheck-only run reported %d findings: %v", len(fs), fs)
-	}
-	if fs := Run(pkgs, map[string]bool{CheckContract: true}); len(fs) == 0 {
-		t.Error("contract-only run reported nothing on contractbad")
-	}
-}
-
 // TestCoreContractClean is the regression test for the control-tuple
 // audit: the production protocol in internal/core — PLET's two-field
 // "task" and six-field "ctl", PLED's five-field "task" and "result",
@@ -102,11 +86,11 @@ func TestCheckSelection(t *testing.T) {
 // same "ctl" and PLED shapes matched and mismatched.
 func TestCoreContractClean(t *testing.T) {
 	loader := testLoader(t)
-	pkgs, err := loader.Load(filepath.Join("..", "core"))
+	pkg, err := loader.Load(filepath.Join("..", "core"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := Run(pkgs, nil); len(fs) != 0 {
+	if fs := Run([]*Package{pkg}); len(fs) != 0 {
 		t.Errorf("internal/core has %d findings:\n%s", len(fs), renderFindings(fs))
 	}
 }
@@ -149,6 +133,74 @@ func TestParseModulePath(t *testing.T) {
 	} {
 		if got := parseModulePath(tt.gomod); got != tt.want {
 			t.Errorf("parseModulePath(%q) = %q, want %q", tt.gomod, got, tt.want)
+		}
+	}
+}
+
+// TestRunAllMarksSuppressed verifies RunAll keeps directive-covered
+// findings, marked, while Run drops them — the contract the -json
+// output mode depends on — and that stale directives are reported,
+// never suppressed.
+func TestRunAllMarksSuppressed(t *testing.T) {
+	loader := testLoader(t)
+	pkg, err := loader.Load(filepath.Join("testdata", "src", "suppressed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*Package{pkg}
+	all := RunAll(pkgs)
+	var suppressed, stale int
+	for _, f := range all {
+		if f.Suppressed {
+			suppressed++
+			if f.Check == CheckDirective {
+				t.Errorf("a stale-directive finding was suppressed: %s", f)
+			}
+		}
+		if f.Check == CheckDirective {
+			stale++
+		}
+	}
+	if suppressed == 0 {
+		t.Fatal("RunAll marked nothing suppressed in the suppressed fixture")
+	}
+	if stale == 0 {
+		t.Fatal("RunAll reported no stale directive in the suppressed fixture")
+	}
+	if got := len(Run(pkgs)); got != len(all)-suppressed {
+		t.Errorf("Run returned %d findings, want %d (RunAll %d minus %d suppressed)",
+			got, len(all)-suppressed, len(all), suppressed)
+	}
+}
+
+// TestFindingsOrderStable runs the analyzer repeatedly over a
+// findings-rich fixture that mixes all three checks and asserts
+// identical rendered output, pinning the stable
+// file:line:col:check:message sort that keeps golden diffs
+// deterministic across map-iteration order.
+func TestFindingsOrderStable(t *testing.T) {
+	loader := testLoader(t)
+	var pkgs []*Package
+	for _, fixture := range []string{"contractbad", "errdrop", "lockblock"} {
+		pkg, err := loader.Load(filepath.Join("testdata", "src", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	first := renderFindings(Run(pkgs))
+	checks := make(map[string]bool)
+	for _, f := range Run(pkgs) {
+		checks[f.Check] = true
+	}
+	for _, c := range AllChecks {
+		if !checks[c] {
+			t.Errorf("the fixtures produce no %s finding", c)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if got := renderFindings(Run(pkgs)); !bytes.Equal(got, first) {
+			t.Fatalf("run %d ordered findings differently:\n%s\nvs\n%s", i, got, first)
 		}
 	}
 }

@@ -3,9 +3,12 @@
 // generative communication is dynamically typed: Out("task", key) and
 // In("task", &key) agree only by convention, so a tag typo, arity
 // drift, or field-type mismatch between a master and its workers
-// compiles cleanly and deadlocks at runtime. lindalint loads the whole
-// module through go/types and cross-references every producer and
-// consumer call site instead, so those contracts are machine-checked.
+// compiles cleanly and deadlocks at runtime. lindalint loads the
+// module's production code (test files are out of scope) through
+// go/types and cross-references every producer and consumer call site
+// of each package instead, so those contracts are machine-checked. It
+// also flags discarded tuple-op errors and blocking takes under a
+// sync lock.
 //
 // The suite is built from the standard library only (go/parser,
 // go/ast, go/types, go/importer): module-internal import paths are
@@ -24,16 +27,13 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // Package is one type-checked package of the module, ready for
-// analysis. When a directory holds an external test package
-// (package foo_test), it is returned as a second Package.
+// analysis. Test files are not part of it: lindalint checks production
+// code only.
 type Package struct {
-	Path  string // import path ("_test"-suffixed for external test packages)
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -51,11 +51,11 @@ type Loader struct {
 	ModRoot string // directory containing go.mod
 
 	std  types.ImporterFrom
-	deps map[string]*depResult
+	pkgs map[string]*loaded
 }
 
-type depResult struct {
-	pkg *types.Package
+type loaded struct {
+	pkg *Package
 	err error
 }
 
@@ -80,7 +80,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModPath: modPath,
 		ModRoot: root,
 		std:     std,
-		deps:    make(map[string]*depResult),
+		pkgs:    make(map[string]*loaded),
 	}, nil
 }
 
@@ -132,57 +132,56 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		return types.Unsafe, nil
 	}
 	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		return l.dep(path)
+		pkg, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		return pkg.Types, nil
 	}
 	return l.std.ImportFrom(path, dir, mode)
 }
 
-// dep loads a module-internal dependency (without its test files),
-// memoized per import path.
-func (l *Loader) dep(path string) (*types.Package, error) {
-	if r, ok := l.deps[path]; ok {
+// load parses and type-checks a module package, memoized per import
+// path: a package is checked once whether it is analyzed, imported,
+// or both.
+func (l *Loader) load(path string) (*Package, error) {
+	if r, ok := l.pkgs[path]; ok {
 		return r.pkg, r.err
 	}
 	// Reserve the slot first so import cycles fail fast instead of
 	// recursing forever.
-	l.deps[path] = &depResult{err: fmt.Errorf("lint: import cycle through %s", path)}
+	l.pkgs[path] = &loaded{err: fmt.Errorf("lint: import cycle through %s", path)}
 	dir := filepath.Join(l.ModRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModPath)))
-	files, err := l.parseDir(dir, false)
-	if err == nil && len(files) == 0 {
-		err = fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	var pkg *types.Package
-	if err == nil {
-		conf := types.Config{Importer: l}
-		pkg, err = conf.Check(path, l.Fset, files, nil)
-	}
-	l.deps[path] = &depResult{pkg: pkg, err: err}
+	pkg, err := l.check(path, dir)
+	l.pkgs[path] = &loaded{pkg: pkg, err: err}
 	return pkg, err
 }
 
-// parseDir parses the .go files of one directory. Test files
-// (*_test.go) are included only when tests is set.
-func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+// parseDir parses the non-test .go files of one directory.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !isSourceFile(e.Name()) {
 			continue
 		}
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 	return files, nil
+}
+
+// isSourceFile reports whether name is a non-test Go file the go tool
+// would build.
+func isSourceFile(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
+		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
 // importPathFor maps a module directory to its import path.
@@ -200,10 +199,9 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.ModPath + "/" + filepath.ToSlash(rel), nil
 }
 
-// Load parses and type-checks the package in dir, including its
-// in-package test files. An external test package (package foo_test)
-// in the same directory is returned as a second Package.
-func (l *Loader) Load(dir string) ([]*Package, error) {
+// Load parses and type-checks the package in dir, without its test
+// files.
+func (l *Loader) Load(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -212,82 +210,18 @@ func (l *Loader) Load(dir string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	files, err := l.parseDir(abs, true)
+	return l.load(path)
+}
+
+// check type-checks the package in dir with full analysis info.
+func (l *Loader) check(path, dir string) (*Package, error) {
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", abs)
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	byName := make(map[string][]*ast.File)
-	var names []string
-	for _, f := range files {
-		name := f.Name.Name
-		if _, ok := byName[name]; !ok {
-			names = append(names, name)
-		}
-		byName[name] = append(byName[name], f)
-	}
-	// Primary package first so the external test package can import it
-	// through the dep cache.
-	sort.Slice(names, func(i, j int) bool {
-		return !strings.HasSuffix(names[i], "_test") && strings.HasSuffix(names[j], "_test")
-	})
-	var pkgs []*Package
-	for _, name := range names {
-		ppath, loader := path, l
-		if strings.HasSuffix(name, "_test") {
-			ppath += "_test"
-			if len(pkgs) > 0 {
-				loader = l.testLoader(path, pkgs[0].Types)
-			}
-		}
-		pkg, err := loader.check(ppath, abs, byName[name])
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// testLoader returns the loader an external test package of path is
-// checked with. As in go's test build, that package — and every
-// package it imports — sees the primary package with its in-package
-// test files (the export_test.go idiom): the loader has a dep cache of
-// its own in which path is that variant, and the cached packages that
-// import path are left out, to be checked again against it. The rest of
-// the cache is shared, so the types the variant was built on stay
-// identical.
-func (l *Loader) testLoader(path string, variant *types.Package) *Loader {
-	deps := map[string]*depResult{path: {pkg: variant}}
-	for p, r := range l.deps {
-		if p != path && r.pkg != nil && !imports(r.pkg, path, map[*types.Package]bool{}) {
-			deps[p] = r
-		}
-	}
-	return &Loader{Fset: l.Fset, ModPath: l.ModPath, ModRoot: l.ModRoot, std: l.std, deps: deps}
-}
-
-// imports reports whether pkg imports path, directly or not.
-func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
-	for _, imp := range pkg.Imports() {
-		if imp.Path() == path {
-			return true
-		}
-		if !seen[imp] {
-			seen[imp] = true
-			if imports(imp, path, seen) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// check type-checks one group of files as a package with full
-// analysis info.
-func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -300,19 +234,15 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // Expand resolves package patterns to directories. A pattern ending
 // in "/..." walks the tree below its base; other patterns name one
-// directory. Patterns are interpreted relative to base (the module
-// root when base is empty). Directories named testdata or vendor and
-// hidden directories are skipped, as are directories without Go
-// files.
+// directory. Patterns are interpreted relative to base. Directories
+// named testdata or vendor and hidden directories are skipped, as are
+// directories without non-test Go files.
 func (l *Loader) Expand(base string, patterns []string) ([]string, error) {
-	if base == "" {
-		base = l.ModRoot
-	}
 	seen := make(map[string]bool)
 	var dirs []string
 	add := func(dir string) {
@@ -372,15 +302,14 @@ func (l *Loader) Expand(base string, patterns []string) ([]string, error) {
 }
 
 // hasGoFiles reports whether dir directly contains at least one
-// non-hidden .go file.
+// non-test Go source file.
 func hasGoFiles(dir string) (bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return false, err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
+		if !e.IsDir() && isSourceFile(e.Name()) {
 			return true, nil
 		}
 	}

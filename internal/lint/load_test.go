@@ -26,8 +26,8 @@ func writeTree(t *testing.T, files map[string]string) string {
 
 // TestExpandEdgeCases drives ./... pattern expansion over synthetic
 // trees: nested testdata/vendor/hidden directories must be pruned at
-// any depth, Go-file-less directories skipped, and a non-recursive
-// pattern naming an empty directory must error.
+// any depth, directories without non-test Go files skipped, and a
+// non-recursive pattern naming an empty directory must error.
 func TestExpandEdgeCases(t *testing.T) {
 	for _, tt := range []struct {
 		name     string
@@ -51,6 +51,7 @@ func TestExpandEdgeCases(t *testing.T) {
 				"a/b/c/nogo.txt":              "not go\n",
 				"a/b/c/d/d.go":                "package d\n",
 				"docsonly/readme.txt":         "prose\n",
+				"testonly/x_test.go":          "package testonly\n",
 			},
 			patterns: []string{"./..."},
 			want:     []string{"a", "a/b", "a/b/c/d"},
@@ -194,36 +195,25 @@ func TestLoadImportCycleGuard(t *testing.T) {
 	}
 }
 
-// TestLoadExternalTestSeesExportTest loads a directory whose external
-// test package relies on the export_test.go idiom and, in the same
-// file, on a second package that imports the primary one and on a
-// third that the primary imports. As in go's test build, all of them
-// must agree on one copy of every package: the external test sees the
-// primary's test-only export, the importer is checked against that
-// variant, and the shared dependency keeps its identity.
-func TestLoadExternalTestSeesExportTest(t *testing.T) {
+// TestLoadSkipsTestFiles: lindalint checks production code only, so a
+// package loads without its test files, even ones that would not
+// type-check.
+func TestLoadSkipsTestFiles(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"go.mod":           "module m\n",
-		"base/base.go":     "package base\n\ntype Opt struct{ N int }\n",
-		"a/a.go":           "package a\n\nimport \"m/base\"\n\ntype T struct{ O base.Opt }\n\nfunc hidden(o base.Opt) T { return T{o} }\n",
-		"a/export_test.go": "package a\n\nvar Hidden = hidden\n",
-		"user/user.go":     "package user\n\nimport \"m/a\"\n\nfunc Use(t a.T) int { return t.O.N }\n",
-		"a/x_test.go":      "package a_test\n\nimport (\n\t\"m/a\"\n\t\"m/base\"\n\t\"m/user\"\n)\n\nvar N = user.Use(a.Hidden(base.Opt{N: 1}))\n",
+		"go.mod":      "module m\n",
+		"a/a.go":      "package a\n\nvar A = 1\n",
+		"a/a_test.go": "package a\n\nvar B = undeclared\n",
+		"a/x_test.go": "package a_test\n",
 	})
 	l, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// user is in the dep cache, checked against a without its tests,
-	// before a's directory is loaded: the stale copy must not be reused.
-	if _, err := l.Load(filepath.Join(root, "user")); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load(filepath.Join(root, "a"))
+	pkg, err := l.Load(filepath.Join(root, "a"))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(pkgs) != 2 || pkgs[1].Path != "m/a_test" {
-		t.Fatalf("Load returned %d packages, want m/a and m/a_test", len(pkgs))
+	if len(pkg.Files) != 1 {
+		t.Fatalf("Load parsed %d files, want only a.go", len(pkg.Files))
 	}
 }

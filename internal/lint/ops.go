@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // Import paths of the packages whose methods form the Linda surface.
@@ -18,13 +17,12 @@ const (
 	faultnetPath   = "freepdm/internal/faultnet"
 )
 
-// opInfo describes one tuple-space operation method.
+// opInfo describes one tuple-space operation method. Every one of
+// them returns an error as its last result.
 type opInfo struct {
 	blocking bool // In/Rd/InTraced: blocks until a match arrives
-	takes    bool // In/Inp/InTraced/InpTraced: destructive
 	producer bool // Out
 	consumer bool // In/Inp/Rd/Rdp and traced variants: takes a template
-	errLast  bool // last result is an error
 	ctxFirst bool // first argument is not a field (Store v2 ctx, or the
 	// store itself for the package-level non-ctx wrappers); set per call
 	// site by tupleOpCall, since Proc keeps the non-ctx spelling while
@@ -36,16 +34,16 @@ type opInfo struct {
 // Store/Txn/Client/Space (and any implementer), plain fields-only on
 // plinda.Proc and the tuplespace package-level convenience wrappers.
 var tupleOps = map[string]opInfo{
-	"Out":  {producer: true, errLast: true},
-	"OutN": {errLast: true},
-	"In":   {blocking: true, takes: true, consumer: true, errLast: true},
-	"Rd":   {blocking: true, consumer: true, errLast: true},
-	"Inp":  {takes: true, consumer: true, errLast: true},
-	"Rdp":  {consumer: true, errLast: true},
+	"Out":  {producer: true},
+	"OutN": {},
+	"In":   {blocking: true, consumer: true},
+	"Rd":   {blocking: true, consumer: true},
+	"Inp":  {consumer: true},
+	"Rdp":  {consumer: true},
 	// The traced variants: same tuple semantics as their plain
 	// counterparts, analyzed identically.
-	"InTraced":  {blocking: true, takes: true, consumer: true, errLast: true},
-	"InpTraced": {takes: true, consumer: true, errLast: true},
+	"InTraced":  {blocking: true, consumer: true},
+	"InpTraced": {consumer: true},
 }
 
 // opCall is one resolved tuple-op call site.
@@ -54,12 +52,6 @@ type opCall struct {
 	name string // method name
 	recv string // "Space", "Client", "Store", "Txn", or "Proc"
 	info opInfo
-	fn   *types.Func // enclosing top-level function or method; nil at package level
-}
-
-// returnsErr reports whether this call's last result is an error.
-func (c *opCall) returnsErr() bool {
-	return c.info.errLast
 }
 
 // templateArgs is the slice of arguments that are tuple fields: all of
@@ -75,16 +67,13 @@ func (c *opCall) templateArgs() []ast.Expr {
 
 // analysis carries the per-package state shared by the checks.
 type analysis struct {
-	pkg     *Package
-	fset    *token.FileSet
-	ops     []*opCall
-	lits    []*ast.CompositeLit // tuplespace.Tuple composite literals
-	litFns  map[*ast.CompositeLit]*types.Func
-	formals map[types.Object]types.Type // objects holding formal values; nil type = unknown formal
-	ignores map[string]fileIgnores
-
-	storeIface     *types.Interface // tuplespace.Store, memoized by storeInterface
-	storeIfaceDone bool
+	pkg        *Package
+	fset       *token.FileSet
+	ops        []*opCall
+	lits       []*ast.CompositeLit         // tuplespace.Tuple composite literals
+	formals    map[types.Object]types.Type // objects holding formal values; nil type = unknown formal
+	directives []*directive
+	storeIface *types.Interface // tuplespace.Store; nil when the package does not import it
 }
 
 // formalTypes maps the tuplespace.Formal* helper variables to the
@@ -103,14 +92,13 @@ var formalTypes = map[string]types.Type{
 
 func newAnalysis(pkg *Package) *analysis {
 	a := &analysis{
-		pkg:     pkg,
-		fset:    pkg.Fset,
-		litFns:  make(map[*ast.CompositeLit]*types.Func),
-		formals: make(map[types.Object]types.Type),
-		ignores: make(map[string]fileIgnores),
+		pkg:        pkg,
+		fset:       pkg.Fset,
+		formals:    make(map[types.Object]types.Type),
+		storeIface: storeInterface(pkg.Types),
 	}
 	for _, f := range pkg.Files {
-		a.ignores[a.fset.Position(f.Pos()).Filename] = collectIgnores(a.fset, f)
+		a.directives = append(a.directives, collectDirectives(a.fset, f)...)
 	}
 	a.collectFormalVars()
 	a.collect()
@@ -229,33 +217,22 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // collect walks the package once, resolving tuple-op call sites and
-// tuplespace.Tuple composite literals. Each site remembers its
-// enclosing top-level function (ops inside function literals are
-// attributed to the declaration the literal lexically lives in), so
-// the whole-program flow graph can anchor sites to call-graph nodes.
+// tuplespace.Tuple composite literals.
 func (a *analysis) collect() {
 	for _, f := range a.pkg.Files {
-		for _, d := range f.Decls {
-			var fn *types.Func
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				fn, _ = a.pkg.Info.Defs[fd.Name].(*types.Func)
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if op := a.tupleOpCall(n); op != nil {
-						op.fn = fn
-						a.ops = append(a.ops, op)
-					}
-				case *ast.CompositeLit:
-					if a.isTupleLit(n) {
-						a.lits = append(a.lits, n)
-						a.litFns[n] = fn
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if op := a.tupleOpCall(n); op != nil {
+					a.ops = append(a.ops, op)
 				}
-				return true
-			})
-		}
+			case *ast.CompositeLit:
+				if a.isTupleLit(n) {
+					a.lits = append(a.lits, n)
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -306,69 +283,52 @@ func (a *analysis) tupleOpCall(call *ast.CallExpr) *opCall {
 		return nil
 	}
 	switch {
-	case pkgPath == tuplespacePath &&
-		(typeName == "Space" || typeName == "Client" ||
-			typeName == "Store" || typeName == "TxnStore" || typeName == "Txn"):
-		info.ctxFirst = true
 	case pkgPath == plindaPath && typeName == "Proc":
 		// Proc's surface stays non-ctx: fields from argument zero.
-	default:
-		if !a.implementsStore(named) {
-			return nil
+	case pkgPath == tuplespacePath && typeName == "Txn", a.implementsStore(named):
+		if pkgPath != tuplespacePath {
+			typeName = "Store"
 		}
-		typeName = "Store"
 		info.ctxFirst = true
+	default:
+		return nil
 	}
 	return &opCall{call: call, name: sel.Sel.Name, recv: typeName, info: info}
 }
 
 // implementsStore reports whether t (or *t) satisfies the
-// tuplespace.Store interface, resolved through the package's
-// transitive imports.
+// tuplespace.Store interface.
 func (a *analysis) implementsStore(t types.Type) bool {
-	iface := a.storeInterface()
-	if iface == nil {
-		return false
-	}
-	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
+	iface := a.storeIface
+	return iface != nil && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface))
 }
 
-// storeInterface locates the tuplespace.Store interface in the
-// package's transitive imports, memoized (nil when the package does
-// not depend on tuplespace at all).
-func (a *analysis) storeInterface() *types.Interface {
-	if a.storeIfaceDone {
-		return a.storeIface
-	}
-	a.storeIfaceDone = true
+// storeInterface finds the tuplespace.Store interface among pkg and
+// its transitive imports; nil when pkg does not depend on tuplespace.
+func storeInterface(pkg *types.Package) *types.Interface {
 	seen := make(map[*types.Package]bool)
-	var find func(p *types.Package) *types.Package
-	find = func(p *types.Package) *types.Package {
-		if p == nil || seen[p] {
+	var find func(p *types.Package) *types.Interface
+	find = func(p *types.Package) *types.Interface {
+		if seen[p] {
 			return nil
 		}
 		seen[p] = true
 		if p.Path() == tuplespacePath {
-			return p
+			obj, _ := p.Scope().Lookup("Store").(*types.TypeName)
+			if obj == nil {
+				return nil
+			}
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
 		}
 		for _, imp := range p.Imports() {
-			if found := find(imp); found != nil {
-				return found
+			if iface := find(imp); iface != nil {
+				return iface
 			}
 		}
 		return nil
 	}
-	ts := find(a.pkg.Types)
-	if ts == nil {
-		return nil
-	}
-	obj, ok := ts.Scope().Lookup("Store").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	a.storeIface = iface
-	return iface
+	return find(pkg)
 }
 
 func namedOf(t types.Type) *types.Named {
@@ -392,11 +352,6 @@ func (a *analysis) isTupleLit(lit *ast.CompositeLit) bool {
 	named := namedOf(tv.Type)
 	return named != nil && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == tuplespacePath && named.Obj().Name() == "Tuple"
-}
-
-// inTestFile reports whether pos falls in a _test.go file.
-func (a *analysis) inTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(a.fset.Position(pos).Filename, "_test.go")
 }
 
 // relPos renders a position referenced inside a message as

@@ -1,7 +1,8 @@
 // Package suppressed exercises the ignore directives: a reasoned
-// lint:ignore suppresses, a reasonless one does not, and the
-// repository's pre-existing nolint:errcheck convention maps to
-// tuple-errcheck.
+// directive suppresses, a reasonless one does not, the repository's
+// pre-existing nolint:errcheck convention maps to tuple-errcheck, and
+// a directive that names no check or suppresses nothing is reported
+// as stale.
 package suppressed
 
 import (
@@ -26,7 +27,22 @@ func WaitUnexplained(s *tuplespace.Space) error {
 	return err
 }
 
-// Fire discards the Out error under the errcheck convention.
+// Fire discards the Out error under the errcheck convention; the
+// directive above it covers the tag no package here consumes.
 func Fire(c *tuplespace.Client) {
-	c.Out(context.Background(), "external", 1) //nolint:errcheck
+	// lint:ignore tuple-contract consumed by the coordinator process, a separate package
+	c.Out(context.Background(), "fired", 1) //nolint:errcheck
+}
+
+// Pair's directives are both stale: the first misspells its check,
+// and the Out the second covers has a consumer, so it suppresses
+// nothing.
+func Pair(s *tuplespace.Space) error {
+	// lint:ignore tuple-contracts misspelled
+	// lint:ignore tuple-contract left behind when the consumer below was written
+	if err := s.Out(context.Background(), "pair", 1); err != nil {
+		return err
+	}
+	_, err := s.In(context.Background(), "pair", tuplespace.FormalInt)
+	return err
 }

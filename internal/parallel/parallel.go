@@ -51,7 +51,6 @@ func NyuMinerCV(srv *plinda.Server, d *dataset.Dataset, idx []int, v, workers in
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			// lint:ignore poison-propagation workers terminate on the negative-fold sentinel task outed below, not core.PoisonKey
 			tu, err := p.In("learning-set", tuplespace.FormalInt, formalInts)
 			if err != nil {
 				return err
@@ -140,7 +139,6 @@ func trialProgram(srv *plinda.Server, name string, trials, workers int, build fu
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			// lint:ignore poison-propagation workers terminate on the negative-trial sentinel task outed below, not core.PoisonKey
 			tu, err := p.In(name+"-trial", tuplespace.FormalInt)
 			if err != nil {
 				return err

@@ -32,7 +32,6 @@ func TestVectorAddition(t *testing.T) {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			// lint:ignore poison-propagation the slave terminates on the negative-index sentinel task, not core.PoisonKey
 			tu, err := p.In("task", tuplespace.FormalInt, tuplespace.FormalInts, tuplespace.FormalInts)
 			if err != nil {
 				return err
@@ -174,13 +173,9 @@ func TestProcBufferRejectsFormalFirstTemplate(t *testing.T) {
 			name string
 			call func() error
 		}{
-			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
 			{"In", func() error { _, err := p.In(tuplespace.FormalString, tuplespace.FormalString); return err }},
-			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
 			{"Inp", func() error { _, _, err := p.Inp(tuplespace.FormalString, tuplespace.FormalString); return err }},
-			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
 			{"Rd", func() error { _, err := p.Rd(tuplespace.FormalString, tuplespace.FormalString); return err }},
-			// lint:ignore cross-shard the ErrCrossTemplate rejection is the point here
 			{"Rdp", func() error { _, _, err := p.Rdp(tuplespace.FormalString, tuplespace.FormalString); return err }},
 		}
 		for _, op := range ops {
@@ -306,7 +301,6 @@ func TestFailureRecovery(t *testing.T) {
 				case holdingTxn <- p.Name():
 				default:
 				}
-				// lint:ignore tuple-contract,poison-propagation deliberately unmatched so the op blocks until the kill
 				if _, err := p.In("never-matches", tuplespace.FormalInt); err != nil {
 					return err // ErrKilled: the txn holding item 5 aborts
 				}
@@ -461,7 +455,6 @@ func TestSuspendResume(t *testing.T) {
 	steps := make(chan int, 10)
 	srv.Spawn("pausable", func(p *Proc) error {
 		for i := 0; i < 3; i++ {
-			// lint:ignore tuple-contract progress is observed through the steps channel, not the space
 			if err := p.Out("step", i); err != nil {
 				return err
 			}

@@ -277,13 +277,18 @@ func (p *Proc) Xrecover() (tuplespace.Tuple, bool) {
 
 // Out places a tuple in the space. Inside a transaction the tuple is
 // buffered and becomes visible to other processes only at Xcommit;
-// outside a transaction it is published immediately.
+// outside a transaction it is published immediately. A tuple with a
+// formal field fails with tuplespace.ErrFormalOut either way.
 func (p *Proc) Out(fields ...any) error {
 	if err := p.gate(); err != nil {
 		return err
 	}
 	if p.txnOpen {
-		p.buffer = append(p.buffer, append(tuplespace.Tuple(nil), fields...))
+		t, err := tuplespace.CopyTuple(fields)
+		if err != nil {
+			return err
+		}
+		p.buffer = append(p.buffer, t)
 		return nil
 	}
 	return p.store.Out(p.opCtx(), fields...)
@@ -299,8 +304,14 @@ func (p *Proc) OutN(tuples []tuplespace.Tuple) error {
 		return err
 	}
 	if p.txnOpen {
+		n := len(p.buffer)
 		for _, t := range tuples {
-			p.buffer = append(p.buffer, append(tuplespace.Tuple(nil), t...))
+			c, err := tuplespace.CopyTuple(t)
+			if err != nil {
+				p.buffer = p.buffer[:n]
+				return err
+			}
+			p.buffer = append(p.buffer, c)
 		}
 		return nil
 	}

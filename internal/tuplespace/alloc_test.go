@@ -105,7 +105,6 @@ func TestRdpAllocs(t *testing.T) {
 
 func TestCompiledTemplateMatchAllocs(t *testing.T) {
 	tm := Template{"task", FormalInt, FormalString, 3.14}
-	// lint:ignore tuple-contract matcher micro-fixture, never enters a space
 	tu := Tuple{"task", 42, "payload", 3.14}
 	n := testing.AllocsPerRun(200, func() {
 		var farr [6]compiledField
@@ -114,7 +113,6 @@ func TestCompiledTemplateMatchAllocs(t *testing.T) {
 		if err != nil || !ct.match(tu) {
 			t.Fatal("template must match")
 		}
-		// lint:ignore tuple-contract matcher micro-fixture, never enters a space
 		if ct.match(Tuple{"task", 42, "payload"}) {
 			t.Fatal("arity mismatch must not match")
 		}

@@ -124,9 +124,8 @@ func BenchmarkTuplespaceWakeLatency(b *testing.B) {
 // steady state allocates nothing.
 func BenchmarkWireEncode(b *testing.B) {
 	req := &request{
-		ID: 42,
-		Op: opOut,
-		// lint:ignore tuple-contract encoder micro-benchmark, never enters a space
+		ID:     42,
+		Op:     opOut,
 		Fields: []any{"job", 7, 3.14, "payload", []int{1, 2, 3}},
 		Trace:  0xabcdef,
 		Span:   0x123456,
@@ -206,7 +205,6 @@ func BenchmarkTuplespaceTCPPipelined(b *testing.B) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				// lint:ignore tuple-contract write-only benchmark: the tuples are never read back
 				if err := c.Out(context.Background(), "pipe", w, i); err != nil {
 					b.Error(err)
 					return

@@ -179,8 +179,9 @@ var tagFormalType = [vStrings + 1]reflect.Type{
 	vInts: typeInts, vFloats: typeFloats, vStrings: typeStrings,
 }
 
-// appendValue encodes one tuple or template field.
-func appendValue(b []byte, v any) ([]byte, error) {
+// appendValue encodes one tuple or template field; a formal in a tuple
+// is refused with ErrFormalOut.
+func appendValue(b []byte, v any, tuple bool) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, vNil), nil
@@ -241,6 +242,9 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		}
 		return b, nil
 	case formal:
+		if tuple {
+			return nil, ErrFormalOut
+		}
 		if tag, ok := formalTag(x.t); ok {
 			return append(b, vFormal, tag), nil
 		}
@@ -249,12 +253,13 @@ func appendValue(b []byte, v any) ([]byte, error) {
 	return nil, fmt.Errorf("tuplespace: field type %T is not wire-encodable", v)
 }
 
-// appendFields encodes a field list: uvarint count + values.
-func appendFields(b []byte, fields []any) ([]byte, error) {
+// appendFields encodes a field list: uvarint count + values. tuple
+// marks a tuple to store, which may carry no formal.
+func appendFields(b []byte, fields []any, tuple bool) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(fields)))
 	var err error
 	for _, f := range fields {
-		if b, err = appendValue(b, f); err != nil {
+		if b, err = appendValue(b, f, tuple); err != nil {
 			return nil, err
 		}
 	}
@@ -344,9 +349,10 @@ func (r *wireReader) elems(minSize int) (int, error) {
 	return int(n - 1), nil
 }
 
-// value decodes one field. Corrupt input yields an error, never a
-// panic and never an unbounded allocation.
-func (r *wireReader) value() (any, error) {
+// value decodes one field; like appendValue it refuses a formal in a
+// tuple. Corrupt input yields an error, never a panic and never an
+// unbounded allocation.
+func (r *wireReader) value(tuple bool) (any, error) {
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -439,6 +445,9 @@ func (r *wireReader) value() (any, error) {
 		}
 		return out, nil
 	case vFormal:
+		if tuple {
+			return nil, ErrFormalOut
+		}
 		code, err := r.byte()
 		if err != nil {
 			return nil, err
@@ -454,15 +463,15 @@ func (r *wireReader) value() (any, error) {
 	return nil, fmt.Errorf("tuplespace: unknown value tag %d", tag)
 }
 
-// fields decodes a field list.
-func (r *wireReader) fields() ([]any, error) {
+// fields decodes a field list, a tuple when tuple is set.
+func (r *wireReader) fields(tuple bool) ([]any, error) {
 	n, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]any, n)
 	for i := range out {
-		if out[i], err = r.value(); err != nil {
+		if out[i], err = r.value(tuple); err != nil {
 			return nil, err
 		}
 	}
@@ -531,20 +540,20 @@ func appendRequest(b []byte, req *request) ([]byte, error) {
 	}
 	var err error
 	if flags&rfFields != 0 {
-		if b, err = appendFields(b, req.Fields); err != nil {
+		if b, err = appendFields(b, req.Fields, req.Op == opOut); err != nil {
 			return nil, err
 		}
 	}
 	if flags&rfBatch != 0 {
 		b = binary.AppendUvarint(b, uint64(len(req.Batch)))
 		for _, t := range req.Batch {
-			if b, err = appendFields(b, t); err != nil {
+			if b, err = appendFields(b, t, true); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if flags&rfCont != 0 {
-		if b, err = appendFields(b, req.Cont); err != nil {
+		if b, err = appendFields(b, req.Cont, true); err != nil {
 			return nil, err
 		}
 	}
@@ -600,7 +609,7 @@ func decodeRequest(body []byte, req *request) error {
 		}
 	}
 	if flags&rfFields != 0 {
-		if req.Fields, err = r.fields(); err != nil {
+		if req.Fields, err = r.fields(req.Op == opOut); err != nil {
 			return err
 		}
 	}
@@ -611,7 +620,7 @@ func decodeRequest(body []byte, req *request) error {
 		}
 		req.Batch = make([]Tuple, n)
 		for i := range req.Batch {
-			fs, err := r.fields()
+			fs, err := r.fields(true)
 			if err != nil {
 				return err
 			}
@@ -619,7 +628,7 @@ func decodeRequest(body []byte, req *request) error {
 		}
 	}
 	if flags&rfCont != 0 {
-		if req.Cont, err = r.fields(); err != nil {
+		if req.Cont, err = r.fields(true); err != nil {
 			return err
 		}
 		req.HasCont = true
@@ -669,7 +678,7 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 	}
 	if flags&pfTuple != 0 {
 		var err error
-		if b, err = appendFields(b, resp.Tuple); err != nil {
+		if b, err = appendFields(b, resp.Tuple, true); err != nil {
 			return nil, err
 		}
 	}
@@ -714,7 +723,7 @@ func decodeResponse(body []byte, resp *response) error {
 		}
 	}
 	if flags&pfTuple != 0 {
-		if resp.Tuple, err = r.fields(); err != nil {
+		if resp.Tuple, err = r.fields(true); err != nil {
 			return err
 		}
 	}
@@ -731,7 +740,7 @@ func AppendWireTuples(b []byte, tuples []Tuple) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(tuples)))
 	var err error
 	for _, t := range tuples {
-		if b, err = appendFields(b, t); err != nil {
+		if b, err = appendFields(b, t, true); err != nil {
 			return nil, err
 		}
 	}
@@ -748,7 +757,7 @@ func DecodeWireTuples(b []byte) ([]Tuple, []byte, error) {
 	}
 	tuples := make([]Tuple, n)
 	for i := range tuples {
-		fs, err := r.fields()
+		fs, err := r.fields(true)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -27,7 +27,6 @@ func seedRequests() []*request {
 		{ID: 2, Op: opHello, Lease: int64(5e9), Name: "worker-1"},
 		{ID: 3, Op: opOut, Fields: []any{"k", 7, int64(-9), 3.14, true, []byte{1, 2}, []int{3, 4}, []float64{0.5}, []string{"a", ""}}},
 		{ID: 4, Op: opIn, Fields: []any{"k", Formal(0), FormalString, Formal(nil)}, Txn: 9, Trace: 0xabc, Span: 0xdef},
-		// lint:ignore tuple-contract codec seed frames, never enter a space
 		{ID: 5, Op: opOutN, Batch: []Tuple{{"a", 1}, {"b", nil, []int(nil)}}},
 		{ID: 6, Op: opTxCommit, Txn: 2, Batch: []Tuple{{"a", 1}}, HasCont: true, Cont: []any{"cont", 3}},
 		{ID: 7, Op: opCancel, Target: 4},

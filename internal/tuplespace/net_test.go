@@ -384,8 +384,9 @@ func TestNetDialRejectsWireVersion2(t *testing.T) {
 }
 
 // TestNetCustomTypeRejected: a field value or a formal outside the
-// built-in set fails on the client, before any request frame is
-// written, so the next operation is the first frame the server reads.
+// built-in set, and a formal in a tuple to store (Out, OutN, Commit),
+// fail on the client before any request frame is written, so the next
+// operation is the first frame the server reads.
 func TestNetCustomTypeRejected(t *testing.T) {
 	type custom struct{ A int }
 	cliEnd, srvEnd := net.Pipe()
@@ -411,9 +412,21 @@ func TestNetCustomTypeRejected(t *testing.T) {
 	if err := c.Out(ctx, "y", custom{1}); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
 		t.Fatalf("Out of a custom value: %v, want a not-wire-encodable error", err)
 	}
-	// lint:ignore tuple-contract,tuple-deadlock the wire layer rejects the template before any match is attempted
 	if _, err := c.In(ctx, "y", Formal(custom{})); err == nil || !strings.Contains(err.Error(), "not wire-encodable") {
 		t.Fatalf("In with a custom formal: %v, want a not-wire-encodable error", err)
+	}
+	if err := c.Out(ctx, "y", FormalInt); !errors.Is(err, ErrFormalOut) {
+		t.Fatalf("Out of a formal: %v, want ErrFormalOut", err)
+	}
+	if err := c.OutN(ctx, []Tuple{{"y", 1}, {"y", FormalInt}}); !errors.Is(err, ErrFormalOut) {
+		t.Fatalf("OutN of a batch with a formal: %v, want ErrFormalOut", err)
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx, []Tuple{{"y", FormalInt}}); !errors.Is(err, ErrFormalOut) {
+		t.Fatalf("Commit of a formal: %v, want ErrFormalOut", err)
 	}
 	lenErr := make(chan error, 1)
 	go func() {
@@ -421,7 +434,7 @@ func TestNetCustomTypeRejected(t *testing.T) {
 		lenErr <- err
 	}()
 	if op := <-ops; op != opLen {
-		t.Fatalf("the first frame on the wire is %s, want the len after the two refused operations", opName(op))
+		t.Fatalf("the first frame on the wire is %s, want the len after the refused operations", opName(op))
 	}
 	srvEnd.Close()
 	if err := <-lenErr; !errors.Is(err, ErrClientClosed) {

@@ -242,8 +242,13 @@ func (tx *spaceTxn) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, er
 }
 
 // Commit finalizes the takes and publishes outs, stamped with the
-// ctx's span context as their origin.
+// ctx's span context as their origin. Outs with a formal fail the
+// commit with ErrFormalOut and leave the transaction open.
 func (tx *spaceTxn) Commit(ctx context.Context, outs []Tuple) error {
+	cs, err := copyTuples(outs)
+	if err != nil {
+		return err
+	}
 	tx.mu.Lock()
 	if tx.done {
 		tx.mu.Unlock()
@@ -252,7 +257,7 @@ func (tx *spaceTxn) Commit(ctx context.Context, outs []Tuple) error {
 	tx.done = true
 	tx.takes = nil
 	tx.mu.Unlock()
-	return tx.s.OutN(ctx, outs)
+	return tx.s.outAll(cs, obs.FromContext(ctx))
 }
 
 func (tx *spaceTxn) Abort() error {

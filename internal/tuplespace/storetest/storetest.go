@@ -5,9 +5,9 @@
 // against tuplespace.Store may be pointed at any backend, so the
 // contract — ctx-first operations, destructive vs non-destructive
 // takes, blocking semantics, cancellation, formal matching, the
-// rejection of formal-first templates, and transactional
-// take/abort/commit — has to hold
-// everywhere, not just where it happened to be implemented first.
+// rejection of formal-first templates and of stored formals, and
+// transactional take/abort/commit — has to hold everywhere, not just
+// where it happened to be implemented first.
 package storetest
 
 import (
@@ -86,6 +86,43 @@ func Run(t *testing.T, open Factory) {
 		}
 		if n != len(batch) {
 			t.Fatalf("Len = %d, want %d", n, len(batch))
+		}
+	})
+
+	t.Run("OutFormalRefused", func(t *testing.T) {
+		s, ctx := open(t), testCtx(t)
+		if err := s.Out(ctx, "f", tuplespace.FormalInt); !errors.Is(err, tuplespace.ErrFormalOut) {
+			t.Errorf("Out of a formal = %v, want ErrFormalOut", err)
+		}
+		// One tag, so a partitioning backend sends the batch to one node.
+		batch := []tuplespace.Tuple{{"f", 1}, {"f", tuplespace.FormalInt}}
+		if err := s.OutN(ctx, batch); !errors.Is(err, tuplespace.ErrFormalOut) {
+			t.Errorf("OutN of a batch with a formal = %v, want ErrFormalOut", err)
+		}
+		if err := s.Out(ctx, "job", 1); err != nil {
+			t.Fatalf("Out: %v", err)
+		}
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if _, err := tx.In(ctx, "job", tuplespace.FormalInt); err != nil {
+			t.Fatalf("txn In: %v", err)
+		}
+		if err := tx.Commit(ctx, batch); !errors.Is(err, tuplespace.ErrFormalOut) {
+			t.Errorf("Commit of outs with a formal = %v, want ErrFormalOut", err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatalf("Abort after the refused commit: %v", err)
+		}
+		if n, err := s.Len(); err != nil || n != 1 {
+			t.Fatalf("Len = %d, %v after the refusals; want 1 (the restored job)", n, err)
+		}
+		if _, ok, err := s.Inp(ctx, "f", tuplespace.FormalInt); err != nil || ok {
+			t.Errorf("an \"f\" tuple was stored: ok=%v err=%v", ok, err)
+		}
+		if _, ok, err := s.Inp(ctx, "job", tuplespace.FormalInt); err != nil || !ok {
+			t.Errorf("the take of the refused commit was not restored: ok=%v err=%v", ok, err)
 		}
 	})
 

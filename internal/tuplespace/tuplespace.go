@@ -54,6 +54,12 @@ var ErrClosed = errors.New("tuplespace: space closed")
 // and the identity survives the wire.
 var ErrCrossTemplate = errors.New("tuplespace: template leads with a formal string; lead with a constant tag")
 
+// ErrFormalOut rejects a tuple with a formal field: a stored formal
+// would match no template. Every Store returns it before anything is
+// stored, logged or sent, and the wire codec refuses a formal in an
+// out, outn or commit batch.
+var ErrFormalOut = errors.New("tuplespace: a formal cannot be stored; formals belong in templates")
+
 // Tuple is an ordered sequence of typed values stored in a space.
 type Tuple []any
 
@@ -73,6 +79,19 @@ func (t Tuple) String() string {
 
 // formal is a typed wildcard field in a template.
 type formal struct{ t reflect.Type }
+
+// CopyTuple copies fields into a fresh tuple the caller may keep,
+// refusing a formal field with ErrFormalOut.
+func CopyTuple(fields []any) (Tuple, error) {
+	t := make(Tuple, len(fields))
+	for i, f := range fields {
+		if _, ok := f.(formal); ok {
+			return nil, ErrFormalOut
+		}
+		t[i] = f
+	}
+	return t, nil
+}
 
 func (f formal) String() string { return "?" + f.t.String() }
 
@@ -594,19 +613,44 @@ func (s *Space) shardOf(sig []byte) *shard {
 // is stamped onto the stored tuple as its origin, so a later traced
 // take can join the producer's trace.
 func (s *Space) Out(ctx context.Context, fields ...any) error {
-	return s.out(Tuple(append([]any(nil), fields...)), obs.FromContext(ctx))
+	t, err := CopyTuple(fields)
+	if err != nil {
+		return err
+	}
+	return s.out(t, obs.FromContext(ctx))
 }
 
 // OutN places a batch of tuples into the space with the origin
 // stamping of Out applied to every tuple. It is equivalent to calling
 // Out once per tuple (including waking waiters per tuple) and exists
 // so batch producers — and the networked server's "outn" request —
-// share one call. On a closed space the batch stops at the first
-// rejected tuple.
+// share one call. A batch with a formal anywhere stores nothing; on a
+// closed space the batch stops at the first rejected tuple.
 func (s *Space) OutN(ctx context.Context, tuples []Tuple) error {
-	org := obs.FromContext(ctx)
+	cs, err := copyTuples(tuples)
+	if err != nil {
+		return err
+	}
+	return s.outAll(cs, obs.FromContext(ctx))
+}
+
+// copyTuples copies a batch with CopyTuple, all or nothing.
+func copyTuples(tuples []Tuple) ([]Tuple, error) {
+	cs := make([]Tuple, len(tuples))
+	for i, t := range tuples {
+		c, err := CopyTuple(t)
+		if err != nil {
+			return nil, err
+		}
+		cs[i] = c
+	}
+	return cs, nil
+}
+
+// outAll stores tuples it owns in order, stopping at the first error.
+func (s *Space) outAll(tuples []Tuple, org obs.SpanContext) error {
 	for _, t := range tuples {
-		if err := s.out(append(Tuple(nil), t...), org); err != nil {
+		if err := s.out(t, org); err != nil {
 			return err
 		}
 	}

@@ -66,12 +66,10 @@ func TestTypeMismatchDoesNotMatch(t *testing.T) {
 
 func TestArityMismatch(t *testing.T) {
 	s := New()
-	// lint:ignore tuple-contract arity mismatches are the point of this test
 	s.Out(context.Background(), "a", 1, 2)
 	if _, ok, _ := s.Inp(context.Background(), "a", FormalInt); ok {
 		t.Fatal("shorter template must not match")
 	}
-	// lint:ignore tuple-contract arity mismatches are the point of this test
 	if _, ok, _ := s.Inp(context.Background(), "a", FormalInt, FormalInt, FormalInt); ok {
 		t.Fatal("longer template must not match")
 	}
