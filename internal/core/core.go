@@ -30,7 +30,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Pattern is a vertex label in an E-dag. Implementations are supplied
@@ -99,14 +100,29 @@ type Result struct {
 	Goodness float64
 }
 
+// compareResults is result order: descending goodness, then ascending
+// key. SortResults, every PLET report and the merge that assembles a
+// parallel run's results all use it.
+func compareResults(ka string, ga float64, kb string, gb float64) int {
+	switch {
+	case ga > gb:
+		return -1
+	case ga < gb:
+		return 1
+	}
+	return strings.Compare(ka, kb)
+}
+
 // SortResults orders results by descending goodness, then by key, for
-// deterministic output.
+// deterministic output. A pattern is asked for its key only on a tie in
+// goodness, the one case in which compareResults reads keys.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Goodness != rs[j].Goodness {
-			return rs[i].Goodness > rs[j].Goodness
+	slices.SortFunc(rs, func(a, b Result) int {
+		var ka, kb string
+		if a.Goodness == b.Goodness {
+			ka, kb = a.Pattern.Key(), b.Pattern.Key()
 		}
-		return rs[i].Pattern.Key() < rs[j].Pattern.Key()
+		return compareResults(ka, a.Goodness, kb, b.Goodness)
 	})
 }
 

@@ -262,6 +262,69 @@ func (nonDecodable) Subpatterns(Pattern) []Pattern { return nil }
 func (nonDecodable) Goodness(Pattern) float64      { return 0 }
 func (nonDecodable) Good(Pattern, float64) bool    { return false }
 
+// sharedChild breaks Children's unique-parent contract: both children of
+// the root generate "shared". Every pattern is good.
+type sharedChild struct{}
+
+type keyPattern string
+
+func (k keyPattern) Key() string { return string(k) }
+func (k keyPattern) Len() int    { return len(k) }
+
+func (sharedChild) Root() Pattern { return keyPattern("") }
+func (sharedChild) Children(p Pattern) []Pattern {
+	switch p {
+	case keyPattern(""):
+		return []Pattern{keyPattern("a"), keyPattern("b")}
+	case keyPattern("a"), keyPattern("b"):
+		return []Pattern{keyPattern("shared")}
+	}
+	return nil
+}
+func (sharedChild) Subpatterns(Pattern) []Pattern      { return nil }
+func (sharedChild) Goodness(Pattern) float64           { return 1 }
+func (sharedChild) Good(Pattern, float64) bool         { return true }
+func (sharedChild) Decode(key string) (Pattern, error) { return keyPattern(key), nil }
+
+// TestSharedChildFailsRun: a problem whose Children is not unique-parent
+// has two tasks report the same good pattern, once from each parent's
+// task. Neither program may drop the second copy silently or return it
+// twice: the run fails, naming the key.
+func TestSharedChildFailsRun(t *testing.T) {
+	for name, run := range map[string]func(*plinda.Server, Problem, int) ([]Result, error){"PLET": RunPLET, "PLED": RunPLED} {
+		t.Run(name, func(t *testing.T) {
+			srv := plinda.NewServer()
+			defer srv.Close()
+			res, err := run(srv, sharedChild{}, 1)
+			if err == nil || !strings.Contains(err.Error(), `"shared"`) {
+				t.Fatalf("want an error naming \"shared\", got %v and %d results %v", err, len(res), resultKeys(res))
+			}
+		})
+	}
+}
+
+// TestAssembleResultsChecksRuns: the merge returns SortResults' order
+// from runs in that order, and fails on a run out of order, naming its
+// task and key.
+func TestAssembleResultsChecksRuns(t *testing.T) {
+	dec := sharedChild{}
+	res, err := assembleResults(dec, []goodRun{
+		{"t1", []string{"b", "d", "a"}, []float64{3, 3, 1}},
+		{"t2", nil, nil},
+		{"t3", []string{"c", "e"}, []float64{3, 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(resultKeys(res), " "); got != "b c d e a" {
+		t.Fatalf("merged %q, want %q", got, "b c d e a")
+	}
+	_, err = assembleResults(dec, []goodRun{{"t1", []string{"a", "b"}, []float64{1, 2}}})
+	if err == nil || !strings.Contains(err.Error(), `"t1"`) || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("want a malformed-report error naming task \"t1\" and key \"b\", got %v", err)
+	}
+}
+
 func TestPrunedTrackerLinearChain(t *testing.T) {
 	tr := NewPrunedTracker("root")
 	tr.Expanded("root", []string{"a"})
@@ -269,7 +332,7 @@ func TestPrunedTrackerLinearChain(t *testing.T) {
 	if tr.Done() {
 		t.Fatal("done too early")
 	}
-	if !tr.Pruned("b") {
+	if tr.Pruned("b"); !tr.Done() {
 		t.Fatal("pruning the only leaf should complete the chain")
 	}
 }
@@ -282,7 +345,7 @@ func TestPrunedTrackerSiblings(t *testing.T) {
 	if tr.Done() {
 		t.Fatal("root pruned with sibling outstanding")
 	}
-	if !tr.Pruned("c") {
+	if tr.Pruned("c"); !tr.Done() {
 		t.Fatal("last sibling should finish root")
 	}
 }
@@ -295,7 +358,7 @@ func TestPrunedTrackerEarlyPrune(t *testing.T) {
 	if tr.Done() {
 		t.Fatal("spurious completion")
 	}
-	if !tr.Expanded("p", []string{"x"}) {
+	if tr.Expanded("p", []string{"x"}); !tr.Done() {
 		t.Fatal("registering x should apply the buffered prune and finish")
 	}
 }
@@ -303,7 +366,7 @@ func TestPrunedTrackerEarlyPrune(t *testing.T) {
 func TestPrunedTrackerGoodLeafViaExpandedEmpty(t *testing.T) {
 	tr := NewPrunedTracker("root")
 	tr.Expanded("root", []string{"leaf"})
-	if !tr.Expanded("leaf", nil) {
+	if tr.Expanded("leaf", nil); !tr.Done() {
 		t.Fatal("good leaf with no children should prune itself")
 	}
 }
@@ -327,7 +390,7 @@ func TestPrunedTrackerFloatingSubtree(t *testing.T) {
 		t.Fatal("floating subtree completion terminated the traversal early")
 	}
 	// A's expansion registers B; the parked completion must reattach.
-	if !tr.Expanded("A", []string{"B"}) {
+	if tr.Expanded("A", []string{"B"}); !tr.Done() {
 		t.Fatal("registering the floating node should finish the traversal")
 	}
 }
@@ -345,8 +408,40 @@ func TestPrunedTrackerFloatingSubtreeNonEmptyRoot(t *testing.T) {
 		t.Fatal("floating subtree completion terminated the traversal early")
 	}
 	tr.Pruned("x") // another early prune, still parked
-	if !tr.Expanded("a", []string{"b", "x"}) {
+	if tr.Expanded("a", []string{"b", "x"}); !tr.Done() {
 		t.Fatal("registering both parked completions should finish the traversal")
+	}
+}
+
+// TestPrunedTrackerRepeatNotNew pins the answer the PLET master keeps or
+// drops a report's good patterns by: a node's first report is new, and
+// every repeat — of an expansion, of a prune, of an early prune whose
+// parent has not registered yet — is not, and changes nothing.
+func TestPrunedTrackerRepeatNotNew(t *testing.T) {
+	tr := NewPrunedTracker("root")
+	if !tr.Expanded("root", []string{"a", "b"}) || tr.Expanded("root", []string{"a", "b"}) {
+		t.Fatal("the root's expansion and its repeat: want new, then not new")
+	}
+	if !tr.Pruned("y") || tr.Pruned("y") {
+		t.Fatal("an early prune and its repeat before its parent registers: want new, then not new")
+	}
+	if !tr.Expanded("a", []string{"x"}) || tr.Expanded("a", []string{"x"}) {
+		t.Fatal("an expansion and its repeat: want new, then not new")
+	}
+	if !tr.Pruned("x") || tr.Pruned("x") {
+		t.Fatal("a prune and its repeat: want new, then not new")
+	}
+	if tr.Pruned("a") {
+		t.Fatal("a prune of an expanded node read new")
+	}
+	if tr.Done() {
+		t.Fatal("repeats finished the traversal with b outstanding")
+	}
+	if !tr.Expanded("b", []string{"y"}) || !tr.Done() {
+		t.Fatal("registering y should apply its parked prune and finish the traversal")
+	}
+	if tr.Pruned("y") || tr.Expanded("b", []string{"y"}) {
+		t.Fatal("a repeat after the traversal finished read new")
 	}
 }
 

@@ -121,9 +121,11 @@ func TestExpandTaskIsPure(t *testing.T) {
 // protocol over every in-tree problem: a task is named, on its control
 // tuple and in the tracker, by its bundle's first key, and no first key
 // names two bundles of a run; every pattern of the E-tree is evaluated
-// by exactly one task; and the union of the reports is the E-tree's good
-// set. It holds at budget 1, where a bundle's first key is all its task
-// evaluates, as at the default.
+// by exactly one task; every task reports its good patterns in result
+// order (descending goodness, then key), which the master's merge relies
+// on; and the union of the reports is the E-tree's good set. It holds at
+// budget 1, where a bundle's first key is all its task evaluates, as at
+// the default.
 func TestPLETTaskIDsUnique(t *testing.T) {
 	for name, build := range inTreeProblems(t) {
 		t.Run(name, func(t *testing.T) {
@@ -149,6 +151,11 @@ func TestPLETTaskIDsUnique(t *testing.T) {
 							t.Errorf("budget %d: %q is evaluated twice", budget, key)
 						}
 						evaluated[key] = true
+					}
+					for i := 1; i < len(task.Goods); i++ {
+						if a, b := task.Scores[i-1], task.Scores[i]; a < b || a == b && task.Goods[i-1] >= task.Goods[i] {
+							t.Errorf("budget %d: task %q reports %q (%v) before %q (%v)", budget, task.ID(), task.Goods[i-1], a, task.Goods[i], b)
+						}
 					}
 					goods = append(goods, task.Goods...)
 				}

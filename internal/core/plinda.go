@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"freepdm/internal/plinda"
@@ -99,7 +101,9 @@ var pletBudget = 512
 
 // expandTask explores the subtrees under a DFS stack (its top last)
 // depth-first until budget patterns are evaluated, returning the good
-// patterns found and the keys of the unexplored stack, its top first.
+// patterns found, in result order (compareResults), and the keys of the
+// unexplored stack, its top first. Sorting here, on the worker that
+// found them, leaves the master only a merge of whole reports.
 func expandTask(o *coreObs, pr Problem, stack []Pattern, budget int) (goods []string, scores []float64, spilled []string) {
 	for n := 0; n < budget && len(stack) > 0; n++ {
 		pat := stack[len(stack)-1]
@@ -113,6 +117,7 @@ func expandTask(o *coreObs, pr Problem, stack []Pattern, budget int) (goods []st
 	for i := len(stack) - 1; i >= 0; i-- {
 		spilled = append(spilled, stack[i].Key())
 	}
+	sort.Sort(goodRun{keys: goods, scores: scores})
 	return goods, scores, spilled
 }
 
@@ -262,6 +267,86 @@ func levelTasks(level int, good []string, workers int) []tuplespace.Tuple {
 	return ts
 }
 
+// goodRun is a batch of good patterns as parallel key and score slices:
+// a PLET task's report, named by its task, or a copy of the PLED log. It
+// sorts into result order.
+type goodRun struct {
+	task   string
+	keys   []string
+	scores []float64
+}
+
+func (r goodRun) Len() int { return len(r.keys) }
+func (r goodRun) Less(i, j int) bool {
+	return compareResults(r.keys[i], r.scores[i], r.keys[j], r.scores[j]) < 0
+}
+func (r goodRun) Swap(i, j int) {
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+	r.scores[i], r.scores[j] = r.scores[j], r.scores[i]
+}
+
+// assembleResults merges runs, each in result order, into one result
+// list in that order and decodes every key once: O(n log k) for n keys
+// in k runs, once, after the program has stopped. A run out of order is
+// a malformed report, and a key found twice breaks Children's
+// unique-parent contract; either fails the run, naming the key.
+func assembleResults(dec Decoder, runs []goodRun) ([]Result, error) {
+	n := 0
+	h := make([]goodRun, 0, len(runs)) // the non-empty runs, a heap on their first keys
+	for _, r := range runs {
+		for i := 1; i < len(r.keys); i++ {
+			if compareResults(r.keys[i-1], r.scores[i-1], r.keys[i], r.scores[i]) > 0 {
+				return nil, fmt.Errorf("core: malformed control tuple (task %q: good key %q out of result order)", r.task, r.keys[i])
+			}
+		}
+		if len(r.keys) > 0 {
+			h = append(h, r)
+		}
+		n += len(r.keys)
+	}
+	less := func(i, j int) bool {
+		return compareResults(h[i].keys[0], h[i].scores[0], h[j].keys[0], h[j].scores[0]) < 0
+	}
+	down := func(i int) {
+		for {
+			m, l, r := i, 2*i+1, 2*i+2
+			if l < len(h) && less(l, m) {
+				m = l
+			}
+			if r < len(h) && less(r, m) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	results := make([]Result, 0, n)
+	var last string
+	for len(h) > 0 {
+		key, score := h[0].keys[0], h[0].scores[0]
+		if len(results) > 0 && key == last {
+			return nil, fmt.Errorf("core: good pattern %q found twice: Children is not unique-parent", key)
+		}
+		pat, err := dec.Decode(key)
+		if err != nil {
+			return nil, err
+		}
+		results, last = append(results, Result{pat, score}), key
+		if h[0].keys, h[0].scores = h[0].keys[1:], h[0].scores[1:]; len(h[0].keys) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return results, nil
+}
+
 // runProgram spawns a program's workers and master and waits for them.
 // The workers' exit depends on the master: only its poison pills
 // release their blocking In("task"). If the master fails permanently
@@ -323,7 +408,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	}
 
 	o := coreObserver.Load()
-	var results []Result
+	var final pledCont
 	master := func(p *plinda.Proc) error {
 		var cont pledCont
 		if t, ok := p.Xrecover(); ok {
@@ -408,22 +493,18 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 		}
 
-		results = make([]Result, len(cont.keys))
-		for i, key := range cont.keys {
-			pat, err := dec.Decode(key)
-			if err != nil {
-				return err
-			}
-			results[i] = Result{pat, cont.scores[i]}
-		}
+		final = cont
 		return nil
 	}
 
 	if err := runProgram(srv, "pled", workers, PLEDWorker(pr), master); err != nil {
 		return nil, err
 	}
-	SortResults(results)
-	return results, nil
+	// The committed log is in level order and aliased by the process
+	// table and the task tuples, so it is sorted as a copy, never in place.
+	log := goodRun{keys: slices.Clone(final.keys), scores: slices.Clone(final.scores)}
+	sort.Sort(log)
+	return assembleResults(dec, []goodRun{log})
 }
 
 // RunPLET executes a data mining application as a Persistent Linda
@@ -435,9 +516,10 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 // constant), a worker transaction explores one under a node budget (see
 // PLETWorker), so the tracker's nodes are tasks, named by their first
 // key, and a task's children are the bundles it spilled. Good patterns
-// ride the control tuple the tracker takes anyway: the master collects
-// them as it goes, and the transaction that takes the last one publishes
-// the poison.
+// ride the control tuple the tracker takes anyway, sorted by the worker
+// that found them: the master keeps each new report whole as it goes,
+// the transaction that takes the last one publishes the poison, and the
+// reports are merged into the result list once the program has stopped.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -448,9 +530,10 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	}
 
 	o := coreObserver.Load()
-	var results []Result
+	var runs []goodRun
 	master := func(p *plinda.Proc) error {
-		results = nil // a re-spawned master re-seeds the tree and rebuilds the result list
+		runs = nil // a re-spawned master re-seeds the tree and collects the reports anew
+		found := 0
 		rootKey := pr.Root().Key()
 		track := NewPrunedTracker(rootKey)
 		top := pr.Children(pr.Root())
@@ -465,7 +548,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
 			}
 			if o != nil && o.tracer != nil {
-				o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers, "results", len(results))
+				o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers, "results", found)
 			}
 			return p.OutN(poison)
 		}
@@ -495,13 +578,13 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			return err
 		}
 
-		// A good key can arrive twice: the cluster's two-phase commit
+		// A report can arrive twice: the cluster's two-phase commit
 		// re-runs a worker whose report had already landed on a follower
 		// node, and a re-spawned master reads the previous incarnation's
 		// stale control tuples next to the re-run tasks' fresh ones. A
-		// task's report is a pure function of its tuple, so the first
-		// report wins and the result set still equals SolveSequential's.
-		seen := make(map[string]bool)
+		// task's report is a pure function of its tuple, so the tracker's
+		// first report of a node wins whole, the repeat is dropped whole,
+		// and the result set still equals SolveSequential's.
 		for !track.Done() {
 			if err := p.Xstart(); err != nil {
 				return err
@@ -518,22 +601,15 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if len(goods) != len(scores) {
 				return fmt.Errorf("core: malformed control tuple (%d good keys, %d scores)", len(goods), len(scores))
 			}
-			had := len(results)
-			for i, g := range goods {
-				if seen[g] {
-					continue
-				}
-				seen[g] = true
-				pat, err := dec.Decode(g)
-				if err != nil {
-					return err
-				}
-				results = append(results, Result{pat, scores[i]})
-			}
+			var fresh bool
 			if kind == CtlExpanded {
-				track.Expanded(key, tu[3].([]string))
+				fresh = track.Expanded(key, tu[3].([]string))
 			} else {
-				track.Pruned(key)
+				fresh = track.Pruned(key)
+			}
+			if fresh {
+				runs = append(runs, goodRun{key, goods, scores})
+				found += len(goods)
 			}
 			if err := poisonIfDone(); err != nil {
 				return err
@@ -541,9 +617,9 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if err := p.Xcommit(); err != nil {
 				return err
 			}
-			if o != nil {
-				o.good.Add(int64(len(results) - had))
-				o.results.Add(int64(len(results) - had))
+			if o != nil && fresh {
+				o.good.Add(int64(len(goods)))
+				o.results.Add(int64(len(goods)))
 			}
 		}
 		return nil
@@ -552,6 +628,5 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	if err := runProgram(srv, "plet", workers, PLETWorker(pr), master); err != nil {
 		return nil, err
 	}
-	SortResults(results)
-	return results, nil
+	return assembleResults(dec, runs)
 }

@@ -11,20 +11,21 @@ package core
 // child is pruned before it learns the child exists; such prunes are
 // buffered until the parent's expansion registers the child.
 //
-// The tracker is idempotent per node: a repeated Expanded or Pruned
-// report for a node it has already processed is a no-op. Duplicated
-// control tuples are a fact of life under the cluster's two-phase
-// commit — a worker crash between the follower and coordinator phases
-// re-runs the task and republishes its report (see cluster package
-// docs) — and must not reset a node's remaining-children count or
-// double-prune its parent chain.
+// The tracker is idempotent per node: a node reports once, by Expanded
+// or by Pruned, and a repeated report for it is a no-op that the call
+// answers as not new. Duplicated control tuples are a fact of life under
+// the cluster's two-phase commit — a worker crash between the follower
+// and coordinator phases re-runs the task and republishes its report
+// (see cluster package docs) — and must not reset a node's
+// remaining-children count or double-prune its parent chain. Because a
+// report is a pure function of its task, the PLET master keeps the good
+// patterns of the new reports only.
 type PrunedTracker struct {
 	root      string
 	parent    map[string]string
 	remaining map[string]int
 	early     map[string]bool // prunes seen before registration
-	expanded  map[string]bool
-	pruned    map[string]bool
+	reported  map[string]bool
 	done      bool
 }
 
@@ -37,8 +38,7 @@ func NewPrunedTracker(root string) *PrunedTracker {
 		parent:    map[string]string{},
 		remaining: map[string]int{},
 		early:     map[string]bool{},
-		expanded:  map[string]bool{},
-		pruned:    map[string]bool{},
+		reported:  map[string]bool{},
 	}
 }
 
@@ -46,14 +46,14 @@ func NewPrunedTracker(root string) *PrunedTracker {
 func (t *PrunedTracker) Done() bool { return t.done }
 
 // Expanded registers that node was found good and generated the given
-// children. A good node with no children is a leaf: report it with
-// Pruned instead. A duplicate report for an already-expanded node is
-// ignored. Returns Done().
-func (t *PrunedTracker) Expanded(node string, children []string) bool {
-	if t.expanded[node] {
-		return t.done
+// children. A good node with no children is a leaf: it prunes itself.
+// It reports whether this is the node's first report; a repeat is
+// ignored.
+func (t *PrunedTracker) Expanded(node string, children []string) (fresh bool) {
+	if t.reported[node] {
+		return false
 	}
-	t.expanded[node] = true
+	t.reported[node] = true
 	t.remaining[node] = len(children)
 	for _, c := range children {
 		t.parent[c] = node
@@ -66,26 +66,25 @@ func (t *PrunedTracker) Expanded(node string, children []string) bool {
 		}
 	}
 	if len(children) == 0 {
-		t.pruned[node] = true
 		t.prune(node)
 	}
-	return t.done
+	return true
 }
 
 // Pruned records that the subtree under node is complete (the node was
-// not good, or it was a leaf). A duplicate report for an already-
-// pruned node is ignored. Returns Done().
-func (t *PrunedTracker) Pruned(node string) bool {
-	if t.pruned[node] {
-		return t.done
+// not good, or it was a leaf). It reports whether this is the node's
+// first report; a repeat is ignored.
+func (t *PrunedTracker) Pruned(node string) (fresh bool) {
+	if t.reported[node] {
+		return false
 	}
-	t.pruned[node] = true
+	t.reported[node] = true
 	if _, known := t.parent[node]; !known && node != t.root {
 		t.early[node] = true
-		return t.done
+		return true
 	}
 	t.prune(node)
-	return t.done
+	return true
 }
 
 func (t *PrunedTracker) prune(node string) {

@@ -11,7 +11,6 @@ package motif
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -94,10 +93,20 @@ func (p pattern) Len() int    { return len(p.seg) }
 // Root implements core.Problem.
 func (pr *Problem) Root() core.Pattern { return pattern{} }
 
+// inAlphabet marks the bytes of seq.Alphabet. The alphabet is ASCII, so
+// a key is valid exactly when each of its bytes is marked: no byte of a
+// multi-byte rune is.
+var inAlphabet = func() (t [256]bool) {
+	for i := range len(seq.Alphabet) {
+		t[seq.Alphabet[i]] = true
+	}
+	return t
+}()
+
 // Decode implements core.Decoder.
 func (pr *Problem) Decode(key string) (core.Pattern, error) {
-	for _, c := range key {
-		if !strings.ContainsRune(seq.Alphabet, c) {
+	for i := range len(key) {
+		if !inAlphabet[key[i]] {
 			return nil, fmt.Errorf("motif: invalid pattern key %q", key)
 		}
 	}

@@ -80,6 +80,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsExactlyTheAlphabet holds Decode to its definition: a
+// key is valid when every rune of it is an amino-acid letter. The empty
+// key is the root's.
+func TestDecodeAcceptsExactlyTheAlphabet(t *testing.T) {
+	pr := NewProblem(toySeqs, Params{MinOccur: 1, MinLength: 2})
+	valid := func(key string) bool {
+		for _, c := range key {
+			if !strings.ContainsRune(seq.Alphabet, c) {
+				return false
+			}
+		}
+		return true
+	}
+	keys := []string{"", seq.Alphabet, "MRAILV", "acd", "Acd", "a", "A1", "0", "9A", "AÄ", "Ä", "A€W", "\xff", "A\x00", "B", "Z"}
+	for b := range 256 {
+		keys = append(keys, string([]byte{byte(b)}), "A"+string(rune(b)))
+	}
+	for _, key := range keys {
+		p, err := pr.Decode(key)
+		if want := valid(key); (err == nil) != want {
+			t.Errorf("Decode(%q): err %v, want valid %v", key, err, want)
+		} else if want && p.Key() != key {
+			t.Errorf("Decode(%q).Key() = %q", key, p.Key())
+		}
+	}
+	if root, err := pr.Decode(""); err != nil || root != pr.Root() {
+		t.Fatalf("Decode(\"\") = %v, %v; want the root", root, err)
+	}
+}
+
 func TestAllTraversalsAgree(t *testing.T) {
 	spec := seq.CorpusSpec{
 		Sequences: 12, Length: 80, Seed: 3,
