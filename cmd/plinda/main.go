@@ -58,21 +58,13 @@ import (
 	"freepdm/internal/tuplespace"
 )
 
-// validateWALFlags checks the durability flags for consistency: the
-// group-commit options only modify WAL behavior, so without -wal they
-// are silently dead configuration — better to refuse than to let an
-// operator believe fsync durability is on.
-func validateWALFlags(walDir string, fsync bool, walBatch int) error {
-	if walBatch < 0 {
-		return fmt.Errorf("-wal-batch must be >= 0, got %d", walBatch)
-	}
-	if walDir == "" {
-		if fsync {
-			return fmt.Errorf("-fsync requires -wal")
-		}
-		if walBatch != 0 {
-			return fmt.Errorf("-wal-batch requires -wal")
-		}
+// validateWALFlags checks the durability flags for consistency: -fsync
+// only modifies WAL behavior, so without -wal it is silently dead
+// configuration — better to refuse than to let an operator believe
+// fsync durability is on.
+func validateWALFlags(walDir string, fsync bool) error {
+	if walDir == "" && fsync {
+		return fmt.Errorf("-fsync requires -wal")
 	}
 	return nil
 }
@@ -124,10 +116,8 @@ func demoProblem() *motif.Problem {
 
 func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/metrics, /debug/trace and pprof on this address (e.g. localhost:6060)")
-	shards := flag.Int("shards", 0, "tuple-space shard count (rounded up to a power of two; 0 = derive from GOMAXPROCS)")
 	walDir := flag.String("wal", "", "write-ahead log directory: committed tuple ops survive a crash and replay on restart")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit (survives machine crashes, not just process crashes; requires -wal)")
-	walBatch := flag.Int("wal-batch", 0, "max records coalesced into one WAL group-commit write (0 = default; requires -wal)")
 	addr := flag.String("addr", "", "serve the tuple space over TCP on this address so remote workers can join (e.g. :7117)")
 	workers := flag.Int("workers", 3, "local demo worker count")
 	workerAddr := flag.String("worker", "", "run as a remote worker against the server at this address (no local server); a comma-separated list joins a cluster")
@@ -139,7 +129,7 @@ func main() {
 	logJSON := flag.String("log-json", "", "write JSON-lines structured logs to stderr at this level (debug|info|warn|error)")
 	flag.Parse()
 
-	if err := validateWALFlags(*walDir, *fsync, *walBatch); err != nil {
+	if err := validateWALFlags(*walDir, *fsync); err != nil {
 		fmt.Fprintf(os.Stderr, "plinda: %v\n", err)
 		os.Exit(2)
 	}
@@ -190,11 +180,11 @@ func main() {
 			fmt.Printf("plinda: drained %d stale poison tuples from the cluster\n", drained)
 		}
 	} else {
-		space = tuplespace.NewSpace(tuplespace.Options{Shards: *shards})
+		space = tuplespace.New()
 		store, backend = space, space
 	}
 	if *walDir != "" {
-		ds, err := durable.Open(*walDir, space, durable.Options{Fsync: *fsync, MaxBatch: *walBatch})
+		ds, err := durable.Open(*walDir, space, durable.Options{Fsync: *fsync})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plinda: wal: %v\n", err)
 			os.Exit(1)
@@ -265,7 +255,7 @@ func main() {
 	}
 
 	if space != nil {
-		fmt.Printf("plinda: starting server (%d tuple-space shards) and the motif-discovery demo (%d workers)\n", space.Shards(), *workers)
+		fmt.Printf("plinda: starting server (in-process tuple space) and the motif-discovery demo (%d workers)\n", *workers)
 	} else {
 		fmt.Printf("plinda: starting server (tuple space routed across %s) and the motif-discovery demo (%d workers)\n", *nodes, *workers)
 	}

@@ -14,30 +14,26 @@ import (
 	"freepdm/internal/obs"
 )
 
-// TestValidateWALFlags pins the durability-flag contract: -fsync and
-// -wal-batch are refused without -wal (dead configuration an operator
-// would mistake for real durability), and -wal-batch rejects negatives.
+// TestValidateWALFlags pins the durability-flag contract: -fsync is
+// refused without -wal (dead configuration an operator would mistake
+// for real durability).
 func TestValidateWALFlags(t *testing.T) {
 	cases := []struct {
-		name     string
-		walDir   string
-		fsync    bool
-		walBatch int
-		wantErr  bool
+		name    string
+		walDir  string
+		fsync   bool
+		wantErr bool
 	}{
 		{name: "defaults", wantErr: false},
 		{name: "wal alone", walDir: "d", wantErr: false},
 		{name: "wal+fsync", walDir: "d", fsync: true, wantErr: false},
-		{name: "wal+batch", walDir: "d", walBatch: 64, wantErr: false},
 		{name: "fsync without wal", fsync: true, wantErr: true},
-		{name: "batch without wal", walBatch: 8, wantErr: true},
-		{name: "negative batch", walDir: "d", walBatch: -1, wantErr: true},
 	}
 	for _, tc := range cases {
-		err := validateWALFlags(tc.walDir, tc.fsync, tc.walBatch)
+		err := validateWALFlags(tc.walDir, tc.fsync)
 		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: validateWALFlags(%q, %v, %d) = %v, wantErr=%v",
-				tc.name, tc.walDir, tc.fsync, tc.walBatch, err, tc.wantErr)
+			t.Errorf("%s: validateWALFlags(%q, %v) = %v, wantErr=%v",
+				tc.name, tc.walDir, tc.fsync, err, tc.wantErr)
 		}
 	}
 }
@@ -61,7 +57,7 @@ func TestParseChaosSpec(t *testing.T) {
 	}
 }
 
-// TestFsyncFlagBoot boots the binary with -wal -fsync -wal-batch and
+// TestFsyncFlagBoot boots the binary with -wal -fsync and
 // lets the demo run to completion: the full workload committing
 // through the fsync group-commit pipeline, then a clean quit. It boots
 // twice on one WAL directory, serving remote workers (-addr): the first
@@ -87,7 +83,7 @@ func TestFsyncFlagBoot(t *testing.T) {
 
 	wal := filepath.Join(t.TempDir(), "wal")
 	for boot, wantDrained := range []bool{false, true} {
-		out := bootDemo(t, exe, "-wal", wal, "-fsync", "-wal-batch", "32", "-workers", "2", "-addr", "127.0.0.1:0")
+		out := bootDemo(t, exe, "-wal", wal, "-fsync", "-workers", "2", "-addr", "127.0.0.1:0")
 		if drained := strings.Contains(out, "drained 16 stale poison tuples"); drained != wantDrained {
 			t.Errorf("boot %d: drained the previous run's 16 poison bundles = %v, want %v:\n%s", boot, drained, wantDrained, out)
 		}

@@ -18,7 +18,7 @@ func startBenchNodes(b *testing.B, n int) []string {
 	b.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		s := tuplespace.NewSpace(tuplespace.Options{})
+		s := tuplespace.New()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)

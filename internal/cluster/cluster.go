@@ -1,13 +1,13 @@
 // Package cluster partitions one logical tuple space across several
 // tuple-space servers. A Router implements tuplespace.TxnStore as a
-// client-side shard router: every tuple has a home node picked by the
-// same signature scheme the in-process shards use (arity, field types
-// and the leading string tag), so placement is a pure function of the
-// tuple and every client routes identically with no coordinator in
-// the path. Templates route the same way, so every take and read talks
-// to exactly one node; a template that leads with a formal string names
-// no home, and the node it lands on rejects it with
-// tuplespace.ErrCrossTemplate.
+// client-side shard router: every tuple has a home node picked by
+// tuplespace.SignatureHash, the hash the in-process space stripes by,
+// over its signature (arity, field types and the leading string tag),
+// so placement is a pure function of the tuple and every client routes
+// identically with no coordinator in the path. Templates route the
+// same way, so every take and read talks to exactly one node; a
+// template that leads with a formal string names no home, and the node
+// it lands on rejects it with tuplespace.ErrCrossTemplate.
 //
 // Node failures surface as health state: a failed node is marked down,
 // operations against it redial with backoff inside a bounded retry
@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"sync"
@@ -147,15 +146,12 @@ func (r *Router) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 // like a dropped remote session.
 func (r *Router) RetryableFailures() bool { return true }
 
-// home picks the node owning a tuple or template: an FNV-1a hash of
-// the signature the in-process shards partition by. Deterministic
-// across processes (unlike the per-process seeded
-// in-process shard hash), so every client and every restart routes
-// identically.
+// home picks the node owning a tuple or template: the remainder of its
+// signature's SignatureHash. The hash has no seed, so every client and
+// every restart routes identically.
 func (r *Router) home(fields []any) int {
-	h := fnv.New32a()
-	h.Write(tuplespace.Signature(nil, fields))
-	return int(h.Sum32() % uint32(len(r.nodes)))
+	var buf [88]byte
+	return int(tuplespace.SignatureHash(tuplespace.Signature(buf[:0], fields)) % uint32(len(r.nodes)))
 }
 
 func (r *Router) retryDeadline() time.Time {

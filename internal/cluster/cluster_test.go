@@ -34,7 +34,7 @@ func startTestNodes(t *testing.T, count int) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, count)
 	for i := range nodes {
-		s := tuplespace.NewSpace(tuplespace.Options{})
+		s := tuplespace.New()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestRetryRidesOutRestart(t *testing.T) {
 
 	// Restart a fresh space on the same address after a beat.
 	time.Sleep(150 * time.Millisecond)
-	s2 := tuplespace.NewSpace(tuplespace.Options{})
+	s2 := tuplespace.New()
 	l2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("relisten on %s: %v", addr, err)

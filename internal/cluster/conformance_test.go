@@ -16,7 +16,7 @@ func startNodes(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		s := tuplespace.NewSpace(tuplespace.Options{})
+		s := tuplespace.New()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -158,7 +158,7 @@ func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 	base, prob := g.problem(t, 81)
 	seqRes, _ := SolveSequential(base)
 
-	store := faultnet.WrapStore(tuplespace.NewSpace(tuplespace.Options{}), faultnet.StoreOptions{
+	store := faultnet.WrapStore(tuplespace.New(), faultnet.StoreOptions{
 		ErrRate: errRate,
 		Seed:    7,
 	})
@@ -255,7 +255,7 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	base, prob := g.problem(t, 82)
 	seqRes, _ := SolveSequential(base)
 
-	space := tuplespace.NewSpace(tuplespace.Options{})
+	space := tuplespace.New()
 	watch := &ctlWatch{TxnStore: space}
 	store := faultnet.WrapStore(watch, faultnet.StoreOptions{})
 	srv := plinda.NewServerOnStore(store)

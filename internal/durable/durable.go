@@ -66,10 +66,10 @@ import (
 // is automatically compacted into a new generation.
 const DefaultCompactEvery = 1024
 
-// DefaultMaxBatch is the group-commit batch cap: the most records a
-// single leader write may cover. Bounding the batch bounds the latency
-// a record can inherit from the queue ahead of it.
-const DefaultMaxBatch = 256
+// maxBatch is the group-commit batch cap: the most records a single
+// leader write may cover. Bounding the batch bounds the latency a
+// record can inherit from the queue ahead of it.
+const maxBatch = 256
 
 // Options configures a durable space.
 type Options struct {
@@ -81,9 +81,6 @@ type Options struct {
 	// batched operations return, surviving machine crashes rather
 	// than only process crashes.
 	Fsync bool
-	// MaxBatch caps the records coalesced into one group-commit
-	// write. Zero selects DefaultMaxBatch.
-	MaxBatch int
 }
 
 // record is one WAL entry: the takes and outs of a committed
@@ -122,8 +119,7 @@ type Space struct {
 	closed       bool
 	enc          []byte // record-body encode scratch, guarded by mu
 
-	fsync    bool
-	maxBatch int
+	fsync bool
 
 	gmu       sync.Mutex
 	gcond     *sync.Cond
@@ -174,14 +170,10 @@ func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 		s:            s,
 		compactEvery: opts.CompactEvery,
 		fsync:        opts.Fsync,
-		maxBatch:     opts.MaxBatch,
 		txns:         make(map[*txn]struct{}),
 	}
 	if d.compactEvery == 0 {
 		d.compactEvery = DefaultCompactEvery
-	}
-	if d.maxBatch <= 0 {
-		d.maxBatch = DefaultMaxBatch
 	}
 	d.gcond = sync.NewCond(&d.gmu)
 
@@ -412,8 +404,8 @@ func (d *Space) commitWAL(seq uint64) error {
 		// old one, which no one else writes.
 		d.flushing = true
 		n := len(d.ends)
-		if n > d.maxBatch {
-			n = d.maxBatch
+		if n > maxBatch {
+			n = maxBatch
 		}
 		cut := d.ends[n-1]
 		buf := d.pend[:cut]
@@ -753,7 +745,7 @@ func (d *Space) Close() error {
 
 // Underlying exposes the in-memory space, for checkpointing and
 // observation. Mutating it directly bypasses the WAL; read-only use
-// (Snapshot, Stats) is safe.
+// (Snapshot, Len) is safe.
 func (d *Space) Underlying() *tuplespace.Space { return d.s }
 
 // Snapshot returns the logical state: stored tuples plus the tentative

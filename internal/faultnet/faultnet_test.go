@@ -239,7 +239,7 @@ func TestProxyResetIdleSparesActive(t *testing.T) {
 
 func TestChaosStoreFaultPoints(t *testing.T) {
 	ctx := context.Background()
-	inner := tuplespace.NewSpace(tuplespace.Options{})
+	inner := tuplespace.New()
 	s := WrapStore(inner, StoreOptions{})
 	defer s.Close() //nolint:errcheck
 
@@ -269,7 +269,7 @@ func TestChaosStoreFaultPoints(t *testing.T) {
 
 func TestChaosStoreErrRateDeterministic(t *testing.T) {
 	ctx := context.Background()
-	s := WrapStore(tuplespace.NewSpace(tuplespace.Options{}), StoreOptions{ErrRate: 0.5, Seed: 42})
+	s := WrapStore(tuplespace.New(), StoreOptions{ErrRate: 0.5, Seed: 42})
 	defer s.Close() //nolint:errcheck
 	failures := 0
 	for i := 0; i < 100; i++ {
@@ -284,7 +284,7 @@ func TestChaosStoreErrRateDeterministic(t *testing.T) {
 		t.Fatalf("ErrRate 0.5 produced %d/100 failures", failures)
 	}
 	// Same seed, same coin flips.
-	s2 := WrapStore(tuplespace.NewSpace(tuplespace.Options{}), StoreOptions{ErrRate: 0.5, Seed: 42})
+	s2 := WrapStore(tuplespace.New(), StoreOptions{ErrRate: 0.5, Seed: 42})
 	defer s2.Close() //nolint:errcheck
 	failures2 := 0
 	for i := 0; i < 100; i++ {
@@ -299,7 +299,7 @@ func TestChaosStoreErrRateDeterministic(t *testing.T) {
 
 func TestChaosStoreTxnPassthrough(t *testing.T) {
 	ctx := context.Background()
-	s := WrapStore(tuplespace.NewSpace(tuplespace.Options{}), StoreOptions{})
+	s := WrapStore(tuplespace.New(), StoreOptions{})
 	defer s.Close() //nolint:errcheck
 	if err := s.Out(ctx, "task", "a"); err != nil {
 		t.Fatal(err)

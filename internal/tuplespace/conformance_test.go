@@ -9,10 +9,10 @@ import (
 )
 
 // TestSpaceConformance runs the Store v2 conformance suite against the
-// in-process sharded space.
+// in-process space.
 func TestSpaceConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) tuplespace.TxnStore {
-		s := tuplespace.NewSpace(tuplespace.Options{})
+		s := tuplespace.New()
 		t.Cleanup(func() { s.Close() })
 		return s
 	})
@@ -22,7 +22,7 @@ func TestSpaceConformance(t *testing.T) {
 // a served space: the same behaviour must survive the wire protocol.
 func TestClientConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) tuplespace.TxnStore {
-		s := tuplespace.NewSpace(tuplespace.Options{})
+		s := tuplespace.New()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,35 +16,45 @@ import (
 // routing, readers-before-one-taker, FIFO among takers, and Close
 // reaching waiters on every shard. Run in CI under -race.
 
-func TestNewShardedRounding(t *testing.T) {
-	if got := NewSharded(5).Shards(); got != 8 {
-		t.Fatalf("NewSharded(5).Shards()=%d want 8", got)
-	}
-	if got := NewSharded(64).Shards(); got != 64 {
-		t.Fatalf("NewSharded(64).Shards()=%d want 64", got)
-	}
-	if got := NewSharded(100000).Shards(); got != 256 {
-		t.Fatalf("NewSharded(100000).Shards()=%d want cap 256", got)
-	}
-	if got := New().Shards(); got < 8 {
-		t.Fatalf("New().Shards()=%d want >= 8", got)
+// TestNewStripeCount checks the stripe count New derives from
+// GOMAXPROCS: four per P, rounded up to a power of two in [8, 256].
+func TestNewStripeCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, want int }{
+		{1, 8}, {2, 8}, {3, 16}, {5, 32}, {16, 64}, {33, 256}, {100, 256},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if n := len(New().shards); n != c.want {
+			t.Errorf("GOMAXPROCS %d: New() has %d shards, want %d", c.procs, n, c.want)
+		}
 	}
 }
+
+// newObserved returns New() with a registry attached, so a test can read
+// the ts.* counters.
+func newObserved() *Space {
+	s := New()
+	s.Observe(obs.NewRegistry(), nil)
+	return s
+}
+
+// counter reads one of the space's ts.* counters.
+func counter(s *Space, name string) int64 { return s.Registry().Counter(name).Value() }
 
 // waitBlocked polls until n operations have registered and parked.
 func waitBlocked(t *testing.T, s *Space, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Blocked < n {
+	for counter(s, "ts.blocked") < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d ops blocked", s.Stats().Blocked, n)
+			t.Fatalf("only %d/%d ops blocked", counter(s, "ts.blocked"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestShardedReadersServedBeforeOneTaker(t *testing.T) {
-	s := NewSharded(16)
+	s := newObserved()
 	reads := make(chan Tuple, 3)
 	took := make(chan Tuple, 1)
 	// Register reader, taker, reader, reader — every reader must see the
@@ -96,7 +107,7 @@ func TestShardedReadersServedBeforeOneTaker(t *testing.T) {
 }
 
 func TestShardedTakerFIFO(t *testing.T) {
-	s := NewSharded(16)
+	s := newObserved()
 	const takers = 6
 	woke := make(chan int, takers)
 	for i := 0; i < takers; i++ {
@@ -124,7 +135,7 @@ func TestShardedTakerFIFO(t *testing.T) {
 }
 
 func TestCloseReleasesWaitersOnEveryShard(t *testing.T) {
-	s := NewSharded(32)
+	s := newObserved()
 	const n = 24
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -151,7 +162,7 @@ func TestCloseReleasesWaitersOnEveryShard(t *testing.T) {
 func TestShardedConcurrentMixedTagsConserve(t *testing.T) {
 	// Hammer distinct signatures from many goroutines and check global
 	// conservation; catches lost wakeups and double deliveries.
-	s := New()
+	s := newObserved()
 	const g, per = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < g; w++ {
@@ -174,8 +185,8 @@ func TestShardedConcurrentMixedTagsConserve(t *testing.T) {
 	if slen(s) != 0 {
 		t.Fatalf("Len=%d want 0", slen(s))
 	}
-	if st := s.Stats(); st.Outs != g*per || st.Ins != g*per {
-		t.Fatalf("stats %+v", st)
+	if outs, ins := counter(s, "ts.out"), counter(s, "ts.in"); outs != g*per || ins != g*per {
+		t.Fatalf("ts.out=%d ts.in=%d, want %d each", outs, ins, g*per)
 	}
 }
 
@@ -315,7 +326,7 @@ func TestClientOutNRoundTrip(t *testing.T) {
 }
 
 func TestPerShardGaugesSumToTotal(t *testing.T) {
-	s := NewSharded(8)
+	s := New()
 	reg := obs.NewRegistry()
 	s.Observe(reg, nil)
 	for i := 0; i < 50; i++ {
@@ -326,7 +337,7 @@ func TestPerShardGaugesSumToTotal(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	var sum int64
-	for i := 0; i < s.Shards(); i++ {
+	for i := range s.shards {
 		sum += snap.Gauges[fmt.Sprintf("ts.shard.%d.tuples", i)]
 	}
 	if sum != int64(slen(s)) || snap.Gauges["ts.tuples"] != int64(slen(s)) {

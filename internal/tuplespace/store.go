@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"freepdm/internal/obs"
 )
@@ -83,29 +82,13 @@ type Recoverer interface {
 // expiry forces under a still-running remote operation.
 var ErrTxnFinished = errors.New("tuplespace: transaction already finished")
 
-// Options collects the tunables the binaries expose as flags, replacing
-// the positional constructor arguments of the v1 API. Each layer takes
-// the fields it understands: NewSpace reads Shards; DialOptions carries
-// OpTimeout to clients; the durable space's batch cap and the tracer's
-// sampling rate are plumbed by the callers that own those objects (see
-// cmd/plinda and cmd/fpdm). The zero value selects every default.
-type Options struct {
-	// Shards is the lock-stripe count of an in-process space; <= 0
-	// selects the GOMAXPROCS-derived default.
-	Shards int
-	// OpTimeout bounds non-blocking remote operations (see
-	// DialOptions.OpTimeout). Zero means no bound.
-	OpTimeout time.Duration
-	// TraceSample is the fraction of traces sampled by the attached
-	// tracer, in [0, 1].
-	TraceSample float64
-	// WALBatch caps the durable space's group-commit batch size; 0
-	// selects the durable default.
-	WALBatch int
-}
+// Options has no fields: a space takes no settings. It and NewSpace
+// remain until the benchmark, which still calls NewSpace(Options{}),
+// moves to New.
+type Options struct{}
 
-// NewSpace returns an empty in-process tuple space configured by o.
-func NewSpace(o Options) *Space { return NewSharded(o.Shards) }
+// NewSpace returns New(). It remains until the benchmark moves to New.
+func NewSpace(Options) *Space { return New() }
 
 // Non-ctx convenience wrappers. The constraint-based signatures let one
 // wrapper serve both Store and Txn (and any concrete backend), so

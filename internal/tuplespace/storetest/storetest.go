@@ -89,6 +89,25 @@ func Run(t *testing.T, open Factory) {
 		}
 	})
 
+	t.Run("EmptyTupleRoundTrip", func(t *testing.T) {
+		// The empty template matches the empty tuple like any other:
+		// Template{}.Matches(Tuple{}) is true.
+		s, ctx := open(t), testCtx(t)
+		if err := s.Out(ctx); err != nil {
+			t.Fatalf("Out(): %v", err)
+		}
+		tu, ok, err := s.Inp(ctx)
+		if err != nil || !ok {
+			t.Fatalf("Inp() after Out() = ok=%v err=%v, want the empty tuple", ok, err)
+		}
+		if len(tu) != 0 {
+			t.Fatalf("Inp() returned %v, want ()", tu)
+		}
+		if n, err := s.Len(); err != nil || n != 0 {
+			t.Fatalf("Len = %d, %v after taking the empty tuple; want 0", n, err)
+		}
+	})
+
 	t.Run("OutFormalRefused", func(t *testing.T) {
 		s, ctx := open(t), testCtx(t)
 		if err := s.Out(ctx, "f", tuplespace.FormalInt); !errors.Is(err, tuplespace.ErrFormalOut) {

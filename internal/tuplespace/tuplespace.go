@@ -14,9 +14,11 @@
 // Internally the space is partitioned twice. Tuples are grouped into
 // partitions by signature (arity, field types, and the value of a
 // leading string tag), and partitions are distributed over lock-striped
-// shards by signature hash, so operations on different signatures never
-// contend on a lock. Each shard keeps its own tuple lists and its own
-// waiter list; an Out only wakes waiters registered for its signature.
+// shards by SignatureHash, the one signature hash of every process and
+// of the cluster router, so operations on different signatures never
+// contend on a lock unless their hashes share a stripe. Each shard
+// keeps its own tuple lists and its own waiter list; an Out only wakes
+// waiters registered for its signature.
 // Every template therefore names its one partition, and so its one
 // shard: a template whose first field is a formal string would match
 // any tagged partition of its arity, and every operation rejects it
@@ -31,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"reflect"
 	"runtime"
 	"sort"
@@ -409,22 +410,22 @@ func signatureOf(sig []byte, fields []any) []byte {
 // and returns it: the arity, the type of each field, and the value of
 // a leading string tag. Two tuples share a partition exactly when
 // their signatures are byte-equal, and a template matches only tuples
-// of its own signature. External routers (the cluster package)
-// partition by a deterministic hash of this key — unlike the
-// in-process shard routing, which hashes with a per-process seed and
-// so must never leak across processes.
+// of its own signature.
 func Signature(dst []byte, fields []any) []byte {
 	return signatureOf(dst, fields)
 }
 
-// Stats counts operations on a space; useful for tests and for the
-// communication-cost accounting in the NOW experiments. Ins/Rds count
-// the blocking forms only; the predicate forms have their own
-// counters. Blocked counts operations that had to wait, and
-// BlockedNanos accumulates the total time they spent waiting.
-type Stats struct {
-	Outs, Ins, Rds, Inps, Rdps, Blocked int64
-	BlockedNanos                        int64
+// SignatureHash is the 32-bit FNV-1a hash of a signature key. It has no
+// seed, so a signature hashes alike in every process: the space picks a
+// lock stripe by its low bits and the cluster router a home node by its
+// remainder.
+func SignatureHash(sig []byte) uint32 {
+	h := uint32(2166136261)
+	for _, b := range sig {
+		h ^= uint32(b)
+		h *= 16777619
+	}
+	return h
 }
 
 // spaceObs holds a space's attached instruments. All instrument
@@ -554,58 +555,40 @@ func (sh *shard) noteEmptiedLocked() {
 // Space is a concurrency-safe Linda tuple space, lock-striped over
 // signature shards.
 //
-// The zero value is not usable; create spaces with New or NewSharded.
+// The zero value is not usable; create spaces with New.
 type Space struct {
 	shards []*shard
-	mask   uint64
+	mask   uint32
 
 	tupleCnt atomic.Int64
 	closed   atomic.Bool
 
-	stOuts, stIns, stRds, stInps, stRdps atomic.Int64
-	stBlocked, stBlockedNanos            atomic.Int64
-
 	obs atomic.Pointer[spaceObs] // nil until Observe
 }
 
-// New returns an empty tuple space with a shard count derived from
-// GOMAXPROCS.
-func New() *Space { return NewSharded(0) }
-
-// NewSharded returns an empty tuple space striped over n shards,
-// rounded up to a power of two and capped at 256. n <= 0 selects the
-// default (at least 8, growing with GOMAXPROCS).
-func NewSharded(n int) *Space {
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
-		}
-	}
-	if n > 256 {
-		n = 256
-	}
+// New returns an empty tuple space striped over four shards per
+// GOMAXPROCS, rounded up to a power of two in [8, 256].
+func New() *Space {
+	n := min(max(4*runtime.GOMAXPROCS(0), 8), 256)
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	s := &Space{shards: make([]*shard, size), mask: uint64(size - 1)}
+	return newStriped(size)
+}
+
+// newStriped returns an empty space of size shards, a power of two.
+func newStriped(size int) *Space {
+	s := &Space{shards: make([]*shard, size), mask: uint32(size - 1)}
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, parts: make(map[string]*partition)}
 	}
 	return s
 }
 
-// Shards reports the number of lock stripes in the space.
-func (s *Space) Shards() int { return len(s.shards) }
-
-// shardSeed keys signature hashing for shard routing; per-process like
-// the runtime's own map seed.
-var shardSeed = maphash.MakeSeed()
-
 // shardOf routes a signature key to its shard.
 func (s *Space) shardOf(sig []byte) *shard {
-	return s.shards[maphash.Bytes(shardSeed, sig)&s.mask]
+	return s.shards[SignatureHash(sig)&s.mask]
 }
 
 // Out places a tuple into the space, waking any blocked In/Rd whose
@@ -669,7 +652,6 @@ func (s *Space) out(t Tuple, org obs.SpanContext) error {
 		sh.mu.Unlock()
 		return ErrClosed
 	}
-	s.stOuts.Add(1)
 	o := s.obs.Load()
 	taken := s.deliverLocked(sh, stored{t: t, org: org})
 	if !taken {
@@ -739,9 +721,6 @@ func (s *Space) deliverLocked(sh *shard, st stored) bool {
 // findInShardLocked searches the template's partition in its shard for
 // a match, removing the tuple when take is set.
 func (s *Space) findInShardLocked(sh *shard, ct *compiledTemplate, take bool) (stored, bool) {
-	if len(ct.fields) == 0 {
-		return stored{}, false
-	}
 	p := sh.parts[string(ct.sig)] // no-alloc lookup
 	if p == nil {
 		return stored{}, false
@@ -798,10 +777,7 @@ func (s *Space) poll(ctx context.Context, tm Template, take bool) (stored, bool,
 	}
 	op := "rdp"
 	if take {
-		s.stInps.Add(1)
 		op = "inp"
-	} else {
-		s.stRdps.Add(1)
 	}
 	sh := s.shardOf(ct.sig)
 	sh.mu.Lock()
@@ -889,10 +865,7 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 	}
 	op := "rd"
 	if take {
-		s.stIns.Add(1)
 		op = "in"
-	} else {
-		s.stRds.Add(1)
 	}
 	o := s.obs.Load()
 	if o != nil {
@@ -945,7 +918,6 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 // channel resolves immediately — the tuple wins over cancellation so
 // no take is lost.
 func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *spaceObs, sp *obs.Span) (stored, error) {
-	s.stBlocked.Add(1)
 	if o != nil {
 		o.blocked.Inc()
 	}
@@ -968,7 +940,6 @@ func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *s
 		sh.mu.Unlock()
 		if claimed {
 			waited := time.Since(blockedAt)
-			s.stBlockedNanos.Add(int64(waited))
 			if o != nil {
 				o.wait.Observe(waited)
 				if sp != nil {
@@ -986,7 +957,6 @@ func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *s
 		st, ok = <-w.ch
 	}
 	waited := time.Since(blockedAt)
-	s.stBlockedNanos.Add(int64(waited))
 	if o != nil {
 		o.wait.Observe(waited)
 		if sp != nil {
@@ -1034,19 +1004,6 @@ func (s *Space) Close() error {
 // Len reports the number of tuples currently stored. The error is
 // always nil for a local space; the signature matches Store.
 func (s *Space) Len() (int, error) { return int(s.tupleCnt.Load()), nil }
-
-// Stats returns a copy of the operation counters.
-func (s *Space) Stats() Stats {
-	return Stats{
-		Outs:         s.stOuts.Load(),
-		Ins:          s.stIns.Load(),
-		Rds:          s.stRds.Load(),
-		Inps:         s.stInps.Load(),
-		Rdps:         s.stRdps.Load(),
-		Blocked:      s.stBlocked.Load(),
-		BlockedNanos: s.stBlockedNanos.Load(),
-	}
-}
 
 // Snapshot returns a deep-enough copy of all stored tuples in a
 // deterministic order, for use by the PLinda checkpointer. Field values

@@ -220,7 +220,7 @@ func TestRestoreWakesWaiters(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	s := New()
+	s := newObserved()
 	s.Out(context.Background(), "a", 1)
 	s.Inp(context.Background(), "a", FormalInt)
 	s.Rdp(context.Background(), "a", FormalInt)
@@ -228,34 +228,35 @@ func TestStatsCounting(t *testing.T) {
 	s.In(context.Background(), "a", FormalInt)
 	s.Out(context.Background(), "a", 3)
 	s.Rd(context.Background(), "a", FormalInt)
-	st := s.Stats()
-	if st.Outs != 3 || st.Ins != 1 || st.Rds != 1 || st.Inps != 1 || st.Rdps != 1 {
-		t.Fatalf("stats %+v", st)
+	want := map[string]int64{"ts.out": 3, "ts.in": 1, "ts.rd": 1, "ts.inp": 1, "ts.rdp": 1, "ts.blocked": 0}
+	for name, n := range want {
+		if got := counter(s, name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
 	}
-	if st.Blocked != 0 || st.BlockedNanos != 0 {
-		t.Fatalf("nothing blocked, stats %+v", st)
+	if w := s.Registry().Snapshot().Histograms["ts.wait"]; w.Count != 0 || w.SumNanos != 0 {
+		t.Fatalf("nothing blocked, ts.wait %+v", w)
 	}
 }
 
 func TestStatsBlockedNanos(t *testing.T) {
-	s := New()
+	s := newObserved()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		s.In(context.Background(), "slow", FormalInt)
 	}()
-	for s.Stats().Blocked == 0 {
+	for counter(s, "ts.blocked") == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(5 * time.Millisecond)
 	s.Out(context.Background(), "slow", 1)
 	<-done
-	st := s.Stats()
-	if st.Blocked != 1 {
-		t.Fatalf("blocked=%d want 1", st.Blocked)
+	if n := counter(s, "ts.blocked"); n != 1 {
+		t.Fatalf("ts.blocked=%d want 1", n)
 	}
-	if st.BlockedNanos < int64(5*time.Millisecond) {
-		t.Fatalf("blockedNanos=%d, want >= 5ms of wait", st.BlockedNanos)
+	if w := s.Registry().Snapshot().Histograms["ts.wait"]; w.SumNanos < int64(5*time.Millisecond) {
+		t.Fatalf("ts.wait sum=%dns, want >= 5ms of wait", w.SumNanos)
 	}
 }
 
