@@ -22,7 +22,9 @@ import (
 // SubpatternPruning makes per evaluation — the boxed key and the entry;
 // a count above 255 would box too — and the mutation matcher, Myers'
 // bit-vector kernel, takes nothing from the heap for a segment of up to
-// 64 letters; with pruning off Goodness allocates nothing.
+// 64 letters; with pruning off Goodness allocates nothing. motif-exact's
+// Children is the GST's extension slice, the child slice, and a string
+// and its boxing for each of the six children.
 var kernelPatterns = map[string]struct {
 	key                             string
 	cost                            float64
@@ -30,7 +32,7 @@ var kernelPatterns = map[string]struct {
 	exact                           bool
 }{
 	"toy":         {"{0,1}", 0.036000000000000004, 0, 25, 6, true},
-	"motif-exact": {"DWLVEV", 0.0011358, 0, 16, 3, true},
+	"motif-exact": {"DWLVEV", 0.0011358, 0, 14, 3, true},
 	"motif-mut":   {"LLWET", 0.0028395, 2, 4, 3, true},
 	"assoc":       {"{0,1,2}", 0.0003268, 0, 25, 7, true},
 	"episode":     {"<1 3>", 0.00015, 0, 13, 7, true},

@@ -40,10 +40,10 @@ func ParseItemset(key string) (Itemset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("assoc: bad itemset key: %w", err)
 		}
+		if len(out) > 0 && v <= out[len(out)-1] {
+			return nil, fmt.Errorf("assoc: itemset key not strictly ascending: %q", key)
+		}
 		out = append(out, v)
-	}
-	if !sort.IntsAreSorted(out) {
-		return nil, fmt.Errorf("assoc: itemset key not sorted: %q", key)
 	}
 	return out, nil
 }

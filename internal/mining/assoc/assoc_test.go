@@ -186,11 +186,41 @@ func TestParseItemset(t *testing.T) {
 	if _, err := ParseItemset("{2,1}"); err == nil {
 		t.Fatal("unsorted accepted")
 	}
+	if _, err := ParseItemset("{1,1}"); err == nil {
+		t.Fatal("repeated item accepted")
+	}
 	if _, err := ParseItemset("{a}"); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if s, err := ParseItemset("{}"); err != nil || len(s) != 0 {
 		t.Fatal("empty set")
+	}
+}
+
+// TestDecodeAcceptsExactlyTheKeys holds Decode to its definition: a key
+// is valid when it is the Key of an itemset over the database's items,
+// so every pattern has exactly one spelling. The key "{}" is the root's.
+func TestDecodeAcceptsExactlyTheKeys(t *testing.T) {
+	pr := NewProblem(GenerateDB(50, 24, [][]int{{0, 1}}, 0.5, 3), 5)
+	for _, c := range []struct {
+		key   string
+		valid bool
+	}{
+		{"{}", true}, {"{0}", true}, {"{23}", true}, {"{1,2,10}", true}, {"{0,5,23}", true},
+		{"{1,1}", false}, {"{01}", false}, {"1,2", false}, {"{{1}}", false}, {"{-1}", false},
+		{"{99}", false}, {"{24}", false}, {"{1, 2}", false}, {"{+1}", false}, {"{2,1}", false},
+		{"{1,}", false}, {"{,1}", false}, {"", false}, {"{", false}, {"}", false}, {"{}}", false},
+		{"{a}", false}, {" {1}", false},
+	} {
+		p, err := pr.Decode(c.key)
+		if (err == nil) != c.valid {
+			t.Errorf("Decode(%q): err %v, want valid %v", c.key, err, c.valid)
+		} else if c.valid && p.Key() != c.key {
+			t.Errorf("Decode(%q).Key() = %q", c.key, p.Key())
+		}
+	}
+	if root, err := pr.Decode("{}"); err != nil || root.Key() != pr.Root().Key() || root.Len() != 0 {
+		t.Fatalf("Decode(\"{}\") = %v, %v; want the root", root, err)
 	}
 }
 

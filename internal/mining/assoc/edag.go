@@ -1,6 +1,8 @@
 package assoc
 
 import (
+	"fmt"
+
 	"freepdm/internal/core"
 )
 
@@ -32,11 +34,19 @@ func (p pattern) Len() int    { return len(p.s) }
 // Root implements core.Problem.
 func (pr *Problem) Root() core.Pattern { return pattern{} }
 
-// Decode implements core.Decoder.
+// Decode implements core.Decoder. A key decodes only if it is the Key
+// of an itemset over the database's items, so that no pattern has a
+// second spelling that a string comparison of keys would miss.
 func (pr *Problem) Decode(key string) (core.Pattern, error) {
 	s, err := ParseItemset(key)
 	if err != nil {
 		return nil, err
+	}
+	if len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= pr.DB.Items) {
+		return nil, fmt.Errorf("assoc: itemset key %q has an item outside [0, %d)", key, pr.DB.Items)
+	}
+	if s.Key() != key {
+		return nil, fmt.Errorf("assoc: itemset key %q is not in canonical form %q", key, s.Key())
 	}
 	return pattern{s}, nil
 }

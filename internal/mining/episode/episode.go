@@ -105,11 +105,21 @@ func (p pattern) Len() int    { return len(p.e) }
 // Root implements core.Problem.
 func (pr *Problem) Root() core.Pattern { return pattern{} }
 
-// Decode implements core.Decoder.
+// Decode implements core.Decoder. A key decodes only if it is the Key
+// of an episode over the stream's event types, so that no pattern has a
+// second spelling that a string comparison of keys would miss.
 func (pr *Problem) Decode(key string) (core.Pattern, error) {
 	e, err := ParseEpisode(key)
 	if err != nil {
 		return nil, err
+	}
+	for _, t := range e {
+		if t < 0 || t >= pr.Stream.Types {
+			return nil, fmt.Errorf("episode: key %q has an event type outside [0, %d)", key, pr.Stream.Types)
+		}
+	}
+	if e.Key() != key {
+		return nil, fmt.Errorf("episode: key %q is not in canonical form %q", key, e.Key())
 	}
 	return pattern{e}, nil
 }

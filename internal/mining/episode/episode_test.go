@@ -43,6 +43,33 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsExactlyTheKeys holds Decode to its definition: a key
+// is valid when it is the Key of an episode over the stream's event
+// types, so every pattern has exactly one spelling. The key "<>" is the
+// root's.
+func TestDecodeAcceptsExactlyTheKeys(t *testing.T) {
+	pr := NewProblem(GenerateStream(100, 4, []Episode{{1, 3}}, 0.1, 4), 5, 3, 3)
+	for _, c := range []struct {
+		key   string
+		valid bool
+	}{
+		{"<>", true}, {"<0>", true}, {"<3>", true}, {"<1 3>", true}, {"<3 3 0>", true},
+		{"<<1 3>>", false}, {"< 1  3 >", false}, {"1 3", false}, {"<-2>", false}, {"<01>", false},
+		{"<4>", false}, {"<1  3>", false}, {"<1\t3>", false}, {"<+1>", false}, {"< >", false},
+		{"", false}, {"<", false}, {">", false}, {"<a>", false}, {"<1,3>", false}, {" <1>", false},
+	} {
+		p, err := pr.Decode(c.key)
+		if (err == nil) != c.valid {
+			t.Errorf("Decode(%q): err %v, want valid %v", c.key, err, c.valid)
+		} else if c.valid && p.Key() != c.key {
+			t.Errorf("Decode(%q).Key() = %q", c.key, p.Key())
+		}
+	}
+	if root, err := pr.Decode("<>"); err != nil || root.Key() != pr.Root().Key() || root.Len() != 0 {
+		t.Fatalf("Decode(\"<>\") = %v, %v; want the root", root, err)
+	}
+}
+
 func TestDiscoverFindsPlantedEpisode(t *testing.T) {
 	planted := Episode{2, 5, 1}
 	s := GenerateStream(2000, 8, []Episode{planted}, 0.05, 1)

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,16 +87,159 @@ func TestGSTExtensions(t *testing.T) {
 	}
 }
 
-func TestGSTSegments(t *testing.T) {
-	seqs := []string{"ABCDE", "XBCDY", "BCDZZ"}
-	g := BuildGST(seqs)
-	segs := g.Segments(3, 3)
-	if len(segs) != 1 || segs[0] != "BCD" {
-		t.Fatalf("Segments(3,3)=%v", segs)
+// checkGSTAgainstNaive holds both GST queries to the naive oracle on
+// one segment: SeqCount is NaiveSeqCount, and for m = 1, 2, 3
+// Extensions(seg, m) is exactly the bytes c, in byte order, with
+// NaiveSeqCount(seqs, seg+c) >= m.
+func checkGSTAgainstNaive(t *testing.T, g *GST, seqs []string, seg string) {
+	t.Helper()
+	if got, want := g.SeqCount(seg), NaiveSeqCount(seqs, seg); got != want {
+		t.Fatalf("SeqCount(%q) = %d, want %d on %q", seg, got, want, seqs)
 	}
-	if segs := g.Segments(2, 3); len(segs) != 2 { // BC, CD
-		t.Fatalf("Segments(2,3)=%v", segs)
+	var counts [256]int // a byte no sequence holds extends nothing
+	for _, s := range seqs {
+		for i := range len(s) {
+			if c := s[i]; counts[c] == 0 {
+				counts[c] = NaiveSeqCount(seqs, seg+string([]byte{c}))
+			}
+		}
 	}
+	for m := 1; m <= 3; m++ {
+		var want []byte
+		for c, n := range counts {
+			if n >= m {
+				want = append(want, byte(c))
+			}
+		}
+		if got := g.Extensions(seg, m); string(got) != string(want) {
+			t.Fatalf("Extensions(%q, %d) = %q, want %q on %q", seg, m, got, want, seqs)
+		}
+	}
+}
+
+// endsMidEdge reports, from the data alone, whether a segment ends
+// inside an edge of the tree: it occurs, no sequence ends with it, and
+// one letter is all that ever follows it.
+func endsMidEdge(seqs []string, seg string) bool {
+	if seg == "" || NaiveSeqCount(seqs, seg) == 0 {
+		return false
+	}
+	next := -1
+	for _, s := range seqs {
+		for i := 0; ; {
+			j := strings.Index(s[i:], seg)
+			if j < 0 {
+				break
+			}
+			end := i + j + len(seg)
+			if end == len(s) || next >= 0 && int(s[end]) != next {
+				return false
+			}
+			next = int(s[end])
+			i += j + 1
+		}
+	}
+	return true
+}
+
+// Property: on random corpora over pools of 2 to 20 letters, on the toy
+// database of section 2.3.1 and on sequences with bytes outside
+// Alphabet, SeqCount and Extensions agree with the naive oracle on the
+// empty segment, on every short substring (many of which end mid-edge),
+// on those substrings with one letter changed, and on random strings
+// (mostly absent).
+func TestPropertyGSTAgreesWithNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	corpora := [][]string{
+		{"FFRR", "MRRM", "MTRM", "DPKY", "AVLG"},
+		{"x*\x00\xffAC", "AC\xff\x00", "\xff\xff\xffA", "", "zzAC*"},
+	}
+	for c := 0; c < 40; c++ {
+		pool := Alphabet[:2+rng.Intn(len(Alphabet)-1)]
+		if c%4 == 0 {
+			pool += "x*\x00\xff"
+		}
+		seqs := make([]string, 1+rng.Intn(8))
+		for i := range seqs {
+			b := make([]byte, rng.Intn(40))
+			for j := range b {
+				b[j] = pool[rng.Intn(len(pool))]
+			}
+			seqs[i] = string(b)
+		}
+		corpora = append(corpora, seqs)
+	}
+	midEdge := 0
+	for _, seqs := range corpora {
+		g := BuildGST(seqs)
+		segs := []string{""}
+		for _, s := range seqs {
+			for i := range len(s) {
+				for l := 1; l <= 6 && i+l <= len(s); l++ {
+					seg := s[i : i+l]
+					changed := []byte(seg)
+					changed[rng.Intn(l)] = "ACx\xff"[rng.Intn(4)]
+					segs = append(segs, seg, string(changed))
+				}
+			}
+		}
+		for range 20 {
+			b := make([]byte, 1+rng.Intn(5))
+			for j := range b {
+				b[j] = Alphabet[rng.Intn(len(Alphabet))]
+			}
+			segs = append(segs, string(b))
+		}
+		for _, seg := range segs {
+			checkGSTAgainstNaive(t, g, seqs, seg)
+			if endsMidEdge(seqs, seg) {
+				midEdge++
+			}
+		}
+	}
+	if midEdge == 0 {
+		t.Fatal("no segment ended mid-edge")
+	}
+}
+
+// TestBuildGSTAllocs: a build allocates a fixed number of times, the
+// same on the benchmark's 80-residue motif_exact input as on the full
+// 400-residue corpus; SeqCount allocates nothing and Extensions at most
+// its result.
+func TestBuildGSTAllocs(t *testing.T) {
+	spec := CyclinsSpec(42)
+	full := spec.Generate()
+	spec.Length = 80
+	short := spec.Generate()
+	// A collection during the count adds the runtime's own allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a80 := testing.AllocsPerRun(5, func() { BuildGST(short) })
+	a400 := testing.AllocsPerRun(5, func() { BuildGST(full) })
+	if a80 != a400 || a400 > 2 {
+		t.Errorf("BuildGST allocates %v times on 80 residues and %v on 400, want the same and at most 2", a80, a400)
+	}
+	g := BuildGST(full)
+	for _, seg := range []string{"", "M", "MRAILV", "MRAILVDWLVEV", "WWWWWW"} {
+		if got := testing.AllocsPerRun(20, func() { g.SeqCount(seg) }); got != 0 {
+			t.Errorf("SeqCount(%q) allocates %v times, want 0", seg, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { g.Extensions(seg, 1) }); got > 1 {
+			t.Errorf("Extensions(%q) allocates %v times, want at most 1", seg, got)
+		}
+	}
+}
+
+// FuzzGST holds both GST queries to the naive oracle on arbitrary
+// sequences (a, b and c; any byte is a letter) and segments. The seed
+// corpus is testdata/fuzz/FuzzGST.
+func FuzzGST(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b, c, seg string) {
+		if len(a)+len(b)+len(c) > 300 || len(seg) > 12 {
+			return
+		}
+		seqs := []string{a, b, c}
+		checkGSTAgainstNaive(t, BuildGST(seqs), seqs, seg)
+	})
 }
 
 func TestMotifParseAndString(t *testing.T) {
@@ -485,6 +629,7 @@ func TestEditDistanceBasics(t *testing.T) {
 
 func BenchmarkBuildGSTCyclins(b *testing.B) {
 	seqs := CyclinsSpec(1).Generate()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildGST(seqs)
