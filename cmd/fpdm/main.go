@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"freepdm/internal/core"
 	"freepdm/internal/experiments"
 	"freepdm/internal/obs"
 )
@@ -44,7 +43,6 @@ func main() {
 		if *slowOp > 0 {
 			tracer.SetSlowOp(*slowOp, nil)
 		}
-		core.SetObserver(reg, tracer)
 		experiments.SetObserver(reg, tracer)
 		ds, err := obs.ServeDebug(*debugAddr, reg, tracer)
 		if err != nil {

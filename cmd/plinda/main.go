@@ -233,7 +233,7 @@ func main() {
 		tracer.SetSlowOp(*slowOp, nil)
 	}
 	srv.Observe(reg, tracer)
-	core.SetObserver(reg, tracer)
+	core.SetObserver(reg)
 	if *debugAddr != "" {
 		ds, err := obs.ServeDebug(*debugAddr, reg, tracer)
 		if err != nil {

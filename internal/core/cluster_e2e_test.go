@@ -141,9 +141,12 @@ func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
 
 // TestPLEDClusterThreeNodes runs PLED over a healthy three-node
 // cluster: the continuation-logged master must work unchanged against
-// the router (its commits ride the coordinator's CommitCont). Twelve
-// root patterns over 2·4 chunks: task and result tuples of several keys
-// cross the two-phase commit.
+// the router. Under the local plinda.Server every Xcommit is a plain
+// two-phase Commit of the outs and takes, and the continuation stays in
+// the server's process table; the router's CommitCont is not exercised
+// here (only standalone procs take it). Twelve root patterns over 2·4
+// chunks: task and result tuples of several keys cross the two-phase
+// commit.
 func TestPLEDClusterThreeNodes(t *testing.T) {
 	base := newToyProblem(12, 200, 0.04, 21)
 	seqRes, _ := SolveSequential(base)

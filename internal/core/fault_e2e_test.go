@@ -232,7 +232,7 @@ func testPLETRemoteWorkerKill(t *testing.T, g faultGrain) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go tuplespace.ServeTCP(ln, space) //nolint:errcheck
+	go tuplespace.Serve(ln, space) //nolint:errcheck
 	defer space.Close()
 
 	dial := func() (tuplespace.TxnStore, error) {

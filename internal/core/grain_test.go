@@ -142,7 +142,7 @@ var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Spac
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close(); space.Close() }) //nolint:errcheck
-		go tuplespace.ServeTCP(ln, space)               //nolint:errcheck
+		go tuplespace.Serve(ln, space)                  //nolint:errcheck
 		return plinda.NewServerRemote(func() (tuplespace.TxnStore, error) {
 			return tuplespace.DialOpts(ln.Addr().String(), tuplespace.DialOptions{
 				DialTimeout: time.Second,
@@ -198,8 +198,8 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 			}}
 
 			reg := obs.NewRegistry()
-			SetObserver(reg, nil)
-			defer SetObserver(nil, nil)
+			SetObserver(reg)
+			defer SetObserver(nil)
 			srv, space := backend(t)
 			defer srv.Close()
 			type outcome struct {

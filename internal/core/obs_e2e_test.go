@@ -16,8 +16,9 @@ import (
 // PLinda server whose tuple space is simultaneously served over TCP,
 // kills a worker mid-run, and checks that the recorded metrics and
 // trace tell a coherent story: every spawn has a matching exit, every
-// transaction ended in exactly one commit or abort, and the wire-level
-// instruments saw the remote client's traffic.
+// transaction ended in exactly one commit or abort, every trace event is
+// a span, and the wire-level instruments saw the remote client's
+// traffic.
 func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(8192)
@@ -26,15 +27,15 @@ func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 	srv := plinda.NewServerOn(space)
 	defer srv.Close()
 	srv.Observe(reg, tracer)
-	SetObserver(reg, tracer)
-	defer SetObserver(nil, nil)
+	SetObserver(reg)
+	defer SetObserver(nil)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go tuplespace.ServeTCP(l, space)
+	go tuplespace.Serve(l, space)
 
 	// A remote client works against the same space the PLET program
 	// uses, so wire metrics and tuple metrics land in one registry.
@@ -140,50 +141,99 @@ func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 			s.Counters["core.tasks"], s.Counters["core.evaluated"])
 	}
 
-	// The trace itself balances: spawn/respawn events match exits, and
-	// begin events match commit+abort events (ring must not have
-	// wrapped for this to hold).
+	// The trace itself balances over spans: one incarnation span per
+	// spawn and respawn, one ended txn span per Xstart, and exactly one
+	// master transaction carries the poison (ring must not have wrapped
+	// for this to hold).
 	if tracer.Total() > uint64(tracer.Cap()) {
 		t.Fatalf("trace ring wrapped (%d > %d); enlarge the buffer", tracer.Total(), tracer.Cap())
 	}
-	counts := map[[2]string]int{}
+	var incarnations, txns, poisons int64
 	for _, e := range tracer.Events() {
-		counts[[2]string{e.Kind, e.Name}]++
+		if e.Trace == 0 || e.Span == 0 {
+			t.Fatalf("trace event %s/%s is not a span: %+v", e.Kind, e.Name, e)
+		}
+		switch {
+		case e.Kind == "proc" && e.Name == "incarnation":
+			incarnations++
+		case e.Kind == "txn":
+			txns++
+			if _, ok := e.Attrs["poison"]; ok && e.Attrs["proc"] == "plet-master" {
+				poisons++
+			}
+		}
 	}
-	// "spawn" and "exit" are process-level (an exit ends the process no
-	// matter how many incarnations it took); "respawn" marks the extra
-	// incarnations a kill caused.
-	if spawns, exits := counts[[2]string{"proc", "spawn"}], counts[[2]string{"proc", "exit"}]; spawns != exits {
-		t.Fatalf("trace: spawn=%d exit=%d", spawns, exits)
+	if want := s.Counters["plinda.spawns"] + s.Counters["plinda.respawns"]; incarnations != want {
+		t.Fatalf("trace: %d incarnation spans, want spawns+respawns=%d", incarnations, want)
 	}
-	if got := int64(counts[[2]string{"proc", "respawn"}]); got != s.Counters["plinda.respawns"] {
-		t.Fatalf("trace: respawn events=%d counter=%d", got, s.Counters["plinda.respawns"])
+	if txns != xs {
+		t.Fatalf("trace: %d txn spans, want xstarts=%d", txns, xs)
 	}
-	begins := counts[[2]string{"txn", "begin"}]
-	ends := counts[[2]string{"txn", "commit"}] + counts[[2]string{"txn", "abort"}] +
-		counts[[2]string{"txn", "continuation-commit"}]
-	if begins == 0 || begins != ends {
-		t.Fatalf("trace: txn begins=%d ends=%d", begins, ends)
+	if poisons != 1 {
+		t.Fatalf("trace: %d master txn spans carry the poison, want 1", poisons)
 	}
-	if counts[[2]string{"master", "poison"}] != 1 {
-		t.Fatalf("trace: poison events=%d want 1", counts[[2]string{"master", "poison"}])
+}
+
+// TestObservedPLETUnsampledLeavesNoTrace runs PLET on an observed
+// Space, with a TCP client's traffic beside it, at sample rate 0: no
+// trace was sampled, so the ring stays empty. A trace is complete or
+// absent; there is no flat fallback for unsampled operations.
+func TestObservedPLETUnsampledLeavesNoTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(8192)
+	tracer.SetSampleRate(0)
+	space := tuplespace.New()
+	srv := plinda.NewServerOn(space)
+	defer srv.Close()
+	srv.Observe(reg, tracer)
+	SetObserver(reg)
+	defer SetObserver(nil)
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go tuplespace.Serve(l, space)
+	cl, err := tuplespace.DialOpts(l.Addr().String(), tuplespace.DialOptions{DialTimeout: time.Second, OpTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Out(context.Background(), "remote-marker", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	pr := newToyProblem(6, 60, 0.25, 7)
+	if _, err := RunPLET(srv, pr, 3); err != nil {
+		t.Fatalf("RunPLET: %v", err)
+	}
+	if _, ok, err := cl.Inp(context.Background(), "remote-marker", tuplespace.FormalInt); err != nil || !ok {
+		t.Fatalf("remote marker withdraw: ok=%v err=%v", ok, err)
+	}
+	c := reg.Snapshot().Counters
+	if c["plinda.xstarts"] == 0 || c["net.conns"] != 1 {
+		t.Fatalf("run unobserved: xstarts=%d net.conns=%d", c["plinda.xstarts"], c["net.conns"])
+	}
+	if n := tracer.Total(); n != 0 {
+		t.Fatalf("unsampled run recorded %d trace events, want 0: %+v", n, tracer.Events())
 	}
 }
 
 // TestObservedPLEDLevelEvents runs PLED under the observer and checks
-// that the master's trace and the core.* counters tell the level
-// protocol as it ran: one "level" event per master transaction, depths
+// that the master's transaction spans and the core.* counters tell the
+// level protocol as it ran: one level transaction per depth, depths
 // 1, 2, … in order, whose chunks add up to core.tasks (task tuples: one
 // per chunk, the level-0 seed among them, the poison not) and whose good
 // add up to core.good and core.results (keys: only good patterns travel,
 // so the two count the same ones) and to the result list; core.evaluated
 // is the workers' Goodness calls, exactly SolveSequential's; one poison
-// event ends it.
+// attribute ends it.
 func TestObservedPLEDLevelEvents(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(8192)
-	SetObserver(reg, tracer)
-	defer SetObserver(nil, nil)
+	SetObserver(reg)
+	defer SetObserver(nil)
 
 	pr := newToyProblem(10, 200, 0.04, 82)
 	want, st := SolveSequential(pr)
@@ -191,27 +241,32 @@ func TestObservedPLEDLevelEvents(t *testing.T) {
 	levels, chunks := PLEDChunks(want, workers)
 	srv := plinda.NewServer()
 	defer srv.Close()
+	srv.Observe(reg, tracer)
 	got, err := RunPLED(srv, pr, workers)
 	if err != nil {
 		t.Fatalf("RunPLED: %v", err)
 	}
 	sameResults(t, want, got, "sequential", "PLED under observation")
 
+	if tracer.Total() > uint64(tracer.Cap()) {
+		t.Fatalf("trace ring wrapped (%d > %d); enlarge the buffer", tracer.Total(), tracer.Cap())
+	}
 	var depth, sumChunks, sumGood, poison int
 	for _, e := range tracer.Events() {
-		switch {
-		case e.Kind == "master" && e.Name == "level":
-			if depth++; e.Attrs["depth"] != depth {
-				t.Errorf("level event %d has depth %v", depth, e.Attrs["depth"])
-			}
-			sumChunks += e.Attrs["chunks"].(int)
-			sumGood += e.Attrs["good"].(int)
-		case e.Kind == "master" && e.Name == "poison":
+		if e.Kind != "txn" || e.Name == "abort" || e.Attrs["proc"] != "pled-master" || e.Attrs["depth"] == nil {
+			continue
+		}
+		if depth++; e.Attrs["depth"] != depth {
+			t.Errorf("level transaction %d has depth %v", depth, e.Attrs["depth"])
+		}
+		sumChunks += e.Attrs["chunks"].(int)
+		sumGood += e.Attrs["good"].(int)
+		if _, ok := e.Attrs["poison"]; ok {
 			poison++
 		}
 	}
 	if depth != levels || sumChunks != chunks || sumGood != st.Good || poison != 1 {
-		t.Errorf("trace: %d level events with %d chunks and %d good, %d poison; want %d levels, %d chunks, %d good, 1 poison",
+		t.Errorf("trace: %d level transactions with %d chunks and %d good, %d poison; want %d levels, %d chunks, %d good, 1 poison",
 			depth, sumChunks, sumGood, poison, levels, chunks, st.Good)
 	}
 	c := reg.Snapshot().Counters

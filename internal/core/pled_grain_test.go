@@ -206,8 +206,8 @@ func TestPLEDDuplicateResultBatch(t *testing.T) {
 	srv := plinda.NewServerOn(space)
 	defer srv.Close()
 	reg := obs.NewRegistry()
-	SetObserver(reg, nil)
-	defer SetObserver(nil, nil)
+	SetObserver(reg)
+	defer SetObserver(nil)
 	ctx := context.Background()
 	if err := space.Out(ctx, TagResult, 1, 1, dupGoods, dupScores); err != nil {
 		t.Fatal(err)

@@ -70,8 +70,8 @@ func TestPLEDGrainGuard(t *testing.T) {
 			levels, chunks := core.PLEDChunks(seqRes, workers)
 			p := &keyCounter{Problem: build(), evals: map[string]int{}}
 			reg := obs.NewRegistry()
-			core.SetObserver(reg, nil)
-			defer core.SetObserver(nil, nil)
+			core.SetObserver(reg)
+			defer core.SetObserver(nil)
 			srv := plinda.NewServer()
 			defer srv.Close()
 			res, err := core.RunPLED(srv, p, workers)

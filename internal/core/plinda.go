@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
@@ -434,10 +433,6 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		}
 
 		for !cont.poisoned {
-			var start time.Time
-			if o != nil {
-				start = time.Now()
-			}
 			if err := p.Xstart(); err != nil {
 				return err
 			}
@@ -473,7 +468,12 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 				for i := range tasks {
 					tasks[i] = tuplespace.Tuple{TagTask, cont.level, i, []string{PoisonKey}, good}
 				}
+				p.Annotate("poison", workers)
+				p.Annotate("results", len(cont.keys))
 			}
+			p.Annotate("depth", cont.level)
+			p.Annotate("chunks", len(reports))
+			p.Annotate("good", len(good))
 			if err := p.OutN(tasks); err != nil {
 				return err
 			}
@@ -484,12 +484,6 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 				o.tasks.Add(int64(cont.chunks))
 				o.results.Add(int64(len(good)))
 				o.good.Add(int64(len(good)))
-				if o.tracer != nil {
-					o.tracer.Record("master", "level", time.Since(start), "depth", cont.level, "chunks", len(reports), "good", len(good))
-					if cont.poisoned {
-						o.tracer.Record("master", "poison", 0, "program", "pled", "workers", workers, "results", len(cont.keys))
-					}
-				}
 			}
 		}
 
@@ -547,9 +541,8 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			for i := range poison {
 				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
 			}
-			if o != nil && o.tracer != nil {
-				o.tracer.Record("master", "poison", 0, "program", "plet", "workers", workers, "results", found)
-			}
+			p.Annotate("poison", workers)
+			p.Annotate("results", found)
 			return p.OutN(poison)
 		}
 
@@ -563,10 +556,8 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		tasks, ids := taskTuples(deal(keys, 2*workers))
 		if o != nil {
 			o.tasks.Add(int64(len(tasks)))
-			if o.tracer != nil {
-				o.tracer.Record("master", "seed", 0, "program", "plet", "tasks", len(tasks))
-			}
 		}
+		p.Annotate("seed", len(tasks))
 		if err := p.OutN(tasks); err != nil {
 			return err
 		}

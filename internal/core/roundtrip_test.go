@@ -35,7 +35,7 @@ var roundTripBackends = map[string]func(*testing.T, *obs.Registry) tuplespace.Tx
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close(); space.Close() }) //nolint:errcheck
-		go tuplespace.ServeTCP(ln, space)               //nolint:errcheck
+		go tuplespace.Serve(ln, space)                  //nolint:errcheck
 		cl, err := tuplespace.Dial(ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)

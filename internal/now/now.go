@@ -211,7 +211,7 @@ func (c *Cluster) Run(initial []*Task) Result {
 			dur := (c.Overhead + t.Cost) / c.Machines[mi].Speed
 			mBusy.Add(1)
 			if c.Tracer != nil {
-				c.Tracer.Record("now", "busy", 0, "machine", mi, "task", t.Name, "t", nowT)
+				c.Tracer.Emit(obs.Event{Kind: "now", Name: "busy", Attrs: map[string]any{"machine": mi, "task": t.Name, "t": nowT}})
 			}
 			push(nowT+dur, evTaskDone, mi, t, ms[mi].epoch)
 		}
@@ -226,13 +226,13 @@ func (c *Cluster) Run(initial []*Task) Result {
 			ms[e.m].up = true
 			mUp.Add(1)
 			if c.Tracer != nil {
-				c.Tracer.Record("now", "up", 0, "machine", e.m, "t", nowT)
+				c.Tracer.Emit(obs.Event{Kind: "now", Name: "up", Attrs: map[string]any{"machine": e.m, "t": nowT}})
 			}
 		case evMachineDown:
 			ms[e.m].up = false
 			mUp.Add(-1)
 			if c.Tracer != nil {
-				c.Tracer.Record("now", "down", 0, "machine", e.m, "t", nowT)
+				c.Tracer.Emit(obs.Event{Kind: "now", Name: "down", Attrs: map[string]any{"machine": e.m, "t": nowT}})
 			}
 			if ms[e.m].busy {
 				// The task is lost with the incarnation and re-queued;
@@ -257,7 +257,8 @@ func (c *Cluster) Run(initial []*Task) Result {
 			mBusy.Add(-1)
 			mTaskDur.Observe(simSeconds(nowT - ms[e.m].started))
 			if c.Tracer != nil {
-				c.Tracer.Record("now", "idle", simSeconds(nowT-ms[e.m].started), "machine", e.m, "task", e.task.Name, "t", nowT)
+				c.Tracer.Emit(obs.Event{Kind: "now", Name: "idle", Dur: simSeconds(nowT - ms[e.m].started),
+					Attrs: map[string]any{"machine": e.m, "task": e.task.Name, "t": nowT}})
 			}
 			outstanding--
 			if e.task.Spawn != nil {

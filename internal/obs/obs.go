@@ -9,13 +9,15 @@
 //     latency Histograms. The hot path is lock-free (one atomic add),
 //     and every instrument is nil-receiver safe, so an unobserved
 //     component pays a single nil-check branch per operation.
-//   - Tracer (trace.go): a bounded ring buffer of structured events
-//     covering tuple-op, transaction, and process lifecycle.
+//   - Tracer (trace.go): a bounded ring buffer of ended spans (span.go)
+//     covering tuple ops, wire requests, transactions and process
+//     incarnations, each under its caller's sampled trace.
 //   - ServeDebug (debug.go): a live HTTP endpoint exposing
 //     /debug/metrics, /debug/trace, and net/http/pprof.
 //
 // Components opt in via their Observe methods (tuplespace.Space,
-// plinda.Server), struct fields (now.Cluster), or core.SetObserver.
+// plinda.Server), struct fields (now.Cluster), or core.SetObserver
+// (metrics only).
 package obs
 
 import (

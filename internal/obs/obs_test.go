@@ -39,7 +39,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(time.Second)
-	tr.Record("k", "n", 0, "a", 1)
+	tr.StartRoot("k", "n", "a", 1).End()
 	tr.Emit(Event{Kind: "k"})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Total() != 0 {
 		t.Fatal("nil instruments must be inert")
@@ -101,7 +101,7 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 func TestTracerRingWraparound(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record("k", fmt.Sprint(i), 0)
+		tr.Emit(Event{Kind: "k", Name: fmt.Sprint(i)})
 	}
 	if tr.Total() != 10 {
 		t.Fatalf("total=%d want 10", tr.Total())
@@ -120,19 +120,20 @@ func TestTracerRingWraparound(t *testing.T) {
 
 func TestTracerAttrs(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Record("tuple", "out", 2*time.Second, "arity", 3, "tag", "task")
-	tr.Record("tuple", "in", 0, "dangling") // trailing key dropped
+	tr.StartRoot("tuple", "out", "arity", 3, "tag", "task").End()
+	tr.StartRoot("tuple", "in", "dangling").End() // trailing key dropped
+	tr.Emit(Event{Kind: "now", Name: "idle", Dur: 2 * time.Second})
 	ev := tr.Events()
 	if ev[0].Attrs["arity"] != 3 || ev[0].Attrs["tag"] != "task" {
 		t.Fatalf("attrs %+v", ev[0].Attrs)
 	}
-	if ev[0].Dur != 2*time.Second {
-		t.Fatalf("dur %v", ev[0].Dur)
-	}
 	if ev[1].Attrs != nil {
 		t.Fatalf("dangling attr produced %+v", ev[1].Attrs)
 	}
-	if ev[0].Time.IsZero() {
+	if ev[2].Dur != 2*time.Second {
+		t.Fatalf("dur %v", ev[2].Dur)
+	}
+	if ev[0].Time.IsZero() || ev[2].Time.IsZero() {
 		t.Fatal("time not stamped")
 	}
 }
@@ -153,7 +154,7 @@ func TestConcurrentRecording(t *testing.T) {
 				c.Inc()
 				ga.Add(1)
 				h.Observe(time.Duration(i) * time.Nanosecond)
-				tr.Record("k", "n", 0, "g", g)
+				tr.StartRoot("k", "n", "g", g).End()
 				ga.Add(-1)
 			}
 		}(g)
@@ -210,8 +211,8 @@ func TestServeDebugEndpoints(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(16)
 	r.Counter("demo.ops").Add(5)
-	tr.Record("demo", "started", 0)
-	tr.Record("demo", "finished", time.Millisecond)
+	tr.StartRoot("demo", "started").End()
+	tr.StartRoot("demo", "finished").End()
 	ds, err := ServeDebug("127.0.0.1:0", r, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -189,13 +189,13 @@ func TestIDJSONRoundTrip(t *testing.T) {
 func TestTracerDropped(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 3; i++ {
-		tr.Record("k", "n", 0)
+		tr.Emit(Event{Kind: "k", Name: "n"})
 	}
 	if d := tr.Dropped(); d != 0 {
 		t.Fatalf("dropped = %d before wrap, want 0", d)
 	}
 	for i := 0; i < 5; i++ {
-		tr.Record("k", "n", 0)
+		tr.Emit(Event{Kind: "k", Name: "n"})
 	}
 	if d := tr.Dropped(); d != 4 {
 		t.Fatalf("dropped = %d after wrap, want 4", d)
@@ -274,7 +274,7 @@ func TestWritePrometheusValidatesAndLabels(t *testing.T) {
 	r.Histogram("net.op.out").Observe(40 * time.Millisecond)
 	r.Histogram("plinda.txn").Observe(time.Second)
 	tr := NewTracer(8)
-	tr.Record("k", "n", 0)
+	tr.StartRoot("k", "n").End()
 
 	var b bytes.Buffer
 	if err := WritePrometheus(&b, r.Snapshot(), tr); err != nil {

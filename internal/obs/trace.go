@@ -6,18 +6,17 @@ import (
 	"time"
 )
 
-// Event is one structured trace record. Kind groups events by
-// subsystem ("tuple", "txn", "proc", "net", "wal", "now", "master");
-// Name is the specific transition ("out", "commit", "spawn", "busy",
-// ...); Dur is the measured duration when the event closes an interval
-// (a blocked tuple op's wait, a transaction's lifetime, a simulated
-// task's execution), zero otherwise.
+// Event is one structured trace record: an ended Span, or one of the
+// NOW simulator's virtual-time events. Kind groups events by subsystem
+// ("tuple", "txn", "proc", "net", "wal", "now"); Name is the specific
+// operation or outcome ("in", "commit", "incarnation", "busy", ...);
+// Dur is the measured duration (a span's lifetime, a simulated task's
+// execution).
 //
-// Events emitted by ending a Span additionally carry the span's
-// identity: Trace groups every span of one distributed operation
-// (possibly across processes), Span is this event's own ID, and Parent
-// links to the enclosing span (zero for a root). Plain Record events
-// leave all three zero.
+// A span's event carries its identity: Trace groups every span of one
+// distributed operation (possibly across processes), Span is this
+// event's own ID, and Parent links to the enclosing span (zero for a
+// root). The simulator's events leave all three zero.
 type Event struct {
 	Time   time.Time      `json:"time"`
 	Kind   string         `json:"kind"`
@@ -31,9 +30,8 @@ type Event struct {
 
 // Tracer is a bounded ring buffer of Events. When full, new events
 // overwrite the oldest; Total reports how many were ever recorded so
-// readers can detect loss. A nil *Tracer drops everything, so
-// instrumented code can record unconditionally — but callers that
-// build attribute maps should still nil-check to skip the allocation.
+// readers can detect loss. A nil *Tracer drops everything, and starts
+// only nil spans.
 //
 // The tracer also owns the span configuration: the root sample rate
 // (SetSampleRate) and the slow-op log threshold (SetSlowOp).
@@ -58,29 +56,9 @@ func NewTracer(capacity int) *Tracer {
 	return t
 }
 
-// Record appends an event with the current time. attrs are alternating
-// key, value pairs; a trailing key without a value is dropped. No-op
-// on a nil receiver.
-func (t *Tracer) Record(kind, name string, dur time.Duration, attrs ...any) {
-	if t == nil {
-		return
-	}
-	e := Event{Time: time.Now(), Kind: kind, Name: name, Dur: dur}
-	if len(attrs) >= 2 {
-		e.Attrs = make(map[string]any, len(attrs)/2)
-		for i := 0; i+1 < len(attrs); i += 2 {
-			k, ok := attrs[i].(string)
-			if !ok {
-				continue
-			}
-			e.Attrs[k] = attrs[i+1]
-		}
-	}
-	t.Emit(e)
-}
-
 // Emit appends a fully built event, stamping Time if unset. No-op on a
-// nil receiver.
+// nil receiver. Span.End is its caller for runtime operations; only the
+// NOW simulator, whose events carry virtual time, emits directly.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return

@@ -101,7 +101,7 @@ type procState struct {
 	fn           ProcFunc
 	status       Status
 	incarnation  int
-	traceID      obs.ID // the logical process's trace, allocated once (guarded by s.mu)
+	traceID      obs.ID // the logical process's trace, drawn once at Spawn; zero when unsampled
 	continuation tuplespace.Tuple
 	hasCont      bool
 	ctx          context.Context
@@ -174,7 +174,7 @@ func NewServer() *Server { return NewServerOn(tuplespace.New()) }
 // NewServerOn starts a PLinda server on an existing tuple space. This
 // is the chapter 7 deployment shape: one server process owns the
 // space, local PLinda processes and remote tuplespace clients (via
-// tuplespace.ServeTCP on the same space) share it.
+// tuplespace.Serve on the same space) share it.
 func NewServerOn(space *tuplespace.Space) *Server {
 	return &Server{store: space, space: space, procs: make(map[string]*procState)}
 }
@@ -209,9 +209,12 @@ func NewServerRemote(dial func() (tuplespace.TxnStore, error)) *Server {
 // Observe attaches a metrics registry and/or tracer to the server and
 // its store (either may be nil). Server metrics use the "plinda."
 // prefix: transaction and lifecycle counters, a live-process gauge,
-// and a transaction-duration histogram. Trace events use kind "txn"
-// (begin/commit/abort/continuation-commit) and kind "proc"
-// (spawn/kill/respawn/exit/checkpoint/restore).
+// and a transaction-duration histogram. Every trace event is an ended
+// span: a process's incarnations ("proc"/"incarnation", one trace per
+// logical process, sampled at Spawn), its transactions under them
+// ("txn", named commit, continuation-commit or abort), and the root
+// spans of Checkpoint and RestoreCheckpoint ("proc"/"checkpoint",
+// "proc"/"restore"). A process spawned before Observe is not traced.
 func (s *Server) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	if so, ok := s.store.(storeObserver); ok {
 		so.Observe(reg, tracer)
@@ -244,6 +247,15 @@ func (s *Server) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	s.obs.Store(o)
 }
 
+// rootSpan starts the root span of a server operation's own trace,
+// subject to the sample rate; nil when unobserved or unsampled.
+func (o *serverObs) rootSpan(name string) *obs.Span {
+	if o == nil {
+		return nil
+	}
+	return o.tracer.StartRoot("proc", name)
+}
+
 // Space exposes the underlying tuple space when the server runs on one
 // (the server process owns it, mirroring the centralized PLinda
 // server). It is nil for remote-mode servers.
@@ -257,6 +269,13 @@ func (s *Server) Store() tuplespace.TxnStore { return s.store }
 // name; this is PLinda's proc_eval. It returns an error if the name is
 // taken or the server is closed.
 func (s *Server) Spawn(name string, fn ProcFunc) error {
+	// The sampling decision is made once per logical process: every
+	// incarnation roots its span in this trace, or none is traced.
+	o := s.obs.Load()
+	var traceID obs.ID
+	if o != nil {
+		traceID = o.tracer.NewTrace()
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -267,10 +286,11 @@ func (s *Server) Spawn(name string, fn ProcFunc) error {
 		return fmt.Errorf("plinda: process %q already exists", name)
 	}
 	ps := &procState{
-		name:   name,
-		fn:     fn,
-		status: Dispatched,
-		done:   make(chan struct{}),
+		name:    name,
+		fn:      fn,
+		status:  Dispatched,
+		traceID: traceID,
+		done:    make(chan struct{}),
 	}
 	ps.ctx, ps.cancel = context.WithCancel(context.Background())
 	ps.gate = sync.NewCond(&s.mu)
@@ -278,13 +298,11 @@ func (s *Server) Spawn(name string, fn ProcFunc) error {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	if o := s.obs.Load(); o != nil {
+	if o != nil {
 		o.spawns.Inc()
 		o.procs.Add(1)
-		if o.tracer != nil {
-			o.tracer.Record("proc", "spawn", 0, "proc", name)
-		}
 	}
+	obs.Default().Debug("process spawned", "proc", name)
 	go s.run(ps)
 	return nil
 }
@@ -328,20 +346,16 @@ func (s *Server) run(ps *procState) {
 			store = session
 			ps.session = session
 		}
-		// The logical process's trace is allocated once (subject to the
-		// sample rate) and every incarnation roots a span in it, so the
-		// spans of a crashed incarnation and of its recovery respawn
-		// share a single trace.
-		if o != nil && ps.traceID == 0 {
-			ps.traceID = o.tracer.NewTrace()
-		}
-		traceID := ps.traceID
 		s.mu.Unlock()
 
+		// Every incarnation roots a span in the process's trace, so the
+		// spans of a crashed incarnation and of its recovery respawn
+		// share a single trace. The span carries the (re)spawn, and its
+		// end with its err the exit or the kill.
 		var rootSp *obs.Span
 		var sc obs.SpanContext
 		if o != nil {
-			rootSp = o.tracer.StartRootTrace(traceID, "proc", "incarnation",
+			rootSp = o.tracer.StartRootTrace(ps.traceID, "proc", "incarnation",
 				"proc", ps.name, "incarnation", inc)
 			if rootSp != nil {
 				sc = rootSp.Context()
@@ -386,7 +400,8 @@ func (s *Server) run(ps *procState) {
 			ps.status = Done
 			close(ps.done)
 			s.mu.Unlock()
-			s.recordExit(ps, Done, nil)
+			obs.Default().Debug("process exited", "proc", ps.name, "incarnation", ps.incarnation)
+			s.recordExit()
 			return
 		}
 		rs, _ := s.store.(retryableStore)
@@ -399,7 +414,7 @@ func (s *Server) run(ps *procState) {
 			s.mu.Unlock()
 			obs.Default().Error("process failed",
 				"proc", ps.name, "incarnation", ps.incarnation, "err", err.Error())
-			s.recordExit(ps, Failed, err)
+			s.recordExit()
 			return
 		}
 		// Failure handling: abort was already performed by the
@@ -412,9 +427,6 @@ func (s *Server) run(ps *procState) {
 		s.mu.Unlock()
 		if o := s.obs.Load(); o != nil {
 			o.respawns.Inc()
-			if o.tracer != nil {
-				o.tracer.Record("proc", "respawn", 0, "proc", ps.name, "incarnation", newInc)
-			}
 		}
 		obs.Default().Info("process respawned",
 			"proc", ps.name, "incarnation", newInc, "cause", err.Error())
@@ -426,20 +438,11 @@ func (s *Server) run(ps *procState) {
 	}
 }
 
-// recordExit instruments the terminal transition of a logical process.
-func (s *Server) recordExit(ps *procState, st Status, err error) {
-	o := s.obs.Load()
-	if o == nil {
-		return
-	}
-	o.exits.Inc()
-	o.procs.Add(-1)
-	if o.tracer != nil {
-		attrs := []any{"proc", ps.name, "status", st.String()}
-		if err != nil {
-			attrs = append(attrs, "err", err.Error())
-		}
-		o.tracer.Record("proc", "exit", 0, attrs...)
+// recordExit counts the terminal transition of a logical process.
+func (s *Server) recordExit() {
+	if o := s.obs.Load(); o != nil {
+		o.exits.Inc()
+		o.procs.Add(-1)
 	}
 }
 
@@ -484,9 +487,6 @@ func (s *Server) Kill(name string) error {
 	}
 	if o := s.obs.Load(); o != nil {
 		o.kills.Inc()
-		if o.tracer != nil {
-			o.tracer.Record("proc", "kill", 0, "proc", name, "incarnation", ps.incarnation)
-		}
 	}
 	obs.Default().Warn("process killed", "proc", name, "incarnation", ps.incarnation)
 	return nil
@@ -656,6 +656,9 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
+	o := s.obs.Load()
+	sp := o.rootSpan("checkpoint")
+	defer sp.End()
 	s.mu.Lock()
 	var conts []tuplespace.Tuple
 	for n, ps := range s.procs {
@@ -676,12 +679,11 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	if _, err := w.Write(b); err != nil {
 		return err
 	}
-	if o := s.obs.Load(); o != nil {
+	if o != nil {
 		o.checkpoints.Inc()
-		if o.tracer != nil {
-			o.tracer.Record("proc", "checkpoint", 0, "tuples", len(tuples), "continuations", len(conts))
-		}
 	}
+	sp.Annotate("tuples", len(tuples))
+	sp.Annotate("continuations", len(conts))
 	return nil
 }
 
@@ -695,6 +697,9 @@ func (s *Server) RestoreCheckpoint(r io.Reader) error {
 	if !ok {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
+	o := s.obs.Load()
+	sp := o.rootSpan("restore")
+	defer sp.End()
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return err
@@ -730,11 +735,10 @@ func (s *Server) RestoreCheckpoint(r io.Reader) error {
 		ps.continuation, ps.hasCont = byName[n]
 	}
 	s.mu.Unlock()
-	if o := s.obs.Load(); o != nil {
+	if o != nil {
 		o.restores.Inc()
-		if o.tracer != nil {
-			o.tracer.Record("proc", "restore", 0, "tuples", len(tuples), "continuations", len(conts))
-		}
 	}
+	sp.Annotate("tuples", len(tuples))
+	sp.Annotate("continuations", len(conts))
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"freepdm/internal/obs"
 	"freepdm/internal/tuplespace"
 )
 
@@ -336,6 +337,67 @@ func TestFailureRecovery(t *testing.T) {
 	}
 	if srv.Respawns() != 1 {
 		t.Fatalf("respawns=%d, want 1", srv.Respawns())
+	}
+}
+
+// TestRespawnKeepsSamplingDecision: a logical process is sampled once,
+// at Spawn. One unsampled at spawn stays untraced through a respawn even
+// when the sample rate has risen since; one sampled at spawn is traced
+// from its first incarnation on, every incarnation in one trace.
+func TestRespawnKeepsSamplingDecision(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	tracer := obs.NewTracer(256)
+	srv.Observe(obs.NewRegistry(), tracer)
+
+	// Incarnation 0 parks in In inside a transaction until it is killed;
+	// incarnation 1 takes the go tuple and exits.
+	parked := make(chan struct{}, 1)
+	proc := func(p *Proc) error {
+		if err := p.Xstart(); err != nil {
+			return err
+		}
+		if p.Incarnation() == 0 {
+			parked <- struct{}{}
+		}
+		if _, err := p.In("go", tuplespace.FormalInt); err != nil {
+			return err
+		}
+		return p.Xcommit()
+	}
+	killAndFinish := func(name string, rateAtSpawn float64) {
+		t.Helper()
+		tracer.SetSampleRate(rateAtSpawn)
+		if err := srv.Spawn(name, proc); err != nil {
+			t.Fatal(err)
+		}
+		<-parked
+		tracer.SetSampleRate(1)
+		if err := srv.Kill(name); err != nil {
+			t.Fatal(err)
+		}
+		srv.Space().Out(context.Background(), "go", 1)
+		if err := srv.Wait(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	killAndFinish("unsampled", 0)
+	if n := tracer.Total(); n != 0 {
+		t.Fatalf("a process unsampled at spawn left %d trace events after its respawn: %+v", n, tracer.Events())
+	}
+
+	killAndFinish("sampled", 1)
+	traces := map[obs.ID]bool{}
+	incarnations := map[any]bool{}
+	for _, e := range tracer.Events() {
+		traces[e.Trace] = true
+		if e.Kind == "proc" && e.Name == "incarnation" {
+			incarnations[e.Attrs["incarnation"]] = true
+		}
+	}
+	if len(traces) != 1 || !incarnations[0] || !incarnations[1] {
+		t.Fatalf("sampled process: %d traces, incarnation spans %v; want 1 trace with incarnations 0 and 1", len(traces), incarnations)
 	}
 }
 

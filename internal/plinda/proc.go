@@ -133,7 +133,6 @@ func (p *Proc) Xstart() error {
 			p.txnStart = time.Now()
 			o.xstarts.Inc()
 			if o.tracer != nil {
-				o.tracer.Record("txn", "begin", 0, "proc", p.st.name, "incarnation", p.incarnation)
 				// The transaction span lives from Xstart to its outcome;
 				// its name is settled at End (commit/abort), and it may be
 				// rebased onto the origin of the first traced take.
@@ -193,9 +192,8 @@ func (p *Proc) Xcommit(continuation ...any) error {
 		p.srv.commits++
 		p.srv.mu.Unlock()
 		if o := p.srv.obs.Load(); o != nil {
-			dur := p.txnDur()
 			o.commits.Inc()
-			o.txnDur.Observe(dur)
+			o.txnDur.Observe(p.txnDur())
 			name := "commit"
 			if cont != nil {
 				name = "continuation-commit"
@@ -205,14 +203,16 @@ func (p *Proc) Xcommit(continuation ...any) error {
 				sp.SetName(name)
 				sp.Annotate("outs", outs)
 				sp.End()
-			} else if o.tracer != nil {
-				o.tracer.Record("txn", name, dur, "proc", p.st.name, "outs", outs)
 			}
 		}
 	}
 	p.txnSp = nil
 	return nil
 }
+
+// Annotate adds an attribute to the open transaction's span. It is a
+// no-op outside a traced transaction.
+func (p *Proc) Annotate(key string, value any) { p.txnSp.Annotate(key, value) }
 
 // Xabort rolls the open transaction back: buffered outs are discarded
 // and every tuple the transaction removed is returned to the space.
@@ -238,16 +238,11 @@ func (p *Proc) abort() {
 	p.srv.aborts++
 	p.srv.mu.Unlock()
 	if o := p.srv.obs.Load(); o != nil {
-		dur := p.txnDur()
 		o.aborts.Inc()
-		o.txnDur.Observe(dur)
-		if sp != nil {
-			sp.SetName("abort")
-			sp.End()
-		} else if o.tracer != nil {
-			o.tracer.Record("txn", "abort", dur, "proc", p.st.name)
-		}
+		o.txnDur.Observe(p.txnDur())
 	}
+	sp.SetName("abort")
+	sp.End()
 }
 
 // Xrecover returns the continuation committed by the most recent

@@ -152,7 +152,7 @@ func benchTCPServer(b *testing.B) (addr string, stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ServeTCP(l, s) //nolint:errcheck
+		Serve(l, s) //nolint:errcheck
 	}()
 	return l.Addr().String(), func() {
 		l.Close()

@@ -332,10 +332,6 @@ func Serve(l net.Listener, be ServerBackend) error {
 	}
 }
 
-// ServeTCP serves a local space on the listener; it is Serve
-// specialized to the in-process backend.
-func ServeTCP(l net.Listener, s *Space) error { return Serve(l, s) }
-
 func serveConn(ns *netServer, conn net.Conn) {
 	// The registry is looked up per connection so backends observed
 	// after Serve still get wire metrics on new connections.
@@ -526,16 +522,11 @@ func (cs *connState) expire() {
 		cs.openTxns.Add(-1)
 	}
 	cs.cancelAll()
-	if cs.tracer != nil {
-		// The expiry event joins the session's trace when one is known,
-		// so a worker's disappearance shows up inside its own trace.
-		if sp := cs.tracer.StartChild(cs.sessionSC(), "net", "lease-expired"); sp != nil {
-			sp.Annotate("session", cs.sessionName())
-			sp.End()
-		} else {
-			cs.tracer.Record("net", "lease-expired", 0, "session", cs.sessionName())
-		}
-	}
+	// The expiry is logged, and is a span in the session's trace when
+	// one is known, so a worker's disappearance shows up inside it.
+	name := cs.sessionName()
+	obs.Default().Warn("lease expired", "session", name)
+	cs.tracer.StartChild(cs.sessionSC(), "net", "lease-expired", "session", name).End()
 }
 
 // sessionSC returns the span context associated with this session (the
@@ -586,7 +577,7 @@ func (cs *connState) mapErr(err error) *response {
 // no match returns nil and does nothing else.
 func (cs *connState) handle(req *request, ctx context.Context, poll bool) *response {
 	var start time.Time
-	if cs.reg != nil || cs.tracer != nil {
+	if cs.reg != nil {
 		start = time.Now()
 	}
 	parent := obs.SpanContext{Trace: obs.ID(req.Trace), Span: obs.ID(req.Span)}
@@ -599,17 +590,12 @@ func (cs *connState) handle(req *request, ctx context.Context, poll bool) *respo
 	if resp == nil {
 		return nil
 	}
-	if !start.IsZero() {
-		d := time.Since(start)
-		if cs.reg != nil && req.Op < opMax {
-			cs.hists[req.Op].Observe(d)
-		}
-		if sp != nil {
-			sp.Annotate("ok", resp.Err == "")
-			sp.End()
-		} else {
-			cs.tracer.Record("net", opName(req.Op), d, "ok", resp.Err == "")
-		}
+	if cs.reg != nil && req.Op < opMax {
+		cs.hists[req.Op].Observe(time.Since(start))
+	}
+	if sp != nil {
+		sp.Annotate("ok", resp.Err == "")
+		sp.End()
 	}
 	return resp
 }

@@ -26,7 +26,7 @@ func startServer(t *testing.T) (*Space, string, func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ServeTCP(l, s) //nolint:errcheck
+		Serve(l, s) //nolint:errcheck
 	}()
 	return s, l.Addr().String(), func() {
 		l.Close()
@@ -277,27 +277,30 @@ func TestNetWireMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Out(context.Background(), "w", 42); err != nil {
-		t.Fatal(err)
+	ops := func(ctx context.Context) {
+		if err := c.Out(ctx, "w", 42); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.In(ctx, "w", FormalInt); err != nil {
+			t.Fatal(err)
+		}
+		// A transaction of a take and a commit is two frames: the begin
+		// rides the take.
+		if err := c.Out(ctx, "w", 43); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := tx.Inp(ctx, "w", FormalInt); err != nil || !ok {
+			t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
+		}
+		if err := tx.Commit(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := c.In(context.Background(), "w", FormalInt); err != nil {
-		t.Fatal(err)
-	}
-	// A transaction of a take and a commit is two frames: the begin
-	// rides the take.
-	if err := c.Out(context.Background(), "w", 43); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := tx.Inp(context.Background(), "w", FormalInt); err != nil || !ok {
-		t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
-	}
-	if err := tx.Commit(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
+	ops(context.Background())
 	snap := reg.Snapshot()
 	if snap.Counters["net.conns"] != 1 {
 		t.Fatalf("net.conns=%d want 1", snap.Counters["net.conns"])
@@ -324,8 +327,18 @@ func TestNetWireMetrics(t *testing.T) {
 	if b, c := snap.Counters["net.txn_begins"], snap.Counters["net.txn_commits"]; b != 1 || c != 1 {
 		t.Errorf("%d transactions begun and %d committed, want 1 of each", b, c)
 	}
+	// Untraced requests leave no trace events; traced ones are each one
+	// server span in the caller's trace.
+	if n := tr.Total(); n != 0 {
+		t.Fatalf("untraced requests recorded %d trace events, want 0", n)
+	}
+	root := tr.StartRoot("test", "root")
+	ops(obs.ContextWith(context.Background(), root.Context()))
 	var netEvents int
 	for _, e := range tr.Events() {
+		if e.Trace != root.Context().Trace || e.Span == 0 {
+			t.Fatalf("event %s/%s outside the caller's trace: %+v", e.Kind, e.Name, e)
+		}
 		if e.Kind == "net" {
 			netEvents++
 		}

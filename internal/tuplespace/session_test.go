@@ -19,7 +19,7 @@ func startSessionServer(t *testing.T) (*Space, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ServeTCP(ln, s) //nolint:errcheck
+	go Serve(ln, s) //nolint:errcheck
 	t.Cleanup(func() {
 		ln.Close()
 		s.Close()

@@ -677,9 +677,6 @@ func (s *Space) out(t Tuple, org obs.SpanContext) error {
 	sh.mu.Unlock()
 	if o != nil {
 		o.outs.Inc()
-		if o.tracer != nil {
-			o.tracer.Record("tuple", "out", 0, "arity", len(t))
-		}
 	}
 	return nil
 }
@@ -793,8 +790,6 @@ func (s *Space) poll(ctx context.Context, tm Template, take bool) (stored, bool,
 			if sp := o.tracer.StartChild(obs.FromContext(ctx), "tuple", op); sp != nil {
 				sp.Annotate("matched", ok)
 				sp.End()
-			} else {
-				o.tracer.Record("tuple", op, 0, "matched", ok)
 			}
 		}
 	}
@@ -875,10 +870,8 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 			o.rds.Inc()
 		}
 	}
-	// When the caller's context carries a span context and a tracer is
-	// attached, the match attempt (and any block under it) is recorded
-	// as a span under that parent; otherwise the flat trace events are
-	// kept, so untraced callers see exactly the old event stream.
+	// The match attempt (and any block under it) is traced as a span
+	// under the caller's span context, or not at all.
 	var sp *obs.Span
 	if o != nil && o.tracer != nil {
 		sp = o.tracer.StartChild(obs.FromContext(ctx), "tuple", op)
@@ -900,15 +893,13 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 			sp.Annotate("blocked", false)
 			sp.Annotate("shard", sh.idx)
 			sp.End()
-		} else if o != nil && o.tracer != nil {
-			o.tracer.Record("tuple", op, 0, "blocked", false)
 		}
 		return st, nil
 	}
 	w := &waiter{ct: ct, take: take, ch: make(chan stored, 1)}
 	sh.waiters = append(sh.waiters, w)
 	sh.mu.Unlock()
-	return s.block(ctx, sh, w, op, o, sp)
+	return s.block(ctx, sh, w, o, sp)
 }
 
 // block parks the caller on its waiter channel until an Out delivers a
@@ -917,7 +908,7 @@ func (s *Space) wait(ctx context.Context, tm Template, take bool) (stored, error
 // if the claim fails a delivery (or Close) won the race and the
 // channel resolves immediately — the tuple wins over cancellation so
 // no take is lost.
-func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *spaceObs, sp *obs.Span) (stored, error) {
+func (s *Space) block(ctx context.Context, sh *shard, w *waiter, o *spaceObs, sp *obs.Span) (stored, error) {
 	if o != nil {
 		o.blocked.Inc()
 	}
@@ -939,35 +930,29 @@ func (s *Space) block(ctx context.Context, sh *shard, w *waiter, op string, o *s
 		w.removed = true
 		sh.mu.Unlock()
 		if claimed {
-			waited := time.Since(blockedAt)
 			if o != nil {
-				o.wait.Observe(waited)
-				if sp != nil {
-					bsp.Annotate("canceled", true)
-					bsp.End()
-					sp.Annotate("blocked", true)
-					sp.Annotate("canceled", true)
-					sp.End()
-				} else if o.tracer != nil {
-					o.tracer.Record("tuple", op, waited, "blocked", true, "canceled", true)
-				}
+				o.wait.Observe(time.Since(blockedAt))
+			}
+			if sp != nil {
+				bsp.Annotate("canceled", true)
+				bsp.End()
+				sp.Annotate("blocked", true)
+				sp.Annotate("canceled", true)
+				sp.End()
 			}
 			return stored{}, ctx.Err()
 		}
 		st, ok = <-w.ch
 	}
-	waited := time.Since(blockedAt)
 	if o != nil {
-		o.wait.Observe(waited)
-		if sp != nil {
-			bsp.Annotate("woken", ok)
-			bsp.End()
-			sp.Annotate("blocked", true)
-			sp.Annotate("woken", ok)
-			sp.End()
-		} else if o.tracer != nil {
-			o.tracer.Record("tuple", op, waited, "blocked", true, "woken", ok)
-		}
+		o.wait.Observe(time.Since(blockedAt))
+	}
+	if sp != nil {
+		bsp.Annotate("woken", ok)
+		bsp.End()
+		sp.Annotate("blocked", true)
+		sp.Annotate("woken", ok)
+		sp.End()
 	}
 	if !ok {
 		return stored{}, ErrClosed

@@ -266,24 +266,29 @@ func TestObserveMetricsAndTrace(t *testing.T) {
 	tr := obs.NewTracer(64)
 	s.Observe(reg, tr)
 
-	s.Out(context.Background(), "m", 1)
-	s.Out(context.Background(), "m", 2)
-	s.Inp(context.Background(), "m", FormalInt)
-	s.Rdp(context.Background(), "m", FormalInt)
-	s.In(context.Background(), "m", FormalInt) // immediate
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Rd(context.Background(), "m", FormalInt) // blocks until the Out below
-	}()
-	for reg.Counter("ts.blocked").Value() == 0 {
-		time.Sleep(time.Millisecond)
+	ops := func(ctx context.Context) {
+		s.Out(ctx, "m", 1)
+		s.Out(ctx, "m", 2)
+		s.Inp(ctx, "m", FormalInt)
+		s.Rdp(ctx, "m", FormalInt)
+		s.In(ctx, "m", FormalInt) // immediate
+		blocked := reg.Counter("ts.blocked").Value()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Rd(ctx, "m", FormalInt) // blocks until the Out below
+		}()
+		for reg.Counter("ts.blocked").Value() == blocked {
+			time.Sleep(time.Millisecond)
+		}
+		s.Out(ctx, "m", 3)
+		<-done
+		s.In(ctx, "m", FormalInt) // leave the space empty for the next run
 	}
-	s.Out(context.Background(), "m", 3)
-	<-done
+	ops(context.Background())
 
 	snap := reg.Snapshot()
-	want := map[string]int64{"ts.out": 3, "ts.inp": 1, "ts.rdp": 1, "ts.in": 1, "ts.rd": 1, "ts.blocked": 1}
+	want := map[string]int64{"ts.out": 3, "ts.inp": 1, "ts.rdp": 1, "ts.in": 2, "ts.rd": 1, "ts.blocked": 1}
 	for name, n := range want {
 		if snap.Counters[name] != n {
 			t.Fatalf("%s=%d want %d (all: %v)", name, snap.Counters[name], n, snap.Counters)
@@ -295,14 +300,23 @@ func TestObserveMetricsAndTrace(t *testing.T) {
 	if snap.Histograms["ts.wait"].Count != 1 {
 		t.Fatalf("wait histogram %+v, want one observation", snap.Histograms["ts.wait"])
 	}
-	var ops int
-	for _, e := range tr.Events() {
-		if e.Kind == "tuple" {
-			ops++
-		}
+	// Untraced operations leave no trace events. Traced ones are spans
+	// in the caller's trace: every take and read, and the blocked Rd's
+	// block; an Out stamps its tuple but is no span of its own.
+	if n := tr.Total(); n != 0 {
+		t.Fatalf("untraced ops recorded %d trace events, want 0", n)
 	}
-	if ops != 7 {
-		t.Fatalf("traced %d tuple events, want 7", ops)
+	root := tr.StartRoot("test", "root")
+	ops(obs.ContextWith(context.Background(), root.Context()))
+	var spans int
+	for _, e := range tr.Events() {
+		if e.Kind != "tuple" || e.Trace != root.Context().Trace || e.Span == 0 {
+			t.Fatalf("event %s/%s is not a tuple span in the caller's trace: %+v", e.Kind, e.Name, e)
+		}
+		spans++
+	}
+	if spans != 6 {
+		t.Fatalf("traced %d tuple spans, want 6 (inp, rdp, in, block, rd, in)", spans)
 	}
 }
 
