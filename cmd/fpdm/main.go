@@ -7,9 +7,8 @@
 // With -debug-addr, live metrics, the operation trace, and pprof are
 // served while experiments run, at /debug/metrics, /debug/trace and
 // /debug/pprof/ on the given address, with a Prometheus text
-// exposition at /metrics. -trace-sample, -slow-op and -log-json
-// control trace sampling, the slow-operation log, and JSON-lines
-// structured logging.
+// exposition at /metrics. -log-json turns on JSON-lines structured
+// logging.
 package main
 
 import (
@@ -23,8 +22,6 @@ import (
 
 func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/metrics, /debug/trace and pprof on this address (e.g. localhost:6060)")
-	traceSample := flag.Float64("trace-sample", 1, "fraction of new traces to sample, 0..1")
-	slowOp := flag.Duration("slow-op", 0, "log every span at least this long as a slow op (0 disables)")
 	logJSON := flag.String("log-json", "", "write JSON-lines structured logs to stderr at this level (debug|info|warn|error)")
 	flag.Usage = usage
 	flag.Parse()
@@ -39,10 +36,6 @@ func main() {
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		tracer := obs.NewTracer(4096)
-		tracer.SetSampleRate(*traceSample)
-		if *slowOp > 0 {
-			tracer.SetSlowOp(*slowOp, nil)
-		}
 		experiments.SetObserver(reg, tracer)
 		ds, err := obs.ServeDebug(*debugAddr, reg, tracer)
 		if err != nil {

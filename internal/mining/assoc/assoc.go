@@ -372,12 +372,13 @@ func Rules(frequent []FrequentSet, minConf float64) []Rule {
 
 // GenerateDB creates a synthetic market-basket database with planted
 // co-occurring item groups, in the spirit of the K-mart example of
-// section 2.2.1.
+// section 2.2.1. Group items lie in [0, items).
 func GenerateDB(txns, items int, groups [][]int, groupProb float64, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
-	db := &DB{Items: items}
+	db := &DB{Items: items, Txns: make([]Itemset, 0, txns)}
+	in := make([]bool, items)
+	var buf Itemset
 	for t := 0; t < txns; t++ {
-		in := map[int]bool{}
 		// Background noise: each item independently with low probability.
 		for it := 0; it < items; it++ {
 			if rng.Float64() < 0.05 {
@@ -391,12 +392,14 @@ func GenerateDB(txns, items int, groups [][]int, groupProb float64, seed int64) 
 				}
 			}
 		}
-		var txn Itemset
-		for it := range in {
-			txn = append(txn, it)
+		buf = buf[:0]
+		for it, ok := range in {
+			if ok {
+				buf = append(buf, it)
+				in[it] = false
+			}
 		}
-		sort.Ints(txn)
-		db.Txns = append(db.Txns, txn)
+		db.Txns = append(db.Txns, append(Itemset(nil), buf...))
 	}
 	return db
 }

@@ -1,6 +1,8 @@
 package assoc
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -255,6 +257,33 @@ func TestGenerateDBPlantsGroups(t *testing.T) {
 	for _, txn := range db.Txns {
 		if !sort.IntsAreSorted(txn) {
 			t.Fatalf("unsorted transaction %v", txn)
+		}
+	}
+}
+
+// TestGenerateDBPinned pins GenerateDB's output, the SHA-256 of its
+// transactions' keys in order, at the benchmark's apriori shape for two
+// seeds and at the a.prefixtree ablation's: a change to the generator
+// must leave every database it builds as it was.
+func TestGenerateDBPinned(t *testing.T) {
+	bench := [][]int{{0, 2, 4}, {5, 6, 7, 8}, {10, 11, 12}, {3, 9, 13, 14}}
+	ablation := [][]int{{0, 1, 2}, {5, 6}, {10, 11, 12}, {15, 16, 17, 18}}
+	for _, c := range []struct {
+		txns   int
+		groups [][]int
+		seed   int64
+		want   string
+	}{
+		{20000, bench, 42, "bc0e0e146c69522f9502d35432df24a624ce1885df4f241ff976af8968db8774"},
+		{20000, bench, 7, "a60df3784eb061208d256478eae0466604bb2496d1e51fe5278e850b2a432883"},
+		{4000, ablation, 7, "23c1334bc06e6b51a0c3af14307b54f48c78af8d52a095681dfc97206e4cf53d"},
+	} {
+		h := sha256.New()
+		for _, txn := range GenerateDB(c.txns, 24, c.groups, 0.3, c.seed).Txns {
+			h.Write([]byte(txn.Key()))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("GenerateDB(%d, 24, %v, 0.3, %d) hashes to %s, want %s", c.txns, c.groups, c.seed, got, c.want)
 		}
 	}
 }

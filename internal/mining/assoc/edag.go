@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"freepdm/internal/core"
 )
@@ -11,19 +12,34 @@ import (
 // parent with a larger item (unique parent = remove the largest item);
 // immediate subpatterns are all (k-1)-subsets; goodness is support;
 // good means support >= the minimum.
+//
+// NewProblem snapshots DB: mutating DB.Txns afterwards is unsupported,
+// because Goodness counts from the snapshot, not from DB.Txns.
 type Problem struct {
 	DB         *DB
 	MinSupport int
-	total      int // summed length of DB.Txns, for Cost
+	txns       int      // len(DB.Txns), the root's support
+	total      int      // summed length of DB.Txns, for Cost
+	words      int      // ceil(txns/64), the length of one column
+	cols       []uint64 // item i's column is cols[i*words : (i+1)*words]
 }
 
-// NewProblem binds the framework adapter to a database.
+// NewProblem binds the framework adapter to a database and builds its
+// vertical index: one bitmap per item, bit t set when transaction t
+// contains the item. Items outside [0, db.Items) are in no pattern and
+// get no column.
 func NewProblem(db *DB, minSupport int) *Problem {
-	pr := &Problem{DB: db, MinSupport: minSupport}
-	for _, t := range db.Txns {
-		pr.total += len(t)
+	words := (len(db.Txns) + 63) / 64
+	cols, total := make([]uint64, db.Items*words), 0
+	for t, txn := range db.Txns {
+		total += len(txn)
+		for _, it := range txn {
+			if uint(it) < uint(db.Items) {
+				cols[it*words+t/64] |= 1 << uint(t%64)
+			}
+		}
 	}
-	return pr
+	return &Problem{DB: db, MinSupport: minSupport, txns: len(db.Txns), total: total, words: words, cols: cols}
 }
 
 type pattern struct{ s Itemset }
@@ -82,13 +98,22 @@ func (pr *Problem) Subpatterns(p core.Pattern) []core.Pattern {
 	return out
 }
 
-// Goodness implements core.Problem: the support of the itemset.
+// Goodness implements core.Problem: the support of the itemset, a
+// popcount of the AND of its items' columns, equal to DB.Support.
 func (pr *Problem) Goodness(p core.Pattern) float64 {
 	s := p.(pattern).s
 	if len(s) == 0 {
-		return float64(len(pr.DB.Txns))
+		return float64(pr.txns)
 	}
-	return float64(pr.DB.Support(s))
+	cols, words, c := pr.cols, pr.words, 0
+	for w := 0; w < words; w++ {
+		x := cols[s[0]*words+w]
+		for _, it := range s[1:] {
+			x &= cols[it*words+w]
+		}
+		c += bits.OnesCount64(x)
+	}
+	return float64(c)
 }
 
 // Good implements core.Problem.
@@ -99,8 +124,9 @@ func (pr *Problem) Good(p core.Pattern, goodness float64) bool {
 	return int(goodness) >= pr.MinSupport
 }
 
-// Cost implements core.CostModel: support counting scans the database
-// once per pattern.
+// Cost implements core.CostModel with the reference machine's support
+// count of section 2.2.5, one scan of the database per pattern
+// (DB.Support); Goodness's bitmap count is cheaper.
 func (pr *Problem) Cost(p core.Pattern) float64 {
 	return float64(pr.total) * float64(p.Len()+1) * 1e-7
 }

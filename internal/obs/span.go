@@ -144,17 +144,6 @@ func (t *Tracer) StartChild(parent SpanContext, kind, name string, attrs ...any)
 	}
 }
 
-// StartSpan begins a child of the span context carried by ctx and
-// returns the derived context carrying the new span. When ctx carries
-// no sampled context the span is nil and ctx is returned unchanged.
-func (t *Tracer) StartSpan(ctx context.Context, kind, name string, attrs ...any) (*Span, context.Context) {
-	sp := t.StartChild(FromContext(ctx), kind, name, attrs...)
-	if sp == nil {
-		return nil, ctx
-	}
-	return sp, ContextWith(ctx, sp.sc)
-}
-
 // Context returns the span's identity for propagation (zero when nil).
 func (s *Span) Context() SpanContext {
 	if s == nil {

@@ -84,17 +84,8 @@ func TestSpanContextPropagation(t *testing.T) {
 	if got := FromContext(ctx); got != root.Context() {
 		t.Fatalf("FromContext = %v, want %v", got, root.Context())
 	}
-	sp, ctx2 := tr.StartSpan(ctx, "tuple", "in")
-	if sp == nil {
-		t.Fatal("StartSpan under a valid parent returned nil")
-	}
-	if FromContext(ctx2) != sp.Context() {
-		t.Fatal("StartSpan ctx does not carry the child context")
-	}
-	// No parent in ctx: nil span, unchanged ctx.
-	sp2, ctx3 := tr.StartSpan(context.Background(), "tuple", "in")
-	if sp2 != nil || FromContext(ctx3).Valid() {
-		t.Fatal("StartSpan without a parent must be a no-op")
+	if FromContext(context.Background()).Valid() {
+		t.Fatal("a context without a span carries a valid span context")
 	}
 }
 
