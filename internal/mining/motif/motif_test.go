@@ -236,3 +236,33 @@ func BenchmarkDiscoverSmallCorpus(b *testing.B) {
 		Discover(seqs, Params{MinOccur: 5, MaxMut: 0, MinLength: 4, MaxLength: 8})
 	}
 }
+
+// evalRecorder records the patterns a traversal asks Goodness about.
+type evalRecorder struct {
+	*Problem
+	evaluated []core.Pattern
+}
+
+func (r *evalRecorder) Goodness(p core.Pattern) float64 {
+	r.evaluated = append(r.evaluated, p)
+	return r.Problem.Goodness(p)
+}
+
+// BenchmarkGoodnessMotifMut: one op is one Goodness call on each pattern
+// SolveSequential evaluates on the benchmark's motif_mut input (seed 42,
+// 120 residues, table 4.2 setting 2 with MinSeedSeqs 5).
+func BenchmarkGoodnessMotifMut(b *testing.B) {
+	spec := seq.CyclinsSpec(42)
+	spec.Length = 120
+	rec := &evalRecorder{Problem: NewProblem(spec.Generate(),
+		Params{MinOccur: 12, MaxMut: 4, MinLength: 16, MaxLength: 24, MinSeedSeqs: 5})}
+	core.SolveSequential(rec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range rec.evaluated {
+			rec.Problem.Goodness(p)
+		}
+	}
+	b.ReportMetric(float64(len(rec.evaluated)), "calls/op")
+}

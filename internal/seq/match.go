@@ -63,12 +63,24 @@ func (m Motif) MatchesWithin(s string, mut int) bool {
 // A last block shorter than 64 is read at row 64 all the same: its rows
 // past the segment match no letter, and each such row adds exactly one
 // to the running minimum of the row above, so the steps are the same.
+//
+// A motif of one segment of at most 64 letters, the shape of every
+// Goodness call of a mutation-tolerant discovery run, is one block with
+// no neighbour; it goes to occurrenceNo1, which keeps the column in
+// registers.
 func (m Motif) OccurrenceNo(seqs []string, mut int) int {
-	if l := m.Len(); l == 0 || l <= mut { // row 0 and column 0 already cost l
+	l := m.Len()
+	if l == 0 || l <= mut { // row 0 and column 0 already cost l
 		return len(seqs)
 	}
-	var one [1]block // a segment of up to 64 letters takes no heap
-	bs := one[:0]
+	if len(m.Segments) == 1 && l <= 64 {
+		return occurrenceNo1(m.Segments[0], seqs, mut)
+	}
+	n := 0
+	for _, seg := range m.Segments {
+		n += (len(seg) + 63) / 64
+	}
+	bs := make([]block, 0, n) // the one allocation of a call
 	for _, seg := range m.Segments {
 		for lo := 0; lo < len(seg); lo += 64 {
 			var b block
@@ -104,6 +116,30 @@ func (m Motif) OccurrenceNo(seqs []string, mut int) int {
 			}
 		}
 		if last.run <= mut {
+			c++
+		}
+	}
+	return c
+}
+
+// occurrenceNo1 is OccurrenceNo for a single segment of 1 to 64 letters
+// longer than mut: one block whose row 0 is all zeros, so no delta
+// enters it, and whose running minimum falls to mut exactly when the
+// score read at row 64 does, so the score is all it keeps.
+func occurrenceNo1(seg string, seqs []string, mut int) int {
+	var peq [256]uint64
+	for i := range len(seg) {
+		peq[seg[i]] |= 1 << i
+	}
+	c := 0
+	for _, s := range seqs {
+		pv, mv, score := ^uint64(0), uint64(0), len(seg)
+		for j := 0; j < len(s) && score > mut; j++ {
+			var hp, hm uint64
+			pv, mv, hp, hm = advance(pv, mv, peq[s[j]], 0, 0)
+			score += int(hp) - int(hm)
+		}
+		if score <= mut {
 			c++
 		}
 	}

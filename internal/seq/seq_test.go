@@ -598,19 +598,69 @@ func FuzzOccurrenceNo(f *testing.F) {
 	})
 }
 
+// mutCorpus is the benchmark's motif_mut corpus at seed: the cyclins
+// family at 120 residues a sequence.
+func mutCorpus(seed int64) []string {
+	spec := CyclinsSpec(seed)
+	spec.Length = 120
+	return spec.Generate()
+}
+
+// TestOccurrenceNoOnMutCorpus holds the kernel to the DP oracle on the
+// inputs a motif_mut run gives it: single segments of 1 to 24 letters cut
+// from the corpus itself, so planted regions and near matches occur, over
+// the whole corpus at budgets 0 to 5.
+func TestOccurrenceNoOnMutCorpus(t *testing.T) {
+	stride := 7
+	if testing.Short() {
+		stride = 29
+	}
+	for _, seed := range []int64{42, 7} {
+		seqs := mutCorpus(seed)
+		for l := 1; l <= 24; l++ {
+			for k := 0; k < len(seqs); k += stride {
+				s := seqs[k]
+				lo := (k*13 + l*5) % (len(s) - l)
+				m := Motif{Segments: []string{s[lo : lo+l]}}
+				for mut := 0; mut <= 5; mut++ {
+					want := 0
+					for _, x := range seqs {
+						if matchesWithinDP(m, x, mut) {
+							want++
+						}
+					}
+					if got := m.OccurrenceNo(seqs, mut); got != want {
+						t.Fatalf("seed %d: %s within %d: OccurrenceNo %d, DP %d", seed, m, mut, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestOccurrenceNoAllocs: the kernel takes nothing from the heap for a
 // single segment of up to 64 letters, the shape every Goodness call of a
 // motif_mut run asks about, over the benchmark's motif_mut corpus (seed
-// 42, sequences cut to 120 residues).
+// 42, 120 residues); a longer or multi-segment motif allocates its blocks
+// once a call.
 func TestOccurrenceNoAllocs(t *testing.T) {
-	seqs := CyclinsSpec(42).Generate()
-	for i, s := range seqs {
-		seqs[i] = s[:120]
-	}
-	for _, l := range []int{1, 5, 16, 24, 63, 64} {
-		m := Motif{Segments: []string{strings.Repeat("SLEYKLLPETLYLAISYVDRYPSK", 3)[:l]}}
-		if got := testing.AllocsPerRun(20, func() { m.OccurrenceNo(seqs, 4) }); got != 0 {
-			t.Errorf("OccurrenceNo of a %d-letter segment allocates %v times, want 0", l, got)
+	seqs := mutCorpus(42)
+	long := strings.Repeat("SLEYKLLPETLYLAISYVDRYPSK", 3)
+	for _, c := range []struct {
+		m    Motif
+		want float64
+	}{
+		{Motif{Segments: []string{long[:1]}}, 0},
+		{Motif{Segments: []string{long[:5]}}, 0},
+		{Motif{Segments: []string{long[:16]}}, 0},
+		{Motif{Segments: []string{long[:24]}}, 0},
+		{Motif{Segments: []string{long[:63]}}, 0},
+		{Motif{Segments: []string{long[:64]}}, 0},
+		{Motif{Segments: []string{long[:65]}}, 1},
+		{Motif{Segments: []string{long[:12], long[24:36]}}, 1},
+	} {
+		if got := testing.AllocsPerRun(20, func() { c.m.OccurrenceNo(seqs, 4) }); got != c.want {
+			t.Errorf("OccurrenceNo of %s allocates %v times, want %v", c.m, got, c.want)
 		}
 	}
 }
@@ -639,6 +689,18 @@ func BenchmarkBuildGSTCyclins(b *testing.B) {
 func BenchmarkOccurrenceNoMut4(b *testing.B) {
 	seqs := CyclinsSpec(1).Generate()
 	m := ParseMotif("*SLEYKLLPETLYLAISY*")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.OccurrenceNo(seqs, 4)
+	}
+}
+
+// BenchmarkOccurrenceNoTwoSegment times the block loop, which every motif
+// of more than one segment or more than 64 letters takes.
+func BenchmarkOccurrenceNoTwoSegment(b *testing.B) {
+	seqs := CyclinsSpec(1).Generate()
+	m := ParseMotif("*SLEYKLLPET*TDNTYSQQEV*")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
