@@ -342,31 +342,12 @@ func Window(d *dataset.Dataset, idx []int, cfg Config, rng *rand.Rand) *classify
 	}
 }
 
-// TrainTrials runs the windowing technique for the given number of
-// trials and returns the tree with the fewest pessimistic predicted
+// TrainTrialsSeeded runs the windowing technique for the given number
+// of trials and returns the tree with the fewest pessimistic predicted
 // errors on the full training set, which is what C4.5's -t option
-// reports as the best of the trial trees.
-func TrainTrials(d *dataset.Dataset, idx []int, trials int, cfg Config, rng *rand.Rand) *classify.Tree {
-	cfg = cfg.withDefaults()
-	if trials < 1 {
-		trials = 1
-	}
-	var best *classify.Tree
-	bestErr := math.Inf(1)
-	for t := 0; t < trials; t++ {
-		tree := Window(d, idx, cfg, rng)
-		errs := float64(len(idx)) - float64(len(idx))*tree.Accuracy(d, idx)
-		if errs < bestErr {
-			bestErr = errs
-			best = tree
-		}
-	}
-	return best
-}
-
-// TrainTrialsSeeded is TrainTrials with one private RNG per trial
-// (seeded base+trial), so sequential and parallel executions of the
-// same trials produce identical trees regardless of scheduling.
+// reports as the best of the trial trees. Each trial has a private RNG
+// seeded base+trial, so sequential and parallel executions of the same
+// trials produce identical trees regardless of scheduling.
 func TrainTrialsSeeded(d *dataset.Dataset, idx []int, trials int, cfg Config, base int64) *classify.Tree {
 	cfg = cfg.withDefaults()
 	if trials < 1 {

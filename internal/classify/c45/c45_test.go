@@ -119,7 +119,7 @@ func TestTrainTrialsPicksATree(t *testing.T) {
 	d, _ := dataset.Benchmark("vote", 12)
 	rng := rand.New(rand.NewSource(12))
 	train, test := d.StratifiedHalves(rng)
-	tree := TrainTrials(d, train, 3, Config{}, rng)
+	tree := TrainTrialsSeeded(d, train, 3, Config{}, 12)
 	if acc := tree.Accuracy(d, test); acc < 0.85 {
 		t.Fatalf("trials accuracy %.3f", acc)
 	}

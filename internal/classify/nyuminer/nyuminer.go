@@ -181,21 +181,6 @@ func (s *Selector) categoricalSplit(d *dataset.Dataset, idx []int, attr int) (*c
 	}, bestImp
 }
 
-// SelectAttr implements classify.AttrSelector: the optimal sub-K-ary
-// split of one attribute and its aggregate impurity, enabling
-// classify.ParallelSelector to evaluate attributes concurrently.
-func (s *Selector) SelectAttr(d *dataset.Dataset, idx []int, attr int) (*classify.Split, float64) {
-	if d.Attrs[attr].Kind == dataset.Numeric {
-		return s.numericSplit(d, idx, attr)
-	}
-	return s.categoricalSplit(d, idx, attr)
-}
-
-// LeafScore implements classify.AttrSelector: the node's own impurity.
-func (s *Selector) LeafScore(d *dataset.Dataset, idx []int) float64 {
-	return classify.ImpurityOfCounts(s.cfg.Impurity, d.ClassHistogram(idx))
-}
-
 // Grow builds a full (unpruned) NyuMiner tree.
 func Grow(d *dataset.Dataset, idx []int, cfg Config) *classify.Tree {
 	cfg = cfg.withDefaults()

@@ -348,24 +348,6 @@ func BenchmarkGrowDiabetes(b *testing.B) {
 	}
 }
 
-func TestParallelSelectorGrowsIdenticalTree(t *testing.T) {
-	d, _ := dataset.Benchmark("german", 41)
-	idx := d.AllIndexes()[:400]
-	cfg := Config{}.withDefaults()
-	seqTree := classify.Grow(d, idx, NewSelector(cfg), classify.GrowOptions{})
-	parSel := &classify.ParallelSelector{Inner: NewSelector(cfg), Workers: 4}
-	parTree := classify.Grow(d, idx, parSel, classify.GrowOptions{})
-	if seqTree.Nodes() != parTree.Nodes() || seqTree.Leaves() != parTree.Leaves() {
-		t.Fatalf("tree shapes differ: %d/%d nodes, %d/%d leaves",
-			seqTree.Nodes(), parTree.Nodes(), seqTree.Leaves(), parTree.Leaves())
-	}
-	for _, ins := range d.Instances {
-		if seqTree.Classify(ins.Vals) != parTree.Classify(ins.Vals) {
-			t.Fatal("trees classify differently")
-		}
-	}
-}
-
 // TestRecursiveBinarySuboptimal exhibits the section 5.2 claim: the
 // greedy recursive-binary scheme can miss the optimal multi-way split
 // that NyuMiner's dynamic program finds.

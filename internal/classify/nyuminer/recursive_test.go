@@ -11,9 +11,8 @@ import (
 // (the Fayyad–Irani greedy scheme section 5.2 discusses), against
 // which NyuMiner's dynamic program is provably optimal: "the
 // repetitive binarization of a variable cannot guarantee an optimal
-// multi-way split even if each binary split is optimal". The function
-// exists for the a.recursive ablation and the tests that exhibit
-// concrete counterexamples.
+// multi-way split even if each binary split is optimal". It is the
+// comparator of TestRecursiveBinaryNeverBeatsDP.
 //
 // It returns the impurity of the best split into at most k intervals
 // obtainable greedily: at each step, the interval whose optimal binary

@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -247,83 +245,5 @@ func TestPropertyFoldComplement(t *testing.T) {
 func BenchmarkGenerateSatimage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Benchmark("satimage", int64(i))
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d, _ := Benchmark("german", 31) // numeric + categorical mix
-	d.Instances = d.Instances[:50]
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV("german", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != d.Len() || got.NumAttrs() != d.NumAttrs() || len(got.Classes) != len(d.Classes) {
-		t.Fatalf("shape mismatch: %d/%d attrs, %d/%d rows", got.NumAttrs(), d.NumAttrs(), got.Len(), d.Len())
-	}
-	for i := range d.Instances {
-		if got.Class(i) != d.Class(i) {
-			t.Fatalf("row %d class mismatch", i)
-		}
-		for a := range d.Attrs {
-			x, y := d.Value(i, a), got.Value(i, a)
-			if IsMissing(x) != IsMissing(y) {
-				t.Fatalf("row %d attr %d missing mismatch", i, a)
-			}
-			if !IsMissing(x) && math.Abs(x-y) > 1e-12 {
-				t.Fatalf("row %d attr %d: %v vs %v", i, a, x, y)
-			}
-		}
-	}
-}
-
-func TestCSVRoundTripMissingValues(t *testing.T) {
-	d, _ := Benchmark("vote", 32)
-	d.Instances = d.Instances[:30]
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV("vote", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	miss := 0
-	for i := range got.Instances {
-		for a := range got.Attrs {
-			if IsMissing(got.Value(i, a)) {
-				miss++
-			}
-		}
-	}
-	want := 0
-	for i := range d.Instances {
-		for a := range d.Attrs {
-			if IsMissing(d.Value(i, a)) {
-				want++
-			}
-		}
-	}
-	if miss != want {
-		t.Fatalf("missing count %d, want %d", miss, want)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                         // no header
-		"a\n1\n",                   // no class column marker
-		"a,class{x|y}\nnotnum,x\n", // bad numeric
-		"a,class{x|y}\n1,z\n",      // unknown class
-		"c{u|v},class{x|y}\nw,x\n", // unknown category value
-		"a,class{x|y}\n1,2,3\n",    // wrong arity
-	}
-	for _, in := range cases {
-		if _, err := ReadCSV("bad", strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
 	}
 }

@@ -264,13 +264,6 @@ func (p *Proxy) ResetIdle(olderThan time.Duration) int {
 	return len(idle)
 }
 
-// Conns reports the live proxied connection count.
-func (p *Proxy) Conns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
 // Close shuts the proxy down: the listener closes, every connection is
 // reset, and the pumps drain.
 func (p *Proxy) Close() error {

@@ -64,9 +64,6 @@ func WrapStore(inner tuplespace.TxnStore, opts StoreOptions) *Store {
 	return &Store{inner: inner, opts: opts, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Inner returns the wrapped store.
-func (s *Store) Inner() tuplespace.TxnStore { return s.inner }
-
 // before applies the static knobs and the op's .before fault point;
 // a non-nil error means the operation must fail without touching the
 // backend.

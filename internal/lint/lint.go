@@ -39,20 +39,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Check, f.Msg)
 }
 
-// Run analyzes the packages and returns the surviving findings,
-// sorted by position. Findings suppressed by a "// lint:ignore
-// check-name reason" comment on the same or the preceding line are
-// dropped, as are tuple-errcheck findings on lines carrying a
-// "//nolint:errcheck" comment.
-func Run(pkgs []*Package) []Finding {
-	return slices.DeleteFunc(RunAll(pkgs), func(f Finding) bool { return f.Suppressed })
-}
-
-// RunAll is Run without the suppression filter: suppressed findings
-// are returned too, marked, so callers (the -json output mode) can
-// show what a directive silenced. Each package is analyzed in
-// isolation: a "task" tuple in one program has no relation to a
-// "task" tuple in another.
+// RunAll analyzes the packages and returns every finding, sorted by
+// position. A finding silenced by a "// lint:ignore check-name reason"
+// comment on the same or the preceding line, or a tuple-errcheck
+// finding on a line carrying a "//nolint:errcheck" comment, is returned
+// marked Suppressed, so callers (the -json output mode) can show what a
+// directive silenced. Each package is analyzed in isolation: a "task"
+// tuple in one program has no relation to a "task" tuple in another.
 func RunAll(pkgs []*Package) []Finding {
 	var all []Finding
 	for _, pkg := range pkgs {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -203,4 +204,10 @@ func TestFindingsOrderStable(t *testing.T) {
 			t.Fatalf("run %d ordered findings differently:\n%s\nvs\n%s", i, got, first)
 		}
 	}
+}
+
+// Run is RunAll without the suppressed findings: what the golden
+// fixtures record.
+func Run(pkgs []*Package) []Finding {
+	return slices.DeleteFunc(RunAll(pkgs), func(f Finding) bool { return f.Suppressed })
 }

@@ -1,10 +1,10 @@
 // Package assoc implements association rule mining as surveyed and
 // used in "Free Parallel Data Mining": the Apriori algorithm with
-// apriori-gen candidate generation (section 2.2.5), the Partition
-// algorithm, rule construction (phase II, section 2.2.4) with the
-// confidence-inference pruning of property 4, an E-dag adapter mapping
-// frequent-itemset mining onto the chapter 3 framework (figure 3.2),
-// and a PEAR-style parallel count distribution (section 2.2.6).
+// apriori-gen candidate generation (section 2.2.5), rule construction
+// (phase II, section 2.2.4) with the confidence-inference pruning of
+// property 4, an E-dag adapter mapping frequent-itemset mining onto the
+// chapter 3 framework (figure 3.2), and PEAR's prefix-tree counting
+// (section 2.2.6).
 package assoc
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Itemset is a sorted set of item ids.
@@ -180,20 +179,6 @@ func AprioriGen(frequent []Itemset) []Itemset {
 // Apriori finds all frequent itemsets with support >= minSupport
 // (an absolute transaction count).
 func Apriori(db *DB, minSupport int) []FrequentSet {
-	return aprioriCounted(db, minSupport, nil)
-}
-
-// aprioriCounted lets the parallel variant inject a counting function.
-func aprioriCounted(db *DB, minSupport int, count func(cands []Itemset) []int) []FrequentSet {
-	if count == nil {
-		count = func(cands []Itemset) []int {
-			out := make([]int, len(cands))
-			for i, c := range cands {
-				out[i] = db.Support(c)
-			}
-			return out
-		}
-	}
 	var results []FrequentSet
 	// Level 1 candidates: every item.
 	var level []Itemset
@@ -201,12 +186,11 @@ func aprioriCounted(db *DB, minSupport int, count func(cands []Itemset) []int) [
 		level = append(level, Itemset{it})
 	}
 	for len(level) > 0 {
-		supports := count(level)
 		var frequent []Itemset
-		for i, c := range level {
-			if supports[i] >= minSupport {
+		for _, c := range level {
+			if supp := db.Support(c); supp >= minSupport {
 				frequent = append(frequent, c)
-				results = append(results, FrequentSet{c, supports[i]})
+				results = append(results, FrequentSet{c, supp})
 			}
 		}
 		level = AprioriGen(frequent)
@@ -218,86 +202,6 @@ func aprioriCounted(db *DB, minSupport int, count func(cands []Itemset) []int) [
 		return results[i].Items.Key() < results[j].Items.Key()
 	})
 	return results
-}
-
-// Partition implements the Partition algorithm (section 2.2.5):
-// horizontally split the database, mine each partition with a locally
-// scaled minimum support, merge the local frequent sets into global
-// candidates, then count global support in one final pass.
-func Partition(db *DB, minSupport, parts int) []FrequentSet {
-	if parts < 1 {
-		parts = 1
-	}
-	n := len(db.Txns)
-	cands := map[string]Itemset{}
-	for p := 0; p < parts; p++ {
-		lo, hi := p*n/parts, (p+1)*n/parts
-		sub := &DB{Txns: db.Txns[lo:hi], Items: db.Items}
-		// Local minimum support scales with the partition size.
-		localMin := (minSupport*(hi-lo) + n - 1) / n
-		if localMin < 1 {
-			localMin = 1
-		}
-		for _, f := range Apriori(sub, localMin) {
-			cands[f.Items.Key()] = f.Items
-		}
-	}
-	keys := make([]string, 0, len(cands))
-	for k := range cands {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var results []FrequentSet
-	for _, k := range keys {
-		s := cands[k]
-		if supp := db.Support(s); supp >= minSupport {
-			results = append(results, FrequentSet{s, supp})
-		}
-	}
-	sort.Slice(results, func(i, j int) bool {
-		if len(results[i].Items) != len(results[j].Items) {
-			return len(results[i].Items) < len(results[j].Items)
-		}
-		return results[i].Items.Key() < results[j].Items.Key()
-	})
-	return results
-}
-
-// ParallelApriori is the PEAR scheme (section 2.2.6): workers count
-// local support over horizontal shards in parallel and the global
-// support is the sum; candidate generation stays sequential.
-func ParallelApriori(db *DB, minSupport, workers int) []FrequentSet {
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]*DB, workers)
-	n := len(db.Txns)
-	for w := 0; w < workers; w++ {
-		shards[w] = &DB{Txns: db.Txns[w*n/workers : (w+1)*n/workers], Items: db.Items}
-	}
-	count := func(cands []Itemset) []int {
-		total := make([]int, len(cands))
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(shard *DB) {
-				defer wg.Done()
-				local := make([]int, len(cands))
-				for i, c := range cands {
-					local[i] = shard.Support(c)
-				}
-				mu.Lock()
-				for i, v := range local {
-					total[i] += v
-				}
-				mu.Unlock()
-			}(shards[w])
-		}
-		wg.Wait()
-		return total
-	}
-	return aprioriCounted(db, minSupport, count)
 }
 
 // Rule is an association rule X -> Y with support and confidence.

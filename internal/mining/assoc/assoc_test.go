@@ -105,8 +105,8 @@ func naiveFrequent(db *DB, minSupport int) map[string]int {
 	return out
 }
 
-// Property: Apriori, Partition, ParallelApriori and the E-dag
-// traversal all find exactly the brute-force frequent sets.
+// Property: Apriori and the E-dag traversal both find exactly the
+// brute-force frequent sets.
 func TestPropertyAllMinersAgree(t *testing.T) {
 	f := func(seed int64, minRaw uint8) bool {
 		db := GenerateDB(60, 7, [][]int{{0, 1, 2}, {3, 4}}, 0.4, seed)
@@ -125,12 +125,6 @@ func TestPropertyAllMinersAgree(t *testing.T) {
 			return true
 		}
 		if !check(Apriori(db, minSupport)) {
-			return false
-		}
-		if !check(Partition(db, minSupport, 4)) {
-			return false
-		}
-		if !check(ParallelApriori(db, minSupport, 3)) {
 			return false
 		}
 		res, _ := core.SolveSequential(NewProblem(db, minSupport))
@@ -293,14 +287,6 @@ func BenchmarkAprioriSynthetic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Apriori(db, 100)
-	}
-}
-
-func BenchmarkParallelApriori4(b *testing.B) {
-	db := GenerateDB(1000, 20, [][]int{{0, 1, 2}, {5, 6}, {10, 11, 12}}, 0.3, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelApriori(db, 100, 4)
 	}
 }
 

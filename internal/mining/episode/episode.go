@@ -188,30 +188,6 @@ func Discover(s *Stream, width, minSupport, maxLen int) map[string]int {
 	return Frequent(res)
 }
 
-// NaiveFrequent enumerates every episode up to maxLen by brute force —
-// the reference implementation for the property tests.
-func NaiveFrequent(s *Stream, width, minSupport, maxLen int) map[string]int {
-	out := map[string]int{}
-	var rec func(e Episode)
-	rec = func(e Episode) {
-		if len(e) > 0 {
-			supp := s.WindowSupport(e, width)
-			if supp < minSupport {
-				return // antimonotone: no extension can be frequent
-			}
-			out[e.Key()] = supp
-		}
-		if len(e) == maxLen {
-			return
-		}
-		for t := 0; t < s.Types; t++ {
-			rec(append(append(Episode(nil), e...), t))
-		}
-	}
-	rec(nil)
-	return out
-}
-
 // GenerateStream produces a random event stream with planted episodic
 // patterns: each planted episode's events are injected in order within
 // short spans, at the given rate per position.

@@ -187,3 +187,27 @@ func BenchmarkDiscover(b *testing.B) {
 		Discover(s, 6, 80, 3)
 	}
 }
+
+// NaiveFrequent enumerates every episode up to maxLen by brute force —
+// the reference implementation for the property tests.
+func NaiveFrequent(s *Stream, width, minSupport, maxLen int) map[string]int {
+	out := map[string]int{}
+	var rec func(e Episode)
+	rec = func(e Episode) {
+		if len(e) > 0 {
+			supp := s.WindowSupport(e, width)
+			if supp < minSupport {
+				return // antimonotone: no extension can be frequent
+			}
+			out[e.Key()] = supp
+		}
+		if len(e) == maxLen {
+			return
+		}
+		for t := 0; t < s.Types; t++ {
+			rec(append(append(Episode(nil), e...), t))
+		}
+	}
+	rec(nil)
+	return out
+}

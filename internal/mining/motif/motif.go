@@ -25,7 +25,10 @@ type Params struct {
 	MinOccur  int // minimum occurrence number
 	MaxMut    int // allowed mutations when matching
 	MinLength int // |P| minimum for a motif to be reported
-	MaxLength int // exploration bound (0 = MinLength+8)
+	// MaxLength is the exploration bound (0 = MinLength+8). With
+	// MaxMut > 0 it is at most 64, the longest segment the mutation
+	// matcher takes.
+	MaxLength int
 	// SampleSize is how many sequences seed the candidate GST
 	// (phase 1); 0 means all of them.
 	SampleSize int
@@ -70,9 +73,13 @@ type Problem struct {
 }
 
 // NewProblem builds the discovery problem, constructing the candidate
-// GST over the sample.
+// GST over the sample. It panics when params ask the mutation matcher
+// for segments longer than 64 letters.
 func NewProblem(seqs []string, params Params) *Problem {
 	params = params.withDefaults()
+	if params.MaxMut > 0 && params.MaxLength > 64 {
+		panic(fmt.Sprintf("motif: MaxLength %d with MaxMut %d: the mutation matcher takes segments of at most 64 letters", params.MaxLength, params.MaxMut))
+	}
 	sample := seqs
 	if params.SampleSize > 0 && params.SampleSize < len(seqs) {
 		sample = seqs[:params.SampleSize]
@@ -177,8 +184,8 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		} else {
 			occ = seq.NaiveSeqCount(pr.Seqs, s)
 		}
-	} else { // the one-segment slice stays on the stack: the matcher keeps no reference
-		occ = seq.Motif{Segments: []string{s}}.OccurrenceNo(pr.Seqs, pr.Params.MaxMut)
+	} else {
+		occ = seq.OccurrenceNo(s, pr.Seqs, pr.Params.MaxMut)
 	}
 	pr.occCnt.Add(1)
 	if pr.SubpatternPruning {

@@ -1,6 +1,7 @@
 package motif
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,8 +35,7 @@ func TestToyExampleFromSection231(t *testing.T) {
 		if len(k) < 2 {
 			t.Fatalf("short motif %q reported", k)
 		}
-		m := seq.Motif{Segments: []string{k}}
-		if m.OccurrenceNo(toySeqs, 0) < 2 {
+		if seq.OccurrenceNo(k, toySeqs, 0) < 2 {
 			t.Fatalf("reported motif %q occurs < 2 times", k)
 		}
 	}
@@ -107,6 +107,38 @@ func TestDecodeAcceptsExactlyTheAlphabet(t *testing.T) {
 	}
 	if root, err := pr.Decode(""); err != nil || root != pr.Root() {
 		t.Fatalf("Decode(\"\") = %v, %v; want the root", root, err)
+	}
+}
+
+// TestNewProblemRejectsLongMutationSegments: with mutations, segments
+// may grow to 64 letters, the matcher's limit, and no further; the
+// default bound counts, and exact matching has no limit.
+func TestNewProblemRejectsLongMutationSegments(t *testing.T) {
+	panics := func(p Params) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		NewProblem(toySeqs, p)
+		return ""
+	}
+	for _, c := range []struct {
+		p    Params
+		want bool
+	}{
+		{Params{MinOccur: 2, MaxMut: 1, MinLength: 2, MaxLength: 64}, false},
+		{Params{MinOccur: 2, MaxMut: 0, MinLength: 2, MaxLength: 65}, false},
+		{Params{MinOccur: 2, MaxMut: 1, MinLength: 2, MaxLength: 65}, true},
+		{Params{MinOccur: 2, MaxMut: 1, MinLength: 57}, true}, // MaxLength defaults to 65
+	} {
+		msg := panics(c.p)
+		if (msg != "") != c.want {
+			t.Errorf("NewProblem(%+v) panic %q, want a panic %v", c.p, msg, c.want)
+		}
+		if c.want && !strings.Contains(msg, "at most 64 letters") {
+			t.Errorf("NewProblem(%+v) panic %q does not name the limit", c.p, msg)
+		}
 	}
 }
 

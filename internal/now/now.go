@@ -18,8 +18,6 @@ package now
 
 import (
 	"container/heap"
-	"math"
-	"sort"
 	"time"
 
 	"freepdm/internal/obs"
@@ -275,22 +273,3 @@ func (c *Cluster) Run(initial []*Task) Result {
 	res.Makespan = nowT + c.MasterPost
 	return res
 }
-
-// SequentialTime is the reference single-machine time for a task
-// multiset: the sum of costs (no coordination overhead, matching the
-// dissertation's sequential programs which pay no tuple-space cost).
-func SequentialTime(costs []float64) float64 {
-	// Kahan-free simple sum is fine at these magnitudes, but sort for
-	// determinism across callers that pass map-ordered data.
-	s := append([]float64(nil), costs...)
-	sort.Float64s(s)
-	total := 0.0
-	for _, c := range s {
-		total += c
-	}
-	return total
-}
-
-// RoundMS rounds a duration in seconds to whole milliseconds for
-// stable experiment output.
-func RoundMS(sec float64) float64 { return math.Round(sec*1000) / 1000 }

@@ -207,18 +207,6 @@ func TestPropertyMoreMachinesNoWorse(t *testing.T) {
 	}
 }
 
-func TestSequentialTime(t *testing.T) {
-	if s := SequentialTime([]float64{3, 1, 2}); s != 6 {
-		t.Fatalf("seq=%v", s)
-	}
-}
-
-func TestRoundMS(t *testing.T) {
-	if RoundMS(1.23456) != 1.235 {
-		t.Fatalf("RoundMS: %v", RoundMS(1.23456))
-	}
-}
-
 func BenchmarkSimulate1000Tasks(b *testing.B) {
 	costs := make([]float64, 1000)
 	for i := range costs {

@@ -547,12 +547,6 @@ func (s *Server) Resume(name string) error {
 	return nil
 }
 
-// Migrate moves a process to another workstation. With simulated
-// workstations this is exactly a failure plus recovery: the incarnation
-// dies, the transaction aborts, and a fresh incarnation resumes from
-// the last committed continuation.
-func (s *Server) Migrate(name string) error { return s.Kill(name) }
-
 // Wait blocks until the named process is DONE or FAILED, returning its
 // terminal error (nil for DONE).
 func (s *Server) Wait(name string) error {

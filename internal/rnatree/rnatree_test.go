@@ -195,3 +195,39 @@ func BenchmarkCutDistance(b *testing.B) {
 		CutDistance(m, u)
 	}
 }
+
+// EditDistance is the plain Zhang–Shasha-style ordered tree edit
+// distance (no cuttings), which bounds CutDistance from above.
+func EditDistance(a, b *Tree) int {
+	memo := map[string]int{}
+	return forestEditDist(forest{a}, forest{b}, memo)
+}
+
+func forestEditDist(a, b forest, memo map[string]int) int {
+	if len(a) == 0 {
+		return b.size()
+	}
+	if len(b) == 0 {
+		return a.size()
+	}
+	key := a.key() + "\x00" + b.key()
+	if v, ok := memo[key]; ok {
+		return v
+	}
+	ra := a[len(a)-1]
+	rb := b[len(b)-1]
+	best := forestEditDist(a.dropRightRoot(), b, memo) + 1
+	if v := forestEditDist(a, b.dropRightRoot(), memo) + 1; v < best {
+		best = v
+	}
+	sub := 0
+	if ra.Label != rb.Label {
+		sub = 1
+	}
+	if v := forestEditDist(forest(ra.Children), forest(rb.Children), memo) +
+		forestEditDist(a.dropRightTree(), b.dropRightTree(), memo) + sub; v < best {
+		best = v
+	}
+	memo[key] = best
+	return best
+}

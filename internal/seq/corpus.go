@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"math/rand"
-	"strings"
-)
+import "math/rand"
 
 // CorpusSpec parameterizes the synthetic protein family standing in
 // for cyclins.pirx (47 sequences, average length ~400). Motifs are
@@ -142,25 +139,4 @@ func AverageLength(seqs []string) float64 {
 		t += len(s)
 	}
 	return float64(t) / float64(len(seqs))
-}
-
-// FormatFasta renders sequences in a simple FASTA-like form for the
-// example programs.
-func FormatFasta(name string, seqs []string) string {
-	var b strings.Builder
-	for i, s := range seqs {
-		b.WriteString(">")
-		b.WriteString(name)
-		b.WriteString("_")
-		b.WriteByte(byte('A' + i%26))
-		b.WriteString("\n")
-		for len(s) > 60 {
-			b.WriteString(s[:60])
-			b.WriteString("\n")
-			s = s[60:]
-		}
-		b.WriteString(s)
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -8,10 +8,7 @@
 // family used in the experiments.
 package seq
 
-import (
-	"math/rand"
-	"strings"
-)
+import "strings"
 
 // Alphabet is the 20 amino-acid one-letter codes.
 const Alphabet = "ACDEFGHIKLMNPQRSTVWY"
@@ -190,19 +187,4 @@ func NaiveSeqCount(seqs []string, segment string) int {
 		}
 	}
 	return c
-}
-
-// RandomSequences generates n random sequences of the given length
-// over the amino-acid alphabet.
-func RandomSequences(n, length int, rng *rand.Rand) []string {
-	out := make([]string, n)
-	var b strings.Builder
-	for i := range out {
-		b.Reset()
-		for j := 0; j < length; j++ {
-			b.WriteByte(Alphabet[rng.Intn(len(Alphabet))])
-		}
-		out[i] = b.String()
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package seq
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,66 +243,38 @@ func FuzzGST(f *testing.F) {
 	})
 }
 
-func TestMotifParseAndString(t *testing.T) {
-	m := ParseMotif("*RR*")
-	if len(m.Segments) != 1 || m.Segments[0] != "RR" || m.Len() != 2 {
-		t.Fatalf("%+v", m)
-	}
-	if m.String() != "*RR*" {
-		t.Fatalf("String %q", m.String())
-	}
-	two := ParseMotif("*AB*CD*")
-	if len(two.Segments) != 2 || two.Len() != 4 {
-		t.Fatalf("%+v", two)
-	}
-}
-
 func TestMatchesWithinExact(t *testing.T) {
-	m := ParseMotif("*RR*")
-	if !m.MatchesWithin("FFRR", 0) || !m.MatchesWithin("MRRM", 0) {
+	matches := func(s string) bool { return OccurrenceNo("RR", []string{s}, 0) == 1 }
+	if !matches("FFRR") || !matches("MRRM") {
 		t.Fatal("exact match failed")
 	}
-	if m.MatchesWithin("MTRM", 0) {
+	if matches("MTRM") {
 		t.Fatal("false positive")
 	}
-	if got := m.OccurrenceNo([]string{"FFRR", "MRRM", "MTRM", "DPKY", "AVLG"}, 0); got != 2 {
+	if got := OccurrenceNo("RR", []string{"FFRR", "MRRM", "MTRM", "DPKY", "AVLG"}, 0); got != 2 {
 		t.Fatalf("occurrence %d want 2 (section 2.3.1)", got)
 	}
 }
 
 func TestMatchesWithinMutations(t *testing.T) {
-	m := ParseMotif("*ACDEF*")
-	if !m.MatchesWithin("xxACDEFyy", 0) {
+	matches := func(s string, mut int) bool { return OccurrenceNo("ACDEF", []string{s}, mut) == 1 }
+	if !matches("xxACDEFyy", 0) {
 		t.Fatal("exact substring")
 	}
-	if !m.MatchesWithin("xxACGEFyy", 1) { // mismatch
+	if !matches("xxACGEFyy", 1) { // mismatch
 		t.Fatal("one mismatch within 1")
 	}
-	if m.MatchesWithin("xxACGEFyy", 0) {
+	if matches("xxACGEFyy", 0) {
 		t.Fatal("mismatch without budget")
 	}
-	if !m.MatchesWithin("xxACDEyy", 1) { // deletion of F
+	if !matches("xxACDEyy", 1) { // deletion of F
 		t.Fatal("one deletion within 1")
 	}
-	if !m.MatchesWithin("xxACWDEFyy", 1) { // insertion
+	if !matches("xxACWDEFyy", 1) { // insertion
 		t.Fatal("one insertion within 1")
 	}
-	if m.MatchesWithin("xxAWWEFyy", 1) {
+	if matches("xxAWWEFyy", 1) {
 		t.Fatal("two mismatches within 1")
-	}
-}
-
-func TestMultiSegmentOrdering(t *testing.T) {
-	m := ParseMotif("*AB*CD*")
-	if !m.MatchesWithin("xxAByyCDzz", 0) {
-		t.Fatal("ordered segments should match")
-	}
-	if m.MatchesWithin("xxCDyyABzz", 0) {
-		t.Fatal("segments out of order must not match exactly")
-	}
-	// Adjacent segments (empty VLDC) are allowed.
-	if !m.MatchesWithin("ABCD", 0) {
-		t.Fatal("adjacent segments")
 	}
 }
 
@@ -323,7 +296,6 @@ func TestPropertySemiGlobalVsEditDistance(t *testing.T) {
 			return b.String()
 		}
 		seg, s := mk(segRaw), mk(sRaw)
-		m := Motif{Segments: []string{seg}}
 		want := false
 		for i := 0; i <= len(s) && !want; i++ {
 			for j := i; j <= len(s); j++ {
@@ -333,7 +305,7 @@ func TestPropertySemiGlobalVsEditDistance(t *testing.T) {
 				}
 			}
 		}
-		return m.MatchesWithin(s, mut) == want
+		return (OccurrenceNo(seg, []string{s}, mut) == 1) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -355,9 +327,7 @@ func TestPropertyExtensionAntimonotone(t *testing.T) {
 		}
 		seg := b.String()
 		mut := int(mutRaw % 3)
-		short := Motif{Segments: []string{seg[:len(seg)-1]}}
-		long := Motif{Segments: []string{seg}}
-		return long.OccurrenceNo(seqs, mut) <= short.OccurrenceNo(seqs, mut)
+		return OccurrenceNo(seg, seqs, mut) <= OccurrenceNo(seg[:len(seg)-1], seqs, mut)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -388,8 +358,7 @@ func TestCyclinsCorpusShape(t *testing.T) {
 	// tolerant search: each copy differs at the variable positions, so
 	// allow one mutation per variable column.
 	deg := spec.Motifs[3]
-	m := Motif{Segments: []string{deg.Pattern}}
-	if occ := m.OccurrenceNo(seqs, len(deg.VarPositions)); occ < deg.Carriers*3/4 {
+	if occ := OccurrenceNo(deg.Pattern, seqs, len(deg.VarPositions)); occ < deg.Carriers*3/4 {
 		t.Errorf("degenerate motif occurs in %d sequences, want >= %d", occ, deg.Carriers*3/4)
 	}
 }
@@ -401,71 +370,61 @@ func TestFormatFasta(t *testing.T) {
 	}
 }
 
-// matchesWithinDP is the dense edit DP MatchesWithin ran before Myers'
-// bit-vector kernel replaced it, kept verbatim as the kernel's oracle.
-func matchesWithinDP(m Motif, s string, mut int) bool {
-	if m.Len() == 0 {
-		return true
-	}
-	// state[j] = minimal mutations spent so far for a parse of the
-	// segments consumed so far that ends at or before position j of s.
-	// Process segments in order; for each, run a semi-global edit DP
-	// whose start positions are the allowed continuation points.
-	n := len(s)
-	const inf = 1 << 30
-	// best[j]: minimal cost to have matched the segments so far with
-	// the last match ending at position <= j (prefix-min form).
-	best := make([]int, n+1)
-	for j := range best {
-		best[j] = 0 // zero segments matched costs nothing, any start
-	}
-	cur := make([]int, n+1)
-	prev := make([]int, n+1)
-	for _, seg := range m.Segments {
-		mlen := len(seg)
-		// prev/cur rows of the edit DP over the segment (rows) and s
-		// (cols). Row 0: starting a match at position j costs best[j]
-		// (mutations already spent before this segment).
-		for j := 0; j <= n; j++ {
-			prev[j] = best[j]
+// FormatFasta renders sequences in a simple FASTA-like form.
+func FormatFasta(name string, seqs []string) string {
+	var b strings.Builder
+	for i, s := range seqs {
+		b.WriteString(">")
+		b.WriteString(name)
+		b.WriteString("_")
+		b.WriteByte(byte('A' + i%26))
+		b.WriteString("\n")
+		for len(s) > 60 {
+			b.WriteString(s[:60])
+			b.WriteString("\n")
+			s = s[60:]
 		}
-		nextBest := make([]int, n+1)
-		for j := range nextBest {
-			nextBest[j] = inf
+		b.WriteString(s)
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// RandomSequences generates n random sequences of the given length
+// over the amino-acid alphabet.
+func RandomSequences(n, length int, rng *rand.Rand) []string {
+	out := make([]string, n)
+	var b strings.Builder
+	for i := range out {
+		b.Reset()
+		for j := 0; j < length; j++ {
+			b.WriteByte(Alphabet[rng.Intn(len(Alphabet))])
 		}
-		for i := 1; i <= mlen; i++ {
-			cur[0] = prev[0] + 1 // deletion of segment letter
-			for j := 1; j <= n; j++ {
-				sub := prev[j-1]
-				if seg[i-1] != s[j-1] {
-					sub++
-				}
-				del := prev[j] + 1 // delete segment letter
-				ins := cur[j-1] + 1
-				v := sub
-				if del < v {
-					v = del
-				}
-				if ins < v {
-					v = ins
-				}
-				cur[j] = v
+		out[i] = b.String()
+	}
+	return out
+}
+
+// leastBudgetDP is the least mutation budget within which seg matches s:
+// the minimum over the last row of the dense edit DP that Myers'
+// bit-vector kernel replaced, kept as the kernel's oracle. Row 0 is all
+// zeros, so a match may start at any letter of s, and the minimum lets
+// it end at any.
+func leastBudgetDP(seg, s string) int {
+	prev := make([]int, len(s)+1)
+	cur := make([]int, len(s)+1)
+	for i := 1; i <= len(seg); i++ {
+		cur[0] = i // seg[:i] deleted
+		for j := 1; j <= len(s); j++ {
+			sub := prev[j-1]
+			if seg[i-1] != s[j-1] {
+				sub++
 			}
-			prev, cur = cur, prev
+			cur[j] = min(sub, prev[j]+1, cur[j-1]+1)
 		}
-		// prev now holds the final row: cost of matching this segment
-		// ending exactly at position j. Convert to prefix-min for the
-		// next segment's free start (the * between them).
-		run := inf
-		for j := 0; j <= n; j++ {
-			if prev[j] < run {
-				run = prev[j]
-			}
-			nextBest[j] = run
-		}
-		best = nextBest
+		prev, cur = cur, prev
 	}
-	return best[n] <= mut
+	return slices.Min(prev)
 }
 
 // EditDistance is the unit-cost Levenshtein distance, for the property
@@ -497,44 +456,39 @@ func EditDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// checkAgainstDP fails t unless the kernel agrees with the oracle on s at
-// mut and, the predicate being monotone in mut, on both sides of the
-// oracle's threshold — the least budget that matches, so the kernel's
-// cost is checked exactly, not only its verdict at one budget.
-func checkAgainstDP(t *testing.T, m Motif, s string, mut int) {
+// checkAgainstDP fails t unless the kernel agrees with the oracle on s,
+// s[len(s)/3:] and the empty sequence at mut and, the predicate being
+// monotone in mut, on both sides of s's least budget, so the kernel's
+// cost is checked exactly, not only its verdict at one budget. The DP
+// runs once a sequence: its least budget decides every check.
+func checkAgainstDP(t *testing.T, seg, s string, mut int) {
 	t.Helper()
-	check := func(mut int) {
-		if got, want := m.MatchesWithin(s, mut), matchesWithinDP(m, s, mut); got != want {
-			t.Fatalf("%s in %q (%d letters) within %d: kernel %v, DP %v", m, s, len(s), mut, got, want)
+	seqs := []string{s, s[len(s)/3:], ""}
+	least := make([]int, len(seqs))
+	for i, x := range seqs {
+		least[i] = leastBudgetDP(seg, x)
+	}
+	for _, b := range []int{mut, least[0] - 1, least[0]} {
+		if got, want := OccurrenceNo(seg, seqs[:1], b) == 1, least[0] <= b; got != want {
+			t.Fatalf("%q in %q (%d letters) within %d: kernel %v, DP %v", seg, s, len(s), b, got, want)
 		}
-		seqs, want := []string{s, s[len(s)/3:], ""}, 0
-		for _, x := range seqs {
-			if matchesWithinDP(m, x, mut) {
+		want := 0
+		for _, l := range least {
+			if l <= b {
 				want++
 			}
 		}
-		if got := m.OccurrenceNo(seqs, mut); got != want {
-			t.Fatalf("%s in %q within %d: OccurrenceNo %d, DP %d", m, seqs, mut, got, want)
+		if got := OccurrenceNo(seg, seqs, b); got != want {
+			t.Fatalf("%q in %q within %d: OccurrenceNo %d, DP %d", seg, seqs, b, got, want)
 		}
 	}
-	check(mut)
-	lo, hi := 0, m.Len() // the DP matches at Len() whatever s is
-	for lo < hi {
-		if mid := (lo + hi) / 2; matchesWithinDP(m, s, mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	check(lo)
-	check(lo - 1)
 }
 
 // Property: Myers' kernel decides exactly what the edit DP it replaced
-// decides — 1 to 3 segments of 1 to 130 letters, so single segments and
-// chains cross the 64- and 128-letter block boundaries, against sequences
-// of 0 to 200 letters that carry mutated copies of the segments half the
-// time and letters outside Alphabet, at budgets from 0 to Len()+1.
+// decides — one segment of 1 to 64 letters, often 63 or 64 so the top
+// rows of the column are exercised, against sequences of 0 to 200
+// letters that carry mutated copies of the segment half the time and
+// letters outside Alphabet, at budgets from 0 to len(seg)+1.
 func TestPropertyMatcherAgreesWithDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const foreign = "x*\x00\xff"
@@ -550,22 +504,17 @@ func TestPropertyMatcherAgreesWithDP(t *testing.T) {
 	}
 	for c := 0; c < cases; c++ {
 		pool := Alphabet[:2+rng.Intn(len(Alphabet)-1)] // small pools make near matches likely
-		var m Motif
-		for k := 1 + rng.Intn(3); k > 0; k-- {
-			l := 1 + rng.Intn(130)
-			if rng.Intn(3) == 0 { // straddle a block boundary
-				l = []int{63, 64, 65, 127, 128, 129}[rng.Intn(6)]
-			}
-			seg := make([]byte, l)
-			for i := range seg {
-				seg[i] = pool[rng.Intn(len(pool))]
-			}
-			m.Segments = append(m.Segments, string(seg))
+		l := 1 + rng.Intn(64)
+		if rng.Intn(3) == 0 { // fill the column
+			l = 63 + rng.Intn(2)
+		}
+		seg := make([]byte, l)
+		for i := range seg {
+			seg[i] = pool[rng.Intn(len(pool))]
 		}
 		s := make([]byte, 0, 200)
 		for budget := rng.Intn(201); len(s) < budget; {
 			if rng.Intn(2) == 0 && len(s) > 0 {
-				seg := m.Segments[rng.Intn(len(m.Segments))]
 				for i := 0; i < len(seg) && len(s) < budget; i++ {
 					switch rng.Intn(12) {
 					case 0: // deleted
@@ -581,20 +530,19 @@ func TestPropertyMatcherAgreesWithDP(t *testing.T) {
 			}
 			s = append(s, letter(pool))
 		}
-		checkAgainstDP(t, m, string(s), rng.Intn(m.Len()+2))
+		checkAgainstDP(t, string(seg), string(s), rng.Intn(l+2))
 	}
 }
 
 // FuzzOccurrenceNo holds the kernel to the DP oracle on arbitrary
-// motifs in "*SEG*SEG*" notation (any bytes but '*' are letters),
-// sequences and budgets. The seed corpus is testdata/fuzz/FuzzOccurrenceNo.
+// segments of 1 to 64 bytes, sequences and budgets. The seed corpus is
+// testdata/fuzz/FuzzOccurrenceNo.
 func FuzzOccurrenceNo(f *testing.F) {
-	f.Fuzz(func(t *testing.T, motif, s string, mut uint16) {
-		m := ParseMotif(motif)
-		if len(m.Segments) > 3 || m.Len() > 260 || len(s) > 400 {
+	f.Fuzz(func(t *testing.T, seg, s string, mut uint16) {
+		if len(seg) == 0 || len(seg) > 64 || len(s) > 400 {
 			return
 		}
-		checkAgainstDP(t, m, s, int(mut)%(m.Len()+2))
+		checkAgainstDP(t, seg, s, int(mut)%(len(seg)+2))
 	})
 }
 
@@ -617,20 +565,24 @@ func TestOccurrenceNoOnMutCorpus(t *testing.T) {
 	}
 	for _, seed := range []int64{42, 7} {
 		seqs := mutCorpus(seed)
+		least := make([]int, len(seqs))
 		for l := 1; l <= 24; l++ {
 			for k := 0; k < len(seqs); k += stride {
 				s := seqs[k]
 				lo := (k*13 + l*5) % (len(s) - l)
-				m := Motif{Segments: []string{s[lo : lo+l]}}
+				seg := s[lo : lo+l]
+				for i, x := range seqs {
+					least[i] = leastBudgetDP(seg, x)
+				}
 				for mut := 0; mut <= 5; mut++ {
 					want := 0
-					for _, x := range seqs {
-						if matchesWithinDP(m, x, mut) {
+					for _, b := range least {
+						if b <= mut {
 							want++
 						}
 					}
-					if got := m.OccurrenceNo(seqs, mut); got != want {
-						t.Fatalf("seed %d: %s within %d: OccurrenceNo %d, DP %d", seed, m, mut, got, want)
+					if got := OccurrenceNo(seg, seqs, mut); got != want {
+						t.Fatalf("seed %d: %q within %d: OccurrenceNo %d, DP %d", seed, seg, mut, got, want)
 					}
 				}
 			}
@@ -638,29 +590,15 @@ func TestOccurrenceNoOnMutCorpus(t *testing.T) {
 	}
 }
 
-// TestOccurrenceNoAllocs: the kernel takes nothing from the heap for a
-// single segment of up to 64 letters, the shape every Goodness call of a
-// motif_mut run asks about, over the benchmark's motif_mut corpus (seed
-// 42, 120 residues); a longer or multi-segment motif allocates its blocks
-// once a call.
+// TestOccurrenceNoAllocs: the kernel takes nothing from the heap, over
+// the benchmark's motif_mut corpus (seed 42, 120 residues), for segments
+// up to the 64 letters it takes.
 func TestOccurrenceNoAllocs(t *testing.T) {
 	seqs := mutCorpus(42)
 	long := strings.Repeat("SLEYKLLPETLYLAISYVDRYPSK", 3)
-	for _, c := range []struct {
-		m    Motif
-		want float64
-	}{
-		{Motif{Segments: []string{long[:1]}}, 0},
-		{Motif{Segments: []string{long[:5]}}, 0},
-		{Motif{Segments: []string{long[:16]}}, 0},
-		{Motif{Segments: []string{long[:24]}}, 0},
-		{Motif{Segments: []string{long[:63]}}, 0},
-		{Motif{Segments: []string{long[:64]}}, 0},
-		{Motif{Segments: []string{long[:65]}}, 1},
-		{Motif{Segments: []string{long[:12], long[24:36]}}, 1},
-	} {
-		if got := testing.AllocsPerRun(20, func() { c.m.OccurrenceNo(seqs, 4) }); got != c.want {
-			t.Errorf("OccurrenceNo of %s allocates %v times, want %v", c.m, got, c.want)
+	for _, l := range []int{1, 5, 16, 24, 63, 64} {
+		if got := testing.AllocsPerRun(20, func() { OccurrenceNo(long[:l], seqs, 4) }); got != 0 {
+			t.Errorf("OccurrenceNo of %d letters allocates %v times, want 0", l, got)
 		}
 	}
 }
@@ -688,22 +626,9 @@ func BenchmarkBuildGSTCyclins(b *testing.B) {
 
 func BenchmarkOccurrenceNoMut4(b *testing.B) {
 	seqs := CyclinsSpec(1).Generate()
-	m := ParseMotif("*SLEYKLLPETLYLAISY*")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.OccurrenceNo(seqs, 4)
-	}
-}
-
-// BenchmarkOccurrenceNoTwoSegment times the block loop, which every motif
-// of more than one segment or more than 64 letters takes.
-func BenchmarkOccurrenceNoTwoSegment(b *testing.B) {
-	seqs := CyclinsSpec(1).Generate()
-	m := ParseMotif("*SLEYKLLPET*TDNTYSQQEV*")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.OccurrenceNo(seqs, 4)
+		OccurrenceNo("SLEYKLLPETLYLAISY", seqs, 4)
 	}
 }

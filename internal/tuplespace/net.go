@@ -820,7 +820,7 @@ type Client struct {
 	nextID  atomic.Uint64
 	txnSeq  atomic.Uint64
 
-	opTimeout atomic.Int64 // nanoseconds; non-blocking ops only
+	opTimeout time.Duration // non-blocking ops only; set at dial
 	closed    atomic.Bool
 
 	stopPing     chan struct{} // nil when no heartbeat goroutine runs
@@ -925,7 +925,7 @@ func DialOpts(addr string, o DialOptions) (*Client, error) {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
 	c := newClient(conn, br)
-	c.opTimeout.Store(int64(o.OpTimeout))
+	c.opTimeout = o.OpTimeout
 	if o.Lease > 0 || o.Name != "" {
 		if _, err := c.roundTripCtx(context.Background(), &request{Op: opHello, Lease: int64(o.Lease), Name: o.Name}); err != nil {
 			c.Close() //nolint:errcheck
@@ -1036,10 +1036,6 @@ func (c *Client) fail() bool {
 	return already
 }
 
-// SetOpTimeout changes the deadline applied to each non-blocking
-// operation. It does not affect an operation already in flight.
-func (c *Client) SetOpTimeout(d time.Duration) { c.opTimeout.Store(int64(d)) }
-
 // Close releases the connection. Every blocked or in-flight operation
 // is unblocked with ErrClientClosed. The server observes the drop and
 // auto-aborts any open transactions of this session.
@@ -1145,7 +1141,7 @@ func (c *Client) doRoundTrip(ctx context.Context, tx *clientTxn, req *request) (
 		return nil, err
 	}
 	var timeoutC <-chan time.Time
-	if d := time.Duration(c.opTimeout.Load()); d > 0 && !blockingOp(req.Op) {
+	if d := c.opTimeout; d > 0 && !blockingOp(req.Op) {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		timeoutC = timer.C

@@ -21,7 +21,7 @@ import (
 // origin and with takes as the consumer's trace parent — including
 // over TCP, where the wire protocol forwards it. Callers that don't
 // care pass context.Background(), or use the package-level non-ctx
-// convenience wrappers (tuplespace.Out, tuplespace.In, ...).
+// convenience wrappers (tuplespace.Out, tuplespace.Inp, ...).
 type Store interface {
 	Out(ctx context.Context, fields ...any) error
 	OutN(ctx context.Context, tuples []Tuple) error
@@ -109,38 +109,11 @@ func OutN[S interface {
 	return s.OutN(context.Background(), tuples)
 }
 
-// In blocks until a matching tuple exists in s, without cancellation.
-func In[S interface {
-	In(context.Context, ...any) (Tuple, error)
-}](s S, tmplFields ...any) (Tuple, error) {
-	return s.In(context.Background(), tmplFields...)
-}
-
 // Inp is the non-blocking destructive match on s without a context.
 func Inp[S interface {
 	Inp(context.Context, ...any) (Tuple, bool, error)
 }](s S, tmplFields ...any) (Tuple, bool, error) {
 	return s.Inp(context.Background(), tmplFields...)
-}
-
-// Rd blocks until a matching tuple exists in s and returns a copy,
-// without cancellation.
-func Rd[S interface {
-	Rd(context.Context, ...any) (Tuple, error)
-}](s S, tmplFields ...any) (Tuple, error) {
-	return s.Rd(context.Background(), tmplFields...)
-}
-
-// Rdp is the non-blocking non-destructive match on s without a context.
-func Rdp[S interface {
-	Rdp(context.Context, ...any) (Tuple, bool, error)
-}](s S, tmplFields ...any) (Tuple, bool, error) {
-	return s.Rdp(context.Background(), tmplFields...)
-}
-
-// Commit finalizes tx without a context.
-func Commit(tx Txn, outs []Tuple) error {
-	return tx.Commit(context.Background(), outs)
 }
 
 // Interface conformance, checked at compile time.
