@@ -10,7 +10,6 @@ package c45
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"freepdm/internal/classify"
 	"freepdm/internal/dataset"
@@ -50,36 +49,37 @@ type candidate struct {
 }
 
 // Select implements classify.SplitSelector.
-func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
-	parent := d.ClassHistogram(idx)
+func (s *Selector) Select(c *classify.Cases) *classify.Split {
+	d := c.Data
+	info := classify.ImpurityOfCounts(classify.Entropy{}, d.ClassHistogram(c.Idx))
 	var cands []candidate
 	for a := range d.Attrs {
-		var c *candidate
+		var cand *candidate
 		if d.Attrs[a].Kind == dataset.Numeric {
-			c = s.numericCandidate(d, idx, a, parent)
+			cand = s.numericCandidate(c, a, info)
 		} else {
-			c = s.categoricalCandidate(d, idx, a, parent)
+			cand = categoricalCandidate(c, a, info)
 		}
-		if c != nil {
-			cands = append(cands, *c)
+		if cand != nil {
+			cands = append(cands, *cand)
 		}
 	}
 	if len(cands) == 0 {
 		return nil
 	}
 	avgGain := 0.0
-	for _, c := range cands {
-		avgGain += c.gain
+	for _, cand := range cands {
+		avgGain += cand.gain
 	}
 	avgGain /= float64(len(cands))
 	best := -1
-	for i, c := range cands {
+	for i, cand := range cands {
 		// The gain restriction guards the ratio's bias toward splits
 		// with tiny split info.
-		if c.gain < avgGain-1e-12 || c.gain <= 1e-12 {
+		if cand.gain < avgGain-1e-12 || cand.gain <= 1e-12 {
 			continue
 		}
-		if best < 0 || c.ratio > cands[best].ratio {
+		if best < 0 || cand.ratio > cands[best].ratio {
 			best = i
 		}
 	}
@@ -89,45 +89,13 @@ func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
 	return cands[best].split
 }
 
-func (s *Selector) numericCandidate(d *dataset.Dataset, idx []int, attr int, parent []int) *candidate {
-	type vc struct {
-		v float64
-		c int
-	}
-	vals := make([]vc, 0, len(idx))
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if !dataset.IsMissing(v) {
-			vals = append(vals, vc{v, d.Class(i)})
-		}
-	}
-	if len(vals) < 2*s.cfg.MinSplit {
-		return nil
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-	nc := len(d.Classes)
-	left := make([]int, nc)
-	right := make([]int, nc)
-	for _, e := range vals {
-		right[e.c]++
-	}
+func (s *Selector) numericCandidate(c *classify.Cases, attr int, info float64) *candidate {
 	bestGain, bestRatio, bestCut := -1.0, 0.0, 0.0
-	for i := 0; i+1 < len(vals); i++ {
-		left[vals[i].c]++
-		right[vals[i].c]--
-		if vals[i].v == vals[i+1].v {
-			continue
+	c.BinaryCuts(attr, s.cfg.MinSplit, func(cut float64, branches [][]int) {
+		if g := classify.InfoGain(info, branches); g > bestGain {
+			bestGain, bestRatio, bestCut = g, classify.GainRatio(g, branches), cut
 		}
-		if i+1 < s.cfg.MinSplit || len(vals)-i-1 < s.cfg.MinSplit {
-			continue
-		}
-		g := classify.InfoGain(parent, [][]int{left, right})
-		if g > bestGain {
-			bestGain = g
-			bestRatio = classify.GainRatio(parent, [][]int{left, right})
-			bestCut = vals[i].v
-		}
-	}
+	})
 	if bestGain <= 0 {
 		return nil
 	}
@@ -138,50 +106,32 @@ func (s *Selector) numericCandidate(d *dataset.Dataset, idx []int, attr int, par
 	}
 }
 
-func (s *Selector) categoricalCandidate(d *dataset.Dataset, idx []int, attr int, parent []int) *candidate {
-	arity := len(d.Attrs[attr].Values)
-	nc := len(d.Classes)
-	branches := make([][]int, arity)
-	for v := range branches {
-		branches[v] = make([]int, nc)
-	}
+func categoricalCandidate(c *classify.Cases, attr int, info float64) *candidate {
+	baskets := c.Baskets(attr)
+	branches := make([][]int, len(baskets))
 	nonEmpty := 0
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if dataset.IsMissing(v) {
-			continue
-		}
-		b := branches[int(v)]
-		was := sum(b)
-		b[d.Class(i)]++
-		if was == 0 {
+	for v, b := range baskets {
+		branches[v] = b.Counts
+		if b.N > 0 {
 			nonEmpty++
 		}
 	}
 	if nonEmpty < 2 {
 		return nil
 	}
-	g := classify.InfoGain(parent, branches)
+	g := classify.InfoGain(info, branches)
 	if g <= 0 {
 		return nil
 	}
-	assign := make([]int, arity)
+	assign := make([]int, len(baskets))
 	for v := range assign {
 		assign[v] = v
 	}
 	return &candidate{
-		split: &classify.Split{Attr: attr, Kind: dataset.Categorical, Assign: assign, Branches: arity},
+		split: &classify.Split{Attr: attr, Kind: dataset.Categorical, Assign: assign, Branches: len(baskets)},
 		gain:  g,
-		ratio: classify.GainRatio(parent, branches),
+		ratio: classify.GainRatio(g, branches),
 	}
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // Grow builds an unpruned C4.5 tree.
@@ -343,9 +293,9 @@ func Window(d *dataset.Dataset, idx []int, cfg Config, rng *rand.Rand) *classify
 }
 
 // TrainTrialsSeeded runs the windowing technique for the given number
-// of trials and returns the tree with the fewest pessimistic predicted
-// errors on the full training set, which is what C4.5's -t option
-// reports as the best of the trial trees. Each trial has a private RNG
+// of trials and returns the trial tree that misclassifies the fewest
+// cases of the full training set (resubstitution errors; the first
+// such tree on a tie). Each trial has a private RNG
 // seeded base+trial, so sequential and parallel executions of the same
 // trials produce identical trees regardless of scheduling.
 func TrainTrialsSeeded(d *dataset.Dataset, idx []int, trials int, cfg Config, base int64) *classify.Tree {

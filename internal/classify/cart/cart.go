@@ -44,17 +44,18 @@ type Selector struct{ cfg Config }
 func NewSelector(cfg Config) *Selector { return &Selector{cfg.withDefaults()} }
 
 // Select implements classify.SplitSelector.
-func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
-	parent := classify.ImpurityOfCounts(classify.Gini{}, d.ClassHistogram(idx))
+func (s *Selector) Select(c *classify.Cases) *classify.Split {
+	d := c.Data
+	parent := classify.ImpurityOfCounts(classify.Gini{}, d.ClassHistogram(c.Idx))
 	best := math.Inf(1)
 	var bestSplit *classify.Split
 	for a := range d.Attrs {
 		var sp *classify.Split
 		var imp float64
 		if d.Attrs[a].Kind == dataset.Numeric {
-			sp, imp = s.numeric(d, idx, a)
+			sp, imp = numeric(c, a)
 		} else {
-			sp, imp = s.categorical(d, idx, a)
+			sp, imp = s.categorical(c, a)
 		}
 		if sp != nil && imp < best-1e-12 {
 			best = imp
@@ -67,83 +68,44 @@ func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
 	return bestSplit
 }
 
-func (s *Selector) numeric(d *dataset.Dataset, idx []int, attr int) (*classify.Split, float64) {
-	type vc struct {
-		v float64
-		c int
-	}
-	vals := make([]vc, 0, len(idx))
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if !dataset.IsMissing(v) {
-			vals = append(vals, vc{v, d.Class(i)})
-		}
-	}
-	if len(vals) < 2 {
-		return nil, 0
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-	nc := len(d.Classes)
-	left := make([]int, nc)
-	right := make([]int, nc)
-	for _, e := range vals {
-		right[e.c]++
-	}
+func numeric(c *classify.Cases, attr int) (*classify.Split, float64) {
 	best := math.Inf(1)
 	bestCut := math.NaN()
-	for i := 0; i+1 < len(vals); i++ {
-		left[vals[i].c]++
-		right[vals[i].c]--
-		if vals[i].v == vals[i+1].v {
-			continue
+	c.BinaryCuts(attr, 1, func(cut float64, branches [][]int) {
+		if imp := classify.AggregateImpurity(classify.Gini{}, branches); imp < best {
+			best, bestCut = imp, cut
 		}
-		imp := classify.AggregateImpurity(classify.Gini{}, [][]int{left, right})
-		if imp < best {
-			best = imp
-			bestCut = vals[i].v
-		}
-	}
+	})
 	if math.IsNaN(bestCut) {
 		return nil, 0
 	}
 	return &classify.Split{Attr: attr, Kind: dataset.Numeric, Cuts: []float64{bestCut}, Branches: 2}, best
 }
 
-func (s *Selector) categorical(d *dataset.Dataset, idx []int, attr int) (*classify.Split, float64) {
-	arity := len(d.Attrs[attr].Values)
-	nc := len(d.Classes)
-	perVal := make([][]int, arity)
-	for v := range perVal {
-		perVal[v] = make([]int, nc)
-	}
+func (s *Selector) categorical(c *classify.Cases, attr int) (*classify.Split, float64) {
+	perVal := c.Baskets(attr)
+	nc := len(c.Data.Classes)
 	var present []int
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if dataset.IsMissing(v) {
-			continue
+	for v, b := range perVal {
+		if b.N > 0 {
+			present = append(present, v)
 		}
-		vi := int(v)
-		if sum(perVal[vi]) == 0 {
-			present = append(present, vi)
-		}
-		perVal[vi][d.Class(i)]++
 	}
 	if len(present) < 2 {
 		return nil, 0
 	}
-	sort.Ints(present)
 
 	eval := func(inLeft func(v int) bool) (float64, bool) {
 		left := make([]int, nc)
 		right := make([]int, nc)
 		nl, nr := 0, 0
 		for _, v := range present {
-			for c, n := range perVal[v] {
+			for cl, n := range perVal[v].Counts {
 				if inLeft(v) {
-					left[c] += n
+					left[cl] += n
 					nl += n
 				} else {
-					right[c] += n
+					right[cl] += n
 					nr += n
 				}
 			}
@@ -176,8 +138,8 @@ func (s *Selector) categorical(d *dataset.Dataset, idx []int, attr int) (*classi
 		// splits (the CART ordering theorem; exact for two classes).
 		order := append([]int(nil), present...)
 		sort.SliceStable(order, func(i, j int) bool {
-			pi := float64(perVal[order[i]][0]) / float64(sum(perVal[order[i]]))
-			pj := float64(perVal[order[j]][0]) / float64(sum(perVal[order[j]]))
+			pi := float64(perVal[order[i]].Counts[0]) / float64(perVal[order[i]].N)
+			pj := float64(perVal[order[j]].Counts[0]) / float64(perVal[order[j]].N)
 			return pi < pj
 		})
 		for cut := 1; cut < len(order); cut++ {
@@ -194,7 +156,7 @@ func (s *Selector) categorical(d *dataset.Dataset, idx []int, attr int) (*classi
 	if bestLeft == nil {
 		return nil, 0
 	}
-	assign := make([]int, arity)
+	assign := make([]int, len(perVal))
 	for v := range assign {
 		if bestLeft[v] {
 			assign[v] = 0
@@ -203,14 +165,6 @@ func (s *Selector) categorical(d *dataset.Dataset, idx []int, attr int) (*classi
 		}
 	}
 	return &classify.Split{Attr: attr, Kind: dataset.Categorical, Assign: assign, Branches: 2}, best
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // Grow builds an unpruned CART tree.

@@ -49,8 +49,9 @@ func TestExactSubsetSearchBeatsOrNotWorseThanOrdering(t *testing.T) {
 	}
 	exact := NewSelector(Config{MaxSubsetArity: 12})
 	heur := NewSelector(Config{MaxSubsetArity: 1})
-	se, ie := exact.categorical(d, idx, attr)
-	sh, ih := heur.categorical(d, idx, attr)
+	cases := classify.NewCases(d, idx)
+	se, ie := exact.categorical(cases, attr)
+	sh, ih := heur.categorical(cases, attr)
 	if se == nil || sh == nil {
 		t.Skip("no split found")
 	}
@@ -91,7 +92,7 @@ func TestSelectNilOnPureNode(t *testing.T) {
 			break
 		}
 	}
-	if sp := NewSelector(Config{}).Select(d, pure); sp != nil {
+	if sp := NewSelector(Config{}).Select(classify.NewCases(d, pure)); sp != nil {
 		t.Fatal("CART split a pure node")
 	}
 }

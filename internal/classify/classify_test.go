@@ -54,18 +54,29 @@ func TestPropertyMergeNeverDecreasesImpurity(t *testing.T) {
 }
 
 func TestInfoGainAndGainRatio(t *testing.T) {
-	parent := []int{8, 6} // 14 cases
+	info := ImpurityOfCounts(Entropy{}, []int{8, 6}) // 14 cases
 	branches := [][]int{{6, 1}, {2, 5}}
-	g := InfoGain(parent, branches)
+	g := InfoGain(info, branches)
 	if g <= 0 {
 		t.Fatalf("gain %v", g)
 	}
-	gr := GainRatio(parent, branches)
+	// info(T) = 0.98523, info_A(T) = (0.59167 + 0.86312)/2.
+	if math.Abs(g-0.25783) > 1e-5 {
+		t.Fatalf("gain %v, want 0.25783", g)
+	}
+	gr := GainRatio(g, branches)
 	if gr <= 0 || gr > 1.5 {
 		t.Fatalf("gain ratio %v", gr)
 	}
-	// Degenerate one-branch split: gain ratio 0.
-	if gr := GainRatio(parent, [][]int{{8, 6}}); gr != 0 {
+	if math.Abs(gr-g) > 1e-12 { // two equal branches: split info 1
+		t.Fatalf("gain ratio %v, want the gain %v", gr, g)
+	}
+	// Degenerate one-branch split: no gain and gain ratio 0.
+	one := [][]int{{8, 6}}
+	if g := InfoGain(info, one); g != 0 {
+		t.Fatalf("one-branch gain %v", g)
+	}
+	if gr := GainRatio(InfoGain(info, one), one); gr != 0 {
 		t.Fatalf("degenerate gain ratio %v", gr)
 	}
 }
@@ -74,10 +85,10 @@ func TestInfoGainAndGainRatio(t *testing.T) {
 // binary split on attribute 0 at the midpoint, if it reduces errors.
 type thresholdSelector struct{ cut float64 }
 
-func (s thresholdSelector) Select(d *dataset.Dataset, idx []int) *Split {
+func (s thresholdSelector) Select(c *Cases) *Split {
 	left, right := 0, 0
-	for _, i := range idx {
-		v := d.Value(i, 0)
+	for _, i := range c.Idx {
+		v := c.Data.Value(i, 0)
 		if dataset.IsMissing(v) {
 			continue
 		}
@@ -184,7 +195,8 @@ func buildNoisyDataset(n int, noise float64, seed int64) *dataset.Dataset {
 // attribute using Gini, enough to grow real trees for pruning tests.
 type midpointSelector struct{}
 
-func (midpointSelector) Select(d *dataset.Dataset, idx []int) *Split {
+func (midpointSelector) Select(c *Cases) *Split {
+	d, idx := c.Data, c.Idx
 	best := math.Inf(1)
 	var bestSplit *Split
 	parent := ImpurityOfCounts(Gini{}, d.ClassHistogram(idx))
@@ -360,15 +372,4 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
-}
-
-func TestTreeDOT(t *testing.T) {
-	d := xorDataset()
-	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, GrowOptions{})
-	dot := tree.DOT("xor")
-	for _, want := range []string{"digraph", "n0 -> n1", "x <= 19.5", "fillcolor"} {
-		if !contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
 }

@@ -97,10 +97,11 @@ func AggregateImpurity(im Impurity, branches [][]int) float64 {
 }
 
 // InfoGain is gain(A) = info(T) - info_A(T) (section 2.1.5) for a
-// candidate partition given the parent histogram and branch
-// histograms, under the entropy measure.
-func InfoGain(parent []int, branches [][]int) float64 {
-	return ImpurityOfCounts(Entropy{}, parent) - AggregateImpurity(Entropy{}, branches)
+// candidate partition given the node's info(T), its entropy
+// ImpurityOfCounts(Entropy{}, histogram), which a split search computes
+// once per node, and the branch histograms.
+func InfoGain(info float64, branches [][]int) float64 {
+	return info - AggregateImpurity(Entropy{}, branches)
 }
 
 // SplitInfo is the potential information of the division itself,
@@ -129,12 +130,13 @@ func SplitInfo(branches [][]int) float64 {
 	return s
 }
 
-// GainRatio is C4.5's criterion: gain(A)/split info(A). It returns 0
-// when the split info vanishes (a degenerate one-branch division).
-func GainRatio(parent []int, branches [][]int) float64 {
+// GainRatio is C4.5's criterion: gain(A)/split info(A), given the
+// partition's InfoGain. It returns 0 when the split info vanishes (a
+// degenerate one-branch division).
+func GainRatio(gain float64, branches [][]int) float64 {
 	si := SplitInfo(branches)
 	if si <= 0 {
 		return 0
 	}
-	return InfoGain(parent, branches) / si
+	return gain / si
 }

@@ -62,17 +62,18 @@ type Selector struct {
 func NewSelector(cfg Config) *Selector { return &Selector{cfg.withDefaults()} }
 
 // Select implements classify.SplitSelector.
-func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
-	parent := classify.ImpurityOfCounts(s.cfg.Impurity, d.ClassHistogram(idx))
+func (s *Selector) Select(c *classify.Cases) *classify.Split {
+	d := c.Data
+	parent := classify.ImpurityOfCounts(s.cfg.Impurity, d.ClassHistogram(c.Idx))
 	best := math.Inf(1)
 	var bestSplit *classify.Split
 	for a := range d.Attrs {
 		var sp *classify.Split
 		var imp float64
 		if d.Attrs[a].Kind == dataset.Numeric {
-			sp, imp = s.numericSplit(d, idx, a)
+			sp, imp = s.numericSplit(c, a)
 		} else {
-			sp, imp = s.categoricalSplit(d, idx, a)
+			sp, imp = s.categoricalSplit(c, a)
 		}
 		if sp != nil && imp < best-1e-12 {
 			best = imp
@@ -86,9 +87,8 @@ func (s *Selector) Select(d *dataset.Dataset, idx []int) *classify.Split {
 	return bestSplit
 }
 
-func (s *Selector) numericSplit(d *dataset.Dataset, idx []int, attr int) (*classify.Split, float64) {
-	baskets := NumericBaskets(d, idx, attr)
-	baskets = CoalesceBaskets(baskets, s.cfg.MaxBaskets)
+func (s *Selector) numericSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
+	baskets := CoalesceBaskets(MergeBoundary(c.Baskets(attr)), s.cfg.MaxBaskets)
 	if len(baskets) < 2 {
 		return nil, 0
 	}
@@ -108,8 +108,8 @@ func (s *Selector) numericSplit(d *dataset.Dataset, idx []int, attr int) (*class
 	}, opt.Impurity
 }
 
-func (s *Selector) categoricalSplit(d *dataset.Dataset, idx []int, attr int) (*classify.Split, float64) {
-	baskets, sets := CategoricalBaskets(d, idx, attr)
+func (s *Selector) categoricalSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
+	baskets, sets := CategoricalBaskets(c, attr)
 	if len(baskets) < 2 {
 		return nil, 0
 	}
@@ -118,7 +118,7 @@ func (s *Selector) categoricalSplit(d *dataset.Dataset, idx []int, attr int) (*c
 	var bestOrder []int
 
 	try := func(order []int) {
-		perm := make([]Basket, len(order))
+		perm := make([]classify.Basket, len(order))
 		for i, j := range order {
 			perm[i] = baskets[j]
 		}
@@ -140,7 +140,7 @@ func (s *Selector) categoricalSplit(d *dataset.Dataset, idx []int, attr int) (*c
 		// Too many logical values for exact search: order by the
 		// proportion of the overall majority class (Breiman ordering),
 		// exact for two classes and a strong heuristic otherwise.
-		maj, _ := d.MajorityClass(idx)
+		maj, _ := c.Data.MajorityClass(c.Idx)
 		order := make([]int, len(baskets))
 		for i := range order {
 			order[i] = i
@@ -155,8 +155,7 @@ func (s *Selector) categoricalSplit(d *dataset.Dataset, idx []int, attr int) (*c
 		return nil, 0
 	}
 	// Build the category -> branch assignment.
-	arity := len(d.Attrs[attr].Values)
-	assign := make([]int, arity)
+	assign := make([]int, len(c.Data.Attrs[attr].Values))
 	for i := range assign {
 		assign[i] = 0
 	}

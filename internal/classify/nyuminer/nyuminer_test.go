@@ -38,7 +38,7 @@ func paperExample() *dataset.Dataset {
 
 func TestPaperExampleBoundaryBaskets(t *testing.T) {
 	d := paperExample()
-	baskets := NumericBaskets(d, d.AllIndexes(), 0)
+	baskets := MergeBoundary(classify.NewCases(d, d.AllIndexes()).Baskets(0))
 	// Figure 5.4: 7 baskets divided by boundary points, labels
 	// A M B C M A C with value groups 0 | 1 | 2 | 3 | 4 | 5,6 | 7-9.
 	if len(baskets) != 7 {
@@ -67,7 +67,7 @@ func TestPaperExampleBoundaryBaskets(t *testing.T) {
 
 // bruteForceBestK enumerates every way to cut b baskets into exactly
 // <=k intervals and returns the minimal aggregate impurity.
-func bruteForceBestK(im classify.Impurity, baskets []Basket, k int) float64 {
+func bruteForceBestK(im classify.Impurity, baskets []classify.Basket, k int) float64 {
 	b := len(baskets)
 	best := math.Inf(1)
 	var rec func(start, remaining int, branches [][]int)
@@ -118,7 +118,7 @@ func TestPropertyDPMatchesBruteForce(t *testing.T) {
 			nb = 8
 		}
 		k := int(kRaw%4) + 2
-		baskets := make([]Basket, nb)
+		baskets := make([]classify.Basket, nb)
 		for i := range baskets {
 			c := []int{int(raw[3*i]) % 5, int(raw[3*i+1]) % 5, int(raw[3*i+2]) % 5}
 			n := c[0] + c[1] + c[2]
@@ -126,7 +126,7 @@ func TestPropertyDPMatchesBruteForce(t *testing.T) {
 				c[0] = 1
 				n = 1
 			}
-			baskets[i] = Basket{Hi: float64(i), Counts: c, N: n}
+			baskets[i] = classify.Basket{Hi: float64(i), Counts: c, N: n}
 		}
 		for _, im := range []classify.Impurity{classify.Gini{}, classify.Entropy{}} {
 			dp := OptimalSubK(im, baskets, k)
@@ -153,10 +153,10 @@ func TestPropertyMonotoneInK(t *testing.T) {
 		if nb > 10 {
 			nb = 10
 		}
-		baskets := make([]Basket, nb)
+		baskets := make([]classify.Basket, nb)
 		for i := range baskets {
 			c := []int{int(raw[2*i])%6 + 1, int(raw[2*i+1]) % 6}
-			baskets[i] = Basket{Hi: float64(i), Counts: c, N: c[0] + c[1]}
+			baskets[i] = classify.Basket{Hi: float64(i), Counts: c, N: c[0] + c[1]}
 		}
 		prev := math.Inf(1)
 		for k := 2; k <= nb; k++ {
@@ -177,10 +177,10 @@ func TestPropertyMonotoneInK(t *testing.T) {
 }
 
 func TestMergeBoundaryKeepsMixedSeparate(t *testing.T) {
-	mk := func(hi float64, a, b int) Basket {
-		return Basket{Hi: hi, Counts: []int{a, b}, N: a + b}
+	mk := func(hi float64, a, b int) classify.Basket {
+		return classify.Basket{Hi: hi, Counts: []int{a, b}, N: a + b}
 	}
-	in := []Basket{mk(0, 2, 0), mk(1, 3, 0), mk(2, 1, 1), mk(3, 2, 2), mk(4, 0, 1), mk(5, 0, 2)}
+	in := []classify.Basket{mk(0, 2, 0), mk(1, 3, 0), mk(2, 1, 1), mk(3, 2, 2), mk(4, 0, 1), mk(5, 0, 2)}
 	out := MergeBoundary(in)
 	// Pure-A runs merge (0,1), mixed stay apart (2,3), pure-B merge (4,5).
 	if len(out) != 4 {
@@ -192,9 +192,9 @@ func TestMergeBoundaryKeepsMixedSeparate(t *testing.T) {
 }
 
 func TestCoalesceBaskets(t *testing.T) {
-	var in []Basket
+	var in []classify.Basket
 	for i := 0; i < 100; i++ {
-		in = append(in, Basket{Hi: float64(i), Counts: []int{1, 0}, N: 1})
+		in = append(in, classify.Basket{Hi: float64(i), Counts: []int{1, 0}, N: 1})
 	}
 	out := CoalesceBaskets(in, 10)
 	if len(out) > 10 {
@@ -238,7 +238,7 @@ func TestCategoricalLogicalValues(t *testing.T) {
 	add(3, 1, 2)
 	add(4, 0, 1)
 	add(4, 1, 3)
-	baskets, sets := CategoricalBaskets(d, d.AllIndexes(), 0)
+	baskets, sets := CategoricalBaskets(classify.NewCases(d, d.AllIndexes()), 0)
 	// Logical values: {r,b} (pure 0), {g} (pure 1), {y}, {m} = 4.
 	if len(baskets) != 4 {
 		t.Fatalf("%d logical values, want 4", len(baskets))
@@ -313,7 +313,7 @@ func TestSelectReturnsNilOnPureNode(t *testing.T) {
 	d := paperExample()
 	pure := []int{0, 1, 2} // three class-A elements
 	sel := NewSelector(Config{})
-	if sp := sel.Select(d, pure); sp != nil {
+	if sp := sel.Select(classify.NewCases(d, pure)); sp != nil {
 		t.Fatal("selector split a pure node")
 	}
 }
@@ -322,16 +322,16 @@ func TestOptimalSubKDegenerate(t *testing.T) {
 	if opt := OptimalSubK(classify.Gini{}, nil, 3); opt.Branches != 0 {
 		t.Fatalf("empty baskets: %+v", opt)
 	}
-	one := []Basket{{Hi: 1, Counts: []int{2, 2}, N: 4}}
+	one := []classify.Basket{{Hi: 1, Counts: []int{2, 2}, N: 4}}
 	if opt := OptimalSubK(classify.Gini{}, one, 3); opt.Branches != 1 {
 		t.Fatalf("single basket: %+v", opt)
 	}
 }
 
 func BenchmarkOptimalSubK128(b *testing.B) {
-	baskets := make([]Basket, 128)
+	baskets := make([]classify.Basket, 128)
 	for i := range baskets {
-		baskets[i] = Basket{Hi: float64(i), Counts: []int{i % 5, (i + 2) % 7, 3}, N: i%5 + (i+2)%7 + 3}
+		baskets[i] = classify.Basket{Hi: float64(i), Counts: []int{i % 5, (i + 2) % 7, 3}, N: i%5 + (i+2)%7 + 3}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -362,10 +362,10 @@ func TestRecursiveBinaryNeverBeatsDP(t *testing.T) {
 			nb = 10
 		}
 		k := int(kRaw%3) + 2
-		baskets := make([]Basket, nb)
+		baskets := make([]classify.Basket, nb)
 		for i := range baskets {
 			c := []int{int(raw[2*i])%6 + 1, int(raw[2*i+1]) % 6, (i * 3) % 4}
-			baskets[i] = Basket{Hi: float64(i), Counts: c, N: c[0] + c[1] + c[2]}
+			baskets[i] = classify.Basket{Hi: float64(i), Counts: c, N: c[0] + c[1] + c[2]}
 		}
 		dp := OptimalSubK(classify.Gini{}, baskets, k)
 		greedy := RecursiveBinaryBounds(classify.Gini{}, baskets, k)

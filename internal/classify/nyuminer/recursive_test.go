@@ -17,7 +17,7 @@ import (
 // It returns the impurity of the best split into at most k intervals
 // obtainable greedily: at each step, the interval whose optimal binary
 // subdivision reduces aggregate impurity the most is split.
-func RecursiveBinaryBounds(im classify.Impurity, baskets []Basket, k int) float64 {
+func RecursiveBinaryBounds(im classify.Impurity, baskets []classify.Basket, k int) float64 {
 	if len(baskets) == 0 {
 		return 0
 	}

@@ -12,24 +12,13 @@ package nyuminer
 
 import (
 	"math"
-	"sort"
 
 	"freepdm/internal/classify"
-	"freepdm/internal/dataset"
 )
-
-// Basket is a run of data elements collapsed by value (figure 5.2):
-// Hi is the largest attribute value in the basket and Counts its class
-// histogram.
-type Basket struct {
-	Hi     float64
-	Counts []int
-	N      int
-}
 
 // label returns the single class of a pure basket, or -1 for a mixed
 // ("M") basket.
-func (b Basket) label() int {
+func label(b classify.Basket) int {
 	cls := -1
 	for c, n := range b.Counts {
 		if n > 0 {
@@ -42,53 +31,19 @@ func (b Basket) label() int {
 	return cls
 }
 
-// NumericBaskets groups the non-missing values of attribute attr over
-// idx into value baskets and then merges adjacent baskets with equal
-// pure class labels, so that only boundary points (Fayyad–Irani;
-// theorem 5) remain as candidate cut points.
-func NumericBaskets(d *dataset.Dataset, idx []int, attr int) []Basket {
-	type vc struct {
-		v float64
-		c int
-	}
-	vals := make([]vc, 0, len(idx))
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if !dataset.IsMissing(v) {
-			vals = append(vals, vc{v, d.Class(i)})
-		}
-	}
-	if len(vals) == 0 {
-		return nil
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-	nc := len(d.Classes)
-	var baskets []Basket
-	for _, e := range vals {
-		if len(baskets) > 0 && baskets[len(baskets)-1].Hi == e.v {
-			b := &baskets[len(baskets)-1]
-			b.Counts[e.c]++
-			b.N++
-			continue
-		}
-		b := Basket{Hi: e.v, Counts: make([]int, nc), N: 1}
-		b.Counts[e.c]++
-		baskets = append(baskets, b)
-	}
-	return MergeBoundary(baskets)
-}
-
 // MergeBoundary combines adjacent baskets with the same pure class
-// label (figure 5.4); adjacent mixed baskets are kept separate, as are
-// pure baskets of different classes.
-func MergeBoundary(baskets []Basket) []Basket {
+// label (figure 5.4), in place; adjacent mixed baskets are kept
+// separate, as are pure baskets of different classes. Over a numeric
+// attribute's value baskets (Cases.Baskets) only boundary points
+// (Fayyad–Irani; theorem 5) remain as candidate cut points.
+func MergeBoundary(baskets []classify.Basket) []classify.Basket {
 	if len(baskets) == 0 {
 		return baskets
 	}
 	out := baskets[:1]
 	for _, b := range baskets[1:] {
 		last := &out[len(out)-1]
-		ll, bl := last.label(), b.label()
+		ll, bl := label(*last), label(b)
 		if ll >= 0 && ll == bl {
 			for c := range last.Counts {
 				last.Counts[c] += b.Counts[c]
@@ -103,11 +58,11 @@ func MergeBoundary(baskets []Basket) []Basket {
 }
 
 // CoalesceBaskets reduces a basket sequence to at most maxB baskets by
-// merging adjacent ones, preserving order. This is the standard
-// discretization applied before the O(K·B²) dynamic program when B is
-// very large (continuous attributes at big nodes); with maxB >= B it
-// is the identity and the split is exactly optimal.
-func CoalesceBaskets(baskets []Basket, maxB int) []Basket {
+// merging adjacent ones in place, preserving order. This is the
+// standard discretization applied before the O(K·B²) dynamic program
+// when B is very large (continuous attributes at big nodes); with
+// maxB >= B it is the identity and the split is exactly optimal.
+func CoalesceBaskets(baskets []classify.Basket, maxB int) []classify.Basket {
 	if maxB < 2 || len(baskets) <= maxB {
 		return baskets
 	}
@@ -116,7 +71,7 @@ func CoalesceBaskets(baskets []Basket, maxB int) []Basket {
 		total += b.N
 	}
 	per := (total + maxB - 1) / maxB
-	var out []Basket
+	out := baskets[:0]
 	for _, b := range baskets {
 		if len(out) > 0 && out[len(out)-1].N+b.N <= per {
 			last := &out[len(out)-1]
@@ -127,8 +82,7 @@ func CoalesceBaskets(baskets []Basket, maxB int) []Basket {
 			last.Hi = b.Hi
 			continue
 		}
-		nb := Basket{Hi: b.Hi, Counts: append([]int(nil), b.Counts...), N: b.N}
-		out = append(out, nb)
+		out = append(out, b)
 	}
 	return out
 }
@@ -147,7 +101,7 @@ type OptimalSplit struct {
 // where w is the weighted impurity of merging baskets j+1..i. Among
 // all k <= K attaining the minimal aggregate impurity, the smallest k
 // wins (definition 7: optimal sub-K-ary). Complexity O(K·B²).
-func OptimalSubK(im classify.Impurity, baskets []Basket, k int) OptimalSplit {
+func OptimalSubK(im classify.Impurity, baskets []classify.Basket, k int) OptimalSplit {
 	b := len(baskets)
 	if b == 0 {
 		return OptimalSplit{Impurity: 0, Branches: 0}
@@ -163,23 +117,21 @@ func OptimalSubK(im classify.Impurity, baskets []Basket, k int) OptimalSplit {
 	for _, bk := range baskets {
 		total += bk.N
 	}
-	// prefix[i][c] = count of class c in baskets[0..i-1].
-	prefix := make([][]int, b+1)
-	prefix[0] = make([]int, nc)
+	// prefix[i*nc+c] = count of class c in baskets[0..i-1].
+	prefix := make([]int, (b+1)*nc)
 	for i, bk := range baskets {
-		row := make([]int, nc)
-		copy(row, prefix[i])
+		row := prefix[(i+1)*nc : (i+2)*nc]
+		copy(row, prefix[i*nc:(i+1)*nc])
 		for c, n := range bk.Counts {
 			row[c] += n
 		}
-		prefix[i+1] = row
 	}
 	probs := make([]float64, nc)
 	// w(lo,hi) = (n/total) * impurity of baskets[lo..hi] (0-based incl).
 	w := func(lo, hi int) float64 {
 		n := 0
 		for c := 0; c < nc; c++ {
-			cnt := prefix[hi+1][c] - prefix[lo][c]
+			cnt := prefix[(hi+1)*nc+c] - prefix[lo*nc+c]
 			probs[c] = float64(cnt)
 			n += cnt
 		}
@@ -192,90 +144,74 @@ func OptimalSubK(im classify.Impurity, baskets []Basket, k int) OptimalSplit {
 		return float64(n) / float64(total) * im.Of(probs)
 	}
 
-	// cost[k][i]: minimal aggregate impurity of splitting baskets
-	// 0..i into k+1 intervals; choice[k][i]: the j achieving it.
-	cost := make([][]float64, k)
-	choice := make([][]int, k)
-	for kk := range cost {
-		cost[kk] = make([]float64, b)
-		choice[kk] = make([]int, b)
-	}
+	// cost[kk*b+i]: minimal aggregate impurity of splitting baskets
+	// 0..i into kk+1 intervals; choice[kk*b+i]: the j achieving it,
+	// the last basket of the first kk intervals.
+	cost := make([]float64, k*b)
+	choice := make([]int, k*b)
 	for i := 0; i < b; i++ {
-		cost[0][i] = w(0, i)
-		choice[0][i] = -1
+		cost[i] = w(0, i)
+		choice[i] = -1
+		for kk := 1; kk < k; kk++ {
+			cost[kk*b+i] = math.Inf(1)
+		}
 	}
-	for kk := 1; kk < k; kk++ {
-		for i := kk; i < b; i++ {
-			best := math.Inf(1)
-			bestJ := -1
-			for j := kk - 1; j < i; j++ {
-				c := cost[kk-1][j] + w(j+1, i)
-				if c < best {
-					best = c
-					bestJ = j
+	// w(j+1,i) does not depend on kk, so it is computed once per pair
+	// (j,i) and offered to every branch count. Each cost[kk][i] still
+	// sees its candidates j in ascending order, and cost[kk-1][j] is
+	// final since j < i.
+	for i := 1; i < b; i++ {
+		for j := 0; j < i; j++ {
+			wji := w(j+1, i)
+			for kk := 1; kk < k && kk <= j+1; kk++ {
+				if c := cost[(kk-1)*b+j] + wji; c < cost[kk*b+i] {
+					cost[kk*b+i] = c
+					choice[kk*b+i] = j
 				}
 			}
-			cost[kk][i] = best
-			choice[kk][i] = bestJ
 		}
 	}
 	// Optimal sub-K-ary: minimal impurity, then fewest branches.
 	bestK := 0
 	for kk := 1; kk < k; kk++ {
-		if cost[kk][b-1] < cost[bestK][b-1]-1e-12 {
+		if cost[kk*b+b-1] < cost[bestK*b+b-1]-1e-12 {
 			bestK = kk
 		}
 	}
-	sp := OptimalSplit{Impurity: cost[bestK][b-1], Branches: bestK + 1}
+	sp := OptimalSplit{Impurity: cost[bestK*b+b-1], Branches: bestK + 1}
 	// Reconstruct boundaries.
 	bounds := make([]int, bestK+1)
 	i := b - 1
 	for kk := bestK; kk >= 0; kk-- {
 		bounds[kk] = i
-		i = choice[kk][i]
+		i = choice[kk*b+i]
 	}
 	sp.Bounds = bounds
 	return sp
 }
 
-// CategoricalBaskets returns the logical-value baskets for a
-// categorical attribute plus, for each basket, the original category
-// indexes it stands for.
-func CategoricalBaskets(d *dataset.Dataset, idx []int, attr int) ([]Basket, [][]int) {
-	arity := len(d.Attrs[attr].Values)
-	nc := len(d.Classes)
-	perVal := make([][]int, arity)
-	for v := range perVal {
-		perVal[v] = make([]int, nc)
-	}
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if dataset.IsMissing(v) {
-			continue
-		}
-		perVal[int(v)][d.Class(i)]++
-	}
-	var out []Basket
+// CategoricalBaskets returns the logical-value baskets of categorical
+// attribute attr over a node's cases (section 5.3.2: the values pure
+// for one class merged into one) plus, for each basket, the original
+// category indexes it stands for.
+func CategoricalBaskets(cs *classify.Cases, attr int) ([]classify.Basket, [][]int) {
+	nc := len(cs.Data.Classes)
+	var out []classify.Basket
 	var sets [][]int
 	pureIdx := make([]int, nc)
 	for c := range pureIdx {
 		pureIdx[c] = -1
 	}
-	for v, counts := range perVal {
-		n := 0
-		for _, c := range counts {
-			n += c
-		}
-		if n == 0 {
+	for v, bk := range cs.Baskets(attr) {
+		if bk.N == 0 {
 			continue
 		}
-		bk := Basket{Counts: append([]int(nil), counts...), N: n}
-		if cls := bk.label(); cls >= 0 && pureIdx[cls] >= 0 {
+		if cls := label(bk); cls >= 0 && pureIdx[cls] >= 0 {
 			j := pureIdx[cls]
 			for c := range out[j].Counts {
-				out[j].Counts[c] += counts[c]
+				out[j].Counts[c] += bk.Counts[c]
 			}
-			out[j].N += n
+			out[j].N += bk.N
 			sets[j] = append(sets[j], v)
 			continue
 		} else if cls >= 0 {

@@ -87,11 +87,11 @@ type Tree struct {
 	Data *dataset.Dataset // schema provider (attribute/class names)
 }
 
-// SplitSelector chooses the best split of a node's instances, or nil
-// to declare the node a leaf. This is the only thing that differs
-// between NyuMiner, C4.5 and CART.
+// SplitSelector chooses the best split of a node's cases, or nil to
+// declare the node a leaf. This is the only thing that differs between
+// NyuMiner, C4.5 and CART.
 type SplitSelector interface {
-	Select(d *dataset.Dataset, idx []int) *Split
+	Select(c *Cases) *Split
 }
 
 // GrowOptions bounds tree growth.
@@ -107,21 +107,22 @@ func Grow(d *dataset.Dataset, idx []int, sel SplitSelector, opts GrowOptions) *T
 	if opts.MinSplit < 2 {
 		opts.MinSplit = 2
 	}
-	return &Tree{Root: grow(d, idx, sel, opts, 0), Data: d}
+	return &Tree{Root: grow(NewCases(d, idx), sel, opts, 0), Data: d}
 }
 
-func grow(d *dataset.Dataset, idx []int, sel SplitSelector, opts GrowOptions, depth int) *Node {
-	n := &Node{Counts: d.ClassHistogram(idx), N: len(idx)}
-	n.Majority, _ = d.MajorityClass(idx)
-	if n.Errors() == 0 || len(idx) < opts.MinSplit ||
+func grow(c *Cases, sel SplitSelector, opts GrowOptions, depth int) *Node {
+	d := c.Data
+	n := &Node{Counts: d.ClassHistogram(c.Idx), N: len(c.Idx)}
+	n.Majority, _ = d.MajorityClass(c.Idx)
+	if n.Errors() == 0 || len(c.Idx) < opts.MinSplit ||
 		(opts.MaxDepth > 0 && depth >= opts.MaxDepth) {
 		return n
 	}
-	sp := sel.Select(d, idx)
+	sp := sel.Select(c)
 	if sp == nil {
 		return n
 	}
-	parts := Partition(d, idx, sp)
+	parts := Partition(d, c.Idx, sp)
 	// A split that fails to separate anything would recurse forever.
 	nonEmpty := 0
 	for _, p := range parts {
@@ -134,13 +135,13 @@ func grow(d *dataset.Dataset, idx []int, sel SplitSelector, opts GrowOptions, de
 	}
 	n.Split = sp
 	n.Children = make([]*Node, len(parts))
-	for b, p := range parts {
-		if len(p) == 0 {
+	for b, kid := range c.split(parts) {
+		if len(kid.Idx) == 0 {
 			// Empty branch: a leaf predicting the parent majority.
 			n.Children[b] = &Node{Counts: make([]int, len(d.Classes)), Majority: n.Majority}
 			continue
 		}
-		n.Children[b] = grow(d, p, sel, opts, depth+1)
+		n.Children[b] = grow(kid, sel, opts, depth+1)
 	}
 	return n
 }
@@ -255,33 +256,5 @@ func (t *Tree) String() string {
 		}
 	}
 	walk(t.Root, "", "")
-	return b.String()
-}
-
-// DOT renders the tree in Graphviz format — the visualization
-// direction of the dissertation's future work (section 8.2).
-func (t *Tree) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  node [shape=box];\n", name)
-	id := 0
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		me := id
-		id++
-		if n.IsLeaf() {
-			fmt.Fprintf(&b, "  n%d [label=\"%s\\nn=%d\", style=filled, fillcolor=lightgrey];\n",
-				me, t.Data.Classes[n.Majority], n.N)
-			return me
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"%s\\nn=%d\"];\n",
-			me, t.Data.Attrs[n.Split.Attr].Name, n.N)
-		for i, ch := range n.Children {
-			c := walk(ch)
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", me, c, n.Split.Describe(t.Data, i))
-		}
-		return me
-	}
-	walk(t.Root)
-	b.WriteString("}\n")
 	return b.String()
 }

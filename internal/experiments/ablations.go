@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"freepdm/internal/classify"
@@ -52,14 +51,14 @@ func init() {
 		// A discrete numeric attribute in the style of figure 5.1,
 		// scaled up: values 0..200 with pure runs between noisy bands.
 		d := discreteAblationData(6000, 200)
-		idx := d.AllIndexes()
-		raw := rawValueBaskets(d, idx, 0)
-		merged := nyuminer.NumericBaskets(d, idx, 0)
+		cases := classify.NewCases(d, d.AllIndexes())
+		raw := cases.Baskets(0)
+		merged := nyuminer.MergeBoundary(cases.Baskets(0))
 		tw := table(w, "Baskets fed to the O(K\u00b7B\u00b2) DP (theorem 5 guarantees identical impurity)")
 		fmt.Fprintln(tw, "Variant\tBaskets\tDP time\tImpurity")
 		for _, v := range []struct {
 			name    string
-			baskets []nyuminer.Basket
+			baskets []classify.Basket
 		}{{"raw value baskets", raw}, {"boundary-merged", merged}} {
 			start := time.Now()
 			opt := nyuminer.OptimalSubK(classify.Gini{}, v.baskets, 4)
@@ -98,8 +97,7 @@ func init() {
 				d.Instances = append(d.Instances, dataset.Instance{Vals: []float64{float64(v)}, Class: c})
 			}
 		}
-		idx := d.AllIndexes()
-		baskets, _ := nyuminer.CategoricalBaskets(d, idx, 0)
+		baskets, _ := nyuminer.CategoricalBaskets(classify.NewCases(d, d.AllIndexes()), 0)
 		tw := table(w, "Permutation search space before and after merging pure values into logical values (section 5.3.2)")
 		fmt.Fprintln(tw, "Variant\tValues\tPermutations")
 		fmt.Fprintf(tw, "raw values V\t%d\t%d\n", 12, factorial(12))
@@ -255,39 +253,4 @@ func discreteAblationData(n, maxV int) *dataset.Dataset {
 		d.Instances = append(d.Instances, dataset.Instance{Vals: []float64{float64(v)}, Class: c})
 	}
 	return d
-}
-
-// rawValueBaskets builds per-distinct-value baskets without boundary
-// merging, the "before" arm of the boundary-point ablation.
-func rawValueBaskets(d *dataset.Dataset, idx []int, attr int) []nyuminer.Basket {
-	type vc struct {
-		v float64
-		c int
-	}
-	var vals []vc
-	for _, i := range idx {
-		v := d.Value(i, attr)
-		if !dataset.IsMissing(v) {
-			vals = append(vals, vc{v, d.Class(i)})
-		}
-	}
-	// insertion into a map keyed by value
-	byVal := map[float64]*nyuminer.Basket{}
-	var order []float64
-	for _, e := range vals {
-		b, ok := byVal[e.v]
-		if !ok {
-			b = &nyuminer.Basket{Hi: e.v, Counts: make([]int, len(d.Classes))}
-			byVal[e.v] = b
-			order = append(order, e.v)
-		}
-		b.Counts[e.c]++
-		b.N++
-	}
-	sort.Float64s(order)
-	out := make([]nyuminer.Basket, len(order))
-	for i, v := range order {
-		out[i] = *byVal[v]
-	}
-	return out
 }
