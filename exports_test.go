@@ -43,6 +43,12 @@ type goFile struct {
 	test bool
 }
 
+// library reports whether the file is non-test code of a library
+// package. Main packages and the benchmark's own module only call.
+func (gf goFile) library() bool {
+	return !gf.test && gf.f.Name.Name != "main" && gf.dir != "internal/bench" && !strings.HasPrefix(gf.dir, "internal/bench/")
+}
+
 // parseRepo parses every Go file under the root, the nested benchmark
 // module included, outside testdata and dot directories.
 func parseRepo(t *testing.T, fset *token.FileSet) []goFile {
@@ -106,7 +112,7 @@ func exportedDecls(files []goFile) map[string]*exportDecl {
 	}
 	var lib []goFile
 	for _, gf := range files {
-		if gf.test || gf.f.Name.Name == "main" || gf.dir == "internal/bench" || strings.HasPrefix(gf.dir, "internal/bench/") {
+		if !gf.library() {
 			continue
 		}
 		lib = append(lib, gf)
@@ -159,19 +165,7 @@ func countUses(t *testing.T, files []goFile, decls map[string]*exportDecl) {
 		if gf.test {
 			continue
 		}
-		imports := map[string]string{} // local name -> directory
-		for _, is := range gf.f.Imports {
-			p, _ := strconv.Unquote(is.Path.Value)
-			dir, ok := strings.CutPrefix(p, module+"/")
-			if !ok {
-				continue
-			}
-			name := filepath.Base(dir)
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = dir
-		}
+		imports := moduleImports(gf.f, module)
 		// Names that declare, or select a field or method, are not
 		// references to a package-level identifier.
 		skip := map[*ast.Ident]bool{}
@@ -204,6 +198,25 @@ func countUses(t *testing.T, files []goFile, decls map[string]*exportDecl) {
 			return true
 		})
 	}
+}
+
+// moduleImports maps the local name of each module package a file
+// imports to its directory.
+func moduleImports(f *ast.File, module string) map[string]string {
+	imports := map[string]string{}
+	for _, is := range f.Imports {
+		p, _ := strconv.Unquote(is.Path.Value)
+		dir, ok := strings.CutPrefix(p, module+"/")
+		if !ok {
+			continue
+		}
+		name := filepath.Base(dir)
+		if is.Name != nil {
+			name = is.Name.Name
+		}
+		imports[name] = dir
+	}
+	return imports
 }
 
 // modulePath is the module line of go.mod.
@@ -259,6 +272,182 @@ func TestExportsHaveCallers(t *testing.T) {
 	for key := range exportAllowlist {
 		if !needed[key] {
 			t.Errorf("allowlist entry %s names nothing without a caller: remove it", key)
+		}
+	}
+}
+
+// optionAllowlist names the option fields that may have no setter
+// outside their own package, keyed directory.Type.Field, each with its
+// reason.
+var optionAllowlist = map[string]string{
+	"internal/tuplespace.DialOptions.Heartbeat": "the partition tests' switch for the background pinger",
+	"internal/cluster.Options.RetryTimeout":     "ROADMAP 2 decides the Router's fate",
+	"internal/cluster.Options.Backoff":          "ROADMAP 2 decides the Router's fate",
+}
+
+// isOptionType reports whether a type name is an options struct's.
+func isOptionType(name string) bool {
+	return strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params")
+}
+
+// optionFields lists the exported fields of the exported *Options,
+// *Config and *Params structs of every library package, keyed
+// directory.Type.Field. Main packages and the benchmark's own module
+// are setters only.
+func optionFields(files []goFile) map[string]bool {
+	fields := map[string]bool{}
+	for _, gf := range files {
+		if !gf.library() {
+			continue
+		}
+		for _, decl := range gf.f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !isOptionType(ts.Name.Name) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							fields[gf.dir+"."+ts.Name.Name+"."+id.Name] = false
+						}
+					}
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// markSetters sets to true each option field that a non-test file
+// outside the field's own package sets: as a key of a composite
+// literal of the struct's type, or by assigning to v.Field where the
+// file declares v as a variable or parameter of that type or a pointer
+// to it (scopes are not told apart).
+func markSetters(t *testing.T, files []goFile, fields map[string]bool) {
+	t.Helper()
+	module := modulePath(t)
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		imports := moduleImports(gf.f, module)
+		// typeKey is directory.Type for a reference, through at most one
+		// pointer or address-of, to another package's option type or to
+		// a composite literal of one.
+		typeKey := func(x ast.Expr) string {
+			switch y := x.(type) {
+			case *ast.StarExpr:
+				x = y.X
+			case *ast.UnaryExpr:
+				x = y.X
+			}
+			if lit, ok := x.(*ast.CompositeLit); ok {
+				x = lit.Type
+			}
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok || !isOptionType(sel.Sel.Name) {
+				return ""
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && imports[pkg.Name] != "" && imports[pkg.Name] != gf.dir {
+				return imports[pkg.Name] + "." + sel.Sel.Name
+			}
+			return ""
+		}
+		set := func(key, field string) {
+			if _, ok := fields[key+"."+field]; ok {
+				fields[key+"."+field] = true
+			}
+		}
+		vars := map[string][]string{} // identifier -> the option types it is declared with
+		declare := func(id *ast.Ident, x ast.Expr) {
+			if key := typeKey(x); key != "" {
+				vars[id.Name] = append(vars[id.Name], key)
+			}
+		}
+		var assigns []*ast.AssignStmt
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				if key := typeKey(x.Type); key != "" {
+					for _, e := range x.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set(key, id.Name)
+							}
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for i, id := range x.Names {
+					if x.Type != nil {
+						declare(id, x.Type)
+					} else if i < len(x.Values) {
+						declare(id, x.Values[i])
+					}
+				}
+			case *ast.FuncType:
+				for _, f := range x.Params.List {
+					for _, id := range f.Names {
+						declare(id, f.Type)
+					}
+				}
+			case *ast.AssignStmt:
+				assigns = append(assigns, x)
+				for i, lhs := range x.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && x.Tok == token.DEFINE && i < len(x.Rhs) {
+						declare(id, x.Rhs[i])
+					}
+				}
+			}
+			return true
+		})
+		for _, as := range assigns {
+			for _, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok {
+						for _, key := range vars[id.Name] {
+							set(key, sel.Sel.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOptionFieldsAreSet fails when an exported field of an exported
+// *Options, *Config or *Params struct of a library package is set by
+// no non-test file outside its own package: a setting that no caller
+// changes is a constant. Commands, examples and the benchmark count as
+// setters. It also fails on an allowlist entry that names no field, or
+// a field that has a setter.
+func TestOptionFieldsAreSet(t *testing.T) {
+	files := parseRepo(t, token.NewFileSet())
+	fields := optionFields(files)
+	markSetters(t, files, fields)
+
+	var unset []string
+	for key, ok := range fields {
+		if !ok && optionAllowlist[key] == "" {
+			unset = append(unset, key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("%s is set by no non-test file outside its package: make it a constant", key)
+	}
+	for key := range optionAllowlist {
+		if ok, found := fields[key]; !found || ok {
+			t.Errorf("option allowlist entry %s names no field without a setter: remove it", key)
 		}
 	}
 }

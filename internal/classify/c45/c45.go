@@ -15,32 +15,22 @@ import (
 	"freepdm/internal/dataset"
 )
 
-// Config parameterizes C4.5.
-type Config struct {
-	// CF is the pruning confidence factor (default 0.25, C4.5's -c).
-	CF float64
-	// MinSplit is C4.5's -m: minimum cases in at least two branches
-	// (default 2).
-	MinSplit int
-}
-
-func (c Config) withDefaults() Config {
-	if c.CF == 0 {
-		c.CF = 0.25
-	}
-	if c.MinSplit < 2 {
-		c.MinSplit = 2
-	}
-	return c
-}
+// C4.5's two settings, at the defaults the dissertation runs.
+const (
+	// confidence is the pruning confidence factor (C4.5's -c).
+	confidence = 0.25
+	// minCases is the fewest cases a binary cut may leave in either
+	// branch (C4.5's -m).
+	minCases = 2
+)
 
 // Selector implements C4.5's attribute selection: the split with the
 // highest gain ratio among those whose information gain is at least
 // the average gain of all candidate splits.
-type Selector struct{ cfg Config }
+type Selector struct{}
 
 // NewSelector returns a C4.5 split selector.
-func NewSelector(cfg Config) *Selector { return &Selector{cfg.withDefaults()} }
+func NewSelector() *Selector { return &Selector{} }
 
 type candidate struct {
 	split *classify.Split
@@ -56,7 +46,7 @@ func (s *Selector) Select(c *classify.Cases) *classify.Split {
 	for a := range d.Attrs {
 		var cand *candidate
 		if d.Attrs[a].Kind == dataset.Numeric {
-			cand = s.numericCandidate(c, a, info)
+			cand = numericCandidate(c, a, info)
 		} else {
 			cand = categoricalCandidate(c, a, info)
 		}
@@ -89,9 +79,9 @@ func (s *Selector) Select(c *classify.Cases) *classify.Split {
 	return cands[best].split
 }
 
-func (s *Selector) numericCandidate(c *classify.Cases, attr int, info float64) *candidate {
+func numericCandidate(c *classify.Cases, attr int, info float64) *candidate {
 	bestGain, bestRatio, bestCut := -1.0, 0.0, 0.0
-	c.BinaryCuts(attr, s.cfg.MinSplit, func(cut float64, branches [][]int) {
+	c.BinaryCuts(attr, minCases, func(cut float64, branches [][]int) {
 		if g := classify.InfoGain(info, branches); g > bestGain {
 			bestGain, bestRatio, bestCut = g, classify.GainRatio(g, branches), cut
 		}
@@ -135,9 +125,8 @@ func categoricalCandidate(c *classify.Cases, attr int, info float64) *candidate 
 }
 
 // Grow builds an unpruned C4.5 tree.
-func Grow(d *dataset.Dataset, idx []int, cfg Config) *classify.Tree {
-	cfg = cfg.withDefaults()
-	return classify.Grow(d, idx, NewSelector(cfg), classify.GrowOptions{MinSplit: cfg.MinSplit})
+func Grow(d *dataset.Dataset, idx []int) *classify.Tree {
+	return classify.Grow(d, idx, NewSelector(), 0)
 }
 
 // UCF is C4.5's pessimistic error estimate: the upper limit of the
@@ -206,90 +195,45 @@ func lchoose(n, k int) float64 {
 	return lg(n) - lg(k) - lg(n-k)
 }
 
-// predictedErrors is the pessimistic error count of a subtree: the sum
-// over leaves of n * UCF(e, n, cf).
-func predictedErrors(n *classify.Node, cf float64) float64 {
-	if n.IsLeaf() {
-		return float64(n.N) * UCF(n.Errors(), n.N, cf)
-	}
-	s := 0.0
-	for _, ch := range n.Children {
-		s += predictedErrors(ch, cf)
-	}
-	return s
-}
-
 // Prune applies C4.5's pessimistic pruning in place: bottom-up, a
 // subtree whose predicted errors are not lower than those of a leaf in
 // its place collapses into that leaf.
-func Prune(t *classify.Tree, cfg Config) {
-	cfg = cfg.withDefaults()
-	var walk func(n *classify.Node)
-	walk = func(n *classify.Node) {
-		if n.IsLeaf() {
-			return
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-		leafErr := float64(n.N) * UCF(n.Errors(), n.N, cfg.CF)
-		subErr := predictedErrors(n, cfg.CF)
-		if leafErr <= subErr+1e-9 {
-			n.Split = nil
-			n.Children = nil
-		}
+func Prune(t *classify.Tree) {
+	prune(t.Root)
+}
+
+// prune prunes the subtree at n and returns its predicted errors after
+// pruning: n * UCF(e, n) summed over its leaves.
+func prune(n *classify.Node) float64 {
+	leafErr := float64(n.N) * UCF(n.Errors(), n.N, confidence)
+	if n.IsLeaf() {
+		return leafErr
 	}
-	walk(t.Root)
+	subErr := 0.0
+	for _, ch := range n.Children {
+		subErr += prune(ch)
+	}
+	if leafErr <= subErr+1e-9 {
+		n.Split = nil
+		n.Children = nil
+		return leafErr
+	}
+	return subErr
 }
 
 // Train grows and prunes a C4.5 tree on the whole training set.
-func Train(d *dataset.Dataset, idx []int, cfg Config) *classify.Tree {
-	t := Grow(d, idx, cfg)
-	Prune(t, cfg)
+func Train(d *dataset.Dataset, idx []int) *classify.Tree {
+	t := Grow(d, idx)
+	Prune(t)
 	return t
 }
 
 // Window runs one windowing episode (section 5.4.2's description of
-// C4.5's technique): grow a pruned tree from a random initial window,
-// add a selection of the cases it misclassifies, and repeat until the
-// tree classifies the remaining cases correctly or the window covers
-// the training set.
-func Window(d *dataset.Dataset, idx []int, cfg Config, rng *rand.Rand) *classify.Tree {
-	cfg = cfg.withDefaults()
-	perm := append([]int(nil), idx...)
-	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	initial := len(perm) / 5
-	if s := int(2 * math.Sqrt(float64(len(perm)))); s > initial {
-		initial = s
-	}
-	if initial > len(perm) {
-		initial = len(perm)
-	}
-	window := append([]int(nil), perm[:initial]...)
-	rest := perm[initial:]
-	for {
-		tree := Train(d, window, cfg)
-		var miss, stay []int
-		for _, i := range rest {
-			if tree.Classify(d.Instances[i].Vals) != d.Class(i) {
-				miss = append(miss, i)
-			} else {
-				stay = append(stay, i)
-			}
-		}
-		if len(miss) == 0 {
-			return tree
-		}
-		take := len(miss)
-		if limit := len(window)/2 + 1; take > limit {
-			take = limit
-		}
-		window = append(window, miss[:take]...)
-		rest = append(stay, miss[take:]...)
-		if len(window) >= len(idx) {
-			return Train(d, idx, cfg)
-		}
-	}
+// C4.5's technique) of pruned trees, from an initial window of a fifth
+// of the cases or twice their square root, whichever is larger.
+func Window(d *dataset.Dataset, idx []int, rng *rand.Rand) *classify.Tree {
+	initial := max(len(idx)/5, int(2*math.Sqrt(float64(len(idx)))))
+	return classify.Window(d, idx, initial, Train, rng)
 }
 
 // TrainTrialsSeeded runs the windowing technique for the given number
@@ -298,15 +242,14 @@ func Window(d *dataset.Dataset, idx []int, cfg Config, rng *rand.Rand) *classify
 // such tree on a tie). Each trial has a private RNG
 // seeded base+trial, so sequential and parallel executions of the same
 // trials produce identical trees regardless of scheduling.
-func TrainTrialsSeeded(d *dataset.Dataset, idx []int, trials int, cfg Config, base int64) *classify.Tree {
-	cfg = cfg.withDefaults()
+func TrainTrialsSeeded(d *dataset.Dataset, idx []int, trials int, base int64) *classify.Tree {
 	if trials < 1 {
 		trials = 1
 	}
 	var best *classify.Tree
 	bestErr := math.Inf(1)
 	for t := 0; t < trials; t++ {
-		tree := TrialTree(d, idx, cfg, base, t)
+		tree := TrialTree(d, idx, base, t)
 		errs := float64(len(idx)) - float64(len(idx))*tree.Accuracy(d, idx)
 		if errs < bestErr {
 			bestErr = errs
@@ -318,6 +261,6 @@ func TrainTrialsSeeded(d *dataset.Dataset, idx []int, trials int, cfg Config, ba
 
 // TrialTree runs the windowing episode for one trial with its
 // deterministic per-trial RNG.
-func TrialTree(d *dataset.Dataset, idx []int, cfg Config, base int64, trial int) *classify.Tree {
-	return Window(d, idx, cfg, rand.New(rand.NewSource(base+int64(trial))))
+func TrialTree(d *dataset.Dataset, idx []int, base int64, trial int) *classify.Tree {
+	return Window(d, idx, rand.New(rand.NewSource(base+int64(trial))))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"freepdm/internal/classify"
 	"freepdm/internal/dataset"
 )
 
@@ -58,7 +59,7 @@ func TestTrainOnMushrooms(t *testing.T) {
 	d, _ := dataset.Benchmark("mushrooms", 7)
 	rng := rand.New(rand.NewSource(7))
 	train, test := d.StratifiedHalves(rng)
-	tree := Train(d, train, Config{})
+	tree := Train(d, train)
 	if acc := tree.Accuracy(d, test); acc < 0.99 {
 		t.Fatalf("mushrooms accuracy %.3f", acc)
 	}
@@ -67,18 +68,30 @@ func TestTrainOnMushrooms(t *testing.T) {
 func TestPruneShrinksNoisyTree(t *testing.T) {
 	d, _ := dataset.Benchmark("diabetes", 8)
 	idx := d.AllIndexes()
-	full := Grow(d, idx, Config{})
-	pruned := Train(d, idx, Config{})
-	if pruned.Leaves() >= full.Leaves() {
-		t.Fatalf("pruning did not shrink: %d -> %d leaves", full.Leaves(), pruned.Leaves())
+	full := Grow(d, idx)
+	pruned := Train(d, idx)
+	if leaves(pruned.Root) >= leaves(full.Root) {
+		t.Fatalf("pruning did not shrink: %d -> %d leaves", leaves(full.Root), leaves(pruned.Root))
 	}
+}
+
+// leaves counts the terminal nodes of a subtree.
+func leaves(n *classify.Node) int {
+	if n.IsLeaf() {
+		return 1
+	}
+	c := 0
+	for _, ch := range n.Children {
+		c += leaves(ch)
+	}
+	return c
 }
 
 func TestTrainBeatsPluralityOnDiabetes(t *testing.T) {
 	d, _ := dataset.Benchmark("diabetes", 9)
 	rng := rand.New(rand.NewSource(9))
 	train, test := d.StratifiedHalves(rng)
-	tree := Train(d, train, Config{})
+	tree := Train(d, train)
 	_, nmaj := d.MajorityClass(test)
 	if acc := tree.Accuracy(d, test); acc <= float64(nmaj)/float64(len(test)) {
 		t.Fatalf("C4.5 accuracy %.3f <= plurality", acc)
@@ -87,7 +100,7 @@ func TestTrainBeatsPluralityOnDiabetes(t *testing.T) {
 
 func TestCategoricalSplitsAreMWay(t *testing.T) {
 	d, _ := dataset.Benchmark("mushrooms", 10)
-	tree := Grow(d, d.AllIndexes(), Config{})
+	tree := Grow(d, d.AllIndexes())
 	// Find an interior categorical split and check branch count = arity.
 	n := tree.Root
 	for !n.IsLeaf() {
@@ -106,7 +119,7 @@ func TestCategoricalSplitsAreMWay(t *testing.T) {
 func TestWindowTerminates(t *testing.T) {
 	d, _ := dataset.Benchmark("vote", 11)
 	rng := rand.New(rand.NewSource(11))
-	tree := Window(d, d.AllIndexes(), Config{}, rng)
+	tree := Window(d, d.AllIndexes(), rng)
 	if tree == nil {
 		t.Fatal("nil tree")
 	}
@@ -119,7 +132,7 @@ func TestTrainTrialsPicksATree(t *testing.T) {
 	d, _ := dataset.Benchmark("vote", 12)
 	rng := rand.New(rand.NewSource(12))
 	train, test := d.StratifiedHalves(rng)
-	tree := TrainTrialsSeeded(d, train, 3, Config{}, 12)
+	tree := TrainTrialsSeeded(d, train, 3, 12)
 	if acc := tree.Accuracy(d, test); acc < 0.85 {
 		t.Fatalf("trials accuracy %.3f", acc)
 	}
@@ -130,6 +143,6 @@ func BenchmarkTrainDiabetes(b *testing.B) {
 	idx := d.AllIndexes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Train(d, idx, Config{})
+		Train(d, idx)
 	}
 }

@@ -15,33 +15,16 @@ import (
 	"freepdm/internal/dataset"
 )
 
-// Config parameterizes CART.
-type Config struct {
-	// MinSplit is the minimum node size eligible for splitting
-	// (default 2).
-	MinSplit int
-	// MaxSubsetArity bounds the exact categorical subset enumeration;
-	// attributes with more distinct values use the class-proportion
-	// ordering (exact for two classes by the CART ordering theorem).
-	// Default 10.
-	MaxSubsetArity int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinSplit < 2 {
-		c.MinSplit = 2
-	}
-	if c.MaxSubsetArity == 0 {
-		c.MaxSubsetArity = 10
-	}
-	return c
-}
+// maxSubsetArity bounds the exact categorical subset enumeration;
+// attributes with more distinct values use the class-proportion
+// ordering (exact for two classes by the CART ordering theorem).
+const maxSubsetArity = 10
 
 // Selector implements CART's binary Gini split search.
-type Selector struct{ cfg Config }
+type Selector struct{}
 
 // NewSelector returns a CART split selector.
-func NewSelector(cfg Config) *Selector { return &Selector{cfg.withDefaults()} }
+func NewSelector() *Selector { return &Selector{} }
 
 // Select implements classify.SplitSelector.
 func (s *Selector) Select(c *classify.Cases) *classify.Split {
@@ -55,7 +38,7 @@ func (s *Selector) Select(c *classify.Cases) *classify.Split {
 		if d.Attrs[a].Kind == dataset.Numeric {
 			sp, imp = numeric(c, a)
 		} else {
-			sp, imp = s.categorical(c, a)
+			sp, imp = categorical(c, a, maxSubsetArity)
 		}
 		if sp != nil && imp < best-1e-12 {
 			best = imp
@@ -82,7 +65,10 @@ func numeric(c *classify.Cases, attr int) (*classify.Split, float64) {
 	return &classify.Split{Attr: attr, Kind: dataset.Numeric, Cuts: []float64{bestCut}, Branches: 2}, best
 }
 
-func (s *Selector) categorical(c *classify.Cases, attr int) (*classify.Split, float64) {
+// categorical is the best binary split of a categorical attribute: an
+// exact search over its value subsets when it has at most arity
+// present values, the class-proportion ordering otherwise.
+func categorical(c *classify.Cases, attr, arity int) (*classify.Split, float64) {
 	perVal := c.Baskets(attr)
 	nc := len(c.Data.Classes)
 	var present []int
@@ -118,7 +104,7 @@ func (s *Selector) categorical(c *classify.Cases, attr int) (*classify.Split, fl
 
 	best := math.Inf(1)
 	var bestLeft map[int]bool
-	if len(present) <= s.cfg.MaxSubsetArity {
+	if len(present) <= arity {
 		// Exact search over the 2^(m-1)-1 distinct binary partitions.
 		m := len(present)
 		for mask := 1; mask < 1<<(m-1); mask++ {
@@ -168,16 +154,13 @@ func (s *Selector) categorical(c *classify.Cases, attr int) (*classify.Split, fl
 }
 
 // Grow builds an unpruned CART tree.
-func Grow(d *dataset.Dataset, idx []int, cfg Config) *classify.Tree {
-	cfg = cfg.withDefaults()
-	return classify.Grow(d, idx, NewSelector(cfg), classify.GrowOptions{MinSplit: cfg.MinSplit})
+func Grow(d *dataset.Dataset, idx []int) *classify.Tree {
+	return classify.Grow(d, idx, NewSelector(), 0)
 }
 
 // TrainCV grows a CART tree and prunes it by minimal cost-complexity
 // pruning with V-fold cross validation, CART's standard recipe.
-func TrainCV(d *dataset.Dataset, idx []int, v int, cfg Config, rng *rand.Rand) *classify.PrunedTree {
-	cfg = cfg.withDefaults()
-	grow := func(dd *dataset.Dataset, ii []int) *classify.Tree { return Grow(dd, ii, cfg) }
-	pt, _ := classify.CVPrune(d, idx, v, grow, rng)
+func TrainCV(d *dataset.Dataset, idx []int, v int, rng *rand.Rand) *classify.PrunedTree {
+	pt, _ := classify.CVPrune(d, idx, v, Grow, rng)
 	return pt
 }

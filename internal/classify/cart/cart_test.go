@@ -13,7 +13,7 @@ func TestAllSplitsAreBinary(t *testing.T) {
 	for _, name := range []string{"german", "mushrooms"} {
 		d, _ := dataset.Benchmark(name, 21)
 		idx := d.AllIndexes()[:400]
-		tree := Grow(d, idx, Config{})
+		tree := Grow(d, idx)
 		var walk func(n *classify.Node)
 		walk = func(n *classify.Node) {
 			if n.IsLeaf() {
@@ -47,11 +47,9 @@ func TestExactSubsetSearchBeatsOrNotWorseThanOrdering(t *testing.T) {
 	if attr < 0 {
 		t.Skip("no suitable categorical attribute")
 	}
-	exact := NewSelector(Config{MaxSubsetArity: 12})
-	heur := NewSelector(Config{MaxSubsetArity: 1})
 	cases := classify.NewCases(d, idx)
-	se, ie := exact.categorical(cases, attr)
-	sh, ih := heur.categorical(cases, attr)
+	se, ie := categorical(cases, attr, 12)
+	sh, ih := categorical(cases, attr, 1)
 	if se == nil || sh == nil {
 		t.Skip("no split found")
 	}
@@ -64,7 +62,7 @@ func TestTrainCVOnMushrooms(t *testing.T) {
 	d, _ := dataset.Benchmark("mushrooms", 23)
 	rng := rand.New(rand.NewSource(23))
 	train, test := d.StratifiedHalves(rng)
-	pt := TrainCV(d, train, 10, Config{}, rng)
+	pt := TrainCV(d, train, 10, rng)
 	if acc := pt.Accuracy(d, test); acc < 0.99 {
 		t.Fatalf("mushrooms accuracy %.3f", acc)
 	}
@@ -74,7 +72,7 @@ func TestTrainCVBeatsPluralityOnDiabetes(t *testing.T) {
 	d, _ := dataset.Benchmark("diabetes", 24)
 	rng := rand.New(rand.NewSource(24))
 	train, test := d.StratifiedHalves(rng)
-	pt := TrainCV(d, train, 10, Config{}, rng)
+	pt := TrainCV(d, train, 10, rng)
 	_, nmaj := d.MajorityClass(test)
 	if acc := pt.Accuracy(d, test); acc <= float64(nmaj)/float64(len(test)) {
 		t.Fatalf("CART accuracy %.3f <= plurality", acc)
@@ -92,7 +90,7 @@ func TestSelectNilOnPureNode(t *testing.T) {
 			break
 		}
 	}
-	if sp := NewSelector(Config{}).Select(classify.NewCases(d, pure)); sp != nil {
+	if sp := NewSelector().Select(classify.NewCases(d, pure)); sp != nil {
 		t.Fatal("CART split a pure node")
 	}
 }
@@ -102,6 +100,6 @@ func BenchmarkGrowGerman(b *testing.B) {
 	idx := d.AllIndexes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Grow(d, idx, Config{})
+		Grow(d, idx)
 	}
 }

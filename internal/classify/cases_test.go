@@ -173,16 +173,16 @@ func randomCases(rng *rand.Rand) (*dataset.Dataset, []int) {
 // collect-and-sort over the node's indexes.
 func TestPropertyPresortMatchesFreshSort(t *testing.T) {
 	growers := map[string]classify.SplitSelector{
-		"c45":      c45.NewSelector(c45.Config{}),
-		"cart":     cart.NewSelector(cart.Config{}),
-		"nyuminer": nyuminer.NewSelector(nyuminer.Config{K: 3}),
+		"c45":      c45.NewSelector(),
+		"cart":     cart.NewSelector(),
+		"nyuminer": nyuminer.NewSelector(),
 	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		d, idx := randomCases(rng)
 		for name, sel := range growers {
 			nodes := 0
-			tree := classify.Grow(d, idx, checkSelector{t, sel, &nodes}, classify.GrowOptions{})
+			tree := classify.Grow(d, idx, checkSelector{t, sel, &nodes}, 0)
 			if tree.Nodes() > 1 && nodes < 2 {
 				t.Fatalf("%s: %d-node tree but %d nodes checked", name, tree.Nodes(), nodes)
 			}

@@ -123,7 +123,7 @@ func xorDataset() *dataset.Dataset {
 
 func TestGrowAndClassifySeparable(t *testing.T) {
 	d := xorDataset()
-	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, GrowOptions{})
+	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, 0)
 	if acc := tree.Accuracy(d, d.AllIndexes()); acc != 1.0 {
 		t.Fatalf("accuracy %v on separable data", acc)
 	}
@@ -138,7 +138,7 @@ func TestGrowAndClassifySeparable(t *testing.T) {
 func TestMissingValuesFollowDefaultBranch(t *testing.T) {
 	d := xorDataset()
 	// All training mass is on the right branch (values > 19.5 are 20).
-	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, GrowOptions{})
+	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, 0)
 	got := tree.Classify([]float64{dataset.Missing})
 	// Default branch is the one with the most training cases; both have
 	// 20, so branch 0 (first maximal) wins -> class neg.
@@ -239,7 +239,7 @@ func (midpointSelector) Select(c *Cases) *Split {
 
 func TestCCPSequenceShrinksMonotonically(t *testing.T) {
 	d := buildNoisyDataset(400, 0.25, 1)
-	tree := Grow(d, d.AllIndexes(), midpointSelector{}, GrowOptions{})
+	tree := Grow(d, d.AllIndexes(), midpointSelector{}, 0)
 	seq := CCPSequence(tree)
 	if len(seq) < 2 {
 		t.Fatalf("CCP sequence too short: %d (tree leaves %d)", len(seq), tree.Leaves())
@@ -270,7 +270,7 @@ func TestCVPruneImprovesGeneralization(t *testing.T) {
 	train := buildNoisyDataset(600, 0.3, 2)
 	test := buildNoisyDataset(600, 0.3, 3)
 	grow := func(d *dataset.Dataset, idx []int) *Tree {
-		return Grow(d, idx, midpointSelector{}, GrowOptions{})
+		return Grow(d, idx, midpointSelector{}, 0)
 	}
 	full := grow(train, train.AllIndexes())
 	pruned, rcv := CVPrune(train, train.AllIndexes(), 10, grow, rand.New(rand.NewSource(4)))
@@ -289,7 +289,7 @@ func TestCVPruneImprovesGeneralization(t *testing.T) {
 
 func TestExtractRulesAndRuleList(t *testing.T) {
 	d := xorDataset()
-	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, GrowOptions{})
+	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, 0)
 	rules := ExtractRules(tree)
 	// Root + 2 leaves = 3 rules.
 	if len(rules) != 3 {
@@ -354,7 +354,7 @@ func TestComplement(t *testing.T) {
 
 func TestTreeString(t *testing.T) {
 	d := xorDataset()
-	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, GrowOptions{})
+	tree := Grow(d, d.AllIndexes(), thresholdSelector{19.5}, 0)
 	s := tree.String()
 	if s == "" || !contains(s, "split on x") {
 		t.Fatalf("tree rendering:\n%s", s)
@@ -372,4 +372,44 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// Leaves counts the terminal nodes.
+func (t *Tree) Leaves() int { return countLeaves(t.Root) }
+
+func countLeaves(n *Node) int {
+	if n.IsLeaf() {
+		return 1
+	}
+	c := 0
+	for _, ch := range n.Children {
+		c += countLeaves(ch)
+	}
+	return c
+}
+
+// Nodes counts all nodes.
+func (t *Tree) Nodes() int { return countNodes(t.Root) }
+
+func countNodes(n *Node) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += countNodes(ch)
+	}
+	return c
+}
+
+// Resubstitution is R(T): the number of training cases misclassified
+// by the tree's leaves.
+func (t *Tree) Resubstitution() int { return subtreeErrors(t.Root) }
+
+func subtreeErrors(n *Node) int {
+	if n.IsLeaf() {
+		return n.Errors()
+	}
+	e := 0
+	for _, ch := range n.Children {
+		e += subtreeErrors(ch)
+	}
+	return e
 }

@@ -11,69 +11,47 @@ import (
 
 // Config parameterizes NyuMiner.
 type Config struct {
-	// Impurity is any impurity function satisfying definition 5
-	// (default Gini).
-	Impurity classify.Impurity
-	// K is the maximum number of branches allowed in a split
-	// (default 4).
-	K int
-	// MaxBaskets caps the basket count fed to the O(K·B²) dynamic
+	// MaxDepth bounds the depth of a grown tree; 0 leaves it unbounded.
+	MaxDepth int
+}
+
+// NyuMiner's split-search settings, at the values the dissertation
+// runs.
+const (
+	// maxBranches is K, the most branches a split may have.
+	maxBranches = 4
+	// maxBaskets caps the basket count fed to the O(K·B²) dynamic
 	// program for numerical attributes: above it, adjacent baskets are
-	// coalesced by equal-frequency discretization first. 0 means
-	// unbounded (exactly optimal). Default 128.
-	MaxBaskets int
-	// MaxPermValues caps the exact permutation search over logical
+	// coalesced by equal-frequency discretization first.
+	maxBaskets = 128
+	// maxPermValues caps the exact permutation search over logical
 	// values of a categorical attribute; above it, a single ordering by
 	// first-class proportion is used (exact for two classes by the
-	// Breiman ordering theorem under concave impurities). Default 7.
-	MaxPermValues int
-	// MinSplit and MaxDepth bound tree growth (defaults 2 and 0).
-	MinSplit, MaxDepth int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Impurity == nil {
-		c.Impurity = classify.Gini{}
-	}
-	if c.K < 2 {
-		c.K = 4
-	}
-	if c.MaxBaskets == 0 {
-		c.MaxBaskets = 128
-	}
-	if c.MaxPermValues == 0 {
-		c.MaxPermValues = 7
-	}
-	if c.MinSplit < 2 {
-		c.MinSplit = 2
-	}
-	return c
-}
+	// Breiman ordering theorem under concave impurities).
+	maxPermValues = 7
+)
 
 // Selector is NyuMiner's split selector: for every attribute it finds
-// the optimal sub-K-ary split with respect to the configured impurity
-// function and picks the attribute whose optimal split has the least
-// aggregate impurity.
-type Selector struct {
-	cfg Config
-}
+// the optimal sub-K-ary split with respect to the Gini index and picks
+// the attribute whose optimal split has the least aggregate impurity.
+type Selector struct{}
 
 // NewSelector returns a NyuMiner split selector.
-func NewSelector(cfg Config) *Selector { return &Selector{cfg.withDefaults()} }
+func NewSelector() *Selector { return &Selector{} }
 
 // Select implements classify.SplitSelector.
 func (s *Selector) Select(c *classify.Cases) *classify.Split {
 	d := c.Data
-	parent := classify.ImpurityOfCounts(s.cfg.Impurity, d.ClassHistogram(c.Idx))
+	parent := classify.ImpurityOfCounts(classify.Gini{}, d.ClassHistogram(c.Idx))
 	best := math.Inf(1)
 	var bestSplit *classify.Split
 	for a := range d.Attrs {
 		var sp *classify.Split
 		var imp float64
 		if d.Attrs[a].Kind == dataset.Numeric {
-			sp, imp = s.numericSplit(c, a)
+			sp, imp = numericSplit(c, a)
 		} else {
-			sp, imp = s.categoricalSplit(c, a)
+			sp, imp = categoricalSplit(c, a)
 		}
 		if sp != nil && imp < best-1e-12 {
 			best = imp
@@ -87,12 +65,12 @@ func (s *Selector) Select(c *classify.Cases) *classify.Split {
 	return bestSplit
 }
 
-func (s *Selector) numericSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
-	baskets := CoalesceBaskets(MergeBoundary(c.Baskets(attr)), s.cfg.MaxBaskets)
+func numericSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
+	baskets := CoalesceBaskets(MergeBoundary(c.Baskets(attr)), maxBaskets)
 	if len(baskets) < 2 {
 		return nil, 0
 	}
-	opt := OptimalSubK(s.cfg.Impurity, baskets, s.cfg.K)
+	opt := OptimalSubK(classify.Gini{}, baskets, maxBranches)
 	if opt.Branches < 2 {
 		return nil, 0
 	}
@@ -108,7 +86,7 @@ func (s *Selector) numericSplit(c *classify.Cases, attr int) (*classify.Split, f
 	}, opt.Impurity
 }
 
-func (s *Selector) categoricalSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
+func categoricalSplit(c *classify.Cases, attr int) (*classify.Split, float64) {
 	baskets, sets := CategoricalBaskets(c, attr)
 	if len(baskets) < 2 {
 		return nil, 0
@@ -122,7 +100,7 @@ func (s *Selector) categoricalSplit(c *classify.Cases, attr int) (*classify.Spli
 		for i, j := range order {
 			perm[i] = baskets[j]
 		}
-		opt := OptimalSubK(s.cfg.Impurity, perm, s.cfg.K)
+		opt := OptimalSubK(classify.Gini{}, perm, maxBranches)
 		if opt.Impurity < bestImp-1e-12 ||
 			(opt.Impurity < bestImp+1e-12 && opt.Branches < bestOpt.Branches) {
 			bestImp = opt.Impurity
@@ -131,7 +109,7 @@ func (s *Selector) categoricalSplit(c *classify.Cases, attr int) (*classify.Spli
 		}
 	}
 
-	if len(baskets) <= s.cfg.MaxPermValues {
+	if len(baskets) <= maxPermValues {
 		permutations(len(baskets), func(perm []int) bool {
 			try(perm)
 			return true
@@ -182,67 +160,24 @@ func (s *Selector) categoricalSplit(c *classify.Cases, attr int) (*classify.Spli
 
 // Grow builds a full (unpruned) NyuMiner tree.
 func Grow(d *dataset.Dataset, idx []int, cfg Config) *classify.Tree {
-	cfg = cfg.withDefaults()
-	return classify.Grow(d, idx, NewSelector(cfg), classify.GrowOptions{
-		MaxDepth: cfg.MaxDepth, MinSplit: cfg.MinSplit,
-	})
+	return classify.Grow(d, idx, NewSelector(), cfg.MaxDepth)
 }
 
 // TrainCV is NyuMiner-CV: grow the main tree, prune it by minimal cost
 // complexity with V-fold cross validation, return the selected pruned
 // tree (section 5.4.1).
 func TrainCV(d *dataset.Dataset, idx []int, v int, cfg Config, rng *rand.Rand) *classify.PrunedTree {
-	cfg = cfg.withDefaults()
 	grow := func(dd *dataset.Dataset, ii []int) *classify.Tree { return Grow(dd, ii, cfg) }
 	pt, _ := classify.CVPrune(d, idx, v, grow, rng)
 	return pt
 }
 
-// Sample is one multiple-incremental-sampling episode (section 5.4.2):
-// grow a tree from a random initial subset, classify the remaining
-// cases, add a selection of the misclassified ones, and repeat until
-// the tree classifies all remaining cases correctly or the training
-// set is exhausted. Returns the final tree.
+// Sample is one multiple-incremental-sampling episode (section 5.4.2)
+// of unpruned trees, from an initial subset of a fifth of the cases or
+// 50, whichever is larger.
 func Sample(d *dataset.Dataset, idx []int, cfg Config, rng *rand.Rand) *classify.Tree {
-	cfg = cfg.withDefaults()
-	perm := append([]int(nil), idx...)
-	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	initial := len(perm) / 5
-	if initial < 50 {
-		initial = 50
-	}
-	if initial > len(perm) {
-		initial = len(perm)
-	}
-	window := append([]int(nil), perm[:initial]...)
-	rest := perm[initial:]
-	var tree *classify.Tree
-	for round := 0; ; round++ {
-		tree = Grow(d, window, cfg)
-		var miss []int
-		var stay []int
-		for _, i := range rest {
-			if tree.Classify(d.Instances[i].Vals) != d.Class(i) {
-				miss = append(miss, i)
-			} else {
-				stay = append(stay, i)
-			}
-		}
-		if len(miss) == 0 || len(rest) == 0 {
-			return tree
-		}
-		// Add a selection of the difficult cases: at most half of the
-		// current window size, so the window grows geometrically.
-		take := len(miss)
-		if limit := len(window)/2 + 1; take > limit {
-			take = limit
-		}
-		window = append(window, miss[:take]...)
-		rest = append(stay, miss[take:]...)
-		if len(window) >= len(idx) {
-			return Grow(d, idx, cfg)
-		}
-	}
+	grow := func(dd *dataset.Dataset, ii []int) *classify.Tree { return Grow(dd, ii, cfg) }
+	return classify.Window(d, idx, max(len(idx)/5, 50), grow, rng)
 }
 
 // TrainRS is NyuMiner-RS: run `trials` multiple-incremental-sampling

@@ -312,7 +312,7 @@ func TestSmokingFallsBackToPlurality(t *testing.T) {
 func TestSelectReturnsNilOnPureNode(t *testing.T) {
 	d := paperExample()
 	pure := []int{0, 1, 2} // three class-A elements
-	sel := NewSelector(Config{})
+	sel := NewSelector()
 	if sp := sel.Select(classify.NewCases(d, pure)); sp != nil {
 		t.Fatal("selector split a pure node")
 	}

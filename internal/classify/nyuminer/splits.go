@@ -2,9 +2,10 @@
 // algorithm of chapter 5 of "Free Parallel Data Mining": at every node
 // it selects an optimal sub-K-ary split — the split with the fewest
 // branches among all splits into at most K partitions having the least
-// aggregate impurity (definition 7) — with respect to any impurity
-// function satisfying definition 5, for both numerical and categorical
-// variables. Two flavors are provided: NyuMiner-CV (minimal cost-
+// aggregate impurity (definition 7) — for both numerical and
+// categorical variables. OptimalSubK takes any impurity function
+// satisfying definition 5; the trees use the Gini index and K = 4, the
+// setting of the dissertation's experiments. Two flavors are provided: NyuMiner-CV (minimal cost-
 // complexity pruning with V-fold cross validation, section 5.4.1) and
 // NyuMiner-RS (multiple incremental sampling plus rule selection,
 // section 5.4.2).

@@ -154,8 +154,9 @@ func CCPSequence(t *Tree) []*PrunedTree {
 	return seq
 }
 
-// GrowFunc builds a (full-size) tree on a training index set; the CV
-// pruner uses it for both the main tree and the V auxiliary trees.
+// GrowFunc builds a tree on a training index set; the CV pruner uses
+// it for both the main tree and the V auxiliary trees, and Window for
+// every window.
 type GrowFunc func(d *dataset.Dataset, idx []int) *Tree
 
 // CVPrune implements minimal cost-complexity pruning with V-fold cross

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"freepdm/internal/dataset"
@@ -94,28 +95,24 @@ type SplitSelector interface {
 	Select(c *Cases) *Split
 }
 
-// GrowOptions bounds tree growth.
-type GrowOptions struct {
-	MaxDepth int // 0 = unbounded
-	MinSplit int // nodes with fewer cases become leaves (default 2)
-}
+// minSplit is the smallest node that may be split; a smaller one
+// becomes a leaf.
+const minSplit = 2
 
 // Grow builds a tree over the given instance indexes using the
 // selector at every node, following the greedy top-down scheme of
 // section 2.1.4: split until leaves are pure (or bounds are hit).
-func Grow(d *dataset.Dataset, idx []int, sel SplitSelector, opts GrowOptions) *Tree {
-	if opts.MinSplit < 2 {
-		opts.MinSplit = 2
-	}
-	return &Tree{Root: grow(NewCases(d, idx), sel, opts, 0), Data: d}
+// A positive maxDepth bounds the depth of the tree.
+func Grow(d *dataset.Dataset, idx []int, sel SplitSelector, maxDepth int) *Tree {
+	return &Tree{Root: grow(NewCases(d, idx), sel, maxDepth, 0), Data: d}
 }
 
-func grow(c *Cases, sel SplitSelector, opts GrowOptions, depth int) *Node {
+func grow(c *Cases, sel SplitSelector, maxDepth, depth int) *Node {
 	d := c.Data
 	n := &Node{Counts: d.ClassHistogram(c.Idx), N: len(c.Idx)}
 	n.Majority, _ = d.MajorityClass(c.Idx)
-	if n.Errors() == 0 || len(c.Idx) < opts.MinSplit ||
-		(opts.MaxDepth > 0 && depth >= opts.MaxDepth) {
+	if n.Errors() == 0 || len(c.Idx) < minSplit ||
+		(maxDepth > 0 && depth >= maxDepth) {
 		return n
 	}
 	sp := sel.Select(c)
@@ -141,9 +138,44 @@ func grow(c *Cases, sel SplitSelector, opts GrowOptions, depth int) *Node {
 			n.Children[b] = &Node{Counts: make([]int, len(d.Classes)), Majority: n.Majority}
 			continue
 		}
-		n.Children[b] = grow(kid, sel, opts, depth+1)
+		n.Children[b] = grow(kid, sel, maxDepth, depth+1)
 	}
 	return n
+}
+
+// Window is the windowing loop of section 5.4.2, shared by C4.5's
+// trials and NyuMiner-RS's multiple incremental sampling: shuffle the
+// training set, grow a tree on its first initial cases, add the cases
+// it misclassifies (at most half the window plus one per round, so the
+// window grows geometrically), and repeat until the tree classifies
+// the remaining cases correctly or the window covers the training set,
+// in which case the tree is grown on all of it.
+func Window(d *dataset.Dataset, idx []int, initial int, grow GrowFunc, rng *rand.Rand) *Tree {
+	perm := append([]int(nil), idx...)
+	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	initial = min(initial, len(perm))
+	window := append([]int(nil), perm[:initial]...)
+	rest := perm[initial:]
+	for {
+		tree := grow(d, window)
+		var miss, stay []int
+		for _, i := range rest {
+			if tree.Classify(d.Instances[i].Vals) != d.Class(i) {
+				miss = append(miss, i)
+			} else {
+				stay = append(stay, i)
+			}
+		}
+		if len(miss) == 0 {
+			return tree
+		}
+		take := min(len(miss), len(window)/2+1)
+		window = append(window, miss[:take]...)
+		rest = append(stay, miss[take:]...)
+		if len(window) >= len(idx) {
+			return grow(d, idx)
+		}
+	}
 }
 
 // Partition routes instances into the split's branches. The split's
@@ -194,46 +226,6 @@ func (t *Tree) Accuracy(d *dataset.Dataset, idx []int) float64 {
 		}
 	}
 	return float64(ok) / float64(len(idx))
-}
-
-// Leaves counts the terminal nodes.
-func (t *Tree) Leaves() int { return countLeaves(t.Root) }
-
-func countLeaves(n *Node) int {
-	if n.IsLeaf() {
-		return 1
-	}
-	c := 0
-	for _, ch := range n.Children {
-		c += countLeaves(ch)
-	}
-	return c
-}
-
-// Nodes counts all nodes.
-func (t *Tree) Nodes() int { return countNodes(t.Root) }
-
-func countNodes(n *Node) int {
-	c := 1
-	for _, ch := range n.Children {
-		c += countNodes(ch)
-	}
-	return c
-}
-
-// Resubstitution is R(T): the number of training cases misclassified
-// by the tree's leaves.
-func (t *Tree) Resubstitution() int { return subtreeErrors(t.Root) }
-
-func subtreeErrors(n *Node) int {
-	if n.IsLeaf() {
-		return n.Errors()
-	}
-	e := 0
-	for _, ch := range n.Children {
-		e += subtreeErrors(ch)
-	}
-	return e
 }
 
 // String renders the tree for inspection, in the style of figure 5.6.

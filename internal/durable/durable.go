@@ -62,10 +62,6 @@ import (
 	"freepdm/internal/tuplespace"
 )
 
-// DefaultCompactEvery is the number of WAL records after which the log
-// is automatically compacted into a new generation.
-const DefaultCompactEvery = 1024
-
 // maxBatch is the group-commit batch cap: the most records a single
 // leader write may cover. Bounding the batch bounds the latency a
 // record can inherit from the queue ahead of it.
@@ -73,10 +69,6 @@ const maxBatch = 256
 
 // Options configures a durable space.
 type Options struct {
-	// CompactEvery is the record count that triggers automatic
-	// compaction. Zero selects DefaultCompactEvery; a negative value
-	// disables automatic compaction (Compact can still be called).
-	CompactEvery int
 	// Fsync upgrades every group commit to an fsync before the
 	// batched operations return, surviving machine crashes rather
 	// than only process crashes.
@@ -114,7 +106,7 @@ type Space struct {
 	gen          uint64
 	f            *os.File
 	recs         int
-	compactEvery int
+	compactEvery int // records that trigger a compaction: 1024; tests lower it
 	txns         map[*txn]struct{}
 	closed       bool
 	enc          []byte // record-body encode scratch, guarded by mu
@@ -168,12 +160,9 @@ func Open(dir string, s *tuplespace.Space, opts Options) (*Space, error) {
 	d := &Space{
 		dir:          dir,
 		s:            s,
-		compactEvery: opts.CompactEvery,
+		compactEvery: 1024,
 		fsync:        opts.Fsync,
 		txns:         make(map[*txn]struct{}),
-	}
-	if d.compactEvery == 0 {
-		d.compactEvery = DefaultCompactEvery
 	}
 	d.gcond = sync.NewCond(&d.gmu)
 
@@ -493,20 +482,10 @@ func (d *Space) drainLocked() error {
 // is spent. Caller holds d.mu; called after the triggering operation
 // has been applied, so the snapshot always contains it.
 func (d *Space) maybeCompactLocked() error {
-	if d.compactEvery > 0 && d.recs >= d.compactEvery {
+	if d.recs >= d.compactEvery {
 		return d.compactLocked()
 	}
 	return nil
-}
-
-// Compact forces a new WAL generation, opened by a snapshot record.
-func (d *Space) Compact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return tuplespace.ErrClosed
-	}
-	return d.compactLocked()
 }
 
 // compactLocked snapshots the logical state — the stored tuples plus
@@ -779,13 +758,6 @@ func (d *Space) Restore(tuples []tuplespace.Tuple) error {
 // Replayed reports how many WAL records Open replayed, for recovery
 // tests and operational sanity checks.
 func (d *Space) Replayed() int { return d.replayed }
-
-// Generation reports the current WAL generation.
-func (d *Space) Generation() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen
-}
 
 // Observe attaches instruments to the underlying space and registers
 // the WAL's own instruments: counters "wal.appends" (records),

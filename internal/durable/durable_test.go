@@ -88,7 +88,7 @@ func TestDurableTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gen := d.Generation()
+	gen := generation(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,11 @@ func TestDurableReplayIdempotence(t *testing.T) {
 func TestDurableSnapshotPlusWAL(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	d, err := Open(dir, nil, Options{CompactEvery: 4})
+	d, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.compactEvery = 4
 	tx, err := d.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -196,20 +197,20 @@ func TestDurableSnapshotPlusWAL(t *testing.T) {
 				t.Fatalf("txn Inp: ok=%v err=%v", ok, err)
 			}
 		}
-		onlyFile(t, dir, d.Generation())
+		onlyFile(t, dir, generation(d))
 	}
 	if _, ok, err := d.Inp(ctx, "n", 9); err != nil || !ok { // the third live record
 		t.Fatalf("Inp: ok=%v err=%v", ok, err)
 	}
-	if g := d.Generation(); g != 2 {
-		t.Fatalf("generation %d after 11 records at CompactEvery 4, want 2", g)
+	if g := generation(d); g != 2 {
+		t.Fatalf("generation %d after 11 records compacting every 4, want 2", g)
 	}
 	want := d.Snapshot() // the open transaction's take counts as present
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, nil, Options{CompactEvery: 4})
+	d2, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +301,11 @@ func TestDurableTxnSemantics(t *testing.T) {
 
 func TestDurableObserve(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, nil, Options{CompactEvery: 2})
+	d, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.compactEvery = 2
 	defer d.Close()
 	reg := obs.NewRegistry()
 	d.Observe(reg, nil)
@@ -369,10 +371,11 @@ func TestDurableDamagedSnapshotFailsOpen(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			d, err := Open(dir, nil, Options{CompactEvery: 4})
+			d, err := Open(dir, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.compactEvery = 4
 			for i := 0; i < 6; i++ {
 				if err := d.Out(context.Background(), "n", i); err != nil {
 					t.Fatal(err)
@@ -441,7 +444,7 @@ func TestDurableLeftoverGobSnapshotFailsOpen(t *testing.T) {
 func TestDurableCrashBetweenRenameAndDelete(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	d, err := Open(dir, nil, Options{CompactEvery: -1})
+	d, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +457,7 @@ func TestDurableCrashBetweenRenameAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Compact(); err != nil {
+	if err := compact(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := d.Inp(ctx, "n", 1); err != nil || !ok {
@@ -471,12 +474,12 @@ func TestDurableCrashBetweenRenameAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, nil, Options{CompactEvery: -1})
+	d2, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if g := d2.Generation(); g != 1 {
+	if g := generation(d2); g != 1 {
 		t.Fatalf("recovered generation %d, want 1", g)
 	}
 	sameTuples(t, want, d2.Snapshot(), "recovery of the newer generation")
@@ -532,4 +535,18 @@ func TestDurableOutCustomValueRefused(t *testing.T) {
 	if n, _ := d2.Len(); d2.Replayed() != 0 || n != 0 {
 		t.Errorf("recovery replayed %d records into %d tuples, want none", d2.Replayed(), n)
 	}
+}
+
+// generation reports the current WAL generation.
+func generation(d *Space) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.gen
+}
+
+// compact forces a new WAL generation, opened by a snapshot record.
+func compact(d *Space) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.compactLocked()
 }

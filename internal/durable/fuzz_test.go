@@ -46,7 +46,7 @@ func FuzzWALTail(f *testing.F) {
 		if err := d.Out(context.Background(), "b", "two"); err != nil {
 			t.Fatal(err)
 		}
-		gen := d.Generation()
+		gen := generation(d)
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}

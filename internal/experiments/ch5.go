@@ -35,8 +35,8 @@ func evalPanel(d *dataset.Dataset, seed int64) panelResult {
 	_, nmaj := d.MajorityClass(test)
 	res.plur = float64(nmaj) / float64(len(test))
 
-	c45Tree := c45.Train(d, train, c45.Config{})
-	cartTree := cart.TrainCV(d, train, 10, cart.Config{}, rng)
+	c45Tree := c45.Train(d, train)
+	cartTree := cart.TrainCV(d, train, 10, rng)
 	nmCV := nyuminer.TrainCV(d, train, 10, nyuminer.Config{}, rng)
 	nmRS := nyuminer.TrainRS(d, train, 4, 0.65, 0.02, nyuminer.Config{}, rng)
 

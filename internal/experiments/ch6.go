@@ -177,7 +177,7 @@ func measureTrials(key, ds string, trials int, paging float64, grow func(d *data
 
 func measureC45Trials(ds string, trials int, paging float64) (*trialCosts, error) {
 	return measureTrials("c45/"+ds, ds, trials, paging, func(d *dataset.Dataset, idx []int, t int) {
-		c45.TrialTree(d, idx, c45.Config{}, 42, t)
+		c45.TrialTree(d, idx, 42, t)
 	})
 }
 

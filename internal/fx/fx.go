@@ -150,7 +150,7 @@ func SelectTradingRules(d *dataset.Dataset, train []int, trials int, cmin, smin 
 	// The figure 5.6 tree is shallow and the selected rules conjoin at
 	// most a few conditions; deep pure nodes are fitted noise, so the
 	// trader's trees are depth-bounded.
-	cfg := nyuminer.Config{K: 4, MaxDepth: 3}
+	cfg := nyuminer.Config{MaxDepth: 3}
 	rl := nyuminer.TrainRS(d, train, trials, cmin, smin, cfg, rng)
 	rl.Fallback = -1 // abstain on uncovered days: traders hold
 	return rl

@@ -5,8 +5,8 @@
 // mutations), and a pattern is good when its occurrence number reaches
 // the minimum (table 4.1). Children extend a segment to the right by
 // one letter, lazily constrained to the extensions present in the
-// generalized suffix tree of a sample of the database (phase 1 of the
-// Wang et al. algorithm, section 2.3.4).
+// generalized suffix tree of the database (phase 1 of the Wang et al.
+// algorithm, section 2.3.4, with the whole database as its sample).
 package motif
 
 import (
@@ -29,14 +29,11 @@ type Params struct {
 	// MaxMut > 0 it is at most 64, the longest segment the mutation
 	// matcher takes.
 	MaxLength int
-	// SampleSize is how many sequences seed the candidate GST
-	// (phase 1); 0 means all of them.
-	SampleSize int
 	// MinSeedSeqs is the phase-1 candidate filter: a child extension
 	// is generated only if it occurs exactly in at least this many
-	// sample sequences. 1 (the default) admits every sample segment;
+	// sequences. 1 (the default) admits every segment;
 	// mutation-tolerant searches raise it so the candidate set stays
-	// the sample's conserved segments, which is the role of the
+	// the database's conserved segments, which is the role of the
 	// sampling heuristic in the Wang et al. algorithm.
 	MinSeedSeqs int
 }
@@ -73,22 +70,18 @@ type Problem struct {
 }
 
 // NewProblem builds the discovery problem, constructing the candidate
-// GST over the sample. It panics when params ask the mutation matcher
+// GST over the database. It panics when params ask the mutation matcher
 // for segments longer than 64 letters.
 func NewProblem(seqs []string, params Params) *Problem {
 	params = params.withDefaults()
 	if params.MaxMut > 0 && params.MaxLength > 64 {
 		panic(fmt.Sprintf("motif: MaxLength %d with MaxMut %d: the mutation matcher takes segments of at most 64 letters", params.MaxLength, params.MaxMut))
 	}
-	sample := seqs
-	if params.SampleSize > 0 && params.SampleSize < len(seqs) {
-		sample = seqs[:params.SampleSize]
-	}
 	total := 0
 	for _, s := range seqs {
 		total += len(s)
 	}
-	return &Problem{Seqs: seqs, Params: params, gst: seq.BuildGST(sample), total: total}
+	return &Problem{Seqs: seqs, Params: params, gst: seq.BuildGST(seqs), total: total}
 }
 
 // pattern is a segment motif *S*.
@@ -121,7 +114,7 @@ func (pr *Problem) Decode(key string) (core.Pattern, error) {
 }
 
 // Children implements core.Problem: right extensions by one letter
-// that occur in the sample, up to the exploration bound.
+// that occur in the database, up to the exploration bound.
 func (pr *Problem) Children(p core.Pattern) []core.Pattern {
 	s := p.(pattern).seg
 	if len(s) >= pr.Params.MaxLength {
@@ -176,14 +169,7 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 	}
 	var occ int
 	if pr.Params.MaxMut == 0 {
-		// Exact occurrence numbers come straight from a GST over the
-		// full database only when the sample is the full database;
-		// otherwise fall back to scanning.
-		if pr.Params.SampleSize == 0 || pr.Params.SampleSize >= len(pr.Seqs) {
-			occ = pr.gst.SeqCount(s)
-		} else {
-			occ = seq.NaiveSeqCount(pr.Seqs, s)
-		}
+		occ = pr.gst.SeqCount(s)
 	} else {
 		occ = seq.OccurrenceNo(s, pr.Seqs, pr.Params.MaxMut)
 	}

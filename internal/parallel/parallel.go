@@ -203,9 +203,9 @@ func trialProgram(srv *plinda.Server, name string, trials, workers int, build fu
 // C45Trials runs Parallel C4.5: each windowing trial is a tuple-space
 // task; the best tree (fewest training errors) wins, matching
 // c45.TrainTrialsSeeded for the same base seed.
-func C45Trials(srv *plinda.Server, d *dataset.Dataset, idx []int, trials, workers int, cfg c45.Config, base int64) (*classify.Tree, error) {
+func C45Trials(srv *plinda.Server, d *dataset.Dataset, idx []int, trials, workers int, base int64) (*classify.Tree, error) {
 	trees, err := trialProgram(srv, "pc45", trials, workers, func(t int) *classify.Tree {
-		return c45.TrialTree(d, idx, cfg, base, t)
+		return c45.TrialTree(d, idx, base, t)
 	})
 	if err != nil {
 		return nil, err

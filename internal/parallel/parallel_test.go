@@ -84,12 +84,11 @@ func TestParallelNyuMinerCVOverDial(t *testing.T) {
 
 func TestParallelC45MatchesSequential(t *testing.T) {
 	d, train, test := testData(t, "vote", 32)
-	cfg := c45.Config{}
-	seqTree := c45.TrainTrialsSeeded(d, train, 4, cfg, 500)
+	seqTree := c45.TrainTrialsSeeded(d, train, 4, 500)
 
 	srv := plinda.NewServer()
 	defer srv.Close()
-	parTree, err := C45Trials(srv, d, train, 4, 2, cfg, 500)
+	parTree, err := C45Trials(srv, d, train, 4, 2, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 	d, train, _ := testData(t, "vote", 35)
 	srv := plinda.NewServer()
 	defer srv.Close()
-	tree, err := C45Trials(srv, d, train, 1, 0, c45.Config{}, 9)
+	tree, err := C45Trials(srv, d, train, 1, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

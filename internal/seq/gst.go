@@ -8,8 +8,6 @@
 // family used in the experiments.
 package seq
 
-import "strings"
-
 // Alphabet is the 20 amino-acid one-letter codes.
 const Alphabet = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -175,16 +173,4 @@ func (t *GST) Extensions(segment string, minSeqs int) []byte {
 		}
 	}
 	return out
-}
-
-// NaiveSeqCount is the reference implementation of SeqCount used by
-// the property tests: strings.Contains over every sequence.
-func NaiveSeqCount(seqs []string, segment string) int {
-	c := 0
-	for _, s := range seqs {
-		if strings.Contains(s, segment) {
-			c++
-		}
-	}
-	return c
 }

@@ -9,6 +9,18 @@ import (
 	"testing/quick"
 )
 
+// NaiveSeqCount is the reference implementation of SeqCount used by
+// the property tests: strings.Contains over every sequence.
+func NaiveSeqCount(seqs []string, segment string) int {
+	c := 0
+	for _, s := range seqs {
+		if strings.Contains(s, segment) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestGSTSeqCountToyExample(t *testing.T) {
 	// The toy database of section 2.3.1.
 	seqs := []string{"FFRR", "MRRM", "MTRM", "DPKY", "AVLG"}
