@@ -81,13 +81,18 @@ func categorical(c *classify.Cases, attr, arity int) (*classify.Split, float64) 
 		return nil, 0
 	}
 
-	eval := func(inLeft func(v int) bool) (float64, bool) {
-		left := make([]int, nc)
-		right := make([]int, nc)
+	// eval scores the binary split that sends the values marked in
+	// inLeft left; one pair of histograms serves every candidate.
+	left, right := make([]int, nc), make([]int, nc)
+	branches := [][]int{left, right}
+	inLeft := make([]bool, len(perVal))
+	eval := func() (float64, bool) {
+		clear(left)
+		clear(right)
 		nl, nr := 0, 0
 		for _, v := range present {
 			for cl, n := range perVal[v].Counts {
-				if inLeft(v) {
+				if inLeft[v] {
 					left[cl] += n
 					nl += n
 				} else {
@@ -99,25 +104,25 @@ func categorical(c *classify.Cases, attr, arity int) (*classify.Split, float64) 
 		if nl == 0 || nr == 0 {
 			return 0, false
 		}
-		return classify.AggregateImpurity(classify.Gini{}, [][]int{left, right}), true
+		return classify.AggregateImpurity(classify.Gini{}, branches), true
 	}
 
 	best := math.Inf(1)
-	var bestLeft map[int]bool
+	var bestLeft []bool
+	try := func() {
+		if imp, ok := eval(); ok && imp < best {
+			best = imp
+			bestLeft = append(bestLeft[:0], inLeft...)
+		}
+	}
 	if len(present) <= arity {
 		// Exact search over the 2^(m-1)-1 distinct binary partitions.
 		m := len(present)
 		for mask := 1; mask < 1<<(m-1); mask++ {
-			leftSet := map[int]bool{}
-			for bit := 0; bit < m; bit++ {
-				if mask&(1<<bit) != 0 {
-					leftSet[present[bit]] = true
-				}
+			for bit, v := range present {
+				inLeft[v] = mask&(1<<bit) != 0
 			}
-			if imp, ok := eval(func(v int) bool { return leftSet[v] }); ok && imp < best {
-				best = imp
-				bestLeft = leftSet
-			}
+			try()
 		}
 	} else {
 		// Order values by the proportion of class 0 and scan prefix
@@ -128,15 +133,9 @@ func categorical(c *classify.Cases, attr, arity int) (*classify.Split, float64) 
 			pj := float64(perVal[order[j]].Counts[0]) / float64(perVal[order[j]].N)
 			return pi < pj
 		})
-		for cut := 1; cut < len(order); cut++ {
-			leftSet := map[int]bool{}
-			for _, v := range order[:cut] {
-				leftSet[v] = true
-			}
-			if imp, ok := eval(func(v int) bool { return leftSet[v] }); ok && imp < best {
-				best = imp
-				bestLeft = leftSet
-			}
+		for _, v := range order[:len(order)-1] {
+			inLeft[v] = true // the left side is a growing prefix of order
+			try()
 		}
 	}
 	if bestLeft == nil {
@@ -144,9 +143,7 @@ func categorical(c *classify.Cases, attr, arity int) (*classify.Split, float64) 
 	}
 	assign := make([]int, len(perVal))
 	for v := range assign {
-		if bestLeft[v] {
-			assign[v] = 0
-		} else {
+		if !bestLeft[v] {
 			assign[v] = 1
 		}
 	}

@@ -12,20 +12,20 @@ import (
 func TestImpurityDefinitionProperties(t *testing.T) {
 	for _, im := range []Impurity{Gini{}, Entropy{}} {
 		// Property 1: maximum only at the uniform distribution.
-		uni := im.Of([]float64{0.25, 0.25, 0.25, 0.25})
-		if im.Of([]float64{0.4, 0.3, 0.2, 0.1}) >= uni {
+		uni := im.Of([]int{1, 1, 1, 1}, 4)
+		if im.Of([]int{4, 3, 2, 1}, 10) >= uni {
 			t.Errorf("%s: non-uniform >= uniform", im.Name())
 		}
 		// Property 2: minimum (0) exactly at pure distributions.
-		if v := im.Of([]float64{1, 0, 0, 0}); v != 0 {
+		if v := im.Of([]int{1, 0, 0, 0}, 1); v != 0 {
 			t.Errorf("%s: pure impurity %v", im.Name(), v)
 		}
-		if im.Of([]float64{0.9, 0.1, 0, 0}) <= 0 {
+		if im.Of([]int{9, 1, 0, 0}, 10) <= 0 {
 			t.Errorf("%s: impure distribution has zero impurity", im.Name())
 		}
 		// Property 3: symmetry.
-		a := im.Of([]float64{0.7, 0.2, 0.1})
-		b := im.Of([]float64{0.1, 0.7, 0.2})
+		a := im.Of([]int{7, 2, 1}, 10)
+		b := im.Of([]int{1, 7, 2}, 10)
 		if math.Abs(a-b) > 1e-12 {
 			t.Errorf("%s not symmetric: %v vs %v", im.Name(), a, b)
 		}

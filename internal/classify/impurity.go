@@ -16,9 +16,10 @@ import "math"
 // exactly at the pure distributions, symmetric, and strictly concave.
 type Impurity interface {
 	Name() string
-	// Of evaluates the impurity of a class-probability tuple. The
-	// probabilities sum to 1.
-	Of(probs []float64) float64
+	// Of evaluates the impurity of the class-probability tuple
+	// p_j = counts[j]/n of a count histogram; n is the sum of the
+	// counts, and positive.
+	Of(counts []int, n int) float64
 }
 
 // Gini is the Gini diversity index used by CART: 1 - sum p_j^2.
@@ -28,9 +29,10 @@ type Gini struct{}
 func (Gini) Name() string { return "gini" }
 
 // Of implements Impurity.
-func (Gini) Of(probs []float64) float64 {
+func (Gini) Of(counts []int, n int) float64 {
 	s := 0.0
-	for _, p := range probs {
+	for _, c := range counts {
+		p := float64(c) / float64(n)
 		s += p * p
 	}
 	return 1 - s
@@ -44,10 +46,11 @@ type Entropy struct{}
 func (Entropy) Name() string { return "entropy" }
 
 // Of implements Impurity.
-func (Entropy) Of(probs []float64) float64 {
+func (Entropy) Of(counts []int, n int) float64 {
 	s := 0.0
-	for _, p := range probs {
-		if p > 0 {
+	for _, c := range counts {
+		if c > 0 {
+			p := float64(c) / float64(n)
 			s -= p * math.Log2(p)
 		}
 	}
@@ -64,11 +67,7 @@ func ImpurityOfCounts(im Impurity, counts []int) float64 {
 	if n == 0 {
 		return 0
 	}
-	probs := make([]float64, len(counts))
-	for i, c := range counts {
-		probs[i] = float64(c) / float64(n)
-	}
-	return im.Of(probs)
+	return im.Of(counts, n)
 }
 
 // AggregateImpurity is I(S) = sum over partitions of (n_i/N) I(s_i)

@@ -127,22 +127,18 @@ func OptimalSubK(im classify.Impurity, baskets []classify.Basket, k int) Optimal
 			row[c] += n
 		}
 	}
-	probs := make([]float64, nc)
+	counts := make([]int, nc)
 	// w(lo,hi) = (n/total) * impurity of baskets[lo..hi] (0-based incl).
 	w := func(lo, hi int) float64 {
 		n := 0
-		for c := 0; c < nc; c++ {
-			cnt := prefix[(hi+1)*nc+c] - prefix[lo*nc+c]
-			probs[c] = float64(cnt)
-			n += cnt
+		for c := range counts {
+			counts[c] = prefix[(hi+1)*nc+c] - prefix[lo*nc+c]
+			n += counts[c]
 		}
 		if n == 0 {
 			return 0
 		}
-		for c := range probs {
-			probs[c] /= float64(n)
-		}
-		return float64(n) / float64(total) * im.Of(probs)
+		return float64(n) / float64(total) * im.Of(counts, n)
 	}
 
 	// cost[kk*b+i]: minimal aggregate impurity of splitting baskets

@@ -225,8 +225,8 @@ func TestObservedPLETUnsampledLeavesNoTrace(t *testing.T) {
 // level protocol as it ran: one level transaction per depth, depths
 // 1, 2, … in order, whose chunks add up to core.tasks (task tuples: one
 // per chunk, the level-0 seed among them, the poison not) and whose good
-// add up to core.good and core.results (keys: only good patterns travel,
-// so the two count the same ones) and to the result list; core.evaluated
+// add up to core.good (keys: only good patterns travel) and to the
+// result list; core.evaluated
 // is the workers' Goodness calls, exactly SolveSequential's; one poison
 // attribute ends it.
 func TestObservedPLEDLevelEvents(t *testing.T) {
@@ -270,8 +270,8 @@ func TestObservedPLEDLevelEvents(t *testing.T) {
 			depth, sumChunks, sumGood, poison, levels, chunks, st.Good)
 	}
 	c := reg.Snapshot().Counters
-	if c["core.tasks"] != int64(chunks) || c["core.results"] != int64(st.Good) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
-		t.Errorf("core.tasks %d, core.results %d, core.good %d, core.evaluated %d; want %d task tuples, %d result and good keys, %d evaluations",
-			c["core.tasks"], c["core.results"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
+	if c["core.tasks"] != int64(chunks) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
+		t.Errorf("core.tasks %d, core.good %d, core.evaluated %d; want %d task tuples, %d good keys, %d evaluations",
+			c["core.tasks"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
 	}
 }

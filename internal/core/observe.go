@@ -14,7 +14,6 @@ type coreObs struct {
 	evaluated *obs.Counter   // patterns whose goodness was computed
 	good      *obs.Counter   // patterns that passed the predicate (PLED, PLET: counted by the master after its commit — PLED a level's good keys at a time, duplicate and stale reports in none; PLET the keys of fresh reports, a report at a time — a repeated report, a 2PC re-run or a stale ctl, counts none)
 	tasks     *obs.Counter   // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seed and spilled bundles
-	results   *obs.Counter   // results collected by masters, in keys, not result tuples (PLED: the keys the level's reports carried — only good patterns travel, so it moves with good; PLET: the good keys of the fresh reports, as for good)
 	goodness  *obs.Histogram // per-pattern evaluation latency
 }
 
@@ -37,7 +36,6 @@ func SetObserver(reg *obs.Registry) {
 		evaluated: reg.Counter("core.evaluated"),
 		good:      reg.Counter("core.good"),
 		tasks:     reg.Counter("core.tasks"),
-		results:   reg.Counter("core.results"),
 		goodness:  reg.Histogram("core.goodness"),
 	})
 }

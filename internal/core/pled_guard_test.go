@@ -99,9 +99,9 @@ func TestPLEDGrainGuard(t *testing.T) {
 			// and result and good keys, which are the same keys: only
 			// good patterns travel.
 			c := reg.Snapshot().Counters
-			if c["core.tasks"] != int64(chunks) || c["core.results"] != int64(st.Good) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
-				t.Errorf("observer read core.tasks %d, core.results %d, core.good %d, core.evaluated %d; want %d task tuples, %d result and good keys and %d evaluations",
-					c["core.tasks"], c["core.results"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
+			if c["core.tasks"] != int64(chunks) || c["core.good"] != int64(st.Good) || c["core.evaluated"] != int64(st.Evaluated) {
+				t.Errorf("observer read core.tasks %d, core.good %d, core.evaluated %d; want %d task tuples, %d good keys and %d evaluations",
+					c["core.tasks"], c["core.good"], c["core.evaluated"], chunks, st.Good, st.Evaluated)
 			}
 		})
 	}

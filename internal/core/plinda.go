@@ -482,7 +482,6 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 			if o != nil {
 				o.tasks.Add(int64(cont.chunks))
-				o.results.Add(int64(len(good)))
 				o.good.Add(int64(len(good)))
 			}
 		}
@@ -610,7 +609,6 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			}
 			if o != nil && fresh {
 				o.good.Add(int64(len(goods)))
-				o.results.Add(int64(len(goods)))
 			}
 		}
 		return nil

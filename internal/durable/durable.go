@@ -3,46 +3,46 @@
 // checkpoint-protected space of Li's chapter 5 rebuilt on package
 // tuplespace's Snapshot/Restore.
 //
-// Every committed mutation — an Out, a committed (non-transactional)
-// take, or a transaction commit (its takes and outs as one record) —
-// is appended to an append-only log before it is applied, so after a
-// crash Open replays the log and recovers exactly the committed state.
-// Tentative takes of open transactions are deliberately NOT logged: a
-// crash aborts them by omission, and the taken tuples are simply
-// present again in the recovered space — the recovery half of the
-// transaction contract.
+// Every WAL record is a transaction commit: its takes and outs as one
+// record, appended to an append-only log before it is applied, so
+// after a crash Open replays the log and recovers exactly the
+// committed state. Out, OutN, In and Inp each run as a transaction of
+// that one operation. Tentative takes of open transactions are
+// deliberately NOT logged: a crash aborts them by omission, and the
+// taken tuples are simply present again in the recovered space — the
+// recovery half of the transaction contract.
 //
 // Records are encoded with the tuplespace binary wire codec (the same
 // encoding tuples take over TCP) and framed as uvarint body length +
 // CRC32-C checksum + body; the checksum makes a torn or corrupt tail
 // record detectable without trusting the decoder.
 //
-// Appends are group-committed: an operation encodes and enqueues its
+// Appends are group-committed: a commit encodes and enqueues its
 // record under the apply lock (so log order is apply order), then
 // waits for the record to reach the file. The first waiter becomes the
-// leader and writes every queued record in one syscall (and one fsync,
-// in fsync mode); the others follow for free — N concurrent writers
-// pay one write, the group-commit protocol of conventional database
-// logs.
+// leader and writes every queued record in one syscall; the others
+// follow for free — N concurrent writers pay one write, the
+// group-commit protocol of conventional database logs. Compaction and
+// Close drain the queue with the same batch writer.
 //
 // One file per generation, wal-<g>.log. For g > 0 its first record is
 // the snapshot: its outs are the whole logical state at compaction.
 // Compaction writes that record alone to wal-<g+1>.log.tmp, fsyncs it,
-// renames it into place — the single commit point, so a crash
-// mid-compaction is harmless — keeps appending to it, and deletes
-// wal-<g>.log. A torn final record — a crash mid-append — is detected
-// and truncated on replay; a damaged snapshot record is not a torn
-// tail, and Open fails on it.
+// renames it into place and fsyncs the directory — the single commit
+// point, so a crash mid-compaction is harmless — keeps appending to
+// it, and deletes wal-<g>.log. A torn final record — a crash
+// mid-append — is detected and truncated on replay; a damaged snapshot
+// record is not a torn tail, and Open fails on it.
 //
 // Durability levels: by default each record is written to the OS
 // before the operation returns, so the state survives process crashes
 // (the kill -9 scenario the fault-injection tests exercise) but the
-// last records may be lost to a machine crash; Options.Fsync upgrades
-// every group commit to an fsync, surviving power loss at the cost of
-// one disk flush per batch. fsync always happens on compaction and
-// Close. Replay is idempotent at the semantic level: commit records
-// remove their takes by exact match, which is a no-op when the tuple
-// is already absent.
+// last records may be lost to a machine crash; Options.Fsync adds an
+// fsync to every batch write, group commit and drain alike, surviving
+// power loss at the cost of one disk flush per batch. fsync always
+// happens on compaction and Close. Replay is idempotent at the
+// semantic level: commit records remove their takes by exact match,
+// which is a no-op when the tuple is already absent.
 package durable
 
 import (
@@ -321,7 +321,7 @@ func (d *Space) apply(rec record) error {
 }
 
 // enqueue encodes one record and places its frame on the group-commit
-// queue, returning the record's sequence number for commitWAL. Caller
+// queue, returning the record's sequence number for flushLocked. Caller
 // holds d.mu, which is what makes the queue order the apply order. An
 // encoding error (a tuple carrying a non-wire-encodable field type)
 // leaves the queue untouched, so the caller can refuse the operation
@@ -367,19 +367,13 @@ func (d *Space) enqueue(ctx context.Context, rec record) (uint64, error) {
 	return seq, nil
 }
 
-// commitWAL blocks until record seq has reached the file (and disk, in
-// fsync mode). The first waiter whose record is unwritten becomes the
-// leader: it writes every pending frame up to the batch cap in one
-// syscall while followers wait on the condition; a finished leader
-// hands off, so a queue longer than the cap drains in successive
-// batches. Called without locks held.
-func (d *Space) commitWAL(seq uint64) error {
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	for {
-		if d.flushed >= seq {
-			return nil
-		}
+// flushLocked blocks until record seq has reached the file (and disk,
+// in fsync mode). The first waiter whose record is unwritten becomes
+// the leader and runs writeBatch while followers wait on the
+// condition; a finished leader hands off, so a queue longer than the
+// batch cap drains in successive batches. Caller holds gmu.
+func (d *Space) flushLocked(seq uint64) error {
+	for d.flushed < seq {
 		if d.werr != nil {
 			return d.werr
 		}
@@ -387,95 +381,70 @@ func (d *Space) commitWAL(seq uint64) error {
 			d.gcond.Wait()
 			continue
 		}
-		// Leader: cut a batch and write it outside the lock. Followers
-		// enqueueing meanwhile append past the cut; append may move
-		// d.pend to a new array, but the cut slice still aliases the
-		// old one, which no one else writes.
-		d.flushing = true
-		n := len(d.ends)
-		if n > maxBatch {
-			n = maxBatch
-		}
-		cut := d.ends[n-1]
-		buf := d.pend[:cut]
-		d.gmu.Unlock()
-
-		if d.slowWrite != nil {
-			d.slowWrite()
-		}
-		// Crash-timing fault points, hit outside gmu like the write
-		// itself. before-write failing means the batch never reached the
-		// file (callers must see the error AND the records must be gone
-		// after reopen); after-write failing only on success means the
-		// batch IS on disk but callers see an error — the lost-ack
-		// ambiguity that turns into duplicated, never lost, work.
-		werr := faultnet.Hit("durable.wal.before-write", d.dir, n)
-		if werr == nil {
-			_, werr = d.f.Write(buf)
-		}
-		if werr == nil && d.fsync {
-			start := time.Now()
-			werr = d.f.Sync()
-			d.fsyncH.Observe(time.Since(start))
-		}
-		if werr == nil {
-			werr = faultnet.Hit("durable.wal.after-write", d.dir, n)
-		}
-
-		d.gmu.Lock()
-		rest := copy(d.pend, d.pend[cut:])
-		d.pend = d.pend[:rest]
-		d.ends = d.ends[:copy(d.ends, d.ends[n:])]
-		for i := range d.ends {
-			d.ends[i] -= cut
-		}
-		if werr != nil {
-			// The batch never reached the file (or disk): leave flushed
-			// where it is so every waiter in the batch — leader included
-			// — observes werr instead of a false success.
-			if d.werr == nil {
-				d.werr = werr
-			}
-		} else {
-			d.flushed += uint64(n)
-		}
-		d.flushing = false
-		d.walWrites.Inc()
-		// The batch-size histogram abuses duration buckets as record
-		// counts; its bounds are the unitless powers of two set up in
-		// Observe.
-		d.batchH.Observe(time.Duration(n))
-		d.gcond.Broadcast()
-	}
-}
-
-// drainLocked writes out every pending frame. Caller holds d.mu and
-// d.gmu; used by compaction and Close, which must see the queue empty
-// before touching the file.
-func (d *Space) drainLocked() error {
-	for d.flushing {
-		d.gcond.Wait()
-	}
-	if d.werr != nil {
-		return d.werr
-	}
-	if n := len(d.ends); n > 0 {
-		_, err := d.f.Write(d.pend)
-		d.pend = d.pend[:0]
-		d.ends = d.ends[:0]
-		d.walWrites.Inc()
-		d.batchH.Observe(time.Duration(n))
-		if err != nil {
-			// Do not advance flushed: followers waiting in commitWAL on
-			// these records must see the error, not a false success.
-			d.werr = err
-			d.gcond.Broadcast()
-			return err
-		}
-		d.flushed += uint64(n)
-		d.gcond.Broadcast()
+		d.writeBatch()
 	}
 	return nil
+}
+
+// writeBatch is the WAL's one batch writer: it cuts up to maxBatch
+// pending frames and writes them in one syscall (plus an fsync, in
+// fsync mode) outside gmu. Caller holds gmu, and no other leader is
+// writing. Enqueuers meanwhile append past the cut; append may move
+// d.pend to a new array, but the cut slice still aliases the old one,
+// which no one else writes.
+func (d *Space) writeBatch() {
+	d.flushing = true
+	n := min(len(d.ends), maxBatch)
+	cut := d.ends[n-1]
+	buf := d.pend[:cut]
+	d.gmu.Unlock()
+
+	if d.slowWrite != nil {
+		d.slowWrite()
+	}
+	// Crash-timing fault points, hit outside gmu like the write
+	// itself. before-write failing means the batch never reached the
+	// file (callers must see the error AND the records must be gone
+	// after reopen); after-write failing only on success means the
+	// batch IS on disk but callers see an error — the lost-ack
+	// ambiguity that turns into duplicated, never lost, work.
+	werr := faultnet.Hit("durable.wal.before-write", d.dir, n)
+	if werr == nil {
+		_, werr = d.f.Write(buf)
+	}
+	if werr == nil && d.fsync {
+		start := time.Now()
+		werr = d.f.Sync()
+		d.fsyncH.Observe(time.Since(start))
+	}
+	if werr == nil {
+		werr = faultnet.Hit("durable.wal.after-write", d.dir, n)
+	}
+
+	d.gmu.Lock()
+	rest := copy(d.pend, d.pend[cut:])
+	d.pend = d.pend[:rest]
+	d.ends = d.ends[:copy(d.ends, d.ends[n:])]
+	for i := range d.ends {
+		d.ends[i] -= cut
+	}
+	if werr != nil {
+		// The batch never reached the file (or disk): leave flushed
+		// where it is so every waiter in the batch — leader included
+		// — observes werr instead of a false success.
+		if d.werr == nil {
+			d.werr = werr
+		}
+	} else {
+		d.flushed += uint64(n)
+	}
+	d.flushing = false
+	d.walWrites.Inc()
+	// The batch-size histogram abuses duration buckets as record
+	// counts; its bounds are the unitless powers of two set up in
+	// Observe.
+	d.batchH.Observe(time.Duration(n))
+	d.gcond.Broadcast()
 }
 
 // maybeCompactLocked runs automatic compaction when the record budget
@@ -488,23 +457,18 @@ func (d *Space) maybeCompactLocked() error {
 	return nil
 }
 
-// compactLocked snapshots the logical state — the stored tuples plus
-// the tentative takes of open transactions, which are committed to
-// nothing yet and therefore still logically present — into the first
-// record of the next generation's WAL. Caller holds d.mu, which stops
-// new records from being enqueued; gmu is held across the file swap so
-// no group-commit leader can write to the old file mid-roll.
+// compactLocked snapshots the logical state into the first record of
+// the next generation's WAL. Caller holds d.mu, which stops new records
+// from being enqueued; gmu is held across the file swap so no
+// group-commit leader can write to the old file mid-roll.
 func (d *Space) compactLocked() error {
 	d.gmu.Lock()
 	defer d.gmu.Unlock()
-	if err := d.drainLocked(); err != nil {
+	if err := d.flushLocked(d.seq); err != nil {
 		return err
 	}
 
-	tuples := d.s.Snapshot()
-	for tx := range d.txns {
-		tuples = append(tuples, tx.takes...)
-	}
+	tuples := d.stateLocked()
 	body, err := appendBody(nil, record{Outs: tuples})
 	if err != nil {
 		return err
@@ -526,6 +490,14 @@ func (d *Space) compactLocked() error {
 		f.Close() //nolint:errcheck
 		return err
 	}
+	// A rename reaches the disk only with its directory (fsync(2)).
+	if err := syncDir(d.dir); err != nil {
+		// The new generation may already win a reopen, so appending
+		// to the old one would lose records: fail-stop instead.
+		f.Close() //nolint:errcheck
+		d.werr = err
+		return err
+	}
 
 	d.f.Close()                      //nolint:errcheck — already drained; the snapshot supersedes it
 	os.Remove(walPath(d.dir, d.gen)) //nolint:errcheck
@@ -538,160 +510,94 @@ func (d *Space) compactLocked() error {
 	return nil
 }
 
-// Out logs then applies; see the package comment for the crash
-// semantics of the log-before-apply order. The WAL append becomes a
-// child span of the ctx's span context, and the stored tuple is
-// stamped with it as its origin.
-func (d *Space) Out(ctx context.Context, fields ...any) error {
-	t := append(tuplespace.Tuple(nil), fields...)
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return tuplespace.ErrClosed
-	}
-	seq, err := d.enqueue(ctx, record{Outs: []tuplespace.Tuple{t}})
+// syncDir fsyncs a directory, making the renames in it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
 	if err != nil {
-		d.mu.Unlock()
 		return err
 	}
-	if err := d.s.Out(ctx, fields...); err != nil {
-		d.mu.Unlock()
-		return err
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	cerr := d.maybeCompactLocked()
-	d.mu.Unlock()
-	if cerr != nil {
-		return cerr
-	}
-	return d.commitWAL(seq)
+	return err
 }
 
-// OutN logs the batch as one record and applies it, with the span and
-// origin-stamping semantics of Out.
+// stateLocked returns the logical state: the stored tuples plus the
+// tentative takes of open transactions, which are committed to nothing
+// yet and therefore still logically present. Caller holds d.mu.
+func (d *Space) stateLocked() []tuplespace.Tuple {
+	tuples := d.s.Snapshot()
+	for tx := range d.txns {
+		tuples = append(tuples, tx.takes...)
+	}
+	return tuples
+}
+
+// Out stores one tuple as a transaction of that one operation. The WAL
+// append becomes a child span of the ctx's span context, and the stored
+// tuple is stamped with it as its origin.
+func (d *Space) Out(ctx context.Context, fields ...any) error {
+	return d.OutN(ctx, []tuplespace.Tuple{fields})
+}
+
+// OutN stores the batch as one transaction, logged as one record, with
+// the span and origin-stamping semantics of Out.
 func (d *Space) OutN(ctx context.Context, tuples []tuplespace.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return tuplespace.ErrClosed
-	}
-	seq, err := d.enqueue(ctx, record{Outs: tuples})
+	tx, err := d.begin()
 	if err != nil {
-		d.mu.Unlock()
 		return err
 	}
-	if err := d.s.OutN(ctx, tuples); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	cerr := d.maybeCompactLocked()
-	d.mu.Unlock()
-	if cerr != nil {
-		return cerr
-	}
-	return d.commitWAL(seq)
+	return tx.commitOrAbort(ctx, tuples, nil)
 }
 
-// In is a committed (non-transactional) take: the removal is logged
-// the instant it happens. The loop takes under the WAL lock but waits
-// outside it: a non-destructive Rd parks until a candidate appears,
-// then the take is retried — so a tuple can never be removed without
-// its log record, and a lost race simply re-parks.
-func (d *Space) In(ctx context.Context, tmplFields ...any) (Tuple, error) {
+// In is a committed take: a transaction of one take, logged the
+// instant it commits.
+func (d *Space) In(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, error) {
 	t, _, err := d.InTraced(ctx, tmplFields...)
 	return t, err
 }
 
 // InTraced is the committed take additionally returning the tuple's
-// origin span context. Under a traced context the match is recorded as
-// a "tuple"/"in" span (the WAL path polls rather than waiting inside
-// the space, so the space's own span would otherwise be absent for
-// immediate hits).
-func (d *Space) InTraced(ctx context.Context, tmplFields ...any) (Tuple, obs.SpanContext, error) {
-	sp := d.s.Tracer().StartChild(obs.FromContext(ctx), "tuple", "in")
-	blocked := false
-	for {
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			sp.End()
-			return nil, obs.SpanContext{}, tuplespace.ErrClosed
-		}
-		t, org, ok, err := d.s.InpTraced(ctx, tmplFields...)
-		if err != nil {
-			d.mu.Unlock()
-			sp.End()
-			return nil, obs.SpanContext{}, err
-		}
-		if ok {
-			seq, aerr := d.enqueue(ctx, record{Takes: []tuplespace.Tuple{t}})
-			if aerr != nil {
-				d.s.Out(context.Background(), t...) //nolint:errcheck — unlogged take must not stand
-				d.mu.Unlock()
-				sp.End()
-				return nil, obs.SpanContext{}, aerr
-			}
-			cerr := d.maybeCompactLocked()
-			d.mu.Unlock()
-			if cerr == nil {
-				cerr = d.commitWAL(seq)
-			}
-			if cerr != nil {
-				sp.End()
-				return nil, obs.SpanContext{}, cerr
-			}
-			if sp != nil {
-				sp.Annotate("blocked", blocked)
-				sp.End()
-			}
-			return t, org, nil
-		}
-		d.mu.Unlock()
-		blocked = true
-		if _, err := d.s.Rd(ctx, tmplFields...); err != nil {
-			sp.End()
-			return nil, obs.SpanContext{}, err
-		}
+// origin span context.
+func (d *Space) InTraced(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, obs.SpanContext, error) {
+	tx, err := d.begin()
+	if err != nil {
+		return nil, obs.SpanContext{}, err
 	}
+	t, org, err := tx.InTraced(ctx, tmplFields...)
+	if err := tx.commitOrAbort(ctx, nil, err); err != nil {
+		return nil, obs.SpanContext{}, err
+	}
+	return t, org, nil
 }
 
 // Inp is the non-blocking committed take.
-func (d *Space) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, false, tuplespace.ErrClosed
-	}
-	t, ok, err := d.s.Inp(ctx, tmplFields...)
-	if err != nil || !ok {
-		d.mu.Unlock()
-		return nil, false, err
-	}
-	seq, err := d.enqueue(ctx, record{Takes: []tuplespace.Tuple{t}})
+func (d *Space) Inp(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, bool, error) {
+	tx, err := d.begin()
 	if err != nil {
-		d.s.Out(context.Background(), t...) //nolint:errcheck — unlogged take must not stand
-		d.mu.Unlock()
 		return nil, false, err
 	}
-	cerr := d.maybeCompactLocked()
-	d.mu.Unlock()
-	if cerr == nil {
-		cerr = d.commitWAL(seq)
+	t, ok, err := tx.Inp(ctx, tmplFields...)
+	if err == nil && !ok {
+		tx.Abort() //nolint:errcheck — nothing was taken
+		return nil, false, nil
 	}
-	if cerr != nil {
-		return nil, false, cerr
+	if err := tx.commitOrAbort(ctx, nil, err); err != nil {
+		return nil, false, err
 	}
 	return t, true, nil
 }
 
 // Rd, Rdp and Len are non-destructive and delegate directly.
-func (d *Space) Rd(ctx context.Context, tmplFields ...any) (Tuple, error) {
+func (d *Space) Rd(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, error) {
 	return d.s.Rd(ctx, tmplFields...)
 }
 
-func (d *Space) Rdp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) {
+func (d *Space) Rdp(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, bool, error) {
 	return d.s.Rdp(ctx, tmplFields...)
 }
 
@@ -709,7 +615,7 @@ func (d *Space) Close() error {
 	}
 	d.closed = true
 	d.gmu.Lock()
-	err := d.drainLocked()
+	err := d.flushLocked(d.seq)
 	d.gmu.Unlock()
 	if serr := d.f.Sync(); err == nil {
 		err = serr
@@ -734,11 +640,7 @@ func (d *Space) Underlying() *tuplespace.Space { return d.s }
 func (d *Space) Snapshot() []tuplespace.Tuple {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tuples := d.s.Snapshot()
-	for tx := range d.txns {
-		tuples = append(tuples, tx.takes...)
-	}
-	return tuples
+	return d.stateLocked()
 }
 
 // Restore replaces the space contents and immediately compacts, so the
@@ -789,14 +691,19 @@ func (d *Space) Registry() *obs.Registry { return d.s.Registry() }
 // Tracer exposes the attached tracer for the wire server.
 func (d *Space) Tracer() *obs.Tracer { return d.s.Tracer() }
 
-// Tuple aliases tuplespace.Tuple for signature compatibility.
-type Tuple = tuplespace.Tuple
-
 // Begin opens a transaction whose takes stay tentative — physically
 // removed, recorded nowhere — until Commit logs takes and outs as one
 // atomic record. A crash or Abort before Commit leaves no trace in the
 // log, so recovery restores the takes by construction.
 func (d *Space) Begin() (tuplespace.Txn, error) {
+	tx, err := d.begin()
+	if err != nil {
+		return nil, err // not a nil *txn inside a non-nil Txn
+	}
+	return tx, nil
+}
+
+func (d *Space) begin() (*txn, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -817,14 +724,14 @@ type txn struct {
 	done  bool
 }
 
-func (tx *txn) In(ctx context.Context, tmplFields ...any) (Tuple, error) {
+func (tx *txn) In(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, error) {
 	t, _, err := tx.InTraced(ctx, tmplFields...)
 	return t, err
 }
 
 // InTraced is the tentative transactional take with the tuple's origin
 // passed through.
-func (tx *txn) InTraced(ctx context.Context, tmplFields ...any) (Tuple, obs.SpanContext, error) {
+func (tx *txn) InTraced(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, obs.SpanContext, error) {
 	d := tx.d
 	sp := d.s.Tracer().StartChild(obs.FromContext(ctx), "tuple", "in")
 	blocked := false
@@ -864,7 +771,7 @@ func (tx *txn) InTraced(ctx context.Context, tmplFields ...any) (Tuple, obs.Span
 	}
 }
 
-func (tx *txn) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) {
+func (tx *txn) Inp(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, bool, error) {
 	d := tx.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -882,9 +789,9 @@ func (tx *txn) Inp(ctx context.Context, tmplFields ...any) (Tuple, bool, error) 
 	return t, true, nil
 }
 
-// Commit logs the atomic commit record — its WAL append is traced
-// under the ctx's span context, and the published outs carry it as
-// their origin.
+// Commit logs the atomic commit record, applies it and waits for the
+// group commit that writes it — its WAL append is traced under the
+// ctx's span context, and the published outs carry it as their origin.
 func (tx *txn) Commit(ctx context.Context, outs []tuplespace.Tuple) error {
 	d := tx.d
 	d.mu.Lock()
@@ -915,7 +822,23 @@ func (tx *txn) Commit(ctx context.Context, outs []tuplespace.Tuple) error {
 	if cerr != nil {
 		return cerr
 	}
-	return d.commitWAL(seq)
+	d.gmu.Lock()
+	defer d.gmu.Unlock()
+	return d.flushLocked(seq)
+}
+
+// commitOrAbort ends a transaction of one operation: it commits outs
+// if the operation succeeded (err is nil) and aborts otherwise. A
+// commit that fails before logging aborts too, so an unlogged take is
+// restored; after a logged record the Abort is a no-op.
+func (tx *txn) commitOrAbort(ctx context.Context, outs []tuplespace.Tuple, err error) error {
+	if err == nil {
+		err = tx.Commit(ctx, outs)
+	}
+	if err != nil {
+		tx.Abort() //nolint:errcheck — restores an unlogged take
+	}
+	return err
 }
 
 func (tx *txn) Abort() error {

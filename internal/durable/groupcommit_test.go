@@ -2,11 +2,13 @@ package durable
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"freepdm/internal/faultnet"
 	"freepdm/internal/obs"
 )
 
@@ -216,6 +218,130 @@ func TestFsyncMode(t *testing.T) {
 	if n, _ := d3.Len(); n != 2 {
 		t.Errorf("after take+reopen Len = %d, want 2", n)
 	}
+}
+
+// TestDurableFsyncCoversEveryWrite holds the fsync contract on every
+// batch write, not only on a group commit's: in fsync mode the count of
+// fsyncs equals the count of WAL writes after compactions and after a
+// Close drained a queued record, and a batch that a compaction drains
+// passes the before-write fault point like any other.
+func TestDurableFsyncCoversEveryWrite(t *testing.T) {
+	ctx := context.Background()
+	open := func(t *testing.T, dir string) (*Space, *obs.Registry) {
+		t.Helper()
+		d, err := Open(dir, nil, Options{Fsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		d.Observe(reg, nil)
+		return d, reg
+	}
+	sameCounts := func(t *testing.T, reg *obs.Registry, writes int64) {
+		t.Helper()
+		w, f := reg.Counter("wal.writes").Value(), reg.Histogram("wal.fsync").Count()
+		if w != writes || f != w {
+			t.Errorf("wal.writes %d, wal.fsync %d; want %d of each", w, f, writes)
+		}
+	}
+
+	t.Run("compaction", func(t *testing.T) {
+		d, reg := open(t, t.TempDir())
+		defer d.Close() //nolint:errcheck
+		d.compactEvery = 2
+		for i := 0; i < 4; i++ {
+			if err := d.Out(ctx, "c", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reg.Counter("wal.compactions").Value(); got != 2 {
+			t.Fatalf("wal.compactions = %d, want 2", got)
+		}
+		sameCounts(t, reg, 4)
+	})
+
+	t.Run("close", func(t *testing.T) {
+		d, reg := open(t, t.TempDir())
+		gate := make(chan struct{})
+		entered := make(chan struct{})
+		var first atomic.Bool
+		d.slowWrite = func() {
+			if first.CompareAndSwap(false, true) {
+				close(entered)
+				<-gate
+			}
+		}
+		outs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func(i int) { outs <- d.Out(ctx, "q", i) }(i)
+			if i == 0 {
+				<-entered // the first Out is now the stalled leader
+			}
+		}
+		// Wait until the second record is queued and its Out has let go
+		// of the apply lock, then until Close holds it: Close is then
+		// draining the queue behind the stalled leader.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			d.gmu.Lock()
+			n := len(d.ends)
+			d.gmu.Unlock()
+			if n == 2 && d.mu.TryLock() {
+				d.mu.Unlock()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("second record never queued: %d pending frames", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- d.Close() }()
+		for d.mu.TryLock() {
+			d.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-outs; err != nil {
+				t.Errorf("Out whose record was written = %v, want nil", err)
+			}
+		}
+		sameCounts(t, reg, 2)
+	})
+
+	t.Run("drain-fault", func(t *testing.T) {
+		dir := t.TempDir()
+		d, _ := open(t, dir)
+		d.compactEvery = 2
+		if err := d.Out(ctx, "kept", 1); err != nil {
+			t.Fatal(err)
+		}
+		boom := errors.New("injected: disk died before the drained write")
+		disarm := faultnet.Arm("durable.wal.before-write", func(args ...any) error {
+			if args[0] == dir {
+				return boom
+			}
+			return nil
+		})
+		defer disarm()
+		if err := d.Out(ctx, "doomed", 2); !errors.Is(err, boom) {
+			t.Errorf("Out whose record a compaction drained = %v, want the injected error", err)
+		}
+		disarm()
+		d.Close() //nolint:errcheck — the sticky error surfaces here too
+		d2, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Close() //nolint:errcheck
+		if n, _ := d2.Len(); n != 1 {
+			t.Errorf("reopened space holds %d tuples, want 1: the failed record must be gone", n)
+		}
+	})
 }
 
 // BenchmarkWALGroupCommit drives concurrent appends through the
