@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"freepdm/internal/core"
+	"freepdm/internal/mining/assoc"
 	"freepdm/internal/plinda"
 )
 
@@ -22,9 +23,12 @@ import (
 // SubpatternPruning makes per evaluation — the boxed key and the entry;
 // a count above 255 would box too — and the mutation matcher, Myers'
 // bit-vector kernel, takes nothing from the heap for a segment of up to
-// 64 letters; with pruning off Goodness allocates nothing. motif-exact's
-// Children is the GST's extension slice, the child slice, and a string
-// and its boxing for each of the six children.
+// 64 letters; with pruning off Goodness allocates nothing. An assoc or
+// motif pattern is its key: Children is one string holding every child's
+// key, one slab of patterns and the child slice (motif-exact's and
+// motif-mut's also the GST's extension slice), and Subpatterns the same
+// less the string for motif, whose subpatterns are substrings of the
+// pattern's key. Neither count grows with the number of patterns returned.
 var kernelPatterns = map[string]struct {
 	key                             string
 	cost                            float64
@@ -32,9 +36,9 @@ var kernelPatterns = map[string]struct {
 	exact                           bool
 }{
 	"toy":         {"{0,1}", 0.036000000000000004, 0, 25, 6, true},
-	"motif-exact": {"DWLVEV", 0.0011358, 0, 14, 3, true},
-	"motif-mut":   {"LLWET", 0.0028395, 2, 4, 3, true},
-	"assoc":       {"{0,1,2}", 0.0003268, 0, 25, 7, true},
+	"motif-exact": {"DWLVEV", 0.0011358, 0, 4, 2, true},
+	"motif-mut":   {"LLWET", 0.0028395, 2, 4, 2, true},
+	"assoc":       {"{0,1,2}", 0.0003268, 0, 3, 3, true},
 	"episode":     {"<1 3>", 0.00015, 0, 13, 7, true},
 	"treemotif":   {"B(H)", 0.000192, 5452, 145, 5, false},
 }
@@ -214,5 +218,44 @@ func TestKernelTakesNoLock(t *testing.T) {
 				t.Errorf("%d contention events on a lock inside the problem: %s", count-before[stack], strings.Join(stackFuncs(stack), " < "))
 			}
 		})
+	}
+}
+
+// aprioriBench is the benchmark rig's apriori input at seed 42: 20 000
+// market baskets over 24 items with four planted groups, minimum
+// support 1 200.
+func aprioriBench() core.Problem {
+	groups := [][]int{{0, 2, 4}, {5, 6, 7, 8}, {10, 11, 12}, {3, 9, 13, 14}}
+	return assoc.NewProblem(assoc.GenerateDB(20000, 24, groups, 0.3, 42), 1200)
+}
+
+// benchResults keeps the benchmarks' results live.
+var benchResults []core.Result
+
+// BenchmarkSolveSequentialApriori is the E-dag baseline on the apriori
+// input, BenchmarkSolveSequentialToy's counterpart on a real kernel:
+// its allocations are the lattice bookkeeping around Goodness.
+func BenchmarkSolveSequentialApriori(b *testing.B) {
+	pr := aprioriBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResults, _ = core.SolveSequential(pr)
+	}
+}
+
+// BenchmarkRunPLEDApriori is a PLED run on the same input, on an
+// in-process Space with two workers.
+func BenchmarkRunPLEDApriori(b *testing.B) {
+	pr := aprioriBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv := plinda.NewServer()
+		var err error
+		if benchResults, err = core.RunPLED(srv, pr, 2); err != nil {
+			b.Fatal(err)
+		}
+		srv.Close()
 	}
 }

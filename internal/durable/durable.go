@@ -397,6 +397,7 @@ func (d *Space) writeBatch() {
 	n := min(len(d.ends), maxBatch)
 	cut := d.ends[n-1]
 	buf := d.pend[:cut]
+	fsyncH := d.fsyncH // Observe swaps the instruments under gmu
 	d.gmu.Unlock()
 
 	if d.slowWrite != nil {
@@ -415,7 +416,7 @@ func (d *Space) writeBatch() {
 	if werr == nil && d.fsync {
 		start := time.Now()
 		werr = d.f.Sync()
-		d.fsyncH.Observe(time.Since(start))
+		fsyncH.Observe(time.Since(start))
 	}
 	if werr == nil {
 		werr = faultnet.Hit("durable.wal.after-write", d.dir, n)
@@ -675,13 +676,17 @@ func (d *Space) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	for b := 1; b <= 256; b *= 2 {
 		batchBounds = append(batchBounds, time.Duration(b))
 	}
+	// The enqueue path reads appends, walBytes and compactions under mu;
+	// the batch writer reads walWrites, batchH and fsyncH under gmu.
 	d.mu.Lock()
 	d.appends = reg.Counter("wal.appends")
 	d.walBytes = reg.Counter("wal.bytes")
-	d.walWrites = reg.Counter("wal.writes")
 	d.compactions = reg.Counter("wal.compactions")
+	d.gmu.Lock()
+	d.walWrites = reg.Counter("wal.writes")
 	d.batchH = reg.Histogram("wal.batch_records", batchBounds...)
 	d.fsyncH = reg.Histogram("wal.fsync")
+	d.gmu.Unlock()
 	d.mu.Unlock()
 }
 

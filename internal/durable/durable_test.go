@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"freepdm/internal/obs"
@@ -326,6 +327,50 @@ func TestDurableObserve(t *testing.T) {
 	}
 	if snap.Counters["wal.compactions"] == 0 {
 		t.Fatal("wal.compactions not counted")
+	}
+}
+
+// TestDurableObserveWhileCommitting attaches a registry while 200 Outs
+// commit from four goroutines in fsync mode, so a batch writer is
+// between its enqueue and its write when Observe swaps the instruments.
+// Under -race it catches an instrument read outside the lock Observe
+// writes it under; without the race detector it checks that every
+// commit landed and the new registry counted the writes after it.
+func TestDurableObserveWhileCommitting(t *testing.T) {
+	d, err := Open(t.TempDir(), nil, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck
+	ctx := context.Background()
+	const goroutines, outs = 4, 50
+	var wg sync.WaitGroup
+	started := make(chan struct{}, goroutines*outs)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < outs; i++ {
+				started <- struct{}{}
+				if err := d.Out(ctx, "o", g*outs+i); err != nil {
+					t.Errorf("Out: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		<-started
+	}
+	reg := obs.NewRegistry()
+	d.Observe(reg, nil)
+	wg.Wait()
+	if n, _ := d.Len(); n != goroutines*outs {
+		t.Fatalf("Len = %d, want %d", n, goroutines*outs)
+	}
+	w, f := reg.Counter("wal.writes").Value(), reg.Histogram("wal.fsync").Count()
+	if w == 0 || f > w {
+		t.Errorf("after Observe: wal.writes %d, wal.fsync %d; want writes > 0 and no more fsyncs than writes", w, f)
 	}
 }
 

@@ -276,13 +276,20 @@ func Rules(frequent []FrequentSet, minConf float64) []Rule {
 
 // GenerateDB creates a synthetic market-basket database with planted
 // co-occurring item groups, in the spirit of the K-mart example of
-// section 2.2.1. Group items lie in [0, items).
+// section 2.2.1. Group items lie in [0, items). Every transaction is cut
+// from one backing array, presized to the expected total length.
 func GenerateDB(txns, items int, groups [][]int, groupProb float64, seed int64) *DB {
 	rng := rand.New(rand.NewSource(seed))
-	db := &DB{Items: items, Txns: make([]Itemset, 0, txns)}
+	// An item is in a transaction with at most the summed probability of
+	// the draws that can put it there.
+	expect := 0.05 * float64(items)
+	for _, g := range groups {
+		expect += groupProb * float64(len(g))
+	}
+	all := make(Itemset, 0, int(expect*float64(txns))+items)
+	db := &DB{Items: items, Txns: make([]Itemset, txns)}
 	in := make([]bool, items)
-	var buf Itemset
-	for t := 0; t < txns; t++ {
+	for t := range db.Txns {
 		// Background noise: each item independently with low probability.
 		for it := 0; it < items; it++ {
 			if rng.Float64() < 0.05 {
@@ -296,14 +303,18 @@ func GenerateDB(txns, items int, groups [][]int, groupProb float64, seed int64) 
 				}
 			}
 		}
-		buf = buf[:0]
+		from := len(all)
 		for it, ok := range in {
 			if ok {
-				buf = append(buf, it)
+				all = append(all, it)
 				in[it] = false
 			}
 		}
-		db.Txns = append(db.Txns, append(Itemset(nil), buf...))
+		// At full capacity, so that appending to one transaction cannot
+		// overwrite the next. An empty one stays nil.
+		if to := len(all); to > from {
+			db.Txns[t] = all[from:to:to]
+		}
 	}
 	return db
 }

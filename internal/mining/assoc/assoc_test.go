@@ -3,6 +3,8 @@ package assoc
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,6 +219,130 @@ func TestDecodeAcceptsExactlyTheKeys(t *testing.T) {
 	}
 	if root, err := pr.Decode("{}"); err != nil || root.Key() != pr.Root().Key() || root.Len() != 0 {
 		t.Fatalf("Decode(\"{}\") = %v, %v; want the root", root, err)
+	}
+}
+
+// decodeOracle is the decoder Decode's one pass replaced: parse the key,
+// check its items' range, and want the canonical key back.
+func decodeOracle(key string, items int) (Itemset, bool) {
+	s, err := ParseItemset(key)
+	if err != nil {
+		return nil, false
+	}
+	if len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= items) {
+		return nil, false
+	}
+	return s, s.Key() == key
+}
+
+// FuzzDecode holds Decode to decodeOracle on arbitrary keys and item
+// universes: it accepts exactly the keys the oracle accepts, and a
+// decoded pattern has the key it came from, the oracle's size, and the
+// oracle's items where Goodness reads them.
+func FuzzDecode(f *testing.F) {
+	for _, key := range []string{"{}", "{0}", "{23}", "{1,2,10}", "{01}", "{1,1}", "{2,1}", "{-1}",
+		"{+1}", "{24}", "{1,}", "{,1}", "{1, 2}", "", "{", "}", "{}}", "{{}", "{99999999999999999999}"} {
+		f.Add(key, uint8(24))
+	}
+	f.Add("{0}", uint8(0))
+	f.Fuzz(func(t *testing.T, key string, items uint8) {
+		pr := NewProblem(&DB{Items: int(items)}, 1)
+		want, ok := decodeOracle(key, int(items))
+		p, err := pr.Decode(key)
+		if (err == nil) != ok {
+			t.Fatalf("Decode(%q) over %d items: err %v, oracle accepts: %v", key, items, err, ok)
+		}
+		if !ok {
+			return
+		}
+		if got := p.(*pattern).items(nil); p.Key() != key || p.Len() != len(want) || len(want) > 0 && !slices.Equal(got, want) {
+			t.Fatalf("Decode(%q) = key %q, Len %d, items %v; want %v", key, p.Key(), p.Len(), got, want)
+		}
+	})
+}
+
+// keyChecked is a Problem that holds every pattern Children and
+// Subpatterns return to the key Itemset.Key builds for the same item
+// set, and to Decode's round trip.
+type keyChecked struct {
+	*Problem
+	t     *testing.T
+	calls int
+}
+
+func (c *keyChecked) check(call string, p core.Pattern, got []core.Pattern, want []Itemset) {
+	c.t.Helper()
+	c.calls++
+	if len(got) != len(want) {
+		c.t.Fatalf("%s(%s): %d patterns, want %d", call, p.Key(), len(got), len(want))
+	}
+	for i, q := range got {
+		if q.Key() != want[i].Key() || q.Len() != len(want[i]) {
+			c.t.Fatalf("%s(%s)[%d] = %q of length %d, want %q", call, p.Key(), i, q.Key(), q.Len(), want[i].Key())
+		}
+		if d, err := c.Decode(q.Key()); err != nil || d.Key() != q.Key() || d.Len() != q.Len() {
+			c.t.Fatalf("Decode(%q) = %v, %v", q.Key(), d, err)
+		}
+	}
+}
+
+func (c *keyChecked) Children(p core.Pattern) []core.Pattern {
+	s, _ := ParseItemset(p.Key())
+	var want []Itemset
+	for it := 0; it < c.DB.Items; it++ {
+		if len(s) == 0 || it > s[len(s)-1] {
+			want = append(want, append(slices.Clone(s), it))
+		}
+	}
+	got := c.Problem.Children(p)
+	c.check("Children", p, got, want)
+	return got
+}
+
+func (c *keyChecked) Subpatterns(p core.Pattern) []core.Pattern {
+	s, _ := ParseItemset(p.Key())
+	want := []Itemset{{}}
+	if len(s) > 1 {
+		want = want[:0]
+		for drop := range s {
+			want = append(want, slices.Delete(slices.Clone(s), drop, drop+1))
+		}
+	}
+	got := c.Problem.Subpatterns(p)
+	c.check("Subpatterns", p, got, want)
+	return got
+}
+
+// supports maps each frequent set's key to its support.
+func supports(fs []FrequentSet) map[string]int {
+	out := map[string]int{}
+	for _, f := range fs {
+		out[f.Items.Key()] = f.Support
+	}
+	return out
+}
+
+// TestPatternKeysMatchItemsetKeys runs both sequential traversals on the
+// benchmark's apriori input at two seeds, checking the key of every
+// child and subpattern they are handed, and wants the frequent sets
+// Apriori finds.
+func TestPatternKeysMatchItemsetKeys(t *testing.T) {
+	groups := [][]int{{0, 2, 4}, {5, 6, 7, 8}, {10, 11, 12}, {3, 9, 13, 14}}
+	for _, seed := range []int64{42, 7} {
+		db := GenerateDB(20000, 24, groups, 0.3, seed)
+		want := Apriori(db, 1200)
+		for name, solve := range map[string]func(core.Problem) ([]core.Result, core.Stats){
+			"SolveSequential": core.SolveSequential, "SolveETTSequential": core.SolveETTSequential,
+		} {
+			c := &keyChecked{Problem: NewProblem(db, 1200), t: t}
+			res, _ := solve(c)
+			if got := supports(FrequentSets(res)); !maps.Equal(got, supports(want)) {
+				t.Fatalf("seed %d, %s: frequent sets %v, Apriori finds %v", seed, name, got, supports(want))
+			}
+			if c.calls < len(want) {
+				t.Fatalf("seed %d, %s: %d checked calls for %d frequent sets", seed, name, c.calls, len(want))
+			}
+		}
 	}
 }
 

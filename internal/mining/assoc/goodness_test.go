@@ -20,7 +20,11 @@ func (c *scanChecked) Goodness(p core.Pattern) float64 {
 	c.t.Helper()
 	c.evals++
 	got := c.Problem.Goodness(p)
-	if want := c.DB.Support(p.(pattern).s); got != float64(want) {
+	s, err := ParseItemset(p.Key())
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if want := c.DB.Support(s); got != float64(want) {
 		c.t.Fatalf("Goodness(%s) = %v, DB.Support = %d", p.Key(), got, want)
 	}
 	return got
@@ -36,6 +40,11 @@ func oracleDB(n, items int, seed int64) *DB {
 		}
 	}
 	return db
+}
+
+// itemsetPattern is the pattern of s, as Decode would return it.
+func itemsetPattern(s Itemset) core.Pattern {
+	return &pattern{key: s.Key(), n: len(s)}
 }
 
 func randomItemset(rng *rand.Rand, items int) Itemset {
@@ -67,7 +76,7 @@ func TestGoodnessMatchesScan(t *testing.T) {
 				t.Fatalf("n=%d items=%d: %d evaluations, fewer than the items", n, items, checked.evals)
 			}
 			for i := 0; i < 50; i++ {
-				checked.Goodness(pattern{randomItemset(rng, items)})
+				checked.Goodness(itemsetPattern(randomItemset(rng, items)))
 			}
 		}
 	}
@@ -106,9 +115,9 @@ func FuzzGoodnessMatchesScan(f *testing.F) {
 		}
 		db.Txns = append(db.Txns, set(txns[start:]))
 		checked := &scanChecked{Problem: NewProblem(db, 1), t: t}
-		checked.Goodness(pattern{set(query)})
+		checked.Goodness(itemsetPattern(set(query)))
 		for it := 0; it < items; it++ {
-			checked.Goodness(pattern{Itemset{it}})
+			checked.Goodness(itemsetPattern(Itemset{it}))
 		}
 	})
 }

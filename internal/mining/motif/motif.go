@@ -11,6 +11,7 @@ package motif
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -84,14 +85,20 @@ func NewProblem(seqs []string, params Params) *Problem {
 	return &Problem{Seqs: seqs, Params: params, gst: seq.BuildGST(seqs), total: total}
 }
 
-// pattern is a segment motif *S*.
+// pattern is a segment motif *S*, held as its key. Children cut every
+// key they return from one string, and Children and Subpatterns hand out
+// pointers into one slab of patterns, so their allocations do not grow
+// with the number of patterns they return.
 type pattern struct{ seg string }
 
-func (p pattern) Key() string { return p.seg }
-func (p pattern) Len() int    { return len(p.seg) }
+func (p *pattern) Key() string { return p.seg }
+func (p *pattern) Len() int    { return len(p.seg) }
+
+// root is the empty segment, the one root of every Problem.
+var root = &pattern{}
 
 // Root implements core.Problem.
-func (pr *Problem) Root() core.Pattern { return pattern{} }
+func (pr *Problem) Root() core.Pattern { return root }
 
 // inAlphabet marks the bytes of seq.Alphabet. The alphabet is ASCII, so
 // a key is valid exactly when each of its bytes is marked: no byte of a
@@ -105,25 +112,37 @@ var inAlphabet = func() (t [256]bool) {
 
 // Decode implements core.Decoder.
 func (pr *Problem) Decode(key string) (core.Pattern, error) {
+	if key == "" {
+		return root, nil
+	}
 	for i := range len(key) {
 		if !inAlphabet[key[i]] {
 			return nil, fmt.Errorf("motif: invalid pattern key %q", key)
 		}
 	}
-	return pattern{key}, nil
+	return &pattern{key}, nil
 }
 
 // Children implements core.Problem: right extensions by one letter
 // that occur in the database, up to the exploration bound.
 func (pr *Problem) Children(p core.Pattern) []core.Pattern {
-	s := p.(pattern).seg
+	s := p.(*pattern).seg
 	if len(s) >= pr.Params.MaxLength {
 		return nil
 	}
 	exts := pr.gst.Extensions(s, pr.Params.MinSeedSeqs)
-	out := make([]core.Pattern, 0, len(exts))
-	for _, c := range exts {
-		out = append(out, pattern{s + string(c)})
+	var b strings.Builder
+	b.Grow(len(exts) * (len(s) + 1))
+	slab := make([]pattern, len(exts))
+	out := make([]core.Pattern, len(exts))
+	for i, c := range exts {
+		// b never rewrites what it holds, so a string cut from b.String()
+		// stays valid as b grows.
+		from := b.Len()
+		b.WriteString(s)
+		b.WriteByte(c)
+		slab[i] = pattern{b.String()[from:]}
+		out[i] = &slab[i]
 	}
 	return out
 }
@@ -131,22 +150,21 @@ func (pr *Problem) Children(p core.Pattern) []core.Pattern {
 // Subpatterns implements core.Problem: the (k-1)-prefix and the
 // (k-1)-suffix (example 3.1.4).
 func (pr *Problem) Subpatterns(p core.Pattern) []core.Pattern {
-	s := p.(pattern).seg
+	s := p.(*pattern).seg
 	if len(s) <= 1 {
-		return []core.Pattern{pattern{}}
+		return []core.Pattern{root}
 	}
-	prefix := pattern{s[:len(s)-1]}
-	suffix := pattern{s[1:]}
-	if prefix.seg == suffix.seg {
-		return []core.Pattern{prefix}
+	slab := []pattern{{s[:len(s)-1]}, {s[1:]}}
+	if slab[0].seg == slab[1].seg {
+		return []core.Pattern{&slab[0]}
 	}
-	return []core.Pattern{prefix, suffix}
+	return []core.Pattern{&slab[0], &slab[1]}
 }
 
 // Goodness implements core.Problem: the occurrence number of the
 // motif over the whole database, within the allowed mutations.
 func (pr *Problem) Goodness(p core.Pattern) float64 {
-	s := p.(pattern).seg
+	s := p.(*pattern).seg
 	if s == "" {
 		return float64(len(pr.Seqs))
 	}

@@ -110,6 +110,82 @@ func TestDecodeAcceptsExactlyTheAlphabet(t *testing.T) {
 	}
 }
 
+// keyChecked is a Problem that holds every pattern Children and
+// Subpatterns return to the key string concatenation builds: the parent
+// plus each GST extension, and the parent's prefix and suffix; and to
+// Decode's round trip.
+type keyChecked struct {
+	*Problem
+	t     *testing.T
+	calls int
+}
+
+func (c *keyChecked) check(call string, p core.Pattern, got []core.Pattern, want []string) {
+	c.t.Helper()
+	c.calls++
+	if len(got) != len(want) {
+		c.t.Fatalf("%s(%q): %d patterns, want %d", call, p.Key(), len(got), len(want))
+	}
+	for i, q := range got {
+		if q.Key() != want[i] || q.Len() != len(want[i]) {
+			c.t.Fatalf("%s(%q)[%d] = %q of length %d, want %q", call, p.Key(), i, q.Key(), q.Len(), want[i])
+		}
+		if d, err := c.Decode(q.Key()); err != nil || d.Key() != q.Key() || d.Len() != q.Len() {
+			c.t.Fatalf("Decode(%q) = %v, %v", q.Key(), d, err)
+		}
+	}
+}
+
+func (c *keyChecked) Children(p core.Pattern) []core.Pattern {
+	s := p.Key()
+	var want []string
+	if len(s) < c.Params.MaxLength {
+		for _, e := range c.gst.Extensions(s, c.Params.MinSeedSeqs) {
+			want = append(want, s+string(e))
+		}
+	}
+	got := c.Problem.Children(p)
+	c.check("Children", p, got, want)
+	return got
+}
+
+func (c *keyChecked) Subpatterns(p core.Pattern) []core.Pattern {
+	s := p.Key()
+	want := []string{""}
+	if len(s) > 1 {
+		want = []string{s[:len(s)-1], s[1:]}
+		if want[0] == want[1] {
+			want = want[:1]
+		}
+	}
+	got := c.Problem.Subpatterns(p)
+	c.check("Subpatterns", p, got, want)
+	return got
+}
+
+// TestPatternKeysMatchConcatenation runs both sequential traversals on
+// the benchmark's motif_exact input, checking the key of every child and
+// subpattern they are handed, and wants the motifs of an unchecked run.
+func TestPatternKeysMatchConcatenation(t *testing.T) {
+	spec := seq.CyclinsSpec(42)
+	spec.Length = 80
+	seqs := spec.Generate()
+	params := Params{MinOccur: 5, MaxMut: 0, MinLength: 12, MaxLength: 24}
+	want, _ := core.SolveSequential(NewProblem(seqs, params))
+	for name, solve := range map[string]func(core.Problem) ([]core.Result, core.Stats){
+		"SolveSequential": core.SolveSequential, "SolveETTSequential": core.SolveETTSequential,
+	} {
+		c := &keyChecked{Problem: NewProblem(seqs, params), t: t}
+		got, _ := solve(c)
+		if strings.Join(keys(got), ",") != strings.Join(keys(want), ",") {
+			t.Fatalf("%s: %d good patterns, want %d", name, len(got), len(want))
+		}
+		if c.calls < len(want) {
+			t.Fatalf("%s: %d checked calls for %d good patterns", name, c.calls, len(want))
+		}
+	}
+}
+
 // TestNewProblemRejectsLongMutationSegments: with mutations, segments
 // may grow to 64 letters, the matcher's limit, and no further; the
 // default bound counts, and exact matching has no limit.
