@@ -130,8 +130,8 @@ func runChaosScenario(t *testing.T, g faultGrain, sc chaosScenario) {
 // with no cluster in between. The static error rate kills incarnations
 // (master included) at arbitrary operation boundaries, so re-spawned
 // masters consume control tuples left over from earlier incarnations:
-// the floating-subtree case PrunedTracker must park rather than walk
-// into a missing parent (see TestPrunedTrackerFloatingSubtree).
+// the floating-subtree case, a task's subtree reporting before its
+// parent (see TestBalance/FloatingSubtree).
 //
 // Under unbounded random faults the respawn budget may run out, so the
 // invariant is either/or: the run completes with exactly
@@ -179,14 +179,12 @@ func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 
 // TestChaosMasterRespawnStaleCtl kills the master deterministically in
 // the middle of its control-tuple consumption. The re-spawned master
-// starts a fresh tracker and re-seeds the top tasks, then consumes the
+// starts a fresh balance and re-seeds the top tasks, then consumes the
 // previous incarnation's leftover control tuples in arbitrary order —
-// so a deep node's completion can arrive before any expansion has
-// registered the node: the exact floating-subtree input
-// TestPrunedTrackerFloatingSubtree pins at the unit level. Pre-fix the
-// run either terminated early with deep results undrained or spun
-// forever in the prune walk; it must instead complete with exactly
-// SolveSequential's results. The stale control tuples carry their
+// so a deep task's subtree can report before the task's parent: the
+// exact floating-subtree input TestBalance/FloatingSubtree pins at the
+// unit level. The run must complete with exactly SolveSequential's
+// results. The stale control tuples carry their
 // tasks' good patterns a second time, next to the re-run tasks' fresh
 // ones: the last incarnation must have taken more good keys than there
 // are results, and reported each once.

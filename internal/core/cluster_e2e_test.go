@@ -75,11 +75,13 @@ func (n *clusterNode) restart() {
 }
 
 // TestPLETClusterKillNodeRestart runs PLET over a three-node cluster
-// and crash-restarts one node mid-traversal. The routing layer rides
-// out the outage (retry inside the budget, proc respawn beyond it),
-// the WAL restores the node's committed tuples, and duplicated
-// follower effects from interrupted two-phase commits are absorbed by
-// the masters' idempotent accounting — the results must still equal
+// and crash-restarts one node mid-traversal: the home node of the task
+// tuples, which is where every PLET tuple lives (the ctl signature homes
+// there too), so the crash hits the run. The routing layer rides out
+// the outage (retry inside the budget, proc respawn beyond it), the WAL
+// restores the node's committed tuples, and duplicated follower effects
+// from interrupted two-phase commits are absorbed by the masters'
+// idempotent accounting — the results must still equal
 // SolveSequential's.
 func TestPLETClusterKillNodeRestart(t *testing.T) {
 	testPLETClusterKillNodeRestart(t, grainDefault)
@@ -114,8 +116,10 @@ func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
 	defer srv.Close()
 
 	// Fault injector: once the workers are demonstrably mid-traversal,
-	// crash one node, hold it down long enough for operations to fail
-	// into the retry loop, then restart it from the WAL.
+	// crash the task tuples' home node, hold it down long enough for
+	// operations to fail into the retry loop, then restart it from the
+	// WAL.
+	victim := nodes[tuplespace.SignatureHash(tuplespace.Signature(nil, []any{TagTask, []string(nil)}))%uint32(len(nodes))]
 	faultDone := make(chan struct{})
 	go func() {
 		defer close(faultDone)
@@ -123,9 +127,9 @@ func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
 		for p.evals.Load() < 5 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		nodes[1].crash()
+		victim.crash()
 		time.Sleep(300 * time.Millisecond)
-		nodes[1].restart()
+		victim.restart()
 	}()
 
 	res, err := RunPLET(srv, p, 4)
@@ -134,9 +138,10 @@ func testPLETClusterKillNodeRestart(t *testing.T, g faultGrain) {
 	}
 	<-faultDone
 	sameResults(t, seqRes, res, "sequential", "PLET-3-node-kill-restart")
-	if kills := srv.Kills(); kills > 0 {
-		t.Logf("run survived %d proc respawns", kills)
+	if srv.Respawns() == 0 {
+		t.Fatal("no process respawned: the crash missed the run")
 	}
+	t.Logf("run survived %d proc respawns", srv.Respawns())
 }
 
 // TestPLEDClusterThreeNodes runs PLED over a healthy three-node

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,123 +326,122 @@ func TestAssembleResultsChecksRuns(t *testing.T) {
 	}
 }
 
-func TestPrunedTrackerLinearChain(t *testing.T) {
-	tr := NewPrunedTracker("root")
-	tr.Expanded("root", []string{"a"})
-	tr.Expanded("a", []string{"b"})
-	if tr.Done() {
-		t.Fatal("done too early")
+// TestBalance pins the PLET master's termination detection report by
+// report: after each step, whether the report was fresh and whether the
+// traversal is done. A report names its task and the tasks it spilled;
+// a prune spills nothing.
+func TestBalance(t *testing.T) {
+	type step struct {
+		task    string
+		spilled []string
+		fresh   bool
+		done    bool
 	}
-	if tr.Pruned("b"); !tr.Done() {
-		t.Fatal("pruning the only leaf should complete the chain")
-	}
-}
-
-func TestPrunedTrackerSiblings(t *testing.T) {
-	tr := NewPrunedTracker("root")
-	tr.Expanded("root", []string{"a", "b", "c"})
-	tr.Pruned("a")
-	tr.Pruned("b")
-	if tr.Done() {
-		t.Fatal("root pruned with sibling outstanding")
-	}
-	if tr.Pruned("c"); !tr.Done() {
-		t.Fatal("last sibling should finish root")
-	}
-}
-
-func TestPrunedTrackerEarlyPrune(t *testing.T) {
-	// Prune for "x" arrives before its parent's expansion registers it.
-	tr := NewPrunedTracker("root")
-	tr.Expanded("root", []string{"p"})
-	tr.Pruned("x") // unknown yet: buffered
-	if tr.Done() {
-		t.Fatal("spurious completion")
-	}
-	if tr.Expanded("p", []string{"x"}); !tr.Done() {
-		t.Fatal("registering x should apply the buffered prune and finish")
-	}
-}
-
-func TestPrunedTrackerGoodLeafViaExpandedEmpty(t *testing.T) {
-	tr := NewPrunedTracker("root")
-	tr.Expanded("root", []string{"leaf"})
-	if tr.Expanded("leaf", nil); !tr.Done() {
-		t.Fatal("good leaf with no children should prune itself")
-	}
-}
-
-// TestPrunedTrackerFloatingSubtree is the regression for the
-// stale-control-tuple bug a re-spawned master exposes: a fresh tracker
-// can consume a leftover expansion for a node whose parent it has not
-// registered yet. When that floating subtree completes, the prune walk
-// used the zero-value "" as the missing parent — corrupting an
-// unrelated count, and, when the root key IS "" (the motif problem's
-// empty pattern), draining the root's counter so the traversal
-// terminated early with the deep results still undrained.
-func TestPrunedTrackerFloatingSubtree(t *testing.T) {
-	// Root key "": the motif E-tree shape. Pre-fix, completing the
-	// floating node "B" decremented remaining[""] and finished the run.
-	tr := NewPrunedTracker("")
-	tr.Expanded("", []string{"A"})
-	tr.Expanded("B", []string{"C"}) // stale ctl: B's parent A not registered yet
-	tr.Pruned("C")                  // B's subtree completes while floating
-	if tr.Done() {
-		t.Fatal("floating subtree completion terminated the traversal early")
-	}
-	// A's expansion registers B; the parked completion must reattach.
-	if tr.Expanded("A", []string{"B"}); !tr.Done() {
-		t.Fatal("registering the floating node should finish the traversal")
-	}
-}
-
-// TestPrunedTrackerFloatingSubtreeNonEmptyRoot pins the other failure
-// shape of the same bug: with a non-"" root the prune walk spun
-// forever on the "" pseudo-node instead of terminating early. The test
-// simply completing is the assertion.
-func TestPrunedTrackerFloatingSubtreeNonEmptyRoot(t *testing.T) {
-	tr := NewPrunedTracker("root")
-	tr.Expanded("root", []string{"a"})
-	tr.Expanded("b", []string{"c"}) // floating: parent "a" not registered
-	tr.Pruned("c")                  // pre-fix: infinite loop in prune()
-	if tr.Done() {
-		t.Fatal("floating subtree completion terminated the traversal early")
-	}
-	tr.Pruned("x") // another early prune, still parked
-	if tr.Expanded("a", []string{"b", "x"}); !tr.Done() {
-		t.Fatal("registering both parked completions should finish the traversal")
+	for _, tc := range []struct {
+		name  string
+		root  string
+		steps []step
+	}{
+		{"LinearChain", "root", []step{
+			{"root", []string{"a"}, true, false},
+			{"a", []string{"b"}, true, false},
+			{"b", nil, true, true},
+		}},
+		{"Siblings", "root", []step{
+			{"root", []string{"a", "b", "c"}, true, false},
+			{"a", nil, true, false},
+			{"b", nil, true, false},
+			{"c", nil, true, true},
+		}},
+		{"ChildBeforeParent", "root", []step{
+			{"root", []string{"p"}, true, false},
+			{"x", nil, true, false},
+			{"p", []string{"x"}, true, true},
+		}},
+		{"GoodLeaf", "root", []step{
+			{"root", []string{"leaf"}, true, false},
+			{"leaf", nil, true, true},
+		}},
+		// A re-spawned master can take a stale report of a task whose
+		// parent has not reported to it yet, and see that task's whole
+		// subtree complete first: the count must not finish early,
+		// whether the root key is "" (the motif problem's empty pattern)
+		// or not.
+		{"FloatingSubtree", "", []step{
+			{"", []string{"A"}, true, false},
+			{"B", []string{"C"}, true, false},
+			{"C", nil, true, false},
+			{"A", []string{"B"}, true, true},
+		}},
+		{"FloatingSubtreeNonEmptyRoot", "root", []step{
+			{"root", []string{"a"}, true, false},
+			{"b", []string{"c"}, true, false},
+			{"c", nil, true, false},
+			{"x", nil, true, false},
+			{"a", []string{"b", "x"}, true, true},
+		}},
+		// A repeat — a cluster 2PC re-run, a stale report — is not fresh
+		// and changes nothing, before the traversal is done and after.
+		{"Repeats", "root", []step{
+			{"root", []string{"a", "b"}, true, false},
+			{"root", []string{"a", "b"}, false, false},
+			{"y", nil, true, false},
+			{"y", nil, false, false},
+			{"a", []string{"x"}, true, false},
+			{"a", []string{"x"}, false, false},
+			{"x", nil, true, false},
+			{"x", nil, false, false},
+			{"a", nil, false, false},
+			{"b", []string{"y"}, true, true},
+			{"y", nil, false, true},
+			{"b", []string{"y"}, false, true},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newBalance(tc.root)
+			for i, s := range tc.steps {
+				if fresh := b.report(s.task, s.spilled); fresh != s.fresh {
+					t.Fatalf("step %d, report of %q: fresh %v, want %v", i, s.task, fresh, s.fresh)
+				}
+				if b.done() != s.done {
+					t.Fatalf("step %d, report of %q: done %v, want %v", i, s.task, b.done(), s.done)
+				}
+			}
+		})
 	}
 }
 
-// TestPrunedTrackerRepeatNotNew pins the answer the PLET master keeps or
-// drops a report's good patterns by: a node's first report is new, and
-// every repeat — of an expansion, of a prune, of an early prune whose
-// parent has not registered yet — is not, and changes nothing.
-func TestPrunedTrackerRepeatNotNew(t *testing.T) {
-	tr := NewPrunedTracker("root")
-	if !tr.Expanded("root", []string{"a", "b"}) || tr.Expanded("root", []string{"a", "b"}) {
-		t.Fatal("the root's expansion and its repeat: want new, then not new")
-	}
-	if !tr.Pruned("y") || tr.Pruned("y") {
-		t.Fatal("an early prune and its repeat before its parent registers: want new, then not new")
-	}
-	if !tr.Expanded("a", []string{"x"}) || tr.Expanded("a", []string{"x"}) {
-		t.Fatal("an expansion and its repeat: want new, then not new")
-	}
-	if !tr.Pruned("x") || tr.Pruned("x") {
-		t.Fatal("a prune and its repeat: want new, then not new")
-	}
-	if tr.Pruned("a") {
-		t.Fatal("a prune of an expanded node read new")
-	}
-	if tr.Done() {
-		t.Fatal("repeats finished the traversal with b outstanding")
-	}
-	if !tr.Expanded("b", []string{"y"}) || !tr.Done() {
-		t.Fatal("registering y should apply its parked prune and finish the traversal")
-	}
-	if tr.Pruned("y") || tr.Expanded("b", []string{"y"}) {
-		t.Fatal("a repeat after the traversal finished read new")
+// TestBalanceShuffledReports delivers the reports of seeded random task
+// trees in random order, each repeated 0–2 times: the traversal is done
+// exactly from the last distinct report on, and each task's report is
+// fresh exactly once.
+func TestBalanceShuffledReports(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		spilled := make([][]string, n) // task 0 is the root
+		for i := 1; i < n; i++ {
+			p := rng.Intn(i)
+			spilled[p] = append(spilled[p], fmt.Sprint(i))
+		}
+		var reports []int
+		for i := range spilled {
+			for r := rng.Intn(3); r >= 0; r-- {
+				reports = append(reports, i)
+			}
+		}
+		rng.Shuffle(len(reports), func(i, j int) { reports[i], reports[j] = reports[j], reports[i] })
+		b := newBalance("0")
+		seen := map[int]bool{}
+		for _, i := range reports {
+			if fresh := b.report(fmt.Sprint(i), spilled[i]); fresh == seen[i] {
+				t.Fatalf("seed %d: report of task %d fresh %v after %v", seed, i, fresh, seen[i])
+			}
+			seen[i] = true
+			if b.done() != (len(seen) == n) {
+				t.Fatalf("seed %d: done %v with %d of %d tasks reported", seed, b.done(), len(seen), n)
+			}
+		}
 	}
 }
 

@@ -133,7 +133,7 @@ func TestPLETGrainGuard(t *testing.T) {
 var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Space){
 	"space": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()
-		return plinda.NewServerOn(space), space
+		return plinda.NewServerOnStore(space), space
 	},
 	"remote-dial": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()

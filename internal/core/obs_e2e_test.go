@@ -24,7 +24,7 @@ func TestObservedPLETOverTCPTraceCoherence(t *testing.T) {
 	tracer := obs.NewTracer(8192)
 
 	space := tuplespace.New()
-	srv := plinda.NewServerOn(space)
+	srv := plinda.NewServerOnStore(space)
 	defer srv.Close()
 	srv.Observe(reg, tracer)
 	SetObserver(reg)
@@ -183,7 +183,7 @@ func TestObservedPLETUnsampledLeavesNoTrace(t *testing.T) {
 	tracer := obs.NewTracer(8192)
 	tracer.SetSampleRate(0)
 	space := tuplespace.New()
-	srv := plinda.NewServerOn(space)
+	srv := plinda.NewServerOnStore(space)
 	defer srv.Close()
 	srv.Observe(reg, tracer)
 	SetObserver(reg)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -203,7 +204,7 @@ func TestPLEDDuplicateResultBatch(t *testing.T) {
 	}
 
 	space := tuplespace.New()
-	srv := plinda.NewServerOn(space)
+	srv := plinda.NewServerOnStore(space)
 	defer srv.Close()
 	reg := obs.NewRegistry()
 	SetObserver(reg)
@@ -242,13 +243,12 @@ func TestPLEDDuplicateResultBatch(t *testing.T) {
 
 // TestPLEDMasterTerminalFailureIsLoud fails the master for good — a
 // result tuple with a score missing — while the workers sit in In(task)
-// or evaluate. RunPLED must stop them and report the master's error;
-// before runProgram it waited forever for workers that waited forever
-// for poison.
+// or evaluate. RunPLED must stop them and report the master's error,
+// not wait for workers that wait for poison.
 func TestPLEDMasterTerminalFailureIsLoud(t *testing.T) {
 	base := newToyProblem(6, 120, 0.15, 21)
 	space := tuplespace.New()
-	srv := plinda.NewServerOn(space)
+	srv := plinda.NewServerOnStore(space)
 	defer srv.Close()
 	if err := space.Out(context.Background(), TagResult, 0, 0, []string{"{0}", "{1}"}, []float64{1}); err != nil {
 		t.Fatal(err)
@@ -274,5 +274,47 @@ func TestPLEDMasterTerminalFailureIsLoud(t *testing.T) {
 		if pi.Status != plinda.Done && pi.Status != plinda.Failed {
 			t.Errorf("%s is left %s", pi.Name, pi.Status)
 		}
+	}
+}
+
+// undecodable is a toy problem whose keys never decode: every worker
+// fails for good on its first task past the root.
+type undecodable struct{ *toyProblem }
+
+var errUndecodable = errors.New("injected: key does not decode")
+
+func (undecodable) Decode(string) (Pattern, error) { return nil, errUndecodable }
+
+// TestWorkerTerminalFailureIsLoud fails every worker for good while the
+// master waits for their reports. Each program must stop its master and
+// report a worker's error, not wait for a report no worker will commit.
+func TestWorkerTerminalFailureIsLoud(t *testing.T) {
+	pr := undecodable{newToyProblem(6, 120, 0.15, 21)}
+	for _, tc := range []struct {
+		program string
+		run     func(*plinda.Server, Problem, int) ([]Result, error)
+	}{{"pled", RunPLED}, {"plet", RunPLET}} {
+		t.Run(tc.program, func(t *testing.T) {
+			srv := plinda.NewServer()
+			defer srv.Close()
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := tc.run(srv, pr, 2)
+				errCh <- err
+			}()
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, errUndecodable) || !strings.Contains(err.Error(), "process "+tc.program+"-worker-") {
+					t.Fatalf("got %v, want a worker's terminal error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s hangs on failed workers; procs: %v", tc.program, srv.Processes())
+			}
+			for _, pi := range srv.Processes() {
+				if pi.Status != plinda.Done && pi.Status != plinda.Failed {
+					t.Errorf("%s is left %s", pi.Name, pi.Status)
+				}
+			}
+		})
 	}
 }

@@ -89,8 +89,8 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 // time, on purpose: with Children's deterministic order a task's report
 // (goods, scores, spilled bundles) is then a pure function of its tuple,
 // so a task run twice — a cluster 2PC re-run, a re-seeding master —
-// reports the same frontier and goods the duplicate-tolerant tracker
-// and result list already saw. A wall-clock budget would let the re-run
+// reports the same frontier and goods the master's balance and result
+// list already saw. A wall-clock budget would let the re-run
 // spill keys other than those whose ctl already landed, and the master
 // would wait forever on task tuples that never committed. Budget 1 is
 // the one-pattern-per-transaction protocol of figure 3.10. The default
@@ -166,11 +166,7 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 			if err := p.OutN(tasks); err != nil {
 				return err
 			}
-			kind := CtlExpanded
-			if len(ids) == 0 {
-				kind = CtlPruned
-			}
-			if err := p.Out(TagCtl, kind, keys[0], ids, goods, scores); err != nil {
+			if err := p.Out(TagCtl, ctlKind(ids), keys[0], ids, goods, scores); err != nil {
 				return err
 			}
 			if err := p.Xcommit(); err != nil {
@@ -181,6 +177,15 @@ func PLETWorker(pr Problem) plinda.ProcFunc {
 			}
 		}
 	}
+}
+
+// ctlKind is the kind of a control tuple whose task spilled the given
+// bundles: CtlPruned when it spilled none.
+func ctlKind(spilled []string) string {
+	if len(spilled) == 0 {
+		return CtlPruned
+	}
+	return CtlExpanded
 }
 
 // pledCont is the PLED master's continuation: the good patterns found
@@ -346,36 +351,6 @@ func assembleResults(dec Decoder, runs []goodRun) ([]Result, error) {
 	return results, nil
 }
 
-// runProgram spawns a program's workers and master and waits for them.
-// The workers' exit depends on the master: only its poison pills
-// release their blocking In("task"). If the master fails permanently
-// (respawn budget exhausted, or a program bug), no poison will ever be
-// published, so its terminal error must stop the workers too —
-// otherwise the wait would hang forever instead of reporting the
-// failure.
-func runProgram(srv *plinda.Server, program string, workers int, worker, master plinda.ProcFunc) error {
-	names := make([]string, workers)
-	for i := range names {
-		names[i] = fmt.Sprintf("%s-worker-%d", program, i)
-		if err := srv.Spawn(names[i], worker); err != nil {
-			return err
-		}
-	}
-	if err := srv.Spawn(program+"-master", master); err != nil {
-		return err
-	}
-	if err := srv.Wait(program + "-master"); err != nil {
-		for _, name := range names {
-			srv.Stop(name) //nolint:errcheck
-		}
-		for _, name := range names {
-			srv.Wait(name) //nolint:errcheck
-		}
-		return fmt.Errorf("process %s-master: %w", program, err)
-	}
-	return srv.WaitAll()
-}
-
 // RunPLED executes a data mining application as a Persistent Linda
 // parallel E-dag traversal program (PLED): the master of figure 3.4 and
 // workers of figure 3.5 as level-wise count distribution. The problem
@@ -490,7 +465,7 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		return nil
 	}
 
-	if err := runProgram(srv, "pled", workers, PLEDWorker(pr), master); err != nil {
+	if err := srv.RunProgram("pled", workers, PLEDWorker(pr), master); err != nil {
 		return nil, err
 	}
 	// The committed log is in level order and aliased by the process
@@ -500,19 +475,61 @@ func RunPLED(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	return assembleResults(dec, []goodRun{log})
 }
 
+// balance is the PLET master's termination detection, figure 3.9's
+// pruned-subtree propagation as one count: open[t] is the number of
+// reports that name task t minus the number of t's own reports, and an
+// entry leaves the map at 0. The master names the root, whose report is
+// the seed bundles; every other task is named once, by the report of
+// the task that spilled it. A set of reports that empties the map holds
+// the root and every task a report of the set names, so it is the whole
+// tree: the traversal is done when the last distinct report is in,
+// whatever the order of their arrival (a task that reports before its
+// parent sits at -1 until the parent's report names it). A repeated
+// report changes nothing and answers not fresh.
+type balance struct {
+	open     map[string]int
+	reported map[string]bool
+}
+
+func newBalance(root string) balance {
+	return balance{open: map[string]int{root: 1}, reported: map[string]bool{}}
+}
+
+// report records task's report, naming the tasks it spilled, and
+// answers whether it is the task's first.
+func (b balance) report(task string, spilled []string) (fresh bool) {
+	if b.reported[task] {
+		return false
+	}
+	b.reported[task] = true
+	b.add(task, -1)
+	for _, c := range spilled {
+		b.add(c, 1)
+	}
+	return true
+}
+
+func (b balance) add(task string, n int) {
+	if b.open[task] += n; b.open[task] == 0 {
+		delete(b.open, task)
+	}
+}
+
+func (b balance) done() bool { return len(b.open) == 0 }
+
 // RunPLET executes a data mining application as a Persistent Linda
 // parallel E-tree traversal program (PLET): workers expand good nodes
 // in place (figure 3.10, load-balanced variant of figure 4.7) and the
-// master of figure 3.9 performs termination detection by pruned-
-// subtree propagation. A task is a bundle of frontier patterns: the
-// master deals the root's children into 2·workers of them (levelTasks'
-// constant), a worker transaction explores one under a node budget (see
-// PLETWorker), so the tracker's nodes are tasks, named by their first
-// key, and a task's children are the bundles it spilled. Good patterns
-// ride the control tuple the tracker takes anyway, sorted by the worker
-// that found them: the master keeps each new report whole as it goes,
-// the transaction that takes the last one publishes the poison, and the
-// reports are merged into the result list once the program has stopped.
+// master of figure 3.9 detects termination by counting open tasks (see
+// balance). A task is a bundle of frontier patterns: the master deals
+// the root's children into 2·workers of them (levelTasks' constant), a
+// worker transaction explores one under a node budget (see PLETWorker),
+// so the balance's tasks are named by their first key, and a task's
+// report names the bundles it spilled. Good patterns ride the control
+// tuple the master takes anyway, sorted by the worker that found them:
+// the master keeps each fresh report whole as it goes, the transaction
+// that takes the last one publishes the poison, and the reports are
+// merged into the result list once the program has stopped.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -528,12 +545,12 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		runs = nil // a re-spawned master re-seeds the tree and collects the reports anew
 		found := 0
 		rootKey := pr.Root().Key()
-		track := NewPrunedTracker(rootKey)
+		open := newBalance(rootKey)
 		top := pr.Children(pr.Root())
 		// poisonIfDone terminates the workers inside the transaction that
 		// completed the tree, atomically with its control-tuple take.
 		poisonIfDone := func() error {
-			if !track.Done() {
+			if !open.done() {
 				return nil
 			}
 			poison := make([]tuplespace.Tuple, workers)
@@ -560,7 +577,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		if err := p.OutN(tasks); err != nil {
 			return err
 		}
-		track.Expanded(rootKey, ids)
+		open.report(rootKey, ids)
 		if err := poisonIfDone(); err != nil {
 			return err
 		}
@@ -572,31 +589,33 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		// re-runs a worker whose report had already landed on a follower
 		// node, and a re-spawned master reads the previous incarnation's
 		// stale control tuples next to the re-run tasks' fresh ones. A
-		// task's report is a pure function of its tuple, so the tracker's
-		// first report of a node wins whole, the repeat is dropped whole,
-		// and the result set still equals SolveSequential's.
-		for !track.Done() {
+		// task's report is a pure function of its tuple, so its first
+		// copy wins whole, the repeat is dropped whole, and the result
+		// set still equals SolveSequential's.
+		for !open.done() {
 			if err := p.Xstart(); err != nil {
 				return err
 			}
-			// Every task produces exactly one control tuple: an
-			// expansion listing its children, or a prune.
+			// Every task produces exactly one control tuple. Its kind
+			// says no more than its spill list does, but it stays: it
+			// fixes the tuple's signature, and with it the Router node
+			// the ctl tuples home on, which is the task tuples' node, so
+			// a worker's commit touches one node. The master checks it
+			// as it checks the goods against the scores.
 			tu, err := p.In(TagCtl, tuplespace.FormalString, tuplespace.FormalString,
 				tuplespace.FormalStrings, tuplespace.FormalStrings, tuplespace.FormalFloats)
 			if err != nil {
 				return err
 			}
-			kind, key := tu[1].(string), tu[2].(string)
+			kind, key, spilled := tu[1].(string), tu[2].(string), tu[3].([]string)
 			goods, scores := tu[4].([]string), tu[5].([]float64)
 			if len(goods) != len(scores) {
 				return fmt.Errorf("core: malformed control tuple (%d good keys, %d scores)", len(goods), len(scores))
 			}
-			var fresh bool
-			if kind == CtlExpanded {
-				fresh = track.Expanded(key, tu[3].([]string))
-			} else {
-				fresh = track.Pruned(key)
+			if want := ctlKind(spilled); kind != want {
+				return fmt.Errorf("core: malformed control tuple (task %q: kind %q, want %q for %d spilled)", key, kind, want, len(spilled))
 			}
+			fresh := open.report(key, spilled)
 			if fresh {
 				runs = append(runs, goodRun{key, goods, scores})
 				found += len(goods)
@@ -614,7 +633,7 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		return nil
 	}
 
-	if err := runProgram(srv, "plet", workers, PLETWorker(pr), master); err != nil {
+	if err := srv.RunProgram("plet", workers, PLETWorker(pr), master); err != nil {
 		return nil, err
 	}
 	return assembleResults(dec, runs)

@@ -23,10 +23,13 @@ package core
 //	                                             and consumes any other unread
 //	(TagCtl, kind string, key string,            PLET task report, one per task: termination
 //	 spilled []string,                           control and goodness report on one message. key
-//	 goods []string, scores []float64)           is the task's first key; kind CtlExpanded carries
-//	                                             the first keys of the bundles it spilled, kind
-//	                                             CtlPruned carries nil; goods and scores are the
-//	                                             task's good patterns, parallel slices
+//	 goods []string, scores []float64)           is the task's first key, spilled the first keys
+//	                                             of the bundles it spilled: the master's balance
+//	                                             is done when every key named is reported. kind
+//	                                             is CtlPruned iff spilled is empty (CtlExpanded
+//	                                             otherwise); it pins the signature. goods and
+//	                                             scores are the task's good patterns, parallel
+//	                                             slices
 //
 // The two programs share TagTask under two shapes (two and five fields);
 // a template of one never matches a tuple of the other.
@@ -43,9 +46,9 @@ const (
 
 	// CtlExpanded and CtlPruned are the control-tuple kinds: every
 	// task produces exactly one TagCtl tuple, an expansion listing
-	// the bundles it spilled by their first keys (its children, to the
-	// tracker) or a prune when all its subtrees were explored, with the
-	// good patterns it found either way.
+	// the bundles it spilled by their first keys or a prune when all
+	// its subtrees were explored, with the good patterns it found
+	// either way.
 	CtlExpanded = "expanded"
 	CtlPruned   = "pruned"
 

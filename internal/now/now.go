@@ -25,11 +25,10 @@ import (
 
 // Machine models one workstation.
 type Machine struct {
-	Speed   float64 // relative to the reference machine; 1.0 = Sparc 5
-	JoinAt  float64 // seconds after start when the machine becomes idle/available
-	FailAt  float64 // wall time of a failure / owner return; 0 = never
-	BackAt  float64 // wall time the machine becomes available again after FailAt
-	Refails bool    // if true, the machine fails every (BackAt-FailAt+FailAt) cycle (unused by default)
+	Speed  float64 // relative to the reference machine; 1.0 = Sparc 5
+	JoinAt float64 // seconds after start when the machine becomes idle/available
+	FailAt float64 // wall time of a failure / owner return; 0 = never
+	BackAt float64 // wall time the machine becomes available again after FailAt
 }
 
 // Uniform returns n identical reference machines.

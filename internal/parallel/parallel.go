@@ -18,7 +18,6 @@
 package parallel
 
 import (
-	"fmt"
 	"math/rand"
 
 	"freepdm/internal/classify"
@@ -114,15 +113,7 @@ func NyuMinerCV(srv *plinda.Server, d *dataset.Dataset, idx []int, v, workers in
 		return nil
 	}
 
-	for w := 0; w < workers; w++ {
-		if err := srv.Spawn(fmt.Sprintf("nmcv-worker-%d", w), worker); err != nil {
-			return nil, err
-		}
-	}
-	if err := srv.Spawn("nmcv-master", master); err != nil {
-		return nil, err
-	}
-	if err := srv.WaitAll(); err != nil {
+	if err := srv.RunProgram("nmcv", workers, worker, master); err != nil {
 		return nil, err
 	}
 	return result, nil
@@ -186,15 +177,7 @@ func trialProgram(srv *plinda.Server, name string, trials, workers int, build fu
 		}
 		return p.Xcommit()
 	}
-	for w := 0; w < workers; w++ {
-		if err := srv.Spawn(fmt.Sprintf("%s-worker-%d", name, w), worker); err != nil {
-			return nil, err
-		}
-	}
-	if err := srv.Spawn(name+"-master", master); err != nil {
-		return nil, err
-	}
-	if err := srv.WaitAll(); err != nil {
+	if err := srv.RunProgram(name, workers, worker, master); err != nil {
 		return nil, err
 	}
 	return trees, nil

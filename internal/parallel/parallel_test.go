@@ -1,14 +1,19 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"freepdm/internal/classify"
 	"freepdm/internal/classify/c45"
 	"freepdm/internal/classify/nyuminer"
 	"freepdm/internal/dataset"
+	"freepdm/internal/obs"
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
 )
@@ -112,6 +117,76 @@ func TestParallelNyuMinerRSMatchesSequential(t *testing.T) {
 	a := func(v []float64) int { c, _ := parRL.Classify(v); return c }
 	b := func(v []float64) int { c, _ := seqRL.Classify(v); return c }
 	samePredictions(t, d, test, a, b, "parallel", "sequential")
+}
+
+var errReportTake = errors.New("injected: report take fails")
+
+// failTakeStore fails every transactional In of one tag with a
+// non-transient error, which no respawn retries.
+type failTakeStore struct {
+	tuplespace.TxnStore
+	tag string
+}
+
+func (s failTakeStore) Begin() (tuplespace.Txn, error) {
+	tx, err := s.TxnStore.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return failTakeTxn{tx, s.tag}, nil
+}
+
+type failTakeTxn struct {
+	tuplespace.Txn
+	tag string
+}
+
+func (t failTakeTxn) InTraced(ctx context.Context, tmpl ...any) (tuplespace.Tuple, obs.SpanContext, error) {
+	if tmpl[0] == t.tag {
+		return nil, obs.SpanContext{}, errReportTake
+	}
+	return t.Txn.InTraced(ctx, tmpl...)
+}
+
+// TestParallelMasterFailureIsLoud fails each program's master for good
+// on its first take of a worker's report. The program must stop its
+// workers and return the master's error: waiting for every process
+// would leave the workers blocked on a task tuple that never comes.
+func TestParallelMasterFailureIsLoud(t *testing.T) {
+	d, train, _ := testData(t, "vote", 35)
+	for _, tc := range []struct {
+		program, reportTag string
+		run                func(*plinda.Server) error
+	}{
+		{"nmcv", "alpha-list", func(srv *plinda.Server) error {
+			_, err := NyuMinerCV(srv, d, train, 4, 2, nyuminer.Config{}, rand.New(rand.NewSource(1)))
+			return err
+		}},
+		{"pc45", "pc45-tree", func(srv *plinda.Server) error {
+			_, err := C45Trials(srv, d, train, 4, 2, 500)
+			return err
+		}},
+	} {
+		t.Run(tc.program, func(t *testing.T) {
+			srv := plinda.NewServerOnStore(failTakeStore{tuplespace.New(), tc.reportTag})
+			defer srv.Close()
+			errCh := make(chan error, 1)
+			go func() { errCh <- tc.run(srv) }()
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, errReportTake) || !strings.Contains(err.Error(), tc.program+"-master") {
+					t.Fatalf("got %v, want the master's terminal error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s hangs on a failed master; procs: %v", tc.program, srv.Processes())
+			}
+			for _, pi := range srv.Processes() {
+				if pi.Status != plinda.Done && pi.Status != plinda.Failed {
+					t.Errorf("%s is left %s", pi.Name, pi.Status)
+				}
+			}
+		})
+	}
 }
 
 func TestParallelCVSurvivesWorkerFailure(t *testing.T) {

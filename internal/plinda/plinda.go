@@ -111,7 +111,8 @@ type procState struct {
 	err          error
 	gate         *sync.Cond // suspend/resume
 	suspended    bool
-	stopped      bool // terminally withdrawn by Stop: no recovery respawn
+	stopped      bool              // terminally withdrawn by Stop: no recovery respawn
+	exits        chan<- *procState // RunProgram's exit queue; nil when spawned alone
 }
 
 // snapshotRestorer is the optional store capability Checkpoint and
@@ -169,19 +170,13 @@ type serverObs struct {
 }
 
 // NewServer starts an empty PLinda server with a private tuple space.
-func NewServer() *Server { return NewServerOn(tuplespace.New()) }
+func NewServer() *Server { return NewServerOnStore(tuplespace.New()) }
 
-// NewServerOn starts a PLinda server on an existing tuple space. This
-// is the chapter 7 deployment shape: one server process owns the
-// space, local PLinda processes and remote tuplespace clients (via
-// tuplespace.Serve on the same space) share it.
-func NewServerOn(space *tuplespace.Space) *Server {
-	return &Server{store: space, space: space, procs: make(map[string]*procState)}
-}
-
-// NewServerOnStore starts a PLinda server on any transactional store —
-// in particular a durable.Space, giving every process
-// checkpoint-protected, WAL-backed transactions.
+// NewServerOnStore starts a PLinda server on any transactional store:
+// an existing *tuplespace.Space — the chapter 7 deployment shape, where
+// local PLinda processes and remote tuplespace clients (via
+// tuplespace.Serve on the same space) share it — or a durable.Space,
+// giving every process checkpoint-protected, WAL-backed transactions.
 func NewServerOnStore(store tuplespace.TxnStore) *Server {
 	s := &Server{store: store, procs: make(map[string]*procState)}
 	switch st := store.(type) {
@@ -268,7 +263,9 @@ func (s *Server) Store() tuplespace.TxnStore { return s.store }
 // Spawn registers and starts a logical process under the given unique
 // name; this is PLinda's proc_eval. It returns an error if the name is
 // taken or the server is closed.
-func (s *Server) Spawn(name string, fn ProcFunc) error {
+func (s *Server) Spawn(name string, fn ProcFunc) error { return s.spawn(name, fn, nil) }
+
+func (s *Server) spawn(name string, fn ProcFunc, exits chan<- *procState) error {
 	// The sampling decision is made once per logical process: every
 	// incarnation roots its span in this trace, or none is traced.
 	o := s.obs.Load()
@@ -291,6 +288,7 @@ func (s *Server) Spawn(name string, fn ProcFunc) error {
 		status:  Dispatched,
 		traceID: traceID,
 		done:    make(chan struct{}),
+		exits:   exits,
 	}
 	ps.ctx, ps.cancel = context.WithCancel(context.Background())
 	ps.gate = sync.NewCond(&s.mu)
@@ -401,7 +399,7 @@ func (s *Server) run(ps *procState) {
 			close(ps.done)
 			s.mu.Unlock()
 			obs.Default().Debug("process exited", "proc", ps.name, "incarnation", ps.incarnation)
-			s.recordExit()
+			s.recordExit(ps)
 			return
 		}
 		rs, _ := s.store.(retryableStore)
@@ -414,7 +412,7 @@ func (s *Server) run(ps *procState) {
 			s.mu.Unlock()
 			obs.Default().Error("process failed",
 				"proc", ps.name, "incarnation", ps.incarnation, "err", err.Error())
-			s.recordExit()
+			s.recordExit(ps)
 			return
 		}
 		// Failure handling: abort was already performed by the
@@ -438,11 +436,15 @@ func (s *Server) run(ps *procState) {
 	}
 }
 
-// recordExit counts the terminal transition of a logical process.
-func (s *Server) recordExit() {
+// recordExit counts the terminal transition of a logical process and
+// reports it to the process's program, if RunProgram spawned it.
+func (s *Server) recordExit(ps *procState) {
 	if o := s.obs.Load(); o != nil {
 		o.exits.Inc()
 		o.procs.Add(-1)
+	}
+	if ps.exits != nil {
+		ps.exits <- ps
 	}
 }
 
@@ -495,10 +497,10 @@ func (s *Server) Kill(name string) error {
 // Stop terminally withdraws the named process: the current incarnation
 // is destroyed like Kill's, but no recovery respawn follows — the
 // process ends FAILED with its incarnation's error. It exists for
-// programs whose processes depend on each other for liveness: when the
-// PLET master fails permanently, its workers block on a task tuple that
-// will never be published, and without Stop a WaitAll would hang
-// forever instead of surfacing the master's failure.
+// programs whose processes depend on each other for liveness: when a
+// master fails permanently, its workers block on a task tuple that will
+// never be published, and RunProgram Stops them to surface the failure
+// instead of hanging.
 func (s *Server) Stop(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -579,6 +581,43 @@ func (s *Server) WaitAll() error {
 		}
 	}
 	return nil
+}
+
+// RunProgram runs a master/worker program: it spawns workers processes
+// <program>-worker-i running worker and one <program>-master running
+// master, and returns nil once all of them are DONE. The processes
+// depend on each other for liveness — a worker blocks on a task only
+// the master publishes, the master on a report only a worker commits —
+// so the first permanent failure of any of them Stops the rest, and
+// RunProgram returns that process's error.
+func (s *Server) RunProgram(program string, workers int, worker, master ProcFunc) error {
+	exits := make(chan *procState, workers+1) // one send per process: never blocks
+	var names []string
+	var err error
+	for i := 0; i <= workers && err == nil; i++ {
+		name, fn := fmt.Sprintf("%s-worker-%d", program, i), worker
+		if i == workers {
+			name, fn = program+"-master", master
+		}
+		if err = s.spawn(name, fn, exits); err == nil {
+			names = append(names, name)
+		}
+	}
+	stopAll := func() {
+		for _, name := range names {
+			s.Stop(name) //nolint:errcheck
+		}
+	}
+	if err != nil {
+		stopAll()
+	}
+	for range names {
+		if ps := <-exits; ps.err != nil && err == nil {
+			err = fmt.Errorf("process %s: %w", ps.name, ps.err)
+			stopAll()
+		}
+	}
+	return err
 }
 
 // ProcInfo is one row of the process-watch table.
