@@ -350,3 +350,84 @@ func TestTxnCrossNodeAbort(t *testing.T) {
 		t.Fatalf("follower take not restored: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestTxnOpFaultRedialsNode: a transient error from an operation of a
+// sub-transaction faults the node it ran on. The node's space is closed
+// under the router's live connection, which then answers every operation
+// with ErrClosed, and a fresh space is served on the same address. The
+// failing take itself fails fast; a later transaction must reach the
+// fresh space, which only a redial can do. Without the fault the router
+// kept the dead connection, and every transaction after it failed too.
+func TestTxnOpFaultRedialsNode(t *testing.T) {
+	takes := map[string]func(tuplespace.Txn) (tuplespace.Tuple, error){
+		"In": func(tx tuplespace.Txn) (tuplespace.Tuple, error) {
+			return tx.In(context.Background(), "job", tuplespace.FormalInt)
+		},
+		"Inp": func(tx tuplespace.Txn) (tuplespace.Tuple, error) {
+			tu, ok, err := tx.Inp(context.Background(), "job", tuplespace.FormalInt)
+			if err == nil && !ok {
+				err = errors.New("no tuple")
+			}
+			return tu, err
+		},
+	}
+	for name, take := range takes {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			nodes := startTestNodes(t, 1)
+			r := newRouter(t, nodeAddrs(nodes), cluster.Options{
+				RetryTimeout: 5 * time.Second,
+				Backoff:      10 * time.Millisecond,
+			})
+			if err := r.Out(ctx, "job", 1); err != nil {
+				t.Fatal(err)
+			}
+			addr := nodes[0].addr()
+			nodes[0].kill()
+			s2 := tuplespace.New()
+			l2, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("relisten on %s: %v", addr, err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				tuplespace.Serve(l2, s2) //nolint:errcheck
+			}()
+			t.Cleanup(func() {
+				// Serve only returns once the router's connection closes.
+				r.Close()
+				l2.Close()
+				s2.Close()
+				<-served
+			})
+			if err := s2.Out(ctx, "job", 2); err != nil {
+				t.Fatal(err)
+			}
+
+			tx, err := r.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := take(tx); !errors.Is(err, tuplespace.ErrClosed) {
+				t.Fatalf("take over the dead connection = %v, want ErrClosed", err)
+			}
+			tx.Abort() //nolint:errcheck
+
+			tx, err = r.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tu, err := take(tx)
+			if err != nil {
+				t.Fatalf("a later transaction never reached the restarted node: %v", err)
+			}
+			if tu[1] != 2 {
+				t.Fatalf("took %v, want the restarted node's tuple", tu)
+			}
+			if err := tx.Commit(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

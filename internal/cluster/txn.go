@@ -35,8 +35,9 @@ type routerTxn struct {
 
 	mu    sync.Mutex
 	subs  map[int]tuplespace.Txn
-	order []int // sub-txn creation order
-	coord int   // node of the first successful take; -1 until one lands
+	cls   map[int]*tuplespace.Client // the connection each sub runs on
+	order []int                      // sub-txn creation order
+	coord int                        // node of the first successful take; -1 until one lands
 	done  bool
 }
 
@@ -46,7 +47,7 @@ func (r *Router) Begin() (tuplespace.Txn, error) {
 	if r.closed.Load() {
 		return nil, tuplespace.ErrClientClosed
 	}
-	return &routerTxn{r: r, subs: make(map[int]tuplespace.Txn), coord: -1}, nil
+	return &routerTxn{r: r, subs: make(map[int]tuplespace.Txn), cls: make(map[int]*tuplespace.Client), coord: -1}, nil
 }
 
 // pinCoord records the node of the transaction's first successful
@@ -59,29 +60,44 @@ func (tx *routerTxn) pinCoord(i int) {
 	tx.mu.Unlock()
 }
 
-// sub returns the sub-transaction on node i, opening it if needed.
-// Opening retries through the node's health machinery (Begin holds no
-// tentative state); operations on an open sub fail fast instead.
-func (tx *routerTxn) sub(ctx context.Context, i int) (tuplespace.Txn, error) {
+// sub returns the sub-transaction on node i, opening it if needed,
+// and the connection it runs on. Opening retries through the node's
+// health machinery (Begin holds no tentative state); operations on an
+// open sub fail fast instead, and a transient error from one faults the
+// node through failed.
+func (tx *routerTxn) sub(ctx context.Context, i int) (tuplespace.Txn, *tuplespace.Client, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done {
-		return nil, tuplespace.ErrTxnFinished
+		return nil, nil, tuplespace.ErrTxnFinished
 	}
 	if s, ok := tx.subs[i]; ok {
-		return s, nil
+		return s, tx.cls[i], nil
 	}
 	var s tuplespace.Txn
+	var conn *tuplespace.Client
 	if err := tx.r.nodes[i].do(ctx, func(cl *tuplespace.Client) error {
 		var e error
 		s, e = cl.Begin()
+		conn = cl
 		return e
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tx.subs[i] = s
+	tx.subs[i], tx.cls[i] = s, conn
 	tx.order = append(tx.order, i)
-	return s, nil
+	return s, conn, nil
+}
+
+// failed faults node i after a transient error from an operation of
+// the sub-transaction on connection cl, so a later transaction redials
+// the node: a wire Begin only checks a local flag, so opening a sub
+// cannot see a dead connection. The caller's own expired deadline is
+// not the node's fault.
+func (tx *routerTxn) failed(ctx context.Context, i int, cl *tuplespace.Client, err error) {
+	if ctx.Err() == nil && transientErr(err) {
+		tx.r.nodes[i].fault(cl, err)
+	}
 }
 
 func (tx *routerTxn) In(ctx context.Context, tmplFields ...any) (tuplespace.Tuple, error) {
@@ -93,13 +109,15 @@ func (tx *routerTxn) InTraced(ctx context.Context, tmplFields ...any) (t tuplesp
 	done := tx.r.startOp(ctx, "txn.in")
 	defer func() { done(err) }()
 	h := tx.r.home(tmplFields)
-	s, err := tx.sub(ctx, h)
+	s, cl, err := tx.sub(ctx, h)
 	if err != nil {
 		return nil, obs.SpanContext{}, err
 	}
 	t, org, err = s.InTraced(ctx, tmplFields...)
 	if err == nil {
 		tx.pinCoord(h)
+	} else {
+		tx.failed(ctx, h, cl, err)
 	}
 	return t, org, err
 }
@@ -108,12 +126,14 @@ func (tx *routerTxn) Inp(ctx context.Context, tmplFields ...any) (t tuplespace.T
 	done := tx.r.startOp(ctx, "txn.inp")
 	defer func() { done(err) }()
 	h := tx.r.home(tmplFields)
-	s, err := tx.sub(ctx, h)
+	s, cl, err := tx.sub(ctx, h)
 	if err != nil {
 		return nil, false, err
 	}
 	t, ok, err = s.Inp(ctx, tmplFields...)
-	if ok && err == nil {
+	if err != nil {
+		tx.failed(ctx, h, cl, err)
+	} else if ok {
 		tx.pinCoord(h)
 	}
 	return t, ok, err

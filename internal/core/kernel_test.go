@@ -10,7 +10,9 @@ import (
 
 	"freepdm/internal/core"
 	"freepdm/internal/mining/assoc"
+	"freepdm/internal/mining/motif"
 	"freepdm/internal/plinda"
+	"freepdm/internal/seq"
 )
 
 // kernelPatterns names, per in-tree problem, one good inner pattern and
@@ -25,8 +27,8 @@ import (
 // bit-vector kernel, takes nothing from the heap for a segment of up to
 // 64 letters; with pruning off Goodness allocates nothing. An assoc or
 // motif pattern is its key: Children is one string holding every child's
-// key, one slab of patterns and the child slice (motif-exact's and
-// motif-mut's also the GST's extension slice), and Subpatterns the same
+// key, one slab of patterns and the child slice (motif's GST extensions
+// and their loci go into buffers on the stack), and Subpatterns the same
 // less the string for motif, whose subpatterns are substrings of the
 // pattern's key. Neither count grows with the number of patterns returned.
 var kernelPatterns = map[string]struct {
@@ -36,8 +38,8 @@ var kernelPatterns = map[string]struct {
 	exact                           bool
 }{
 	"toy":         {"{0,1}", 0.036000000000000004, 0, 25, 6, true},
-	"motif-exact": {"DWLVEV", 0.0011358, 0, 4, 2, true},
-	"motif-mut":   {"LLWET", 0.0028395, 2, 4, 2, true},
+	"motif-exact": {"DWLVEV", 0.0011358, 0, 3, 2, true},
+	"motif-mut":   {"LLWET", 0.0028395, 2, 3, 2, true},
 	"assoc":       {"{0,1,2}", 0.0003268, 0, 3, 3, true},
 	"episode":     {"<1 3>", 0.00015, 0, 13, 7, true},
 	"treemotif":   {"B(H)", 0.000192, 5452, 145, 5, false},
@@ -229,6 +231,15 @@ func aprioriBench() core.Problem {
 	return assoc.NewProblem(assoc.GenerateDB(20000, 24, groups, 0.3, 42), 1200)
 }
 
+// motifExactBench is the benchmark rig's motif_exact input at seed 42:
+// table 4.2 setting 1 on the synthetic cyclins family cut to 80
+// residues, exact matching answered by the GST.
+func motifExactBench() core.Problem {
+	spec := seq.CyclinsSpec(42)
+	spec.Length = 80
+	return motif.NewProblem(spec.Generate(), motif.Params{MinOccur: 5, MaxMut: 0, MinLength: 12, MaxLength: 24})
+}
+
 // benchResults keeps the benchmarks' results live.
 var benchResults []core.Result
 
@@ -254,6 +265,34 @@ func BenchmarkRunPLEDApriori(b *testing.B) {
 		srv := plinda.NewServer()
 		var err error
 		if benchResults, err = core.RunPLED(srv, pr, 2); err != nil {
+			b.Fatal(err)
+		}
+		srv.Close()
+	}
+}
+
+// BenchmarkSolveSequentialMotifExact is the E-dag baseline on the
+// motif_exact input: a run of ~1 µs GST look-ups, so what it measures
+// is the suffix-tree walk and the lattice bookkeeping around it.
+func BenchmarkSolveSequentialMotifExact(b *testing.B) {
+	pr := motifExactBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResults, _ = core.SolveSequential(pr)
+	}
+}
+
+// BenchmarkRunPLETMotifExact is a PLET run on the same input, on an
+// in-process Space with two workers.
+func BenchmarkRunPLETMotifExact(b *testing.B) {
+	pr := motifExactBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv := plinda.NewServer()
+		var err error
+		if benchResults, err = core.RunPLET(srv, pr, 2); err != nil {
 			b.Fatal(err)
 		}
 		srv.Close()

@@ -88,11 +88,28 @@ func NewProblem(seqs []string, params Params) *Problem {
 // pattern is a segment motif *S*, held as its key. Children cut every
 // key they return from one string, and Children and Subpatterns hand out
 // pointers into one slab of patterns, so their allocations do not grow
-// with the number of patterns they return.
-type pattern struct{ seg string }
+// with the number of patterns they return. A pattern Children made also
+// holds where it ends in the suffix tree it came from, so its own
+// Children steps one edge from there and its exact Goodness reads one
+// count; any other pattern, or one asked of a Problem over another tree,
+// is found from the root when asked.
+type pattern struct {
+	seg string
+	gst *seq.GST  // the tree at is a locus of; nil when the pattern has none
+	at  seq.Locus // where seg ends in gst
+}
 
 func (p *pattern) Key() string { return p.seg }
 func (p *pattern) Len() int    { return len(p.seg) }
+
+// locus returns where p ends in pr's tree; ok is false when p does not
+// occur in the database.
+func (pr *Problem) locus(p *pattern) (at seq.Locus, ok bool) {
+	if p.gst == pr.gst {
+		return p.at, true
+	}
+	return pr.gst.Find(p.seg)
+}
 
 // root is the empty segment, the one root of every Problem.
 var root = &pattern{}
@@ -120,17 +137,25 @@ func (pr *Problem) Decode(key string) (core.Pattern, error) {
 			return nil, fmt.Errorf("motif: invalid pattern key %q", key)
 		}
 	}
-	return &pattern{key}, nil
+	return &pattern{seg: key}, nil
 }
 
 // Children implements core.Problem: right extensions by one letter
 // that occur in the database, up to the exploration bound.
 func (pr *Problem) Children(p core.Pattern) []core.Pattern {
-	s := p.(*pattern).seg
+	pat := p.(*pattern)
+	s := pat.seg
 	if len(s) >= pr.Params.MaxLength {
 		return nil
 	}
-	exts := pr.gst.Extensions(s, pr.Params.MinSeedSeqs)
+	at, ok := pr.locus(pat)
+	if !ok {
+		return nil
+	}
+	// Room for every letter of the alphabet keeps both on the stack.
+	var letters [len(seq.Alphabet)]byte
+	var loci [len(seq.Alphabet)]seq.Locus
+	exts, extLoci := pr.gst.Extend(at, pr.Params.MinSeedSeqs, letters[:0], loci[:0])
 	var b strings.Builder
 	b.Grow(len(exts) * (len(s) + 1))
 	slab := make([]pattern, len(exts))
@@ -141,7 +166,7 @@ func (pr *Problem) Children(p core.Pattern) []core.Pattern {
 		from := b.Len()
 		b.WriteString(s)
 		b.WriteByte(c)
-		slab[i] = pattern{b.String()[from:]}
+		slab[i] = pattern{seg: b.String()[from:], gst: pr.gst, at: extLoci[i]}
 		out[i] = &slab[i]
 	}
 	return out
@@ -154,7 +179,7 @@ func (pr *Problem) Subpatterns(p core.Pattern) []core.Pattern {
 	if len(s) <= 1 {
 		return []core.Pattern{root}
 	}
-	slab := []pattern{{s[:len(s)-1]}, {s[1:]}}
+	slab := []pattern{{seg: s[:len(s)-1]}, {seg: s[1:]}}
 	if slab[0].seg == slab[1].seg {
 		return []core.Pattern{&slab[0]}
 	}
@@ -164,7 +189,8 @@ func (pr *Problem) Subpatterns(p core.Pattern) []core.Pattern {
 // Goodness implements core.Problem: the occurrence number of the
 // motif over the whole database, within the allowed mutations.
 func (pr *Problem) Goodness(p core.Pattern) float64 {
-	s := p.(*pattern).seg
+	pat := p.(*pattern)
+	s := pat.seg
 	if s == "" {
 		return float64(len(pr.Seqs))
 	}
@@ -187,7 +213,9 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 	}
 	var occ int
 	if pr.Params.MaxMut == 0 {
-		occ = pr.gst.SeqCount(s)
+		if at, ok := pr.locus(pat); ok {
+			occ = pr.gst.Count(at)
+		}
 	} else {
 		occ = seq.OccurrenceNo(s, pr.Seqs, pr.Params.MaxMut)
 	}

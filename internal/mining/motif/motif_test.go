@@ -374,3 +374,78 @@ func BenchmarkGoodnessMotifMut(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(rec.evaluated)), "calls/op")
 }
+
+// childRecorder records every pattern Children hands a traversal.
+type childRecorder struct {
+	*Problem
+	made []core.Pattern
+}
+
+func (r *childRecorder) Children(p core.Pattern) []core.Pattern {
+	kids := r.Problem.Children(p)
+	r.made = append(r.made, kids...)
+	return kids
+}
+
+// TestLocusPatternsMatchDecodedTwins: a pattern Children made carries
+// its locus in the suffix tree, and a decoded pattern with the same key
+// has none, so the tree is walked from the root for it. On the
+// benchmark's motif_exact and motif_mut inputs, every pattern
+// SolveSequential and SolveETTSequential are handed must hold a locus of
+// its problem's tree, and get the Goodness and the Children (keys, in
+// order) of its decoded twin. Asked of a Problem over another corpus,
+// where its locus means nothing, it must get that Problem's answers.
+func TestLocusPatternsMatchDecodedTwins(t *testing.T) {
+	inputs := map[string]struct {
+		length int
+		params Params
+	}{
+		"motif_exact": {80, Params{MinOccur: 5, MaxMut: 0, MinLength: 12, MaxLength: 24}},
+		"motif_mut":   {120, Params{MinOccur: 12, MaxMut: 4, MinLength: 16, MaxLength: 24, MinSeedSeqs: 5}},
+	}
+	corpus := func(seed int64, length int) []string {
+		spec := seq.CyclinsSpec(seed)
+		spec.Length = length
+		return spec.Generate()
+	}
+	for name, in := range inputs {
+		other := NewProblem(corpus(7, in.length), in.params)
+		for solver, solve := range map[string]func(core.Problem) ([]core.Result, core.Stats){
+			"SolveSequential": core.SolveSequential, "SolveETTSequential": core.SolveETTSequential,
+		} {
+			t.Run(name+"/"+solver, func(t *testing.T) {
+				rec := &childRecorder{Problem: NewProblem(corpus(42, in.length), in.params)}
+				solve(rec)
+				if len(rec.made) < 100 {
+					t.Fatalf("the traversal made %d patterns", len(rec.made))
+				}
+				for _, p := range rec.made {
+					if p.(*pattern).gst != rec.gst {
+						t.Fatalf("Children made %q without a locus in its tree", p.Key())
+					}
+					for _, pr := range []*Problem{rec.Problem, other} {
+						twin, err := pr.Decode(p.Key())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g, want := pr.Goodness(p), pr.Goodness(twin); g != want {
+							t.Fatalf("Goodness(%q) = %v, its decoded twin's is %v (own tree %v)", p.Key(), g, want, pr == rec.Problem)
+						}
+						if got, want := childKeys(pr, p), childKeys(pr, twin); got != want {
+							t.Fatalf("Children(%q) = %s, its decoded twin's are %s (own tree %v)", p.Key(), got, want, pr == rec.Problem)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// childKeys lists the keys of p's children, in order.
+func childKeys(pr *Problem, p core.Pattern) string {
+	var ks []string
+	for _, c := range pr.Children(p) {
+		ks = append(ks, c.Key())
+	}
+	return strings.Join(ks, ",")
+}

@@ -100,14 +100,25 @@ func TestGSTExtensions(t *testing.T) {
 	}
 }
 
-// checkGSTAgainstNaive holds both GST queries to the naive oracle on
-// one segment: SeqCount is NaiveSeqCount, and for m = 1, 2, 3
-// Extensions(seg, m) is exactly the bytes c, in byte order, with
-// NaiveSeqCount(seqs, seg+c) >= m.
+// checkGSTAgainstNaive holds the GST's queries to the naive oracle on
+// one segment: SeqCount is NaiveSeqCount; Find finds the segment exactly
+// when it occurs (the empty segment always does) and Count at its locus
+// is NaiveSeqCount; and for m = 1, 2, 3 Extensions(seg, m) and Extend
+// at the locus are exactly the bytes c, in byte order, with
+// NaiveSeqCount(seqs, seg+c) >= m, each of Extend's loci is Find's for
+// seg+c, and Count there is NaiveSeqCount(seqs, seg+c).
 func checkGSTAgainstNaive(t *testing.T, g *GST, seqs []string, seg string) {
 	t.Helper()
-	if got, want := g.SeqCount(seg), NaiveSeqCount(seqs, seg); got != want {
-		t.Fatalf("SeqCount(%q) = %d, want %d on %q", seg, got, want, seqs)
+	naive := NaiveSeqCount(seqs, seg)
+	if got := g.SeqCount(seg); got != naive {
+		t.Fatalf("SeqCount(%q) = %d, want %d on %q", seg, got, naive, seqs)
+	}
+	at, found := g.Find(seg)
+	if found != (seg == "" || naive > 0) {
+		t.Fatalf("Find(%q) found %v, but the segment occurs in %d sequences of %q", seg, found, naive, seqs)
+	}
+	if found && g.Count(at) != naive {
+		t.Fatalf("Count(Find(%q)) = %d, want %d on %q", seg, g.Count(at), naive, seqs)
 	}
 	var counts [256]int // a byte no sequence holds extends nothing
 	for _, s := range seqs {
@@ -126,6 +137,22 @@ func checkGSTAgainstNaive(t *testing.T, g *GST, seqs []string, seg string) {
 		}
 		if got := g.Extensions(seg, m); string(got) != string(want) {
 			t.Fatalf("Extensions(%q, %d) = %q, want %q on %q", seg, m, got, want, seqs)
+		}
+		if !found {
+			continue
+		}
+		letters, loci := g.Extend(at, m, nil, nil)
+		if string(letters) != string(want) || len(loci) != len(letters) {
+			t.Fatalf("Extend(Find(%q), %d) = %q with %d loci, want %q on %q", seg, m, letters, len(loci), want, seqs)
+		}
+		for i, c := range letters {
+			child := seg + string([]byte{c})
+			if l, ok := g.Find(child); !ok || l != loci[i] {
+				t.Fatalf("Extend(Find(%q), %d) gives %q the locus %v, Find gives %v (found %v) on %q", seg, m, child, loci[i], l, ok, seqs)
+			}
+			if got := g.Count(loci[i]); got != counts[c] {
+				t.Fatalf("Count at %q's locus from Extend = %d, want %d on %q", child, got, counts[c], seqs)
+			}
 		}
 	}
 }
@@ -217,8 +244,8 @@ func TestPropertyGSTAgreesWithNaive(t *testing.T) {
 
 // TestBuildGSTAllocs: a build allocates a fixed number of times, the
 // same on the benchmark's 80-residue motif_exact input as on the full
-// 400-residue corpus; SeqCount allocates nothing and Extensions at most
-// its result.
+// 400-residue corpus; SeqCount, Find, Count and Extend into buffers with
+// room allocate nothing, and Extensions at most its result.
 func TestBuildGSTAllocs(t *testing.T) {
 	spec := CyclinsSpec(42)
 	full := spec.Generate()
@@ -239,10 +266,20 @@ func TestBuildGSTAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { g.Extensions(seg, 1) }); got > 1 {
 			t.Errorf("Extensions(%q) allocates %v times, want at most 1", seg, got)
 		}
+		var letters [len(Alphabet)]byte
+		var loci [len(Alphabet)]Locus
+		if got := testing.AllocsPerRun(20, func() {
+			if at, ok := g.Find(seg); ok {
+				g.Count(at)
+				g.Extend(at, 1, letters[:0], loci[:0])
+			}
+		}); got != 0 {
+			t.Errorf("Find, Count and Extend of %q allocate %v times, want 0", seg, got)
+		}
 	}
 }
 
-// FuzzGST holds both GST queries to the naive oracle on arbitrary
+// FuzzGST holds the GST's queries to the naive oracle on arbitrary
 // sequences (a, b and c; any byte is a letter) and segments. The seed
 // corpus is testdata/fuzz/FuzzGST.
 func FuzzGST(f *testing.F) {
@@ -624,6 +661,20 @@ func TestEditDistanceBasics(t *testing.T) {
 	}
 	if EditDistance("same", "same") != 0 {
 		t.Fatal("identity")
+	}
+}
+
+// BenchmarkBuildGST builds the tree of the benchmark rig's motif_exact
+// input (seed 42, 47 sequences cut to 80 residues), the build that
+// motif.NewProblem puts inside every exact-motif run's setup.
+func BenchmarkBuildGST(b *testing.B) {
+	spec := CyclinsSpec(42)
+	spec.Length = 80
+	seqs := spec.Generate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildGST(seqs)
 	}
 }
 
