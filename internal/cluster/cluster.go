@@ -247,7 +247,9 @@ func (n *node) countErr() {
 // do runs one operation against the node with redial-and-retry on
 // transient failure, bounded by the router's retry budget. Only
 // operations with no tentative server-side state may go through do —
-// sub-transaction ops fail fast instead (see routerTxn).
+// sub-transaction ops fail fast instead (see routerTxn). The caller's
+// own ended context is not the node's fault: it fails the operation
+// and leaves the node's connection and holdoff alone.
 func (n *node) do(ctx context.Context, f func(*tuplespace.Client) error) error {
 	deadline := n.r.retryDeadline()
 	for {
@@ -257,7 +259,7 @@ func (n *node) do(ctx context.Context, f func(*tuplespace.Client) error) error {
 				reg.Counter(fmt.Sprintf("cluster.node.%d.ops", n.idx)).Inc()
 			}
 			err = f(cl)
-			if err == nil || !transientErr(err) {
+			if err == nil || !transientErr(err) || ctx.Err() != nil {
 				return err
 			}
 			n.fault(cl, err)

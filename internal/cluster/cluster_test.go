@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"freepdm/internal/cluster"
+	"freepdm/internal/obs"
 	"freepdm/internal/tuplespace"
 )
 
@@ -429,5 +430,40 @@ func TestTxnOpFaultRedialsNode(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCallerDeadlineLeavesNodeHealthy proves that an operation whose
+// caller's own deadline ends faults no node: a Router.In on an absent
+// tuple under a 20 ms deadline fails with that deadline, counts no node
+// error and leaves the node's connection up, so an Out right after it
+// goes straight through instead of waiting out the 1 s holdoff.
+func TestCallerDeadlineLeavesNodeHealthy(t *testing.T) {
+	nodes := startTestNodes(t, 1)
+	r := newRouter(t, nodeAddrs(nodes), cluster.Options{
+		RetryTimeout: 5 * time.Second,
+		Backoff:      time.Second,
+	})
+	reg := obs.NewRegistry()
+	r.Observe(reg, nil)
+	ctx := context.Background()
+	if err := r.Out(ctx, "warm", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	dctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, err := r.In(dctx, "absent", tuplespace.FormalInt); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("In on an absent tuple past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if n := reg.Snapshot().Counters["cluster.node.0.errors"]; n != 0 {
+		t.Errorf("the caller's deadline counted %d node errors, want 0", n)
+	}
+	start := time.Now()
+	if err := r.Out(ctx, "after", 1); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Errorf("an Out after the caller's deadline took %v: the node was put in its 1 s holdoff", d)
 	}
 }

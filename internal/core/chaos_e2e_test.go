@@ -178,9 +178,10 @@ func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 }
 
 // TestChaosMasterRespawnStaleCtl kills the master deterministically in
-// the middle of its control-tuple consumption. The re-spawned master
-// starts a fresh balance and re-seeds the top tasks, then consumes the
-// previous incarnation's leftover control tuples in arbitrary order —
+// the middle of its control-tuple consumption. The killed incarnation's
+// report stream aborts, so every control tuple it took is back. The
+// re-spawned master starts a fresh balance and re-seeds the top tasks,
+// then consumes those stale control tuples in arbitrary order —
 // so a deep task's subtree can report before the task's parent: the
 // exact floating-subtree input TestBalance/FloatingSubtree pins at the
 // unit level. The run must complete with exactly SolveSequential's
@@ -193,17 +194,17 @@ func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 }
 
 // staleCtlBudget1 is a wider, deeper tree than the budget-1 scenario
-// suite's: floating needs a node expanded mid-stream whose parent's
-// report died with the previous master incarnation, and the kill
-// trigger needs a control stream longer than 25 tuples.
+// suite's: floating needs a node expanded mid-stream whose report comes
+// back before its parent's, and the kill trigger needs a control stream
+// longer than 25 tuples.
 var staleCtlBudget1 = faultGrain{1, func(seed uint64) *toyProblem { return newToyProblem(10, 120, 0.06, seed) }, time.Millisecond}
 
 // ctlWatch counts the good keys on the control tuples the running
 // master incarnation has taken and committed, duplicates included. A
 // transaction that took a control tuple is the master's; when it aborts
 // that incarnation dies, and the next starts from nothing. It sits
-// under the chaos store, whose injected commit failure reaches it as
-// the abort that follows.
+// under the chaos store, whose injected take failure reaches it as the
+// abort that follows.
 type ctlWatch struct {
 	tuplespace.TxnStore
 	goods atomic.Int64
@@ -266,25 +267,23 @@ func testChaosMasterRespawnStaleCtl(t *testing.T, g faultGrain) {
 	if len(tasks[0].Goods) == 0 {
 		t.Fatal("the first task reports no good pattern: a stale copy of its report would assert nothing")
 	}
-	// A run's control stream is one tuple per task: 25 at budget 1, and
-	// half the stream where a run makes fewer than 50 tasks.
+	// A run's control stream is one take per task: every 25th at budget
+	// 1, and half the stream where a run makes fewer than 50 tasks.
 	period := int32(min(25, len(tasks)/2))
 	if period < 2 {
 		t.Fatalf("a run makes %d tasks: no kill can land mid-stream", len(tasks))
 	}
 
-	// Mid-run, the master's control-consumption transactions are the
-	// only ones committing zero outs (a worker's task transaction
-	// always publishes at least its control tuple; the poison exits
-	// only happen after the control stream is spent). Failing every
-	// period-th kills the master deep in the stream, over and over, each
-	// time leaving the rest of that incarnation's control tuples stale
-	// in the space — and, so that the incarnation that finishes the run
-	// is sure to meet a repeated report that carries goods, two more
+	// Only the master takes control tuples, all of them inside its one
+	// report-stream transaction. Failing every period-th take kills the
+	// master deep in the stream, over and over: its transaction aborts,
+	// so every report that incarnation took is back in the space, stale,
+	// next to the rest — and, so that the incarnation that finishes the
+	// run is sure to meet a repeated report that carries goods, two more
 	// copies of the first task's, as a 2PC re-run would leave them.
 	var ctl, fired atomic.Int32
-	disarm := faultnet.Arm("faultnet.store.txn.commit.before", func(args ...any) error {
-		if n, ok := args[0].(int); !ok || n != 0 {
+	disarm := faultnet.Arm("faultnet.store.txn.in.before", func(args ...any) error {
+		if len(args) == 0 || args[0] != TagCtl {
 			return nil
 		}
 		if ctl.Add(1)%period == 0 && fired.Load() < 8 {

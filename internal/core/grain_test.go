@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -74,12 +75,13 @@ func (p *countedToy) Goodness(pat Pattern) float64 {
 // TestPLETGrainGuard is the clock-free guard on the PLET task grain: at
 // every budget a run evaluates exactly the E-tree (nothing missed,
 // nothing evaluated twice), returns SolveSequential's results and
-// commits exactly twice per task (worker and master) plus the seed and
-// the poison exits; at budget 1 a task is a pattern, which is the
-// protocol the grain replaced, and at the default it commits at most
-// once per eight patterns. A change that quietly puts the per-pattern
-// round trip, or a transaction of its own for the poison, back fails
-// here, on any machine.
+// commits exactly once per task (the worker's) plus the master's seed
+// and report stream and the poison exits; at budget 1 a task is a
+// pattern, which is the protocol the grain replaced, and at the default
+// it commits at most once per eight patterns. A change that quietly
+// puts the per-pattern round trip, a master commit per report, or a
+// transaction of its own for the poison, back fails here, on any
+// machine.
 func TestPLETGrainGuard(t *testing.T) {
 	base := newToyProblem(16, 400, 0.005, 82)
 	seqRes, _ := SolveSequential(base)
@@ -105,12 +107,12 @@ func TestPLETGrainGuard(t *testing.T) {
 			if got := int(p.evals.Load()); got != ett.Evaluated {
 				t.Errorf("PLET evaluated %d patterns, the E-tree has %d", got, ett.Evaluated)
 			}
-			// One worker and one master transaction per task (the last
-			// control transaction publishes the poison), the master's
-			// seed, and each worker's poison exit.
+			// One worker transaction per task, the master's seed and
+			// its report stream (which publishes the poison), and each
+			// worker's poison exit.
 			commits, tasks := srv.Commits(), pletTasks(base, workers, tc.budget)
 			t.Logf("%d evaluations, %d tasks, %d commits", ett.Evaluated, tasks, commits)
-			if want := 2*tasks + 1 + workers; commits != want {
+			if want := tasks + 2 + workers; commits != want {
 				t.Errorf("%d tasks made %d commits, the protocol makes %d", tasks, commits, want)
 			}
 			switch tc.name {
@@ -129,13 +131,17 @@ func TestPLETGrainGuard(t *testing.T) {
 
 // killBackends are the stores the killed-mid-transaction tests run on: a
 // local Space, and one dialed session per incarnation to a served Space,
-// where a kill drops the session and the server's side aborts.
-var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Space){
-	"space": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
+// where a kill drops the session and the server's side aborts. A wrap,
+// when given, decorates the store every process runs against.
+var killBackends = map[string]func(*testing.T, func(tuplespace.TxnStore) tuplespace.TxnStore) (*plinda.Server, *tuplespace.Space){
+	"space": func(t *testing.T, wrap func(tuplespace.TxnStore) tuplespace.TxnStore) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()
-		return plinda.NewServerOnStore(space), space
+		if wrap == nil {
+			return plinda.NewServerOnStore(space), space
+		}
+		return plinda.NewServerOnStore(wrap(space)), space
 	},
-	"remote-dial": func(t *testing.T) (*plinda.Server, *tuplespace.Space) {
+	"remote-dial": func(t *testing.T, wrap func(tuplespace.TxnStore) tuplespace.TxnStore) (*plinda.Server, *tuplespace.Space) {
 		space := tuplespace.New()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -144,11 +150,15 @@ var killBackends = map[string]func(*testing.T) (*plinda.Server, *tuplespace.Spac
 		t.Cleanup(func() { ln.Close(); space.Close() }) //nolint:errcheck
 		go tuplespace.Serve(ln, space)                  //nolint:errcheck
 		return plinda.NewServerRemote(func() (tuplespace.TxnStore, error) {
-			return tuplespace.DialOpts(ln.Addr().String(), tuplespace.DialOptions{
+			cl, err := tuplespace.DialOpts(ln.Addr().String(), tuplespace.DialOptions{
 				DialTimeout: time.Second,
 				OpTimeout:   2 * time.Second,
 				Lease:       2 * time.Second,
 			})
+			if err != nil || wrap == nil {
+				return cl, err
+			}
+			return wrap(cl), nil
 		}), space
 	},
 }
@@ -200,7 +210,7 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 			reg := obs.NewRegistry()
 			SetObserver(reg)
 			defer SetObserver(nil)
-			srv, space := backend(t)
+			srv, space := backend(t, nil)
 			defer srv.Close()
 			type outcome struct {
 				res []Result
@@ -268,5 +278,86 @@ func TestPLETWorkerKilledMidBatch(t *testing.T) {
 					c["core.tasks"], c["core.good"], tasks, ett.Good)
 			}
 		})
+	}
+}
+
+// masterKiller kills the PLET master after every period-th control
+// tuple it takes, at most max times. The take is inside the master's
+// report-stream transaction and the kill comes before the master's next
+// operation, so every kill lands mid-stream: the stream aborts, and
+// every report it took is back in the space for the next incarnation.
+type masterKiller struct {
+	srv          *plinda.Server
+	period, max  int32
+	takes, kills atomic.Int32
+}
+
+func (k *masterKiller) wrap(s tuplespace.TxnStore) tuplespace.TxnStore {
+	return killerStore{TxnStore: s, k: k}
+}
+
+type killerStore struct {
+	tuplespace.TxnStore
+	k *masterKiller
+}
+
+func (s killerStore) Begin() (tuplespace.Txn, error) {
+	tx, err := s.TxnStore.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return killerTxn{Txn: tx, k: s.k}, nil
+}
+
+type killerTxn struct {
+	tuplespace.Txn
+	k *masterKiller
+}
+
+func (tx killerTxn) InTraced(ctx context.Context, tmpl ...any) (tuplespace.Tuple, obs.SpanContext, error) {
+	tu, org, err := tx.Txn.InTraced(ctx, tmpl...)
+	k := tx.k
+	if err == nil && tu[0] == TagCtl && k.takes.Add(1)%k.period == 0 && k.kills.Load() < k.max {
+		k.kills.Add(1)
+		if err := k.srv.Kill("plet-master"); err != nil {
+			return nil, obs.SpanContext{}, err
+		}
+	}
+	return tu, org, err
+}
+
+// TestPLETMasterKilledMidStream kills the PLET master inside its report
+// stream, after every 20th control tuple it takes and at most three
+// times, on a local Space and over per-incarnation dialed sessions, at
+// budgets 1 and 7. Each killed stream aborts whole, so its reports come
+// back next to the re-seeded tasks' fresh copies; the run must still
+// return exactly SolveSequential's results, each once.
+func TestPLETMasterKilledMidStream(t *testing.T) {
+	const workers, period, maxKills = 2, 20, 3
+	for _, budget := range []int{1, 7} {
+		for name, backend := range killBackends {
+			t.Run(fmt.Sprintf("budget=%d/%s", budget, name), func(t *testing.T) {
+				withPLETBudget(t, budget)
+				base := newToyProblem(10, 120, 0.06, 82)
+				seqRes, _ := SolveSequential(base)
+				if tasks := pletTasks(base, workers, budget); tasks < period {
+					t.Fatalf("a run makes %d tasks: an incarnation never reaches its %dth take", tasks, period)
+				}
+				k := &masterKiller{period: period, max: maxKills}
+				srv, _ := backend(t, k.wrap)
+				defer srv.Close()
+				k.srv = srv
+				res, err := RunPLET(srv, base, workers)
+				if err != nil {
+					t.Fatalf("RunPLET with the master killed mid-stream: %v", err)
+				}
+				sameResults(t, seqRes, res, "sequential", "PLET-master-killed")
+				eachResultOnce(t, res)
+				if kills := k.kills.Load(); kills < 2 || srv.Respawns() < int(kills) {
+					t.Errorf("%d mid-stream kills and %d respawns, want at least 2 kills, each respawned", kills, srv.Respawns())
+				}
+				t.Logf("%d control takes, %d kills, %d respawns", k.takes.Load(), k.kills.Load(), srv.Respawns())
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"net"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -13,6 +14,7 @@ import (
 	"freepdm/internal/mining/motif"
 	"freepdm/internal/plinda"
 	"freepdm/internal/seq"
+	"freepdm/internal/tuplespace"
 )
 
 // kernelPatterns names, per in-tree problem, one good inner pattern and
@@ -297,4 +299,43 @@ func BenchmarkRunPLETMotifExact(b *testing.B) {
 		}
 		srv.Close()
 	}
+}
+
+// BenchmarkRunPLETClient is the same PLET run over the wire, built the
+// way the benchmark's client backend builds it: a Space served on a
+// loopback listener, and one dialed session per process. Only the run
+// is timed, not serving and closing the space; commits/op is the run's
+// transaction count, one wire round trip each.
+func BenchmarkRunPLETClient(b *testing.B) {
+	pr := motifExactBench()
+	b.ReportAllocs()
+	commits := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		space := tuplespace.New()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			tuplespace.Serve(ln, space) //nolint:errcheck — returns when the listener closes
+		}()
+		addr := ln.Addr().String()
+		srv := plinda.NewServerRemote(func() (tuplespace.TxnStore, error) { return tuplespace.Dial(addr) })
+		b.StartTimer()
+		benchResults, err = core.RunPLET(srv, pr, 2)
+		b.StopTimer()
+		commits += srv.Commits()
+		srv.Close()
+		ln.Close() //nolint:errcheck
+		space.Close()
+		<-served
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
 }

@@ -81,7 +81,7 @@ func TestPLEDWorkerKilledMidChunk(t *testing.T) {
 				}
 			}}
 
-			srv, space := backend(t)
+			srv, space := backend(t, nil)
 			defer srv.Close()
 			type outcome struct {
 				res []Result

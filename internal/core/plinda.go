@@ -527,9 +527,16 @@ func (b balance) done() bool { return len(b.open) == 0 }
 // so the balance's tasks are named by their first key, and a task's
 // report names the bundles it spilled. Good patterns ride the control
 // tuple the master takes anyway, sorted by the worker that found them:
-// the master keeps each fresh report whole as it goes, the transaction
-// that takes the last one publishes the poison, and the reports are
-// merged into the result list once the program has stopped.
+// the master keeps each fresh report whole as it goes, and the reports
+// are merged into the result list once the program has stopped.
+//
+// The master makes two transactions: the seed, and one stream
+// transaction that takes every report and commits with the poison once
+// the balance is done, atomically with the take that completed the
+// tree. A report then costs the master one take and no commit. A killed
+// master's stream transaction aborts, so every report it took
+// reappears whole; the next incarnation re-seeds, and the re-run seed
+// tasks' reports are the repeats the balance drops.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -543,59 +550,42 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	var runs []goodRun
 	master := func(p *plinda.Proc) error {
 		runs = nil // a re-spawned master re-seeds the tree and collects the reports anew
-		found := 0
 		rootKey := pr.Root().Key()
 		open := newBalance(rootKey)
-		top := pr.Children(pr.Root())
-		// poisonIfDone terminates the workers inside the transaction that
-		// completed the tree, atomically with its control-tuple take.
-		poisonIfDone := func() error {
-			if !open.done() {
-				return nil
-			}
-			poison := make([]tuplespace.Tuple, workers)
-			for i := range poison {
-				poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
-			}
-			p.Annotate("poison", workers)
-			p.Annotate("results", found)
-			return p.OutN(poison)
-		}
 
-		if err := p.Xstart(); err != nil {
-			return err
-		}
+		top := pr.Children(pr.Root())
 		keys := make([]string, len(top))
 		for i, c := range top {
 			keys[i] = c.Key()
 		}
 		tasks, ids := taskTuples(deal(keys, 2*workers))
-		if o != nil {
-			o.tasks.Add(int64(len(tasks)))
+		if err := p.Xstart(); err != nil {
+			return err
 		}
 		p.Annotate("seed", len(tasks))
 		if err := p.OutN(tasks); err != nil {
 			return err
 		}
-		open.report(rootKey, ids)
-		if err := poisonIfDone(); err != nil {
-			return err
-		}
 		if err := p.Xcommit(); err != nil {
 			return err
 		}
+		if o != nil {
+			o.tasks.Add(int64(len(tasks)))
+		}
+		open.report(rootKey, ids)
 
 		// A report can arrive twice: the cluster's two-phase commit
 		// re-runs a worker whose report had already landed on a follower
 		// node, and a re-spawned master reads the previous incarnation's
-		// stale control tuples next to the re-run tasks' fresh ones. A
-		// task's report is a pure function of its tuple, so its first
-		// copy wins whole, the repeat is dropped whole, and the result
-		// set still equals SolveSequential's.
-		for !open.done() {
-			if err := p.Xstart(); err != nil {
-				return err
-			}
+		// reports, which its abort put back, next to the re-run tasks'
+		// fresh ones. A task's report is a pure function of its tuple, so
+		// its first copy wins whole, the repeat is dropped whole, and the
+		// result set still equals SolveSequential's.
+		if err := p.Xstart(); err != nil {
+			return err
+		}
+		found, reports := 0, 0
+		for ; !open.done(); reports++ {
 			// Every task produces exactly one control tuple. Its kind
 			// says no more than its spill list does, but it stays: it
 			// fixes the tuple's signature, and with it the Router node
@@ -615,20 +605,26 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 			if want := ctlKind(spilled); kind != want {
 				return fmt.Errorf("core: malformed control tuple (task %q: kind %q, want %q for %d spilled)", key, kind, want, len(spilled))
 			}
-			fresh := open.report(key, spilled)
-			if fresh {
+			if open.report(key, spilled) {
 				runs = append(runs, goodRun{key, goods, scores})
 				found += len(goods)
 			}
-			if err := poisonIfDone(); err != nil {
-				return err
-			}
-			if err := p.Xcommit(); err != nil {
-				return err
-			}
-			if o != nil && fresh {
-				o.good.Add(int64(len(goods)))
-			}
+		}
+		poison := make([]tuplespace.Tuple, workers)
+		for i := range poison {
+			poison[i] = tuplespace.Tuple{TagTask, []string{PoisonKey}}
+		}
+		p.Annotate("reports", reports)
+		p.Annotate("poison", workers)
+		p.Annotate("results", found)
+		if err := p.OutN(poison); err != nil {
+			return err
+		}
+		if err := p.Xcommit(); err != nil {
+			return err
+		}
+		if o != nil {
+			o.good.Add(int64(found))
 		}
 		return nil
 	}

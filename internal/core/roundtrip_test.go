@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"freepdm/internal/durable"
 	"freepdm/internal/obs"
 	"freepdm/internal/plinda"
 	"freepdm/internal/tuplespace"
@@ -20,11 +21,22 @@ func pletTasks(pr *toyProblem, workers, budget int) int {
 }
 
 // roundTripBackends are the stores the round-trip guards run on: a local
-// Space, and one Client dialed to a served Space. A registry, when
-// given, observes the Space, so the serving side counts the wire's bytes
-// and frames into it (net.rx_bytes, net.tx_bytes, net.op.<op>).
+// Space, one Client dialed to a served Space, and a WAL-backed space. A
+// registry, when given, observes the store, so the serving side counts
+// the wire's bytes and frames into it (net.rx_bytes, net.tx_bytes,
+// net.op.<op>) and the WAL its records (wal.appends).
 var roundTripBackends = map[string]func(*testing.T, *obs.Registry) tuplespace.TxnStore{
 	"space": func(*testing.T, *obs.Registry) tuplespace.TxnStore { return tuplespace.New() },
+	"durable": func(t *testing.T, reg *obs.Registry) tuplespace.TxnStore {
+		ds, err := durable.Open(t.TempDir(), nil, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg != nil {
+			ds.Observe(reg, nil)
+		}
+		return ds
+	},
 	"client": func(t *testing.T, reg *obs.Registry) tuplespace.TxnStore {
 		space := tuplespace.New()
 		if reg != nil {
@@ -71,15 +83,26 @@ func checkWireFrames(t *testing.T, reg *obs.Registry, commits int64) {
 	}
 }
 
+// checkWALAppends holds a WAL-backed run to one record per commit,
+// read off the WAL's registry: a transaction is one log append.
+func checkWALAppends(t *testing.T, reg *obs.Registry, commits int64) {
+	t.Helper()
+	if n := reg.Snapshot().Counters["wal.appends"]; n != commits {
+		t.Errorf("the WAL appended %d records, want one per commit, %d", n, commits)
+	}
+}
+
 // TestPLETRoundTripGuard is the clock-free guard on what a PLET run
-// asks of its store, on a local Space and through a dialed Client: one
-// transaction per task on each side plus the seed and the workers'
-// poison exits, no Inp at all (nothing is drained), and nothing
-// published but task tuples (the poison among them) and one control
-// tuple per task — in particular no good tuple: good patterns ride the
-// control tuple. On the wire a transaction is two frames
-// (checkWireFrames). A change that puts a separate report message, a
-// polling loop or a begin frame back fails here, on any machine.
+// asks of its store, on a local Space, through a dialed Client and on a
+// WAL: one worker transaction per task, the master's seed and its one
+// report-stream transaction, and the workers' poison exits; no Inp at
+// all (nothing is drained), and nothing published but task tuples (the
+// poison among them) and one control tuple per task — in particular no
+// good tuple: good patterns ride the control tuple. On the wire a
+// transaction is two frames (checkWireFrames), and on the WAL one
+// record (checkWALAppends). A change that puts a separate report
+// message, a master commit per report, a polling loop or a begin frame
+// back fails here, on any machine.
 func TestPLETRoundTripGuard(t *testing.T) {
 	base := newToyProblem(16, 400, 0.005, 82)
 	seqRes, _ := SolveSequential(base)
@@ -106,13 +129,16 @@ func TestPLETRoundTripGuard(t *testing.T) {
 				if n := store.Inps.Load(); n != 0 {
 					t.Errorf("budget %d: the run made %d Inp calls, want none", budget, n)
 				}
-				txns := int64(1 + 2*tasks + workers)
+				txns := int64(tasks + 2 + workers)
 				if b, c := store.Begins.Load(), store.Commits.Load(); b != txns || c != txns {
-					t.Errorf("budget %d: %d begins and %d commits, want %d of each (seed, a worker and a master transaction per task, %d poison exits)",
+					t.Errorf("budget %d: %d begins and %d commits, want %d of each (a worker transaction per task, the seed and the report stream, %d poison exits)",
 						budget, b, c, txns, workers)
 				}
-				if name == "client" {
+				switch name {
+				case "client":
 					checkWireFrames(t, reg, txns)
+				case "durable":
+					checkWALAppends(t, reg, txns)
 				}
 			})
 		}
@@ -120,13 +146,14 @@ func TestPLETRoundTripGuard(t *testing.T) {
 }
 
 // TestPLEDRoundTripGuard is the clock-free guard on what a PLED run asks
-// of its store, on a local Space and through a dialed Client: one
+// of its store, on a local Space, through a dialed Client and on a WAL: one
 // transaction per chunk on the workers' side and one per level on the
 // master's, plus the seed and the workers' poison exits; no Inp and no
 // Rd at all (nothing is polled, drained or read in place: the level's
 // good set rides the task); and nothing published but one task tuple per
 // chunk, the poison, and one result tuple per chunk; on the wire, two
-// frames a transaction (checkWireFrames). The dialed run logs
+// frames a transaction (checkWireFrames), and on the WAL one record
+// (checkWALAppends). The dialed run logs
 // the bytes its wire carried: the price of shipping every level's good
 // set with every one of its chunks (DESIGN.md "PLED level grain").
 func TestPLEDRoundTripGuard(t *testing.T) {
@@ -156,10 +183,13 @@ func TestPLEDRoundTripGuard(t *testing.T) {
 			if b, c := store.Begins.Load(), store.Commits.Load(); b != txns || c != txns {
 				t.Errorf("%d begins and %d commits, want %d of each (seed, %d chunks, %d levels, %d poison exits)", b, c, txns, chunks, levels, workers)
 			}
-			if c := reg.Snapshot().Counters; name == "client" {
+			switch c := reg.Snapshot().Counters; name {
+			case "client":
 				checkWireFrames(t, reg, txns)
 				t.Logf("%d evaluations, %d good, %d levels, %d chunks: the server received %d bytes and sent %d",
 					st.Evaluated, st.Good, levels, chunks, c["net.rx_bytes"], c["net.tx_bytes"])
+			case "durable":
+				checkWALAppends(t, reg, txns)
 			}
 		})
 	}
