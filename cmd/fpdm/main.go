@@ -1,19 +1,19 @@
 // Command fpdm is the experiment and demo driver of the Free Parallel
 // Data Mining reproduction. Usage:
 //
-//	fpdm list                       list all reproducible tables and figures
-//	fpdm [-debug-addr a] exp <id>...  run experiments by id (e.g. t4.2 f6.3); "all" runs everything
+//	fpdm list                                       list all reproducible tables and figures
+//	fpdm [-debug-addr a] [-log-json l] exp <id>...  run experiments by id (e.g. t4.2 f6.3); "all" runs everything
 //
 // With -debug-addr, live metrics, the operation trace, and pprof are
 // served while experiments run, at /debug/metrics, /debug/trace and
-// /debug/pprof/ on the given address, with a Prometheus text
-// exposition at /metrics. -log-json turns on JSON-lines structured
-// logging.
+// /debug/pprof/ on the given address. -log-json <level> writes
+// log/slog JSON lines to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 
 	"freepdm/internal/experiments"
@@ -31,7 +31,13 @@ func main() {
 		os.Exit(2)
 	}
 	if *logJSON != "" {
-		obs.SetDefault(obs.NewLogger(os.Stderr, obs.ParseLevel(*logJSON)))
+		var lv slog.Level
+		if err := lv.UnmarshalText([]byte(*logJSON)); err != nil {
+			fmt.Fprintf(os.Stderr, "fpdm: -log-json: %v\n", err)
+			usage()
+			os.Exit(2)
+		}
+		obs.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})))
 	}
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
@@ -81,5 +87,5 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: fpdm [-debug-addr addr] list | exp <id>...|all")
+	fmt.Fprintln(os.Stderr, "usage: fpdm [-debug-addr addr] [-log-json level] list | exp <id>...|all")
 }

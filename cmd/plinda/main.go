@@ -16,10 +16,9 @@
 //	quit               shut the server down
 //
 // With -debug-addr the same counters, the trace ring, and net/http/pprof
-// are served over HTTP at /debug/metrics, /debug/trace and /debug/pprof/,
-// plus a Prometheus text exposition of the registry at /metrics.
-// -trace-sample, -slow-op and -log-json control trace sampling, the
-// slow-operation log, and JSON-lines structured logging.
+// are served over HTTP at /debug/metrics, /debug/trace and /debug/pprof/.
+// -trace-sample sets the fraction of traces sampled, and -log-json
+// <level> writes log/slog JSON lines to stderr.
 //
 // With -wal <dir> the tuple space is write-ahead logged: committed
 // tuple operations survive a server crash, and a restart with the same
@@ -41,6 +40,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"sort"
@@ -125,7 +125,6 @@ func main() {
 	opTimeout := flag.Duration("op-timeout", 2*time.Second, "bound on non-blocking remote tuple ops in cluster/worker mode (0 = none)")
 	chaos := flag.String("chaos", "", "dev-only fault injection on the local store: \"delay=5ms,err=0.01,seed=42\" (delay per op, error probability, deterministic seed)")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of new traces to sample, 0..1 (children always follow their parent)")
-	slowOp := flag.Duration("slow-op", 0, "log every span at least this long as a slow op (0 disables)")
 	logJSON := flag.String("log-json", "", "write JSON-lines structured logs to stderr at this level (debug|info|warn|error)")
 	flag.Parse()
 
@@ -135,7 +134,12 @@ func main() {
 	}
 
 	if *logJSON != "" {
-		obs.SetDefault(obs.NewLogger(os.Stderr, obs.ParseLevel(*logJSON)))
+		var lv slog.Level
+		if err := lv.UnmarshalText([]byte(*logJSON)); err != nil {
+			fmt.Fprintf(os.Stderr, "plinda: -log-json: %v\n", err)
+			os.Exit(2)
+		}
+		obs.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})))
 	}
 
 	if *workerAddr != "" {
@@ -229,9 +233,6 @@ func main() {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(4096)
 	tracer.SetSampleRate(*traceSample)
-	if *slowOp > 0 {
-		tracer.SetSlowOp(*slowOp, nil)
-	}
 	srv.Observe(reg, tracer)
 	core.SetObserver(reg)
 	if *debugAddr != "" {

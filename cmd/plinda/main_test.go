@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os/exec"
@@ -69,10 +72,7 @@ func TestFsyncFlagBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the plinda binary")
 	}
-	exe := filepath.Join(t.TempDir(), "plinda")
-	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	exe := buildPlinda(t)
 
 	// An invalid combination must be refused before boot.
 	if out, err := exec.Command(exe, "-fsync").CombinedOutput(); err == nil {
@@ -149,22 +149,22 @@ func bootDemo(t *testing.T, exe string, args ...string) string {
 
 // TestMetricsSmoke is the CI smoke check for the observability surface:
 // it builds and boots the real plinda binary with a live debug
-// endpoint, scrapes /metrics while the demo runs, and validates the
-// exposition with the strict Prometheus text-format parser — per-shard
-// gauge labels and histogram buckets included. The console must then
-// shut down cleanly on "quit".
+// endpoint, scrapes /debug/metrics while the demo runs until a
+// transaction has committed, and decodes the registry snapshot: a
+// per-shard tuple gauge and a transaction histogram with buckets and
+// quantiles. Every line it logs to stderr under -log-json must be one
+// JSON record. The console must then shut down cleanly on "quit".
 func TestMetricsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the plinda binary")
 	}
-	exe := filepath.Join(t.TempDir(), "plinda")
-	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	exe := buildPlinda(t)
 
 	cmd := exec.Command(exe,
 		"-debug-addr", "127.0.0.1:0", "-workers", "2",
-		"-trace-sample", "1", "-slow-op", "1s", "-log-json", "info")
+		"-trace-sample", "1", "-log-json", "debug")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -202,32 +202,37 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Fatal("binary never announced its debug address")
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("scrape /metrics: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	if err := obs.CheckPrometheusText(strings.NewReader(string(body))); err != nil {
-		t.Fatalf("/metrics failed the Prometheus text-format check: %v\n%s", err, body)
-	}
-	for _, want := range []string{
-		`fpdm_ts_shard_tuples{shard="0"}`,
-		"fpdm_plinda_txn_seconds_bucket{le=",
-		"fpdm_trace_events_total",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+	var snap obs.Snapshot
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/debug/metrics")
+		if err != nil {
+			t.Fatalf("scrape /debug/metrics: %v", err)
+		}
+		snap = obs.Snapshot{}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode /debug/metrics: %v", err)
+		}
+		if snap.Histograms["plinda.txn"].Count > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no plinda.txn observation in /debug/metrics: %+v", snap.Histograms)
 		}
 	}
+	if _, ok := snap.Gauges["ts.shard.0.tuples"]; !ok {
+		t.Errorf("/debug/metrics has no ts.shard.0.tuples gauge: %v", snap.Gauges)
+	}
+	h := snap.Histograms["plinda.txn"]
+	if len(h.Buckets) == 0 {
+		t.Errorf("plinda.txn histogram has no buckets: %+v", h)
+	}
+	if h.P50Nanos <= 0 || h.P50Nanos > h.P95Nanos || h.P95Nanos > h.P99Nanos {
+		t.Errorf("plinda.txn quantiles missing or unordered: %+v", h)
+	}
 
-	// The trace endpoint must serve JSON beside the Prometheus text.
+	// The trace endpoint must serve its totals beside the metrics.
 	tresp, err := http.Get("http://" + addr + "/debug/trace?n=5")
 	if err != nil {
 		t.Fatal(err)
@@ -251,4 +256,49 @@ func TestMetricsSmoke(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("plinda did not exit on quit")
 	}
+
+	spawned := 0
+	for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("stderr line is not one JSON record: %v: %q", err, line)
+		}
+		for _, k := range []string{"time", "level", "msg"} {
+			if _, ok := rec[k]; !ok {
+				t.Errorf("log record lacks %q: %q", k, line)
+			}
+		}
+		if rec["msg"] == "process spawned" && rec["proc"] != nil {
+			spawned++
+		}
+	}
+	if spawned == 0 {
+		t.Errorf("-log-json debug logged no \"process spawned\" record with its proc:\n%s", stderr.String())
+	}
+}
+
+// TestLogJSONRejectsUnknownLevel pins -log-json's grammar: a level
+// that log/slog does not name is a usage error, not a silent "info".
+func TestLogJSONRejectsUnknownLevel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the plinda binary")
+	}
+	out, err := exec.Command(buildPlinda(t), "-log-json", "verbose").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-log-json verbose: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-log-json") {
+		t.Errorf("-log-json verbose: output does not name the flag: %q", out)
+	}
+}
+
+// buildPlinda builds the command into the test's temporary directory.
+func buildPlinda(t *testing.T) string {
+	t.Helper()
+	exe := filepath.Join(t.TempDir(), "plinda")
+	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return exe
 }

@@ -19,7 +19,6 @@ import (
 var exportAllowlist = map[string]string{
 	"internal/tuplespace/storetest":            "the Store conformance suite; only the backends' tests run it",
 	"internal/faultnet":                        "the fault-injecting proxy; only chaos tests drive it",
-	"internal/obs.CheckPrometheusText":         "the exposition-format checker that obs, cmd/plinda and tuplespace tests share",
 	"internal/rnatree.PlantMotif":              "a generator that treemotif tests share with rnatree's",
 	"internal/rnatree.RandomStructure":         "a generator that treemotif tests share with rnatree's",
 	"internal/parallel.C45Trials":              "a chapter 6 program; ROADMAP 9(d) decides its fate",

@@ -122,11 +122,10 @@ func New(addrs []string, opts Options) (*Router, error) {
 func (r *Router) Nodes() int { return len(r.nodes) }
 
 // Observe attaches a metrics registry and/or tracer: per-node op and
-// error counters and health gauges (fpdm_cluster_node_* with a node
-// label on /metrics), per-op latency histograms
-// (fpdm_cluster_op_seconds), and cluster/<op> spans. The instruments
-// cascade into every node connection, current and future, so the wire
-// metrics keep working under the router.
+// error counters and health gauges (cluster.node.<i>.ops, .errors and
+// .up), and cluster/<op> spans. The instruments cascade into every node
+// connection, current and future, so the wire metrics keep working
+// under the router.
 func (r *Router) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	r.reg.Store(reg)
 	r.trc.Store(tracer)
@@ -279,17 +278,13 @@ func (n *node) do(ctx context.Context, f func(*tuplespace.Client) error) error {
 }
 
 // startOp opens a cluster/<op> span under the ctx's trace parent and
-// returns the closer that records latency into the per-op histogram.
+// returns its closer.
 func (r *Router) startOp(ctx context.Context, op string) func(err error) {
-	start := time.Now()
 	var sp *obs.Span
 	if trc := r.trc.Load(); trc != nil {
 		sp = trc.StartChild(obs.FromContext(ctx), "cluster", op)
 	}
 	return func(err error) {
-		if reg := r.reg.Load(); reg != nil {
-			reg.Histogram("cluster.op." + op).Observe(time.Since(start))
-		}
 		if sp != nil {
 			sp.Annotate("err", err != nil)
 			sp.End()

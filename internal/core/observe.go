@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"freepdm/internal/obs"
 )
@@ -11,10 +10,9 @@ import (
 // programs (RunPLED/RunPLET). It lives behind an atomic pointer so the
 // workers' hot loops pay one pointer load when unobserved.
 type coreObs struct {
-	evaluated *obs.Counter   // patterns whose goodness was computed
-	good      *obs.Counter   // patterns that passed the predicate (PLED, PLET: counted by the master after its commit — PLED a level's good keys at a time, duplicate and stale reports in none; PLET the keys of fresh reports, a report at a time — a repeated report, a 2PC re-run or a stale ctl, counts none)
-	tasks     *obs.Counter   // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seed and spilled bundles
-	goodness  *obs.Histogram // per-pattern evaluation latency
+	evaluated *obs.Counter // patterns whose goodness was computed
+	good      *obs.Counter // patterns that passed the predicate (PLED, PLET: counted by the master after its commit — PLED a level's good keys at a time, duplicate and stale reports in none; PLET the keys of fresh reports, a report at a time — a repeated report, a 2PC re-run or a stale ctl, counts none)
+	tasks     *obs.Counter // task tuples sent, not patterns or poison: PLED chunks, the level-0 seed among them, added once per master transaction after its commit; PLET seed and spilled bundles
 }
 
 var coreObserver atomic.Pointer[coreObs]
@@ -36,19 +34,14 @@ func SetObserver(reg *obs.Registry) {
 		evaluated: reg.Counter("core.evaluated"),
 		good:      reg.Counter("core.good"),
 		tasks:     reg.Counter("core.tasks"),
-		goodness:  reg.Histogram("core.goodness"),
 	})
 }
 
-// timeGoodness evaluates pr.Goodness(p), observing its latency and the
-// evaluation counter when an observer is attached.
-func timeGoodness(o *coreObs, pr Problem, p Pattern) float64 {
-	if o == nil {
-		return pr.Goodness(p)
+// evaluate returns pr.Goodness(p), counting the evaluation when an
+// observer is attached.
+func evaluate(o *coreObs, pr Problem, p Pattern) float64 {
+	if o != nil {
+		o.evaluated.Inc()
 	}
-	start := time.Now()
-	g := pr.Goodness(p)
-	o.goodness.Observe(time.Since(start))
-	o.evaluated.Inc()
-	return g
+	return pr.Goodness(p)
 }

@@ -35,7 +35,7 @@ func expandChunk(o *coreObs, pr Problem, dec Decoder, level int, parents, good [
 			if !allSubpatternsGood(pr, c, set) {
 				continue
 			}
-			if score := timeGoodness(o, pr, c); pr.Good(c, score) {
+			if score := evaluate(o, pr, c); pr.Good(c, score) {
 				goods, scores = append(goods, c.Key()), append(scores, score)
 			}
 		}
@@ -107,7 +107,7 @@ func expandTask(o *coreObs, pr Problem, stack []Pattern, budget int) (goods []st
 	for n := 0; n < budget && len(stack) > 0; n++ {
 		pat := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		score := timeGoodness(o, pr, pat)
+		score := evaluate(o, pr, pat)
 		if pr.Good(pat, score) {
 			goods, scores = append(goods, pat.Key()), append(scores, score)
 			stack = append(stack, pr.Children(pat)...)

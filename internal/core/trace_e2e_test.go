@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -24,8 +23,8 @@ import (
 // with a worker's transaction span rebased into the same trace by the
 // task tuple it took. The trace is read back the way an operator
 // would: as JSON from a live /debug/trace endpoint. The same run's
-// /metrics endpoint must serve a valid Prometheus exposition with
-// per-shard labels and histogram buckets.
+// /debug/metrics snapshot must carry per-shard gauges, wire-op
+// histogram buckets and the WAL append counter.
 func TestTraceE2ECrossProcessPLET(t *testing.T) {
 	base := newToyProblem(6, 120, 0.15, 77)
 	seqRes, _ := SolveSequential(base)
@@ -170,31 +169,35 @@ func TestTraceE2ECrossProcessPLET(t *testing.T) {
 		}
 	}
 
-	// The same run's Prometheus endpoint must be a valid exposition
-	// carrying per-shard gauges and wire-op histogram buckets.
-	mresp, err := http.Get("http://" + dbg.Addr() + "/metrics")
+	// The same run's /debug/metrics snapshot must carry per-shard
+	// gauges, wire-op histogram buckets and the WAL append counter.
+	mresp, err := http.Get("http://" + dbg.Addr() + "/debug/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("metrics Content-Type = %q", ct)
+	var snap obs.Snapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decode /debug/metrics: %v", err)
 	}
-	body, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.CheckPrometheusText(strings.NewReader(string(body))); err != nil {
-		t.Fatalf("/metrics is not a valid Prometheus exposition: %v", err)
-	}
-	for _, want := range []string{
-		`fpdm_ts_shard_tuples{shard="`,
-		`fpdm_net_op_seconds_bucket{op="`,
-		"fpdm_wal_appends_total",
-		"fpdm_trace_events_total",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+	shardGauge, opBuckets := false, false
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "ts.shard.") && strings.HasSuffix(name, ".tuples") {
+			shardGauge = true
 		}
+	}
+	for name, h := range snap.Histograms {
+		if strings.HasPrefix(name, "net.op.") && len(h.Buckets) > 0 {
+			opBuckets = true
+		}
+	}
+	if !shardGauge {
+		t.Errorf("/debug/metrics has no ts.shard.<i>.tuples gauge: %v", snap.Gauges)
+	}
+	if !opBuckets {
+		t.Errorf("/debug/metrics has no net.op.<op> histogram with buckets")
+	}
+	if _, ok := snap.Counters["wal.appends"]; !ok {
+		t.Errorf("/debug/metrics has no wal.appends counter: %v", snap.Counters)
 	}
 }

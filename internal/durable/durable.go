@@ -669,7 +669,7 @@ func (d *Space) Replayed() int { return d.replayed }
 // "wal.batch_records" (records per group-commit write, power-of-two
 // buckets — the bucket unit is a record count, not a duration); and,
 // in fsync mode, histogram "wal.fsync" (fsync latency, with quantiles
-// on /metrics like every histogram).
+// in /debug/metrics like every histogram).
 func (d *Space) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	d.s.Observe(reg, tracer)
 	batchBounds := make([]time.Duration, 0, 9)

@@ -148,9 +148,8 @@ func Armed() int {
 }
 
 // SetRegistry attaches a metrics registry: every armed hit of point P
-// bumps counter "faultnet.hits.P" (fpdm_faultnet_hits_..._total on
-// /metrics), so a chaos run's injected faults are visible beside the
-// failures they caused.
+// bumps counter "faultnet.hits.P" (on /debug/metrics), so a chaos
+// run's injected faults are visible beside the failures they caused.
 func SetRegistry(r *obs.Registry) {
 	reg.Store(r)
 }

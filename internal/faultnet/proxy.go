@@ -106,8 +106,7 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 func (p *Proxy) Target() string { return p.target }
 
 // Observe attaches fault counters: faultnet.proxy.accepted / refused /
-// resets / blackholed_chunks / delayed_chunks, exported on /metrics as
-// fpdm_faultnet_proxy_*_total.
+// resets / blackholed_chunks / delayed_chunks, on /debug/metrics.
 func (p *Proxy) Observe(r *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

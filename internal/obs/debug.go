@@ -13,7 +13,6 @@ import (
 //
 //	/debug/metrics   JSON Snapshot of the registry
 //	/debug/trace     recent tracer events (?n=K limits to the last K)
-//	/metrics         Prometheus text exposition of the same registry
 //	/debug/pprof/*   the standard net/http/pprof handlers
 //
 // Either argument may be nil, in which case the corresponding endpoint
@@ -22,10 +21,6 @@ func NewDebugMux(r *Registry, t *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, r.Snapshot())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, r.Snapshot(), t) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
 		events := t.Events()

@@ -14,6 +14,8 @@
 //     incarnations, each under its caller's sampled trace.
 //   - ServeDebug (debug.go): a live HTTP endpoint exposing
 //     /debug/metrics, /debug/trace, and net/http/pprof.
+//   - Default (slog.go): the process-wide log/slog logger, silent until
+//     a command installs a handler.
 //
 // Components opt in via their Observe methods (tuplespace.Space,
 // plinda.Server), struct fields (now.Cluster), or core.SetObserver

@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,5 +259,40 @@ func TestServeDebugEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof endpoint status %d", resp.StatusCode)
+	}
+}
+
+// TestDefaultLoggerSilentUntilSet pins the logging contract: the
+// process-wide logger formats nothing until a handler is installed, and
+// once one is, each call writes one JSON object with its level, message
+// and attrs.
+func TestDefaultLoggerSilentUntilSet(t *testing.T) {
+	defer SetDefault(nil)
+	if Default().Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("the unset logger is enabled")
+	}
+	var buf bytes.Buffer
+	SetDefault(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo})))
+	Default().Debug("hidden")
+	Default().Info("wal recovered", "records", 412)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1: %q", len(lines), buf.String())
+	}
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("log line is not JSON: %v", err)
+	}
+	if rec["level"] != "INFO" || rec["msg"] != "wal recovered" || rec["records"] != float64(412) {
+		t.Fatalf("unexpected record: %v", rec)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, rec["time"].(string)); err != nil {
+		t.Fatalf("bad timestamp: %v", err)
+	}
+	buf.Reset()
+	SetDefault(nil)
+	Default().Error("dropped")
+	if buf.Len() != 0 {
+		t.Fatalf("the restored silent logger wrote %q", buf.String())
 	}
 }

@@ -1,145 +1,36 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
-	"strconv"
-	"sync"
+	"context"
+	"log/slog"
 	"sync/atomic"
-	"time"
 )
 
-// Level orders log records by severity.
-type Level int32
+// defaultLogger is the process-wide logger components write through
+// (WAL recovery notices, process lifecycle, lease expiry). Until
+// SetDefault installs one it is a logger whose handler is never
+// enabled, so a log call formats nothing and writes nothing.
+var defaultLogger atomic.Pointer[slog.Logger]
 
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
+func init() { SetDefault(nil) }
 
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
+// SetDefault installs the process-wide logger; nil restores the silent
+// one. Commands install slog.NewJSONHandler(os.Stderr, ...) for their
+// -log-json flag.
+func SetDefault(l *slog.Logger) {
+	if l == nil {
+		l = slog.New(silent{})
 	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
+	defaultLogger.Store(l)
 }
 
-// ParseLevel maps a level name to its Level (defaulting to info).
-func ParseLevel(s string) Level {
-	switch s {
-	case "debug":
-		return LevelDebug
-	case "warn", "warning":
-		return LevelWarn
-	case "error":
-		return LevelError
-	default:
-		return LevelInfo
-	}
-}
+// Default returns the process-wide logger; it is never nil.
+func Default() *slog.Logger { return defaultLogger.Load() }
 
-// Logger writes structured events as JSON lines:
-//
-//	{"time":"2026-08-07T12:00:00.000000001Z","level":"info","msg":"wal recovered","records":412}
-//
-// One line per event, written atomically, so concurrent loggers on the
-// same fd interleave at line granularity. attrs are alternating
-// key, value pairs; values marshal with encoding/json (unmarshalable
-// values degrade to their Go string form). A nil *Logger drops
-// everything, so components log unconditionally through whatever
-// logger they were (or were not) given.
-type Logger struct {
-	min Level
-	mu  sync.Mutex
-	w   io.Writer
-}
+// silent is the handler of the unset logger: no level is enabled.
+type silent struct{}
 
-// NewLogger returns a logger writing records at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{w: w, min: min}
-}
-
-// Enabled reports whether records at lv would be written.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
-
-// Debug writes a debug-level record.
-func (l *Logger) Debug(msg string, attrs ...any) { l.log(LevelDebug, msg, attrs) }
-
-// Info writes an info-level record.
-func (l *Logger) Info(msg string, attrs ...any) { l.log(LevelInfo, msg, attrs) }
-
-// Warn writes a warn-level record.
-func (l *Logger) Warn(msg string, attrs ...any) { l.log(LevelWarn, msg, attrs) }
-
-// Error writes an error-level record.
-func (l *Logger) Error(msg string, attrs ...any) { l.log(LevelError, msg, attrs) }
-
-func (l *Logger) log(lv Level, msg string, attrs []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	buf := make([]byte, 0, 128)
-	buf = append(buf, `{"time":"`...)
-	buf = time.Now().UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, lv.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSON(buf, msg)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		k, ok := attrs[i].(string)
-		if !ok {
-			k = "arg" + strconv.Itoa(i)
-		}
-		buf = append(buf, ',')
-		buf = appendJSON(buf, k)
-		buf = append(buf, ':')
-		buf = appendJSON(buf, attrs[i+1])
-	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	l.w.Write(buf) //nolint:errcheck // logging is best-effort
-	l.mu.Unlock()
-}
-
-// appendJSON marshals v onto buf, degrading to a quoted Go string form
-// when v does not marshal (channels, funcs, cyclic values).
-func appendJSON(buf []byte, v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(toString(v))
-	}
-	return append(buf, b...)
-}
-
-func toString(v any) string {
-	if s, ok := v.(interface{ String() string }); ok {
-		return s.String()
-	}
-	if err, ok := v.(error); ok {
-		return err.Error()
-	}
-	return "?"
-}
-
-// defaultLogger is the process-wide logger components fall back to
-// when they were not handed one explicitly (slow-op logs, WAL
-// recovery notices, process lifecycle). Unset by default: obs.Default()
-// then returns nil and every log call is a no-op.
-var defaultLogger atomic.Pointer[Logger]
-
-// SetDefault installs the process-wide default logger (nil to unset).
-func SetDefault(l *Logger) { defaultLogger.Store(l) }
-
-// Default returns the process-wide default logger, possibly nil. Nil
-// is safe to call methods on.
-func Default() *Logger { return defaultLogger.Load() }
+func (silent) Enabled(context.Context, slog.Level) bool  { return false }
+func (silent) Handle(context.Context, slog.Record) error { return nil }
+func (s silent) WithAttrs([]slog.Attr) slog.Handler      { return s }
+func (s silent) WithGroup(string) slog.Handler           { return s }

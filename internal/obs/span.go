@@ -181,19 +181,17 @@ func (s *Span) Annotate(key string, value any) {
 	}
 }
 
-// End closes the span, emits it as an Event into the tracer's ring,
-// and writes a slow-op log line if the span's duration is at or above
-// the tracer's configured threshold. No-op on nil.
+// End closes the span and emits it as an Event into the tracer's
+// ring. No-op on nil.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	dur := time.Since(s.start)
 	e := Event{
 		Time:   s.start,
 		Kind:   s.kind,
 		Name:   s.name,
-		Dur:    dur,
+		Dur:    time.Since(s.start),
 		Trace:  s.sc.Trace,
 		Span:   s.sc.Span,
 		Parent: s.parent,
@@ -209,11 +207,6 @@ func (s *Span) End() {
 		}
 	}
 	s.t.Emit(e)
-	if slow := s.t.slowNanos.Load(); slow > 0 && int64(dur) >= slow {
-		s.t.slowLogger().Warn("slow op",
-			"kind", s.kind, "name", s.name, "dur_ms", dur.Milliseconds(),
-			"trace", s.sc.Trace.String(), "span", s.sc.Span.String())
-	}
 }
 
 // SetSampleRate sets the fraction of new traces that are sampled
@@ -235,22 +228,4 @@ func (t *Tracer) sampled() bool {
 		return false
 	}
 	return rand.Float64() < rate
-}
-
-// SetSlowOp configures the slow-op log: every span whose duration
-// reaches threshold is written to l (or the package default logger
-// when l is nil) at Warn level. A zero threshold disables it.
-func (t *Tracer) SetSlowOp(threshold time.Duration, l *Logger) {
-	if t == nil {
-		return
-	}
-	t.slowNanos.Store(int64(threshold))
-	t.slowLog.Store(l)
-}
-
-func (t *Tracer) slowLogger() *Logger {
-	if l := t.slowLog.Load(); l != nil {
-		return l
-	}
-	return Default()
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -125,37 +123,8 @@ func TestNilSpanAndNilTracerAreNoOps(t *testing.T) {
 	}
 	sp.End()
 	tr.SetSampleRate(0.5)
-	tr.SetSlowOp(time.Second, nil)
 	if tr.NewTrace() != 0 {
 		t.Fatal("nil tracer allocated a trace")
-	}
-}
-
-func TestSlowOpLogging(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelDebug)
-	tr := NewTracer(16)
-	tr.SetSlowOp(time.Nanosecond, lg)
-	sp := tr.StartRoot("tuple", "in")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	line := buf.String()
-	if !strings.Contains(line, `"msg":"slow op"`) || !strings.Contains(line, `"kind":"tuple"`) {
-		t.Fatalf("slow-op log missing fields: %q", line)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &rec); err != nil {
-		t.Fatalf("slow-op log is not one JSON line: %v", err)
-	}
-	if rec["trace"] != sp.Context().Trace.String() {
-		t.Fatalf("slow-op trace = %v, want %v", rec["trace"], sp.Context().Trace)
-	}
-	// Below threshold: nothing logged.
-	buf.Reset()
-	tr.SetSlowOp(time.Hour, lg)
-	tr.StartRoot("tuple", "in").End()
-	if buf.Len() != 0 {
-		t.Fatalf("fast op logged as slow: %q", buf.String())
 	}
 }
 
@@ -252,113 +221,5 @@ func TestSnapshotCarriesQuantiles(t *testing.T) {
 	}
 	if !(hs.P50Nanos <= hs.P95Nanos && hs.P95Nanos <= hs.P99Nanos) {
 		t.Fatalf("quantiles not ordered: %+v", hs)
-	}
-}
-
-func TestWritePrometheusValidatesAndLabels(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ts.out").Add(42)
-	r.Gauge("ts.shard.0.tuples").Set(7)
-	r.Gauge("ts.shard.1.tuples").Set(9)
-	r.Gauge("plinda.procs.live").Set(3)
-	r.Histogram("net.op.in").Observe(2 * time.Millisecond)
-	r.Histogram("net.op.out").Observe(40 * time.Millisecond)
-	r.Histogram("plinda.txn").Observe(time.Second)
-	tr := NewTracer(8)
-	tr.StartRoot("k", "n").End()
-
-	var b bytes.Buffer
-	if err := WritePrometheus(&b, r.Snapshot(), tr); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		"fpdm_ts_out_total 42",
-		`fpdm_ts_shard_tuples{shard="0"} 7`,
-		`fpdm_ts_shard_tuples{shard="1"} 9`,
-		"fpdm_plinda_procs_live 3",
-		`fpdm_net_op_seconds_bucket{op="in",le=`,
-		"fpdm_plinda_txn_seconds_count 1",
-		"fpdm_trace_events_total 1",
-		"fpdm_trace_dropped_total 0",
-		`le="+Inf"`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-	if err := CheckPrometheusText(strings.NewReader(text)); err != nil {
-		t.Fatalf("exposition fails its own validity check: %v\n%s", err, text)
-	}
-}
-
-func TestCheckPrometheusTextRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no type":           "foo 1\n",
-		"bad name":          "# TYPE 1bad counter\n1bad 1\n",
-		"bucket no le":      "# TYPE h histogram\nh_bucket{op=\"x\"} 1\nh_sum 1\nh_count 1\n",
-		"decreasing cum":    "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_sum 1\nh_count 5\n",
-		"missing sum":       "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
-		"non-float value":   "# TYPE g gauge\ng one\n",
-		"empty":             "",
-		"unquoted label":    "# TYPE g gauge\ng{a=b} 1\n",
-		"histogram no sfx":  "# TYPE h histogram\nh 1\n",
-		"le not increasing": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\nh_sum 1\nh_count 2\n",
-	}
-	for name, text := range cases {
-		if err := CheckPrometheusText(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: accepted invalid exposition:\n%s", name, text)
-		}
-	}
-}
-
-func TestLoggerJSONLinesAndLevels(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelInfo)
-	lg.Debug("hidden")
-	lg.Info("wal recovered", "records", 412, "dir", "/tmp/w")
-	lg.Warn("odd attr count", "k1") // trailing key without value is dropped
-	lg.Error("boom", "err", strings.NewReader, "n", 2)
-
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3: %q", len(lines), buf.String())
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("line 0 not JSON: %v", err)
-	}
-	if rec["level"] != "info" || rec["msg"] != "wal recovered" || rec["records"] != float64(412) {
-		t.Fatalf("unexpected record: %v", rec)
-	}
-	if _, err := time.Parse(time.RFC3339Nano, rec["time"].(string)); err != nil {
-		t.Fatalf("bad timestamp: %v", err)
-	}
-	// The unmarshalable func value must degrade, keeping the line valid JSON.
-	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil {
-		t.Fatalf("degraded line not JSON: %v (%q)", err, lines[2])
-	}
-	if rec["n"] != float64(2) {
-		t.Fatalf("attr after degraded value lost: %v", rec)
-	}
-
-	var nilLogger *Logger
-	nilLogger.Info("dropped")
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger reports enabled")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "": LevelInfo, "bogus": LevelInfo,
-	} {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
-		}
-	}
-	if LevelWarn.String() != "warn" || Level(9).String() != "level(9)" {
-		t.Error("Level.String misrendered")
 	}
 }

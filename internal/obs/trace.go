@@ -31,18 +31,14 @@ type Event struct {
 // Tracer is a bounded ring buffer of Events. When full, new events
 // overwrite the oldest; Total reports how many were ever recorded so
 // readers can detect loss. A nil *Tracer drops everything, and starts
-// only nil spans.
-//
-// The tracer also owns the span configuration: the root sample rate
-// (SetSampleRate) and the slow-op log threshold (SetSlowOp).
+// only nil spans. The tracer also owns the root sample rate
+// (SetSampleRate).
 type Tracer struct {
 	mu    sync.Mutex
 	buf   []Event
 	total uint64
 
 	sampleBits atomic.Uint64 // math.Float64bits of the root sample rate
-	slowNanos  atomic.Int64  // slow-op threshold; 0 disables
-	slowLog    atomic.Pointer[Logger]
 }
 
 // NewTracer returns a tracer keeping the last capacity events

@@ -160,13 +160,12 @@ type Server struct {
 // serverObs holds the server's attached instruments; individual
 // instrument pointers may be nil (no-op).
 type serverObs struct {
-	spawns, exits, kills, respawns        *obs.Counter
-	xstarts, commits, aborts, contCommits *obs.Counter
-	checkpoints, restores                 *obs.Counter
-	procs                                 *obs.Gauge
-	txnDur                                *obs.Histogram
-	reg                                   *obs.Registry
-	tracer                                *obs.Tracer
+	spawns, exits, kills, respawns *obs.Counter
+	xstarts, commits, aborts       *obs.Counter
+	procs                          *obs.Gauge
+	txnDur                         *obs.Histogram
+	reg                            *obs.Registry
+	tracer                         *obs.Tracer
 }
 
 // NewServer starts an empty PLinda server with a private tuple space.
@@ -215,20 +214,17 @@ func (s *Server) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 		so.Observe(reg, tracer)
 	}
 	o := &serverObs{
-		spawns:      reg.Counter("plinda.spawns"),
-		exits:       reg.Counter("plinda.exits"),
-		kills:       reg.Counter("plinda.kills"),
-		respawns:    reg.Counter("plinda.respawns"),
-		xstarts:     reg.Counter("plinda.xstarts"),
-		commits:     reg.Counter("plinda.commits"),
-		aborts:      reg.Counter("plinda.aborts"),
-		contCommits: reg.Counter("plinda.continuation_commits"),
-		checkpoints: reg.Counter("plinda.checkpoints"),
-		restores:    reg.Counter("plinda.restores"),
-		procs:       reg.Gauge("plinda.live_procs"),
-		txnDur:      reg.Histogram("plinda.txn"),
-		reg:         reg,
-		tracer:      tracer,
+		spawns:   reg.Counter("plinda.spawns"),
+		exits:    reg.Counter("plinda.exits"),
+		kills:    reg.Counter("plinda.kills"),
+		respawns: reg.Counter("plinda.respawns"),
+		xstarts:  reg.Counter("plinda.xstarts"),
+		commits:  reg.Counter("plinda.commits"),
+		aborts:   reg.Counter("plinda.aborts"),
+		procs:    reg.Gauge("plinda.live_procs"),
+		txnDur:   reg.Histogram("plinda.txn"),
+		reg:      reg,
+		tracer:   tracer,
 	}
 	s.mu.Lock()
 	live := 0
@@ -689,8 +685,7 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
-	o := s.obs.Load()
-	sp := o.rootSpan("checkpoint")
+	sp := s.obs.Load().rootSpan("checkpoint")
 	defer sp.End()
 	s.mu.Lock()
 	var conts []tuplespace.Tuple
@@ -712,9 +707,6 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	if _, err := w.Write(b); err != nil {
 		return err
 	}
-	if o != nil {
-		o.checkpoints.Inc()
-	}
 	sp.Annotate("tuples", len(tuples))
 	sp.Annotate("continuations", len(conts))
 	return nil
@@ -730,8 +722,7 @@ func (s *Server) RestoreCheckpoint(r io.Reader) error {
 	if !ok {
 		return fmt.Errorf("plinda: store %T does not support checkpoints", s.store)
 	}
-	o := s.obs.Load()
-	sp := o.rootSpan("restore")
+	sp := s.obs.Load().rootSpan("restore")
 	defer sp.End()
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -768,9 +759,6 @@ func (s *Server) RestoreCheckpoint(r io.Reader) error {
 		ps.continuation, ps.hasCont = byName[n]
 	}
 	s.mu.Unlock()
-	if o != nil {
-		o.restores.Inc()
-	}
 	sp.Annotate("tuples", len(tuples))
 	sp.Annotate("continuations", len(conts))
 	return nil

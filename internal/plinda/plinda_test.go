@@ -3,7 +3,10 @@ package plinda
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -398,6 +401,74 @@ func TestRespawnKeepsSamplingDecision(t *testing.T) {
 	}
 	if len(traces) != 1 || !incarnations[0] || !incarnations[1] {
 		t.Fatalf("sampled process: %d traces, incarnation spans %v; want 1 trace with incarnations 0 and 1", len(traces), incarnations)
+	}
+}
+
+// TestRespawnLog pins the lifecycle records an operator reads to learn
+// why a process respawned: each Kill writes one "process killed" record
+// at WARN, and each respawn one "process respawned" record naming the
+// process, its new incarnation and the kill as its cause.
+func TestRespawnLog(t *testing.T) {
+	var buf bytes.Buffer
+	obs.SetDefault(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	defer obs.SetDefault(nil)
+	srv := NewServer()
+	defer srv.Close()
+
+	// Incarnations 0 and 1 park in In until they are killed; incarnation
+	// 2 exits.
+	const kills = 2
+	parked := make(chan struct{}, 1)
+	if err := srv.Spawn("victim", func(p *Proc) error {
+		if p.Incarnation() == kills {
+			return nil
+		}
+		parked <- struct{}{}
+		_, err := p.In("never", tuplespace.FormalInt)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < kills; i++ {
+		<-parked
+		if err := srv.Kill("victim"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Wait("victim"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() // the exit record follows Wait; Close waits for it
+
+	var killed, respawned []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not one JSON record: %v: %q", err, line)
+		}
+		if rec["proc"] != "victim" {
+			continue
+		}
+		switch rec["msg"] {
+		case "process killed":
+			killed = append(killed, rec)
+		case "process respawned":
+			respawned = append(respawned, rec)
+		}
+	}
+	if len(killed) != kills || len(respawned) != kills {
+		t.Fatalf("%d kills wrote %d killed and %d respawned records, want %d each:\n%s",
+			kills, len(killed), len(respawned), kills, buf.String())
+	}
+	for i := 0; i < kills; i++ {
+		if k := killed[i]; k["level"] != "WARN" || k["incarnation"] != float64(i) {
+			t.Errorf("killed record %d = %v, want level WARN, incarnation %d", i, k, i)
+		}
+		r := respawned[i]
+		cause, _ := r["cause"].(string)
+		if r["incarnation"] != float64(i+1) || !strings.Contains(cause, ErrKilled.Error()) {
+			t.Errorf("respawned record %d = %v, want incarnation %d and a cause naming the kill", i, r, i+1)
+		}
 	}
 }
 

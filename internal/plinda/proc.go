@@ -197,7 +197,6 @@ func (p *Proc) Xcommit(continuation ...any) error {
 			name := "commit"
 			if cont != nil {
 				name = "continuation-commit"
-				o.contCommits.Inc()
 			}
 			if sp := p.txnSp; sp != nil {
 				sp.SetName(name)

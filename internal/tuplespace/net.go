@@ -270,14 +270,8 @@ type connState struct {
 	bouts   *obs.Counter
 	btuples *obs.Counter
 
-	sessions   *obs.Counter
 	txnBegins  *obs.Counter
 	txnCommits *obs.Counter
-	txnAborts  *obs.Counter
-	autoAborts *obs.Counter
-	leaseExps  *obs.Counter
-	cxls       *obs.Counter
-	openTxns   *obs.Gauge
 
 	ctx       context.Context // session context: canceled on teardown or lease expiry
 	cancelAll context.CancelFunc
@@ -307,10 +301,8 @@ type connState struct {
 // histogram ("net.op.<op>", covering queueing plus matching — for
 // blocking in/rd this includes the wait), batch counters
 // ("net.batch_outs"/"net.batch_tuples"), a response-flush counter
-// ("net.flushes"), session/lease/transaction counters
-// ("net.sessions", "net.lease_expirations", "net.txn_begins",
-// "net.txn_commits", "net.txn_aborts", "net.txn_auto_aborts",
-// "net.cancels", gauge "net.open_txns"), and kind "net" trace events.
+// ("net.flushes"), transaction counters ("net.txn_begins",
+// "net.txn_commits"), and kind "net" trace events.
 func Serve(l net.Listener, be ServerBackend) error {
 	ns := &netServer{be: be, conts: make(map[string]Tuple)}
 	var wg sync.WaitGroup
@@ -348,8 +340,6 @@ func serveConn(ns *netServer, conn net.Conn) {
 	var rwc net.Conn = conn
 	if cs.reg != nil {
 		cs.reg.Counter("net.conns").Inc()
-		cs.reg.Gauge("net.open_conns").Add(1)
-		defer cs.reg.Gauge("net.open_conns").Add(-1)
 		rwc = &countingConn{Conn: conn, rx: cs.reg.Counter("net.rx_bytes"), tx: cs.reg.Counter("net.tx_bytes")}
 		cs.cm = newCodecMetrics(cs.reg)
 		for op := byte(1); op < opMax; op++ {
@@ -358,14 +348,8 @@ func serveConn(ns *netServer, conn net.Conn) {
 		cs.fw.flushes = cs.reg.Counter("net.flushes")
 		cs.bouts = cs.reg.Counter("net.batch_outs")
 		cs.btuples = cs.reg.Counter("net.batch_tuples")
-		cs.sessions = cs.reg.Counter("net.sessions")
 		cs.txnBegins = cs.reg.Counter("net.txn_begins")
 		cs.txnCommits = cs.reg.Counter("net.txn_commits")
-		cs.txnAborts = cs.reg.Counter("net.txn_aborts")
-		cs.autoAborts = cs.reg.Counter("net.txn_auto_aborts")
-		cs.leaseExps = cs.reg.Counter("net.lease_expirations")
-		cs.cxls = cs.reg.Counter("net.cancels")
-		cs.openTxns = cs.reg.Gauge("net.open_txns")
 	}
 
 	// Handshake: both sides send their banner first, then validate the
@@ -463,8 +447,6 @@ func serveConn(ns *netServer, conn net.Conn) {
 	cs.mu.Unlock()
 	for _, tx := range txns {
 		tx.Abort() //nolint:errcheck — best-effort restore; the backend may be closing
-		cs.autoAborts.Inc()
-		cs.openTxns.Add(-1)
 	}
 }
 
@@ -515,11 +497,8 @@ func (cs *connState) expire() {
 	txns := cs.txns
 	cs.txns = make(map[uint64]Txn)
 	cs.mu.Unlock()
-	cs.leaseExps.Inc()
 	for _, tx := range txns {
 		tx.Abort() //nolint:errcheck — best-effort restore
-		cs.autoAborts.Inc()
-		cs.openTxns.Add(-1)
 	}
 	cs.cancelAll()
 	// The expiry is logged, and is a span in the session's trace when
@@ -643,7 +622,6 @@ func (cs *connState) begin(id uint64) *response {
 	cs.txns[id] = tx
 	cs.mu.Unlock()
 	cs.txnBegins.Inc()
-	cs.openTxns.Add(1)
 	return nil
 }
 
@@ -667,7 +645,6 @@ func serveOne(cs *connState, req *request, ctx context.Context, poll bool) *resp
 			}
 		}
 		cs.mu.Unlock()
-		cs.sessions.Inc()
 		return &response{OK: true}
 	case opPing:
 		return &response{OK: true} // the reader's touch already reset the lease
@@ -688,7 +665,6 @@ func serveOne(cs *connState, req *request, ctx context.Context, poll bool) *resp
 			cs.ns.setCont(cs.sessionName(), Tuple(req.Cont))
 		}
 		cs.txnCommits.Inc()
-		cs.openTxns.Add(-1)
 		return &response{OK: true}
 	case opTxAbort:
 		tx := cs.takeTxn(req.Txn)
@@ -698,8 +674,6 @@ func serveOne(cs *connState, req *request, ctx context.Context, poll bool) *resp
 		if err := tx.Abort(); err != nil {
 			return cs.mapErr(err)
 		}
-		cs.txnAborts.Inc()
-		cs.openTxns.Add(-1)
 		return &response{OK: true}
 	case opCancel:
 		cs.mu.Lock()
@@ -707,7 +681,6 @@ func serveOne(cs *connState, req *request, ctx context.Context, poll bool) *resp
 		cs.mu.Unlock()
 		if fn != nil {
 			fn()
-			cs.cxls.Inc()
 		}
 		return &response{OK: true}
 	case opRecover:

@@ -118,29 +118,15 @@ var (
 type Template []any
 
 // Matches reports whether the template matches the tuple: same arity,
-// every actual equal in type and value, every formal equal in type.
-// This is the reference semantics; the space itself matches through
-// compiled templates, which agree with Matches on every template the
-// space accepts (it rejects a leading formal string, ErrCrossTemplate).
+// every actual equal in type and value, every formal equal in type. It
+// runs the space's own compiled matcher, so it agrees with every Store
+// on every template a Store accepts; a leading formal string, which
+// every Store refuses (ErrCrossTemplate), matches any string here.
 func (tm Template) Matches(t Tuple) bool {
-	if len(tm) != len(t) {
-		return false
-	}
-	for i, f := range tm {
-		if fo, ok := f.(formal); ok {
-			if reflect.TypeOf(t[i]) != fo.t {
-				return false
-			}
-			continue
-		}
-		if reflect.TypeOf(f) != reflect.TypeOf(t[i]) {
-			return false
-		}
-		if !reflect.DeepEqual(f, t[i]) {
-			return false
-		}
-	}
-	return true
+	var farr [6]compiledField
+	var sbuf [88]byte
+	ct, _ := compileTemplate(tm, farr[:0], sbuf[:0])
+	return ct.match(t)
 }
 
 // Pre-resolved reflect.Types for the field types with fast-path
@@ -291,9 +277,11 @@ func (ct *compiledTemplate) match(t Tuple) bool {
 // registered waiter). The result is returned by value so the callee
 // never stores through a pointer into it, which would defeat stack
 // allocation at every call site. A template leading with a formal
-// string has no partition and fails with ErrCrossTemplate.
+// string has no partition and fails with ErrCrossTemplate; its fields
+// are still compiled, for Template.Matches.
 func compileTemplate(tm Template, fields []compiledField, sig []byte) (compiledTemplate, error) {
 	var ct compiledTemplate
+	var err error
 	if cap(fields) >= len(tm) {
 		fields = fields[:len(tm)]
 		for i := range fields {
@@ -317,7 +305,7 @@ func compileTemplate(tm Template, fields []compiledField, sig []byte) (compiledT
 				continue
 			}
 			if i == 0 && cf.kind == kindString {
-				return compiledTemplate{}, ErrCrossTemplate
+				err = ErrCrossTemplate
 			}
 			sig = append(sig, typeName(fo.t)...)
 			sig = append(sig, ';')
@@ -357,7 +345,7 @@ func compileTemplate(tm Template, fields []compiledField, sig []byte) (compiledT
 		}
 	}
 	ct.sig = sig
-	return ct, nil
+	return ct, err
 }
 
 // signatureOf appends the partition key for a tuple to sig: the arity,

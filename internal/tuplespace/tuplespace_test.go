@@ -3,6 +3,7 @@ package tuplespace
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -87,6 +88,69 @@ func TestSliceFieldsMatchByValue(t *testing.T) {
 	}
 	if got := tu[1].([]int); got[2] != 3 {
 		t.Fatalf("bad payload %v", got)
+	}
+}
+
+// TestTemplateMatchesAgreesWithSpace pins the one matcher: on the
+// pairs where a reflect-based matcher and the compiled one could part
+// ways, Template.Matches answers as Space.Rdp does.
+func TestTemplateMatchesAgreesWithSpace(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		tm   Template
+		tu   Tuple
+		want bool
+	}{
+		{"int actual vs int64", Template{"t", 5}, Tuple{"t", int64(5)}, false},
+		{"int64 actual vs int", Template{"t", int64(5)}, Tuple{"t", 5}, false},
+		{"int actual vs int", Template{"t", 5}, Tuple{"t", 5}, true},
+		{"int64 actual vs int64", Template{"t", int64(5)}, Tuple{"t", int64(5)}, true},
+		{"nil bytes vs empty bytes", Template{"t", []byte(nil)}, Tuple{"t", []byte{}}, false},
+		{"empty bytes vs nil bytes", Template{"t", []byte{}}, Tuple{"t", []byte(nil)}, false},
+		{"nil bytes vs nil bytes", Template{"t", []byte(nil)}, Tuple{"t", []byte(nil)}, true},
+		{"empty bytes vs empty bytes", Template{"t", []byte{}}, Tuple{"t", []byte{}}, true},
+		{"bytes formal vs nil bytes", Template{"t", FormalBytes}, Tuple{"t", []byte(nil)}, true},
+		{"bytes formal vs empty bytes", Template{"t", FormalBytes}, Tuple{"t", []byte{}}, true},
+		{"NaN actual vs NaN", Template{"t", nan}, Tuple{"t", nan}, false},
+		{"float formal vs NaN", Template{"t", FormalFloat}, Tuple{"t", nan}, true},
+		{"NaN in a slice actual", Template{"t", []float64{nan}}, Tuple{"t", []float64{nan}}, false},
+		{"int formal vs int", Template{"t", FormalInt}, Tuple{"t", 1}, true},
+		{"int formal vs int64", Template{"t", FormalInt}, Tuple{"t", int64(1)}, false},
+		{"int64 formal vs int64", Template{"t", FormalInt64}, Tuple{"t", int64(1)}, true},
+		{"int64 formal vs int", Template{"t", FormalInt64}, Tuple{"t", 1}, false},
+		{"float formal vs float", Template{"t", FormalFloat}, Tuple{"t", 1.5}, true},
+		{"float formal vs int", Template{"t", FormalFloat}, Tuple{"t", 1}, false},
+		{"string formal vs string", Template{"t", FormalString}, Tuple{"t", "x"}, true},
+		{"string formal vs bytes", Template{"t", FormalString}, Tuple{"t", []byte("x")}, false},
+		{"bool formal vs bool", Template{"t", FormalBool}, Tuple{"t", false}, true},
+		{"bool formal vs int", Template{"t", FormalBool}, Tuple{"t", 0}, false},
+		{"bytes formal vs string", Template{"t", FormalBytes}, Tuple{"t", "x"}, false},
+		{"ints formal vs ints", Template{"t", FormalInts}, Tuple{"t", []int{1}}, true},
+		{"ints formal vs floats", Template{"t", FormalInts}, Tuple{"t", []float64{1}}, false},
+		{"floats formal vs floats", Template{"t", FormalFloats}, Tuple{"t", []float64(nil)}, true},
+		{"strings formal vs strings", Template{"t", FormalStrings}, Tuple{"t", []string{"a"}}, true},
+		{"strings formal vs ints", Template{"t", FormalStrings}, Tuple{"t", []int{1}}, false},
+		{"slice actual, equal", Template{"t", []int{1, 2}}, Tuple{"t", []int{1, 2}}, true},
+		{"slice actual, unequal", Template{"t", []int{1, 2}}, Tuple{"t", []int{1, 3}}, false},
+		{"nil actual vs nil", Template{"t", nil}, Tuple{"t", nil}, true},
+		{"shorter template", Template{"t", FormalInt}, Tuple{"t", 1, 2}, false},
+		{"longer template", Template{"t", FormalInt, FormalInt}, Tuple{"t", 1}, false},
+		{"other tag", Template{"u", FormalInt}, Tuple{"t", 1}, false},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		s := New()
+		if err := s.Out(ctx, c.tu...); err != nil {
+			t.Fatalf("%s: Out: %v", c.name, err)
+		}
+		_, ok, err := s.Rdp(ctx, c.tm...)
+		if err != nil {
+			t.Fatalf("%s: Rdp: %v", c.name, err)
+		}
+		if got := c.tm.Matches(c.tu); got != ok || got != c.want {
+			t.Errorf("%s: Matches = %v, Rdp = %v, want %v", c.name, got, ok, c.want)
+		}
 	}
 }
 
