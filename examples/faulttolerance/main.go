@@ -1,8 +1,9 @@
 // Faulttolerance: demonstrate the chapter 7 software architecture —
-// a Parallel NyuMiner-CV run on a PLinda server whose workers keep
-// getting killed (owners reclaiming their workstations), with the
-// process-watch table printed along the way. The result is identical
-// to a failure-free run, PLinda's fault-tolerance guarantee.
+// a Parallel NyuMiner-CV run on a PLinda server whose processes, master
+// and workers alike, keep getting killed (owners reclaiming their
+// workstations), with the process-watch table printed along the way.
+// The result is identical to a failure-free run, PLinda's
+// fault-tolerance guarantee.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 	// Owners keep reclaiming the workstations.
 	killer := time.NewTicker(15 * time.Millisecond)
 	defer killer.Stop()
-	victims := []string{"nmcv-worker-0", "nmcv-worker-1", "nmcv-worker-2"}
+	victims := []string{"nmcv-worker-0", "nmcv-master", "nmcv-worker-1", "nmcv-worker-2"}
 	k := 0
 loop:
 	for {

@@ -141,9 +141,9 @@ func runChaosScenario(t *testing.T, g faultGrain, sc chaosScenario) {
 // master's terminal failure left the workers blocked on a task tuple
 // that would never come (Server.Stop exists for that).
 //
-// The rate is sized to the master's stream, because a re-spawned PLET
-// master re-seeds the tree and every stale control tuple it has to read
-// on the way lengthens the next incarnation's stream: a master has to
+// The rate is sized to the master's stream, because every control
+// tuple a killed master's stream put back lengthens the next
+// incarnation's stream: a master has to
 // live through ~70 store operations on the budget-1 tree (24 tasks;
 // 0.985^70, one chance in three) and ~45 on the default grain's (14
 // bundles; 0.985^45, one in two), so both grains run at one rate. Much
@@ -180,15 +180,15 @@ func testChaosLocalStoreErrRate(t *testing.T, g faultGrain, errRate float64) {
 // TestChaosMasterRespawnStaleCtl kills the master deterministically in
 // the middle of its control-tuple consumption. The killed incarnation's
 // report stream aborts, so every control tuple it took is back. The
-// re-spawned master starts a fresh balance and re-seeds the top tasks,
-// then consumes those stale control tuples in arbitrary order —
+// re-spawned master rebuilds its balance from the seed's continuation,
+// then consumes those put-back control tuples in arbitrary order —
 // so a deep task's subtree can report before the task's parent: the
 // exact floating-subtree input TestBalance/FloatingSubtree pins at the
 // unit level. The run must complete with exactly SolveSequential's
-// results. The stale control tuples carry their
-// tasks' good patterns a second time, next to the re-run tasks' fresh
-// ones: the last incarnation must have taken more good keys than there
-// are results, and reported each once.
+// results. Each kill also leaves two stale copies of the first task's
+// report behind, as a 2PC re-run would, carrying its good patterns a
+// second time: the last incarnation must have taken more good keys than
+// there are results, and reported each once.
 func TestChaosMasterRespawnStaleCtl(t *testing.T) {
 	testChaosMasterRespawnStaleCtl(t, grainDefault)
 }

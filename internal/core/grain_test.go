@@ -330,8 +330,10 @@ func (tx killerTxn) InTraced(ctx context.Context, tmpl ...any) (tuplespace.Tuple
 // stream, after every 20th control tuple it takes and at most three
 // times, on a local Space and over per-incarnation dialed sessions, at
 // budgets 1 and 7. Each killed stream aborts whole, so its reports come
-// back next to the re-seeded tasks' fresh copies; the run must still
-// return exactly SolveSequential's results, each once.
+// back, and the next incarnation recovers the seed from its
+// continuation instead of seeding again; the run must still return
+// exactly SolveSequential's results, each once, and the master take no
+// control tuple but one per task and those its killed streams put back.
 func TestPLETMasterKilledMidStream(t *testing.T) {
 	const workers, period, maxKills = 2, 20, 3
 	for _, budget := range []int{1, 7} {
@@ -355,6 +357,11 @@ func TestPLETMasterKilledMidStream(t *testing.T) {
 				eachResultOnce(t, res)
 				if kills := k.kills.Load(); kills < 2 || srv.Respawns() < int(kills) {
 					t.Errorf("%d mid-stream kills and %d respawns, want at least 2 kills, each respawned", kills, srv.Respawns())
+				}
+				tasks := pletTasks(base, workers, budget)
+				if takes, kills := k.takes.Load(), k.kills.Load(); int(takes) > tasks+int(period*kills) {
+					t.Errorf("%d control takes for %d tasks and %d kills, want at most %d: a respawned master seeded again",
+						takes, tasks, kills, tasks+int(period*kills))
 				}
 				t.Logf("%d control takes, %d kills, %d respawns", k.takes.Load(), k.kills.Load(), srv.Respawns())
 			})

@@ -88,7 +88,7 @@ func PLEDWorker(pr Problem) plinda.ProcFunc {
 // transaction evaluates before it commits. It is a node count, not a
 // time, on purpose: with Children's deterministic order a task's report
 // (goods, scores, spilled bundles) is then a pure function of its tuple,
-// so a task run twice — a cluster 2PC re-run, a re-seeding master —
+// so a task run twice — a cluster 2PC re-run —
 // reports the same frontier and goods the master's balance and result
 // list already saw. A wall-clock budget would let the re-run
 // spill keys other than those whose ctl already landed, and the master
@@ -533,10 +533,11 @@ func (b balance) done() bool { return len(b.open) == 0 }
 // The master makes two transactions: the seed, and one stream
 // transaction that takes every report and commits with the poison once
 // the balance is done, atomically with the take that completed the
-// tree. A report then costs the master one take and no commit. A killed
-// master's stream transaction aborts, so every report it took
-// reappears whole; the next incarnation re-seeds, and the re-run seed
-// tasks' reports are the repeats the balance drops.
+// tree. A report then costs the master one take and no commit. The seed
+// commits the seed bundles' ids as the master's continuation, so a
+// killed master's next incarnation rebuilds its balance from Xrecover
+// and seeds nothing; its stream aborted, so every report it took is
+// back in the space, whole, for the next stream to take.
 func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	dec, ok := pr.(Decoder)
 	if !ok {
@@ -547,43 +548,51 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 	}
 
 	o := coreObserver.Load()
-	var runs []goodRun
+	var final []goodRun
 	master := func(p *plinda.Proc) error {
-		runs = nil // a re-spawned master re-seeds the tree and collects the reports anew
+		var ids []string
+		if t, ok := p.Xrecover(); ok {
+			if len(t) == 1 {
+				ids, ok = t[0].([]string)
+			}
+			if !ok || len(t) != 1 {
+				return fmt.Errorf("core: malformed master continuation %v", t)
+			}
+		} else {
+			top := pr.Children(pr.Root())
+			keys := make([]string, len(top))
+			for i, c := range top {
+				keys[i] = c.Key()
+			}
+			var tasks []tuplespace.Tuple
+			tasks, ids = taskTuples(deal(keys, 2*workers))
+			if err := p.Xstart(); err != nil {
+				return err
+			}
+			p.Annotate("seed", len(tasks))
+			if err := p.OutN(tasks); err != nil {
+				return err
+			}
+			if err := p.Xcommit(ids); err != nil {
+				return err
+			}
+			if o != nil {
+				o.tasks.Add(int64(len(tasks)))
+			}
+		}
 		rootKey := pr.Root().Key()
 		open := newBalance(rootKey)
-
-		top := pr.Children(pr.Root())
-		keys := make([]string, len(top))
-		for i, c := range top {
-			keys[i] = c.Key()
-		}
-		tasks, ids := taskTuples(deal(keys, 2*workers))
-		if err := p.Xstart(); err != nil {
-			return err
-		}
-		p.Annotate("seed", len(tasks))
-		if err := p.OutN(tasks); err != nil {
-			return err
-		}
-		if err := p.Xcommit(); err != nil {
-			return err
-		}
-		if o != nil {
-			o.tasks.Add(int64(len(tasks)))
-		}
 		open.report(rootKey, ids)
 
 		// A report can arrive twice: the cluster's two-phase commit
 		// re-runs a worker whose report had already landed on a follower
-		// node, and a re-spawned master reads the previous incarnation's
-		// reports, which its abort put back, next to the re-run tasks'
-		// fresh ones. A task's report is a pure function of its tuple, so
-		// its first copy wins whole, the repeat is dropped whole, and the
+		// node. A task's report is a pure function of its tuple, so its
+		// first copy wins whole, the repeat is dropped whole, and the
 		// result set still equals SolveSequential's.
 		if err := p.Xstart(); err != nil {
 			return err
 		}
+		var runs []goodRun
 		found, reports := 0, 0
 		for ; !open.done(); reports++ {
 			// Every task produces exactly one control tuple. Its kind
@@ -626,11 +635,12 @@ func RunPLET(srv *plinda.Server, pr Problem, workers int) ([]Result, error) {
 		if o != nil {
 			o.good.Add(int64(found))
 		}
+		final = runs
 		return nil
 	}
 
 	if err := srv.RunProgram("plet", workers, PLETWorker(pr), master); err != nil {
 		return nil, err
 	}
-	return assembleResults(dec, runs)
+	return assembleResults(dec, final)
 }
